@@ -65,9 +65,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = None
-    if args.config:
-        cfg = load_config(args.config)
+    cfg = _resolve_config(args) if args.config else None
     reports, table = experiments.verify_experiment(
         cfg, out_dir=args.out, samples=args.samples, seed=args.seed or 0)
     print(table, end="")

@@ -20,44 +20,23 @@ def _check_k(k: int, dim: int) -> None:
         raise ValueError(f"k must lie in [1, {dim}], got {k}")
 
 
-def top_k(g: np.ndarray, k: int) -> np.ndarray:
-    """Keep the k entries of largest magnitude, zero the rest.
-
-    Ties are broken toward the lowest index, so the output is deterministic.
-    """
-    g = np.asarray(g, dtype=float)
-    _check_k(k, g.shape[-1])
-    if k == g.shape[-1]:
-        return g.copy()
-    keep = np.argsort(-np.abs(g), kind="stable")[:k]
-    out = np.zeros_like(g)
-    out[keep] = g[keep]
-    return out
-
-
 def _top_k_rows(G: np.ndarray, k: int) -> np.ndarray:
-    if k == G.shape[1]:
+    n, d = G.shape
+    _check_k(k, d)
+    if k == d:
         return G.copy()
-    order = np.argsort(-np.abs(G), axis=1, kind="stable")[:, :k]
-    out = np.zeros_like(G)
-    np.put_along_axis(out, order, np.take_along_axis(G, order, axis=1), axis=1)
-    return out
-
-
-def rand_k(g: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Keep a uniformly random k-subset of coordinates, zero the rest."""
-    g = np.asarray(g, dtype=float)
-    _check_k(k, g.shape[-1])
-    if k == g.shape[-1]:
-        return g.copy()
-    keep = rng.permutation(g.shape[-1])[:k]
-    out = np.zeros_like(g)
-    out[keep] = g[keep]
-    return out
+    # flat indices of each row's k largest magnitudes; the stable sort keeps
+    # the lower index on ties
+    keep = (np.argsort(-np.abs(G), axis=1, kind="stable")[:, :k]
+            + np.arange(0, n * d, d)[:, None])
+    out = np.zeros(n * d)
+    out[keep] = G.ravel()[keep]
+    return out.reshape(n, d)
 
 
 def _rand_k_rows(G: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     # k smallest of d iid uniform keys per row = uniform k-subset per row
+    _check_k(k, G.shape[1])
     if k == G.shape[1]:
         return G.copy()
     keys = rng.random(G.shape)
@@ -65,36 +44,64 @@ def _rand_k_rows(G: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return G * (keys <= thresh)
 
 
+def _rand_k_unbiased_rows(G: np.ndarray, k: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    return (G.shape[1] / k) * _rand_k_rows(G, k, rng)
+
+
+def _row(g: np.ndarray) -> np.ndarray:
+    return np.asarray(g, dtype=float)[None]
+
+
+def top_k(g: np.ndarray, k: int) -> np.ndarray:
+    """Keep the k entries of largest magnitude, zero the rest.
+
+    Ties are broken toward the lowest index, so the output is deterministic.
+    """
+    return _top_k_rows(_row(g), k)[0]
+
+
+def rand_k(g: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Keep a uniformly random k-subset of coordinates, zero the rest."""
+    return _rand_k_rows(_row(g), k, rng)[0]
+
+
 def rand_k_unbiased(g: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Scaled random sparsifier (d/k) * rand_k(g); unbiased, higher variance."""
-    g = np.asarray(g, dtype=float)
-    _check_k(k, g.shape[-1])
-    return (g.shape[-1] / k) * rand_k(g, k, rng)
+    return _rand_k_unbiased_rows(_row(g), k, rng)[0]
 
 
 @dataclass(frozen=True)
 class Compressor:
-    """A vector map with (optionally) a contraction factor delta in (0, 1].
+    """A map applied to each row of an (n, dim) matrix, with (optionally) a
+    contraction factor delta in (0, 1].
 
-    `delta` promises E||C(g) - g||^2 <= (1 - delta) * ||g||^2 for all g; it is
-    None for operators (like the unbiased rand-k) that do not contract.
+    `apply_rows(G, rng)` is the map; `apply(g, rng)` is that map on a batch
+    of one, derived in `__post_init__` unless passed explicitly (as
+    `dataclasses.replace` does). `delta` promises
+    E||C(g) - g||^2 <= (1 - delta) * ||g||^2 for all g; it is None for
+    operators (like the unbiased rand-k) that do not contract.
     """
 
     name: str
     kind: str  # top_k | rand_k | rand_k_unbiased | scale | custom
     dim: int
-    apply: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     apply_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    apply: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     delta: Optional[float] = None
     k: Optional[int] = None
     deterministic: bool = False
+
+    def __post_init__(self):
+        rows = self.apply_rows
+        if self.apply is None:
+            object.__setattr__(self, "apply", lambda g, rng: rows(_row(g), rng)[0])
 
 
 def top_k_compressor(k: int, dim: int) -> Compressor:
     _check_k(k, dim)
     return Compressor(
         name=f"top_k(k={k})", kind="top_k", dim=dim,
-        apply=lambda g, rng: top_k(g, k),
         apply_rows=lambda G, rng: _top_k_rows(G, k),
         delta=k / dim, k=k, deterministic=True,
     )
@@ -104,7 +111,6 @@ def rand_k_compressor(k: int, dim: int) -> Compressor:
     _check_k(k, dim)
     return Compressor(
         name=f"rand_k(k={k})", kind="rand_k", dim=dim,
-        apply=lambda g, rng: rand_k(g, k, rng),
         apply_rows=lambda G, rng: _rand_k_rows(G, k, rng),
         delta=k / dim, k=k, deterministic=False,
     )
@@ -112,11 +118,9 @@ def rand_k_compressor(k: int, dim: int) -> Compressor:
 
 def rand_k_unbiased_compressor(k: int, dim: int) -> Compressor:
     _check_k(k, dim)
-    scale = dim / k
     return Compressor(
         name=f"rand_k_unbiased(k={k})", kind="rand_k_unbiased", dim=dim,
-        apply=lambda g, rng: scale * rand_k(g, k, rng),
-        apply_rows=lambda G, rng: scale * _rand_k_rows(G, k, rng),
+        apply_rows=lambda G, rng: _rand_k_unbiased_rows(G, k, rng),
         delta=None, k=k, deterministic=False,
     )
 
@@ -128,7 +132,6 @@ def scale_compressor(delta: float, dim: int) -> Compressor:
     c = 1.0 - np.sqrt(1.0 - delta)
     return Compressor(
         name=f"scale(delta={delta:g})", kind="scale", dim=dim,
-        apply=lambda g, rng: c * np.asarray(g, dtype=float),
         apply_rows=lambda G, rng: c * np.asarray(G, dtype=float),
         delta=delta, deterministic=True,
     )
@@ -206,19 +209,10 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
             raise UnsupportedCompositionError(
                 f"no derived bounds for compressor kind {c.kind!r}")
 
-    def query(x, rng):
-        return c.apply(inner.query(x, rng), rng)
-
-    def query_many(x, n, rng):
-        return c.apply_rows(inner.query_many(x, n, rng), rng)
-
-    def query_batch(X, rng):
-        return c.apply_rows(inner.query_batch(X, rng), rng)
-
     oracle = BiasedOracle(
         name=f"{c.name}({inner.name})", dim=d,
         bounds=OracleBounds(),  # placeholder, replaced below
-        _query=query, _query_many=query_many, _query_batch=query_batch,
+        _query_batch=lambda X, rng: c.apply_rows(inner.query_batch(X, rng), rng),
         expected_query=expected,
         deterministic=inner.deterministic and c.deterministic,
     )

@@ -120,25 +120,29 @@ def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
                       exact_bias=o.expected_query is not None)
 
 
+def _collect_points(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
+                    samples: int, seed: int, tag: int,
+                    min_samples: int = 0) -> list:
+    """`_collect` at every point, point i drawing from stream (seed, tag, i)."""
+    if samples < min_samples and not o.deterministic:
+        raise ValueError(f"samples must be >= {min_samples} for stochastic oracles")
+    return [_collect(o, p, x, samples, stream(seed, tag, i))
+            for i, x in enumerate(points)]
+
+
 def estimate_bias(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
                   samples: int = 100_000, seed: int = 0) -> list:
     """Per-point bias estimates ||b(x)||^2 with standard errors.
 
     Exact (zero SE) when the oracle exposes its mean in closed form.
     """
-    if samples < 1000 and not o.deterministic:
-        raise ValueError("samples must be >= 1000 for stochastic oracles")
-    return [_collect(o, p, x, samples, stream(seed, 0xB1, i))
-            for i, x in enumerate(points)]
+    return _collect_points(o, p, points, samples, seed, 0xB1, min_samples=1000)
 
 
 def estimate_noise(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
                    samples: int = 100_000, seed: int = 0) -> list:
     """Per-point noise variances around the query mean, with standard errors."""
-    if samples < 1000 and not o.deterministic:
-        raise ValueError("samples must be >= 1000 for stochastic oracles")
-    return [_collect(o, p, x, samples, stream(seed, 0xA3, i))
-            for i, x in enumerate(points)]
+    return _collect_points(o, p, points, samples, seed, 0xA3, min_samples=1000)
 
 
 @dataclass
@@ -223,10 +227,8 @@ def fit_bounds(stats: Sequence[PointStats],
 def fit_oracle_bounds(o: BiasedOracle, p: Problem, n_points: int = 10,
                       samples: int = 4000, seed: int = 0) -> BoundEstimate:
     """Probe, sample, and fit in one call (used for estimated composed bounds)."""
-    points = probe_points(p, n_points, seed)
-    stats = [_collect(o, p, x, samples, stream(seed, 0xE5, i))
-             for i, x in enumerate(points)]
-    return fit_bounds(stats)
+    return fit_bounds(_collect_points(o, p, probe_points(p, n_points, seed),
+                                      samples, seed, 0xE5))
 
 
 @dataclass
@@ -266,9 +268,8 @@ def verify_declared(o: BiasedOracle, p: Problem, n_points: int = 20,
     assumption along with a full envelope fit for the table output.
     """
     b = o.bounds
-    points = probe_points(p, n_points, seed)
-    stats = [_collect(o, p, x, samples, stream(seed, 0xC7, i))
-             for i, x in enumerate(points)]
+    stats = _collect_points(o, p, probe_points(p, n_points, seed),
+                            samples, seed, 0xC7)
 
     def check(name, values, ses, rhs):
         excess = np.array([v - r - slack * s for v, s, r in zip(values, ses, rhs)])

@@ -199,11 +199,18 @@ def _cell_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     return sub.with_overrides(**ov)
 
 
-def _run_cell(args) -> tuple:
+def _run_cell(args):
+    """One sweep cell: (summary, t, mean_f_gap), or the error message if it fails.
+
+    Failures are caught here, so serial and pooled sweeps record them alike.
+    """
     text, overrides, cell_dir = args
-    cfg = _cell_config(parse_config(text), overrides)
-    out = run_experiment(cfg, out_dir=cell_dir)
-    return overrides, out.summary, out.agg.t, out.agg.mean_f_gap
+    try:
+        cfg = _cell_config(parse_config(text), overrides)
+        out = run_experiment(cfg, out_dir=cell_dir)
+    except Exception as exc:  # noqa: BLE001 - cell failures are data, not fatal
+        return str(exc)
+    return out.summary, out.agg.t, out.agg.mean_f_gap
 
 
 @dataclass
@@ -245,28 +252,21 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
     tasks = [(text, ov, os.path.join(out_dir, "cells", label))
              for label, ov in cells]
 
-    results = {}
-    failures = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (label, _), res in zip(cells, pool.map(_run_cell, tasks)):
-                results[label] = res
+            outs = list(pool.map(_run_cell, tasks))
     else:
-        for (label, _), task in zip(cells, tasks):
-            try:
-                results[label] = _run_cell(task)
-            except Exception as exc:  # cell failures are data, not fatal
-                failures[label] = str(exc)
+        outs = [_run_cell(t) for t in tasks]
 
     panel_keys, series_key = _panel_keys(cfg)
     panels: dict = {}
     records = []
     target = cfg.tune.target_eps if cfg.tune is not None else None
-    for label, overrides in cells:
-        if label in failures:
-            records.append({"label": label, "error": failures[label]})
+    for (label, overrides), res in zip(cells, outs):
+        if isinstance(res, str):
+            records.append({"label": label, "error": res})
             continue
-        _, summary, t, gap = results[label]
+        summary, t, gap = res
         title = _panel_title(panel_keys, overrides)
         series = _series_label(series_key, overrides, label)
         panels.setdefault(title, []).append((series, t, gap))
@@ -299,7 +299,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
         fh.write("\n".join(lines) + "\n")
     write_kv(os.path.join(out_dir, "sweep_summary.txt"),
              {"fingerprint": cfg.fingerprint(), "cells": len(cells),
-              "failed": len(failures)})
+              "failed": sum(isinstance(res, str) for res in outs)})
     return SweepOutput(cells=records,
                        panels=[(t, [s[0] for s in ss]) for t, ss in panels.items()],
                        out_dir=out_dir)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -14,6 +13,7 @@ from .problems import Problem
 
 # beyond this many iterations traces are thinned to logarithmic checkpoints
 FULL_TRACE_LIMIT = 1_000_000
+# an iterate with |f| or ||x|| beyond this (or not finite) ends the run
 DIVERGENCE_LIMIT = 1e12
 
 
@@ -74,7 +74,6 @@ class RunTrace:
     f_gap: np.ndarray
     grad_norm_sq: np.ndarray
     stepsizes: np.ndarray
-    elapsed: np.ndarray
     final_x: np.ndarray
     status: str  # completed | diverged
     reason: Optional[str]  # non-finite | overflow | monotone-increase
@@ -90,12 +89,11 @@ class RunTrace:
             else float(self.grad_norm_sq[0])
 
 
-def _guard(f: float, x: np.ndarray) -> Optional[str]:
+def _divergence_reason(f: float, x: np.ndarray) -> str:
+    """Why an iterate failed the step loop's bound test."""
     if not np.isfinite(f) or not np.all(np.isfinite(x)):
         return "non-finite"
-    if abs(f) > DIVERGENCE_LIMIT or float(np.linalg.norm(x)) > DIVERGENCE_LIMIT:
-        return "overflow"
-    return None
+    return "overflow"
 
 
 def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
@@ -126,33 +124,31 @@ def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     f_gap = np.empty(n_rec)
     gns = np.empty(n_rec)
     gammas = np.full(n_rec, np.nan)
-    elapsed = np.empty(n_rec)
-    start = time.perf_counter()
+    f_star = p.f_star or 0.0
+    limit_sq = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
 
-    def record(slot: int, t: int) -> None:
-        f_gap[slot] = p.gap(x)
+    def record(slot: int, t: int, fx: float) -> None:
+        f_gap[slot] = fx - f_star
         g = p.grad(x)
         gns[slot] = float(g @ g)
         gammas[slot] = sched.at(t) if t < T else np.nan
-        elapsed[slot] = time.perf_counter() - start
 
-    record(0, 0)
+    record(0, 0, float(p.value(x)))
     slot = 1
     status, reason = "completed", None
     for t in range(T):
         g = o.query(x, rng)
         x = x - sched.at(t) * g
-        fx = p.value(x)
-        bad = _guard(fx, x)
-        if bad is not None:
-            status, reason = "diverged", bad
+        fx = float(p.value(x))
+        # NaN fails both comparisons, so one test catches every bad iterate
+        if not (abs(fx) <= DIVERGENCE_LIMIT and x @ x <= limit_sq):
+            status, reason = "diverged", _divergence_reason(fx, x)
             break
-        keep = grid_set is None or (t + 1) in grid_set
-        if keep:
-            record(slot, t + 1)
+        if grid_set is None or (t + 1) in grid_set:
+            record(slot, t + 1, fx)
             slot += 1
 
-    f_gap, gns, gammas, elapsed = (a[:slot] for a in (f_gap, gns, gammas, elapsed))
+    f_gap, gns, gammas = (a[:slot] for a in (f_gap, gns, gammas))
     t_idx = grid[:slot]
     if status == "completed" and len(f_gap) > 1:
         diffs = np.diff(f_gap)
@@ -164,7 +160,7 @@ def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
         "schedule": sched.describe(), "T": T, "seed": int(seed),
     }
     return RunTrace(t=t_idx, f_gap=f_gap, grad_norm_sq=gns, stepsizes=gammas,
-                    elapsed=elapsed, final_x=x, status=status, reason=reason,
+                    final_x=x, status=status, reason=reason,
                     fingerprint=fingerprint)
 
 

@@ -56,55 +56,64 @@ EXACT_BOUNDS = OracleBounds(0.0, 0.0, 0.0, 0.0)
 class BiasedOracle:
     """A stochastic gradient map with declared bound parameters.
 
-    `query` evaluates one draw at one point. `query_many` draws n times at a
-    fixed point (Monte-Carlo estimation); `query_batch` evaluates one draw at
-    each row of a state matrix (batched SGD lanes). Both have loop fallbacks.
-    `expected_query` gives grad f(x) + b(x) in closed form when available.
+    The map is one row form, `_query_batch(X, rng)`: one draw at each row of
+    an (n, dim) state matrix. `query(x)` is that map on a batch of one, and
+    `query_many(x, n)` is that map on n copies of x (Monte-Carlo estimation
+    at a fixed point). `__post_init__` derives `_query` and `_query_many`
+    from the row map unless they are passed explicitly, as
+    `dataclasses.replace` does. `expected_query` gives grad f(x) + b(x) in
+    closed form when available.
     """
 
     name: str
     dim: int
     bounds: OracleBounds
-    _query: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    _query_batch: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    _query: Optional[Callable] = None
     _query_many: Optional[Callable] = None
-    _query_batch: Optional[Callable] = None
     expected_query: Optional[Callable[[np.ndarray], np.ndarray]] = None
     deterministic: bool = False
+
+    def __post_init__(self):
+        rows = self._query_batch
+        if self._query is None:
+            object.__setattr__(self, "_query", lambda x, rng: rows(x[None], rng)[0])
+        if self._query_many is None:
+            # contiguous copies, not a broadcast view: matmul on a stride-0
+            # view skips BLAS and is several times slower
+            object.__setattr__(self, "_query_many",
+                               lambda x, n, rng: rows(np.tile(x, (n, 1)), rng))
 
     def query(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self._query(x, rng)
 
     def query_many(self, x: np.ndarray, n: int,
                    rng: np.random.Generator) -> np.ndarray:
-        if self._query_many is not None:
-            return self._query_many(x, n, rng)
-        return np.stack([self._query(x, rng) for _ in range(n)])
+        return self._query_many(x, n, rng)
 
     def query_batch(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self._query_batch is not None:
-            return self._query_batch(X, rng)
-        return np.stack([self._query(x, rng) for x in X])
+        return self._query_batch(X, rng)
 
     def with_bounds(self, bounds: OracleBounds) -> "BiasedOracle":
         """Same query stream with different declared bounds."""
         return replace(self, bounds=bounds)
 
 
+def _sq_rows(G: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", G, G)
+
+
+def _at_point(rows: Callable[[np.ndarray], np.ndarray]):
+    """The single-point form x -> rows(x[None])[0] of a deterministic row map."""
+    return lambda x: rows(np.asarray(x, dtype=float)[None])[0]
+
+
 def exact_oracle(p: Problem) -> BiasedOracle:
     """Deterministic oracle returning the true gradient; all bounds zero."""
     grad_many = p.grad_many
-
-    def query(x, rng):
-        return p.grad(x)
-
-    def query_many(x, n, rng):
-        return np.tile(p.grad(x), (n, 1))
-
-    query_batch = (lambda X, rng: grad_many(X)) if grad_many is not None else None
-
     return BiasedOracle(
         name="exact", dim=p.dim, bounds=EXACT_BOUNDS,
-        _query=query, _query_many=query_many, _query_batch=query_batch,
+        _query_batch=lambda X, rng: grad_many(X),
         expected_query=p.grad, deterministic=True,
     )
 
@@ -124,20 +133,11 @@ def gaussian_noise_oracle(p: Problem, sigma_sq: float,
         return inner
     scale = np.sqrt(sigma_sq / p.dim)
     b = inner.bounds
-
-    def query(x, rng):
-        return inner.query(x, rng) + scale * rng.standard_normal(p.dim)
-
-    def query_many(x, n, rng):
-        return inner.query_many(x, n, rng) + scale * rng.standard_normal((n, p.dim))
-
-    def query_batch(X, rng):
-        return inner.query_batch(X, rng) + scale * rng.standard_normal(X.shape)
-
     return BiasedOracle(
         name=f"{inner.name}+noise({sigma_sq:g})", dim=p.dim,
         bounds=replace(b, sigma_sq=b.sigma_sq + sigma_sq),
-        _query=query, _query_many=query_many, _query_batch=query_batch,
+        _query_batch=lambda X, rng: (inner.query_batch(X, rng)
+                                     + scale * rng.standard_normal(X.shape)),
         expected_query=inner.expected_query, deterministic=False,
     )
 
@@ -153,23 +153,21 @@ def additive_bias_oracle(inner: BiasedOracle, zeta: float,
     bias = zeta * direction
     b = inner.bounds
     expected = inner.expected_query
-
-    def query(x, rng):
-        return inner.query(x, rng) + bias
-
-    def query_many(x, n, rng):
-        return inner.query_many(x, n, rng) + bias
-
-    def query_batch(X, rng):
-        return inner.query_batch(X, rng) + bias
-
     return BiasedOracle(
         name=f"{inner.name}+bias({zeta:g})", dim=inner.dim,
         bounds=replace(b, zeta_sq=b.zeta_sq + zeta * zeta),
-        _query=query, _query_many=query_many, _query_batch=query_batch,
+        _query_batch=lambda X, rng: inner.query_batch(X, rng) + bias,
         expected_query=(lambda x: expected(x) + bias) if expected else None,
         deterministic=inner.deterministic,
     )
+
+
+def _tight_rows(p: Problem, m: float, zeta_sq: float, b: np.ndarray):
+    """Rows of grad f(X) + rho(X) * b with rho^2 = 1 + (m/zeta^2)||grad f||^2."""
+    def rows(X):
+        G = p.grad_many(X)
+        return G + np.sqrt(1.0 + (m / zeta_sq) * _sq_rows(G))[:, None] * b
+    return rows
 
 
 def tightness_oracle(p: Problem, m: float, zeta_sq: float,
@@ -187,24 +185,12 @@ def tightness_oracle(p: Problem, m: float, zeta_sq: float,
     b = np.asarray(b, dtype=float)
     if abs(float(b @ b) - zeta_sq) > 1e-8 * max(1.0, zeta_sq):
         raise ValueError("||b||^2 must equal zeta_sq")
-
-    def expected(x):
-        g = p.grad(x)
-        rho = np.sqrt(1.0 + (m / zeta_sq) * float(g @ g))
-        return g + rho * b
-
-    def query_batch(X, rng):
-        G = p.grad_many(X)
-        rho = np.sqrt(1.0 + (m / zeta_sq) * np.einsum("ij,ij->i", G, G))
-        return G + rho[:, None] * b
-
+    rows = _tight_rows(p, m, zeta_sq, b)
     return BiasedOracle(
         name=f"tightness(m={m:g},zeta_sq={zeta_sq:g})", dim=p.dim,
         bounds=OracleBounds(m=m, zeta_sq=zeta_sq),
-        _query=lambda x, rng: expected(x),
-        _query_many=lambda x, n, rng: np.tile(expected(x), (n, 1)),
-        _query_batch=query_batch if p.grad_many is not None else None,
-        expected_query=expected, deterministic=True,
+        _query_batch=lambda X, rng: rows(X),
+        expected_query=_at_point(rows), deterministic=True,
     )
 
 
@@ -228,31 +214,14 @@ def gaussian_smoothing_oracle(p: Problem, tau: float) -> BiasedOracle:
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    bounds = gs_bounds(p.dim, p.smoothness_L, tau)
 
-    def query(x, rng):
-        u = rng.standard_normal(p.dim)
-        return ((p.value(x + tau * u) - p.value(x)) / tau) * u
-
-    def query_many(x, n, rng):
-        U = rng.standard_normal((n, p.dim))
-        fx = p.value(x)
-        if p.value_many is not None:
-            vals = p.value_many(x + tau * U)
-        else:
-            vals = np.array([p.value(x + tau * u) for u in U])
-        return ((vals - fx) / tau)[:, None] * U
-
-    def query_batch(X, rng):
+    def rows(X, rng):
         U = rng.standard_normal(X.shape)
-        vplus = p.value_many(X + tau * U)
-        v0 = p.value_many(X)
-        return ((vplus - v0) / tau)[:, None] * U
+        return ((p.value_many(X + tau * U) - p.value_many(X)) / tau)[:, None] * U
 
     return BiasedOracle(
-        name=f"gaussian_smoothing(tau={tau:g})", dim=p.dim, bounds=bounds,
-        _query=query, _query_many=query_many,
-        _query_batch=query_batch if p.value_many is not None else None,
+        name=f"gaussian_smoothing(tau={tau:g})", dim=p.dim,
+        bounds=gs_bounds(p.dim, p.smoothness_L, tau), _query_batch=rows,
         expected_query=None, deterministic=False,
     )
 
@@ -263,56 +232,24 @@ def uniform_direction(dim: int) -> np.ndarray:
 
 
 def inexact_oracle(p: Problem, delta: float,
-                   bias_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                    noise_sigma_sq: float = 0.0) -> BiasedOracle:
     """Inexact first-order oracle with accuracy delta: ||b(x)||^2 <= 2*delta*L.
 
-    The default bias is the constant vector of squared norm exactly 2*delta*L,
-    which makes the declared zeta^2 = 2*delta*L tight. A nonzero
-    `noise_sigma_sq` gives the stochastic variant.
+    The bias is the constant vector of squared norm exactly 2*delta*L, which
+    makes the declared zeta^2 = 2*delta*L tight. A nonzero `noise_sigma_sq`
+    gives the stochastic variant.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if noise_sigma_sq < 0:
         raise ValueError("noise_sigma_sq must be nonnegative")
     zeta_sq = 2.0 * delta * p.smoothness_L
-    default_bias = None
-    if bias_map is None:
-        default_bias = np.sqrt(zeta_sq) * uniform_direction(p.dim)
-        bias_map = lambda x: default_bias  # noqa: E731
-
-    def expected(x):
-        return p.grad(x) + bias_map(x)
-
-    scale = np.sqrt(noise_sigma_sq / p.dim) if noise_sigma_sq > 0 else 0.0
-
-    def query(x, rng):
-        g = expected(x)
-        if scale:
-            g = g + scale * rng.standard_normal(p.dim)
-        return g
-
-    def query_many(x, n, rng):
-        G = np.tile(expected(x), (n, 1))
-        if scale:
-            G = G + scale * rng.standard_normal((n, p.dim))
-        return G
-
-    query_batch = None
-    if default_bias is not None and p.grad_many is not None:
-        def query_batch(X, rng):
-            G = p.grad_many(X) + default_bias
-            if scale:
-                G = G + scale * rng.standard_normal(X.shape)
-            return G
-
+    biased = additive_bias_oracle(exact_oracle(p), np.sqrt(zeta_sq),
+                                  uniform_direction(p.dim))
     tag = "stochastic_inexact" if noise_sigma_sq > 0 else "inexact"
-    return BiasedOracle(
-        name=f"{tag}(delta={delta:g})", dim=p.dim,
-        bounds=OracleBounds(m=0.0, zeta_sq=zeta_sq, sigma_sq=noise_sigma_sq),
-        _query=query, _query_many=query_many, _query_batch=query_batch,
-        expected_query=expected, deterministic=noise_sigma_sq == 0.0,
-    )
+    return replace(gaussian_noise_oracle(p, noise_sigma_sq, inner=biased),
+                   name=f"{tag}(delta={delta:g})",
+                   bounds=OracleBounds(m=0.0, zeta_sq=zeta_sq, sigma_sq=noise_sigma_sq))
 
 
 def huber_shifted_oracle() -> tuple[Problem, BiasedOracle]:
@@ -322,19 +259,8 @@ def huber_shifted_oracle() -> tuple[Problem, BiasedOracle]:
     kink walks away from the minimizer forever.
     """
     p = make_huber_problem()
-    shift = np.array([2.0])
-
-    def expected(x):
-        return p.grad(x) - shift
-
-    return p, BiasedOracle(
-        name="huber_shifted", dim=1,
-        bounds=OracleBounds(m=0.0, zeta_sq=4.0),
-        _query=lambda x, rng: expected(x),
-        _query_many=lambda x, n, rng: np.tile(expected(x), (n, 1)),
-        _query_batch=lambda X, rng: p.grad_many(X) - shift,
-        expected_query=expected, deterministic=True,
-    )
+    return p, replace(additive_bias_oracle(exact_oracle(p), 2.0, np.array([-1.0])),
+                      name="huber_shifted")
 
 
 def synthetic_tight_oracle(p: Problem, m: float, zeta_sq: float,
@@ -349,31 +275,19 @@ def synthetic_tight_oracle(p: Problem, m: float, zeta_sq: float,
         raise ValueError(f"m must lie in [0, 1), got {m}")
     if m > 0.0 and zeta_sq == 0.0:
         raise ValueError("the tight construction needs zeta_sq > 0 when m > 0")
-    b = np.sqrt(zeta_sq) * uniform_direction(p.dim) if zeta_sq > 0 else None
+    d = p.dim
+    mean_rows = _tight_rows(p, m, zeta_sq, np.sqrt(zeta_sq) * uniform_direction(d)) \
+        if zeta_sq > 0 else p.grad_many
 
-    def expected(x):
-        g = p.grad(x)
-        if b is None:
-            return g
-        rho = np.sqrt(1.0 + (m / zeta_sq) * float(g @ g))
-        return g + rho * b
-
-    def query(x, rng):
-        mean = expected(x)
-        scale = np.sqrt((M * float(mean @ mean) + sigma_sq) / p.dim)
-        w = rng.standard_normal(p.dim)
-        return mean + scale * (w / np.sqrt(float(w @ w) / p.dim))
-
-    def query_many(x, n, rng):
-        mean = expected(x)
-        scale = np.sqrt((M * float(mean @ mean) + sigma_sq) / p.dim)
-        W = rng.standard_normal((n, p.dim))
-        norms = np.sqrt(np.einsum("ij,ij->i", W, W) / p.dim)
-        return mean + scale * (W / norms[:, None])
+    def rows(X, rng):
+        mean = mean_rows(X)
+        scale = np.sqrt((M * _sq_rows(mean) + sigma_sq) / d)
+        W = rng.standard_normal(X.shape)
+        norms = np.sqrt(_sq_rows(W) / d)
+        return mean + scale[:, None] * (W / norms[:, None])
 
     return BiasedOracle(
         name=f"synthetic_tight(m={m:g},zeta_sq={zeta_sq:g},M={M:g},sigma_sq={sigma_sq:g})",
-        dim=p.dim, bounds=OracleBounds(m=m, zeta_sq=zeta_sq, M=M, sigma_sq=sigma_sq),
-        _query=query, _query_many=query_many,
-        expected_query=expected, deterministic=False,
+        dim=d, bounds=OracleBounds(m=m, zeta_sq=zeta_sq, M=M, sigma_sq=sigma_sq),
+        _query_batch=rows, expected_query=_at_point(mean_rows), deterministic=False,
     )

@@ -14,7 +14,10 @@ class Problem:
 
     `value` and `grad` must agree under central finite differences (see
     `finite_diff_check`); `smoothness_L` is a valid Lipschitz constant of the
-    gradient; `pl_mu`, `f_star`, `x_star` are set when known.
+    gradient; `pl_mu`, `f_star`, `x_star` are set when known. `value_many`
+    and `grad_many` evaluate the rows of an (n, dim) matrix; when a caller
+    leaves them out they are filled in from `value`/`grad`, so every problem
+    has both.
     """
 
     name: str
@@ -25,11 +28,18 @@ class Problem:
     pl_mu: Optional[float] = None
     f_star: Optional[float] = None
     x_star: Optional[np.ndarray] = None
-    # vectorized objective/gradient over rows of an (n, dim) matrix; optional
-    # fast paths used by Monte-Carlo estimators and the batched tuner
     value_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     default_x0: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        value, grad, dim = self.value, self.grad, self.dim
+        if self.value_many is None:
+            object.__setattr__(self, "value_many", lambda X: np.array(
+                [value(x) for x in X], dtype=float))
+        if self.grad_many is None:
+            object.__setattr__(self, "grad_many", lambda X: np.array(
+                [grad(x) for x in X], dtype=float).reshape(len(X), dim))
 
     def gap(self, x: np.ndarray) -> float:
         """f(x) - f*, falling back to f(x) when the optimum is unknown."""

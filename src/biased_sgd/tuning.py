@@ -15,10 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import stream
+from .optimizer import DIVERGENCE_LIMIT
 from .oracles import BiasedOracle
 from .problems import Problem
-
-_DIVERGE = 1e12
 
 
 @dataclass
@@ -99,11 +98,6 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
     rng = stream(seed, 0x7E)
     f_star = p.f_star or 0.0
 
-    def values(states: np.ndarray) -> np.ndarray:
-        if p.value_many is not None:
-            return p.value_many(states)
-        return np.array([p.value(row) for row in states])
-
     diverged = np.zeros(n_g, dtype=bool)
     reached = np.zeros(n_g, dtype=bool)
     reach_t = np.full(n_g, -1, dtype=np.int64)
@@ -111,7 +105,7 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
     stop_t = None
 
     inv_reps = 1.0 / reps
-    gaps = values(X) - f_star
+    gaps = p.value_many(X) - f_star
     means = gaps.reshape(n_g, reps).sum(axis=1) * inv_reps
     np.minimum(best_gap, means, out=best_gap)
     first = means <= target_eps
@@ -124,13 +118,13 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
             for t in range(1, max_T + 1):
                 G = o.query_batch(X, rng)
                 X -= lane_gamma * G
-                gaps = values(X) - f_star
+                gaps = p.value_many(X) - f_star
                 means = gaps.reshape(n_g, reps).sum(axis=1) * inv_reps
                 # cheap divergence gate on the group means; gaps are
                 # nonnegative so lane blow-ups cannot cancel in the sum
-                trouble = ~np.isfinite(means) | (np.abs(means) > _DIVERGE)
+                trouble = ~np.isfinite(means) | (np.abs(means) > DIVERGENCE_LIMIT)
                 if trouble.any():
-                    bad = ~np.isfinite(gaps) | (np.abs(gaps) > _DIVERGE)
+                    bad = ~np.isfinite(gaps) | (np.abs(gaps) > DIVERGENCE_LIMIT)
                     diverged[np.unique(lane_group[bad])] = True
                     X[bad] = 0.0  # park exploded lanes; their group is out
                     if diverged.all():

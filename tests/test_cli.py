@@ -285,3 +285,50 @@ def test_sweep_workers_match_serial(tmp_path):
         (tmp_path / "w2" / rel).read_bytes()
     assert (tmp_path / "w1/manifest.txt").read_bytes() == \
         (tmp_path / "w2/manifest.txt").read_bytes()
+
+
+FAILING_SWEEP = """
+[problem]
+kind = huber
+
+[oracle]
+kind = huber_shifted
+
+[run]
+T = 20
+reps = 2
+stepsize_policy = theory_pl
+
+[sweep]
+stepsize = 0.1, 0.2
+"""
+
+
+def test_sweep_failed_cells_same_under_workers(tmp_path):
+    # theory_pl needs a PL constant, which the Huber problem lacks: every
+    # cell fails, on the serial path and in the process pool alike
+    cfg_path = tmp_path / "fail.cfg"
+    cfg_path.write_text(FAILING_SWEEP)
+    for workers in (1, 2):
+        code = cli.main(["sweep", "--config", str(cfg_path), "--workers",
+                         str(workers), "--out", str(tmp_path / f"w{workers}")])
+        assert code == 0
+    manifest = (tmp_path / "w1/manifest.txt").read_text()
+    assert manifest.count("status=failed") == 2
+    assert (tmp_path / "w1/manifest.txt").read_bytes() == \
+        (tmp_path / "w2/manifest.txt").read_bytes()
+
+
+def test_verify_honours_seed(tmp_path):
+    cfg_path = tmp_path / "noisy.cfg"
+    cfg_path.write_text(MINI)  # noise_sigma_sq = 1.0
+
+    def table(seed, name):
+        out = tmp_path / name
+        assert cli.main(["verify", "--config", str(cfg_path), "--seed", str(seed),
+                         "--samples", "2000", "--out", str(out)]) == 0
+        return (out / "verify.md").read_bytes()
+
+    first = table(5, "a")
+    assert table(5, "b") == first
+    assert table(6, "c") != first

@@ -202,3 +202,41 @@ def test_composed_bounds_lemma_monte_carlo(k, M_b, s_b):
     o = compressed_oracle(rand_k_compressor(k, 4), inner, p)
     rep = verify_declared(o, p, n_points=6, samples=30_000, seed=11)
     assert rep.ok, (rep.bias, rep.noise)
+
+
+def _state(rng):
+    return repr(rng.bit_generator.state)
+
+
+def _compressors(d):
+    return [top_k_compressor(2, d), top_k_compressor(d, d),
+            rand_k_compressor(2, d), rand_k_compressor(d, d),
+            rand_k_unbiased_compressor(2, d), rand_k_unbiased_compressor(d, d),
+            scale_compressor(0.36, d)]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_apply_wraps_apply_rows(index):
+    c = _compressors(6)[index]
+    g = stream(20).standard_normal(6)
+    r1, r2 = stream(21), stream(21)
+    assert c.apply(g, r1).tobytes() == c.apply_rows(g[None], r2)[0].tobytes()
+    assert _state(r1) == _state(r2)
+    if c.k == c.dim:  # the identity draws nothing
+        assert _state(r1) == _state(stream(21))
+
+
+def test_public_sparsifiers_wrap_the_row_maps():
+    g = stream(22).standard_normal(6)
+    r1, r2 = stream(23), stream(23)
+    assert np.array_equal(top_k(g, 2),
+                          top_k_compressor(2, 6).apply_rows(g[None], None)[0])
+    assert np.array_equal(rand_k(g, 2, r1),
+                          rand_k_compressor(2, 6).apply_rows(g[None], r2)[0])
+    assert np.array_equal(rand_k_unbiased(g, 2, r1),
+                          rand_k_unbiased_compressor(2, 6).apply_rows(g[None], r2)[0])
+    state = _state(r1)
+    rand_k(g, 6, r1)
+    rand_k_unbiased(g, 6, r1)
+    assert _state(r1) == state
+

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,7 @@ def test_additive_bias_estimate():
     inner = gaussian_noise_oracle(p, 1.0)
     o = additive_bias_oracle(inner, 0.1, uniform_direction(10))
     # strip the closed form to force the Monte-Carlo estimator
-    o_mc = BiasedOracle(name=o.name, dim=o.dim, bounds=o.bounds,
-                        _query=o._query, _query_many=o._query_many)
+    o_mc = replace(o, expected_query=None)
     pts = probe_points(p, 6, seed=2)
     stats = estimate_bias(o_mc, p, pts, samples=100_000, seed=2)
     for s in stats:
@@ -130,13 +131,14 @@ def test_assumption4_infeasible_detection():
     p = make_nesterov_worst(10)
     u = uniform_direction(10)
 
-    def q(x, rng):
-        g = p.grad(x)
-        return g + 1.2 * np.linalg.norm(g) * u
+    def rows(X, rng):
+        G = p.grad_many(X)
+        return G + 1.2 * np.linalg.norm(G, axis=1)[:, None] * u
 
     o = BiasedOracle(name="overbiased", dim=10,
                      bounds=OracleBounds(m=0.5, zeta_sq=1.0),
-                     _query=q, expected_query=lambda x: q(x, None),
+                     _query_batch=rows,
+                     expected_query=lambda x: rows(x[None], None)[0],
                      deterministic=True)
     stats = estimate_bias(o, p, probe_points(p, 10, seed=11), samples=10, seed=11)
     fit = fit_bounds(stats)

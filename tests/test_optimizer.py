@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from biased_sgd import (StepSchedule, additive_bias_oracle, compressed_oracle,
+from biased_sgd import (BiasedOracle, OracleBounds, StepSchedule,
+                        additive_bias_oracle, compressed_oracle,
                         descent_lemma_rhs, error_floor, exact_oracle,
                         gaussian_noise_oracle, huber_shifted_oracle,
                         make_nesterov_worst, pl_envelope, sgd_run,
@@ -205,3 +208,33 @@ def test_fingerprint_records_configuration():
     fp = tr.fingerprint
     assert fp["problem"] == p.name and fp["seed"] == 3 and fp["T"] == 5
     assert fp["bounds"]["m"] == 0.0
+
+
+def test_completed_run_evaluates_f_once_per_step():
+    p = make_nesterov_worst(6)
+    calls = []
+
+    def value(x):
+        calls.append(1)
+        return p.value(x)
+
+    counted = replace(p, value=value)
+    T = 30
+    tr = sgd_run(counted, gaussian_noise_oracle(counted, 1.0),
+                 StepSchedule.constant(0.05), T, seed=3)
+    assert tr.status == "completed"
+    assert len(calls) == T + 1
+    plain = sgd_run(p, gaussian_noise_oracle(p, 1.0),
+                    StepSchedule.constant(0.05), T, seed=3)
+    assert np.array_equal(tr.f_gap, plain.f_gap)
+
+
+@pytest.mark.parametrize("fill,reason", [(np.nan, "non-finite"),
+                                         (-1e13, "overflow")])
+def test_divergence_reason_from_bad_oracle(fill, reason):
+    p = make_nesterov_worst(4)
+    o = BiasedOracle(name="bad", dim=4, bounds=OracleBounds(),
+                     _query_batch=lambda X, rng: np.full(X.shape, fill))
+    tr = sgd_run(p, o, StepSchedule.constant(1.0), 10, seed=0)
+    assert tr.diverged and tr.reason == reason
+    assert len(tr.t) == 1  # only the starting point was recorded

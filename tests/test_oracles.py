@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from biased_sgd import (OracleBounds, additive_bias_oracle, exact_oracle,
-                        gaussian_noise_oracle, gaussian_smoothing_oracle,
-                        gs_bounds, huber_shifted_oracle, inexact_oracle,
-                        make_nesterov_worst, synthetic_tight_oracle,
-                        tightness_oracle, uniform_direction)
+from biased_sgd import (OracleBounds, additive_bias_oracle, compressed_oracle,
+                        exact_oracle, gaussian_noise_oracle,
+                        gaussian_smoothing_oracle, gs_bounds,
+                        huber_shifted_oracle, inexact_oracle,
+                        make_nesterov_worst, rand_k_compressor,
+                        rand_k_unbiased_compressor, scale_compressor,
+                        synthetic_tight_oracle, tightness_oracle,
+                        top_k_compressor, uniform_direction)
 from biased_sgd.problems import Problem
 from biased_sgd._rng import stream
 
@@ -247,3 +250,40 @@ def test_synthetic_tight_oracle_is_exactly_tight():
         target = 1.5 * float(mg @ mg) + 0.3
         # per-draw equality by construction
         assert np.allclose(q, target, rtol=1e-10)
+
+
+def _contract_oracles():
+    p = make_nesterov_worst(6)
+    noise = gaussian_noise_oracle(p, 1.0)
+    hp, huber = huber_shifted_oracle()
+    return {
+        "exact": (p, exact_oracle(p)),
+        "noise": (p, noise),
+        "additive_bias": (p, additive_bias_oracle(noise, 0.1, uniform_direction(6))),
+        "tightness": (p, tightness_oracle(p, 0.5, 0.01,
+                                          0.1 * uniform_direction(6))),
+        "gaussian_smoothing": (p, gaussian_smoothing_oracle(p, 0.1)),
+        "inexact": (p, inexact_oracle(p, 0.1)),
+        "stochastic_inexact": (p, inexact_oracle(p, 0.1, noise_sigma_sq=1.0)),
+        "huber_shifted": (hp, huber),
+        "synthetic_tight": (p, synthetic_tight_oracle(p, 0.3, 0.05, 2.0, 0.5)),
+        "synthetic_tight_unbiased": (p, synthetic_tight_oracle(p, 0.0, 0.0, 1.0, 0.5)),
+        **{f"compressed_{c.name}": (p, compressed_oracle(c, noise, p,
+                                                         bounds_mode="query_only"))
+           for c in (top_k_compressor(2, 6), top_k_compressor(6, 6),
+                     rand_k_compressor(2, 6), rand_k_compressor(6, 6),
+                     rand_k_unbiased_compressor(2, 6), scale_compressor(0.36, 6))},
+    }
+
+
+@pytest.mark.parametrize("name", list(_contract_oracles()))
+def test_query_forms_wrap_the_row_map(name):
+    """query and query_many are the row map on one row / on n copies of x."""
+    p, o = _contract_oracles()[name]
+    x = 1.5 * p.default_x0
+    r1, r2 = stream(30), stream(30)
+    assert o.query(x, r1).tobytes() == o.query_batch(x[None], r2)[0].tobytes()
+    assert o.query_many(x, 7, r1).tobytes() == \
+        o.query_batch(np.tile(x, (7, 1)), r2).tobytes()
+    assert repr(r1.bit_generator.state) == repr(r2.bit_generator.state)
+

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biased_sgd import (finite_diff_check, make_huber_problem,
+from biased_sgd import (Problem, finite_diff_check, make_huber_problem,
                         make_nesterov_worst, quadratic_problem, scaled_x0)
 from biased_sgd._rng import stream
 
@@ -143,3 +143,13 @@ def test_vectorized_paths_agree():
     for i in range(40):
         assert vals[i] == pytest.approx(p.value(X[i]), rel=1e-12)
         assert np.allclose(grads[i], p.grad(X[i]), rtol=1e-12)
+
+
+def test_row_maps_filled_in_from_value_and_grad():
+    q = make_nesterov_worst(4)
+    p = Problem(name="bare", dim=4, value=q.value, grad=q.grad,
+                smoothness_L=q.smoothness_L)
+    X = stream(7).standard_normal((5, 4))
+    assert np.array_equal(p.value_many(X), [q.value(x) for x in X])
+    assert np.array_equal(p.grad_many(X), np.stack([q.grad(x) for x in X]))
+    assert p.grad_many(X[:0]).shape == (0, 4)
