@@ -12,8 +12,8 @@ from .oracles import (BiasedOracle, OracleBounds, additive_bias_oracle,
                       gaussian_smoothing_oracle, gs_bounds, huber_shifted_oracle,
                       inexact_oracle, synthetic_tight_oracle, tightness_oracle,
                       uniform_direction)
-from .optimizer import (RepeatedRuns, RunTrace, StepSchedule, sgd_run,
-                        sgd_run_repeated, uniform_random_iterate)
+from .optimizer import (Divergence, RepeatedRuns, RunTrace, StepSchedule,
+                        sgd_run, sgd_run_repeated, uniform_random_iterate)
 from .problems import (Problem, QuadraticProblem, finite_diff_check,
                        make_huber_problem, make_nesterov_worst,
                        quadratic_problem, scaled_x0)

@@ -65,7 +65,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _resolve_config(args) if args.config else None
+    cfg = _resolve_config(args) if args.config or args.figure else None
     reports, table = experiments.verify_experiment(
         cfg, out_dir=args.out, samples=args.samples, seed=args.seed or 0)
     print(table, end="")
@@ -87,21 +87,20 @@ def main(argv: Optional[list] = None) -> int:
         description="SGD with biased gradient oracles: desk-scale experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, figure=True):
+    def common(sp):
         sp.add_argument("--config", help="experiment config file")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override run seed")
         sp.add_argument("--workers", type=int, default=1,
                         help="parallel sweep/tune cells")
-        if figure:
-            sp.add_argument("--figure", choices=figures.FIGURE_NAMES,
-                            help="use a built-in figure preset")
+        sp.add_argument("--figure", choices=figures.FIGURE_NAMES,
+                        help="use a built-in figure preset")
 
     common(sub.add_parser("run", help="single repeated run -> trace.csv + summary"))
     common(sub.add_parser("sweep", help="cartesian sweep -> CSVs + figure.svg"))
     common(sub.add_parser("tune", help="stepsize grid search -> tune.csv + race.svg"))
     vp = sub.add_parser("verify", help="declared-vs-measured oracle bounds table")
-    common(vp, figure=False)
+    common(vp)
     vp.add_argument("--samples", type=int, default=100_000,
                     help="Monte-Carlo samples per probe point")
     bp = sub.add_parser("budget", help="print stepsize/iteration/floor predictions")

@@ -163,6 +163,8 @@ def run_experiment(cfg: ExperimentConfig,
         "predicted_floor": floor if floor else "-",
         "diverged": "true" if agg.any_diverged else "false",
         "diverged_reps": len(agg.diverged_reps),
+        "diverged_detail": " ".join(f"{d.rep}:{d.reason}@{d.iteration}"
+                                    for d in agg.diverged_reps) or "-",
     }
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -222,6 +224,8 @@ class SweepOutput:
 
 def _panel_keys(cfg: ExperimentConfig) -> tuple:
     s = cfg.sweep
+    if s is None:  # a single tuned configuration
+        return [], ""
     panel = [k.strip() for k in s.panel_by.split(",") if k.strip()] if s.panel_by else []
     series = s.series_by.strip() if s.series_by else ""
     return panel, series
@@ -397,7 +401,8 @@ def _write_race_plot(cfg: ExperimentConfig, cells: list, out_dir: str) -> None:
             gamma = min(viable, key=lambda e: e.best_gap).gamma
             T = min(res.max_T, 200_000)
         sub = _cell_config(cfg, rec["overrides"]).with_overrides(
-            stepsize=gamma, T=int(T), reps=min(cfg.tune.reps, 5))
+            stepsize=gamma, stepsize_policy="fixed", T=int(T),
+            reps=min(cfg.tune.reps, 5))
         out = run_experiment(sub)
         title = _panel_title(panel_keys, rec["overrides"])
         series = _series_label(series_key, rec["overrides"], rec["label"])

@@ -1,9 +1,16 @@
-"""The constant/sequence-stepsize SGD loop with trace recording."""
+"""The lane-batched SGD engine with trace recording.
+
+Repetitions run as the rows ("lanes") of one state matrix, stepped together
+through the row forms of the oracle and the problem. Each lane draws only
+from its own Philox stream, so its trace does not depend on the lanes that
+run beside it; `sgd_run` is the one-lane case.
+"""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -15,6 +22,10 @@ from .problems import Problem
 FULL_TRACE_LIMIT = 1_000_000
 # an iterate with |f| or ||x|| beyond this (or not finite) ends the run
 DIVERGENCE_LIMIT = 1e12
+# repeated runs keep every trace up to this many recorded values per array;
+# beyond it the aggregate is streamed through blocks of _STREAM_BLOCK values
+KEEP_TRACES_LIMIT = 5_000_000
+_STREAM_BLOCK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -37,10 +48,11 @@ class StepSchedule:
             raise ValueError("all stepsizes must be positive")
         return StepSchedule(kind="sequence", values=gammas)
 
-    def at(self, t: int) -> float:
+    def steps(self, T: int):
+        """The stepsizes gamma_0 .. gamma_{T-1}."""
         if self.kind == "constant":
-            return self.values[0]
-        return self.values[t]
+            return itertools.repeat(self.values[0], T)
+        return self.values[:T]
 
     def check_length(self, T: int) -> None:
         if self.kind == "sequence" and len(self.values) < T:
@@ -89,79 +101,16 @@ class RunTrace:
             else float(self.grad_norm_sq[0])
 
 
-def _divergence_reason(f: float, x: np.ndarray) -> str:
-    """Why an iterate failed the step loop's bound test."""
-    if not np.isfinite(f) or not np.all(np.isfinite(x)):
-        return "non-finite"
-    return "overflow"
+class Divergence(NamedTuple):
+    """One diverged repetition: its index, why, and when it was flagged.
 
-
-def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
-            seed: int, x0: Optional[np.ndarray] = None,
-            rng: Optional[np.random.Generator] = None) -> RunTrace:
-    """Run x_{t+1} = x_t - gamma_t * g_t for T steps from x0.
-
-    Bit-deterministic given (problem, oracle, schedule, T, seed, x0). A
-    non-finite or overflowing iterate stops the run early with a partial
-    trace; a run whose gap only ever increases is also flagged as diverged.
+    `iteration` is the index of the first bad iterate for `non-finite` and
+    `overflow`, and T for `monotone-increase` (a verdict on the whole run).
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    sched.check_length(T)
-    if x0 is None:
-        if p.default_x0 is None:
-            raise ValueError(f"problem {p.name} has no default x0; pass one")
-        x0 = p.default_x0
-    x = np.array(x0, dtype=float)
-    if x.shape != (p.dim,):
-        raise ValueError(f"x0 must have shape ({p.dim},)")
-    if rng is None:
-        rng = stream(seed)
 
-    grid = _record_grid(T)
-    grid_set = set(int(i) for i in grid) if len(grid) <= T else None
-    n_rec = len(grid)
-    f_gap = np.empty(n_rec)
-    gns = np.empty(n_rec)
-    gammas = np.full(n_rec, np.nan)
-    f_star = p.f_star or 0.0
-    limit_sq = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
-
-    def record(slot: int, t: int, fx: float) -> None:
-        f_gap[slot] = fx - f_star
-        g = p.grad(x)
-        gns[slot] = float(g @ g)
-        gammas[slot] = sched.at(t) if t < T else np.nan
-
-    record(0, 0, float(p.value(x)))
-    slot = 1
-    status, reason = "completed", None
-    for t in range(T):
-        g = o.query(x, rng)
-        x = x - sched.at(t) * g
-        fx = float(p.value(x))
-        # NaN fails both comparisons, so one test catches every bad iterate
-        if not (abs(fx) <= DIVERGENCE_LIMIT and x @ x <= limit_sq):
-            status, reason = "diverged", _divergence_reason(fx, x)
-            break
-        if grid_set is None or (t + 1) in grid_set:
-            record(slot, t + 1, fx)
-            slot += 1
-
-    f_gap, gns, gammas = (a[:slot] for a in (f_gap, gns, gammas))
-    t_idx = grid[:slot]
-    if status == "completed" and len(f_gap) > 1:
-        diffs = np.diff(f_gap)
-        if np.all(diffs >= 0) and f_gap[-1] > f_gap[0]:
-            status, reason = "diverged", "monotone-increase"
-
-    fingerprint = {
-        "problem": p.name, "oracle": o.name, "bounds": o.bounds.as_dict(),
-        "schedule": sched.describe(), "T": T, "seed": int(seed),
-    }
-    return RunTrace(t=t_idx, f_gap=f_gap, grad_norm_sq=gns, stepsizes=gammas,
-                    final_x=x, status=status, reason=reason,
-                    fingerprint=fingerprint)
+    rep: int
+    reason: str
+    iteration: int
 
 
 @dataclass
@@ -175,7 +124,7 @@ class RepeatedRuns:
     se_grad_norm_sq: np.ndarray
     count: np.ndarray
     reps: int
-    diverged_reps: list
+    diverged_reps: list  # Divergence per diverged rep, in rep order
     traces: Optional[list] = None
 
     @property
@@ -189,48 +138,227 @@ class RepeatedRuns:
         return float(np.mean(self.mean_f_gap[n - k:]))
 
 
-def sgd_run_repeated(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
-                     reps: int, seed: int, x0: Optional[np.ndarray] = None,
-                     keep_traces: Optional[bool] = None) -> RepeatedRuns:
-    """Independent repetitions with per-rep Philox streams, aggregated per t.
+def _divergence_reason(f: float, x: np.ndarray) -> str:
+    """Why an iterate failed the step loop's bound test."""
+    if not np.isfinite(f) or not np.all(np.isfinite(x)):
+        return "non-finite"
+    return "overflow"
 
-    Means and standard errors are accumulated online (Welford), so large
-    reps * T products do not require holding every trace in memory.
+
+class _LaneStreams:
+    """The `rng` of a lane-batched row map: row i is drawn from lane i's stream.
+
+    Row maps draw only through `standard_normal(shape)` and `random(shape)`,
+    one row per lane, so each lane consumes exactly the draws a one-lane run
+    on its own generator would.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+
+    def __init__(self, gens: list):
+        self.gens = gens
+
+    def standard_normal(self, size) -> np.ndarray:
+        out = np.empty(size)
+        for g, row in zip(self.gens, out, strict=True):
+            g.standard_normal(out=row)
+        return out
+
+    def random(self, size) -> np.ndarray:
+        out = np.empty(size)
+        for g, row in zip(self.gens, out, strict=True):
+            g.random(out=row)
+        return out
+
+
+class _LaneStats:
+    """Per-slot mean and SE over the lanes, and each lane's monotone-gap test.
+
+    Slots arrive in blocks of a (slots x lanes) buffer. Each block is folded
+    lane by lane in lane order with Welford's update, the same arithmetic as
+    adding the repetitions' traces one after another.
+    """
+
+    def __init__(self, n_rec: int, lanes: int):
+        self.count = np.zeros(n_rec, dtype=np.int64)
+        self.mean = np.zeros((2, n_rec))
+        self.m2 = np.zeros((2, n_rec))
+        self.rising = np.ones(lanes, dtype=bool)  # no decrease of the gap so far
+        self.first = self.last = None
+
+    def fold(self, b0: int, F: np.ndarray, GN: np.ndarray,
+             length: np.ndarray) -> None:
+        """Fold slots b0 .. b0+len(F)-1; lane i records length[i] slots in all."""
+        for lane, n in enumerate(np.clip(length - b0, 0, len(F))):
+            s = slice(b0, b0 + n)
+            c = self.count[s]
+            c += 1
+            for row, vals in enumerate((F[:n, lane], GN[:n, lane])):
+                mean = self.mean[row, s]
+                delta = vals - mean
+                mean += delta / c
+                self.m2[row, s] += delta * (vals - mean)
+        # columns of lanes that stopped early hold junk past their length;
+        # only completed lanes read `rising`
+        if self.first is None:
+            self.first = F[0].copy()
+        else:
+            self.rising &= F[0] >= self.last
+        self.rising &= (np.diff(F, axis=0) >= 0).all(axis=0)
+        self.last = F[-1].copy()
+
+
+def _run_lanes(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
+               seed: int, x0: Optional[np.ndarray], rngs: list,
+               keep_traces: Optional[bool]) -> RepeatedRuns:
+    """Run one lane per generator in `rngs` for T steps from x0, in lockstep.
+
+    Lane i is row i of the state matrix X and draws only from rngs[i]. Every
+    step passes the live rows through `o.query_batch`, `p.value_many` and, at
+    recorded iterations, `p.grad_many`. A lane whose iterate fails the
+    divergence test leaves the live set with a partial trace; a completed
+    lane whose gap only ever increased is flagged `monotone-increase`.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    sched.check_length(T)
+    if x0 is None:
+        if p.default_x0 is None:
+            raise ValueError(f"problem {p.name} has no default x0; pass one")
+        x0 = p.default_x0
+    x0 = np.array(x0, dtype=float)
+    if x0.shape != (p.dim,):
+        raise ValueError(f"x0 must have shape ({p.dim},)")
+
+    lanes = len(rngs)
     grid = _record_grid(T)
     n_rec = len(grid)
     if keep_traces is None:
-        keep_traces = reps * n_rec <= 5_000_000
-    count = np.zeros(n_rec, dtype=np.int64)
-    mean_g = np.zeros((2, n_rec))
-    m2_g = np.zeros((2, n_rec))
-    traces = [] if keep_traces else None
-    diverged = []
+        keep_traces = lanes * n_rec <= KEEP_TRACES_LIMIT
+    block = n_rec if keep_traces else max(1, min(n_rec, _STREAM_BLOCK // lanes))
+    F = np.empty((block, lanes))   # f(x), then f(x) - f*, of each slot and lane
+    GN = np.empty((block, lanes))  # ||grad f(x)||^2
+    stats = _LaneStats(n_rec, lanes)
+    length = np.full(lanes, n_rec)  # slots each lane records
+    stopped = {}                    # lane -> (reason, iteration)
+    final_x = np.empty((lanes, p.dim))
 
-    for rep in range(reps):
-        tr = sgd_run(p, o, sched, T, seed, x0=x0, rng=stream(seed, rep))
-        n = len(tr.t)
-        count[:n] += 1
-        for row, vals in enumerate((tr.f_gap, tr.grad_norm_sq)):
-            delta = vals - mean_g[row, :n]
-            mean_g[row, :n] += delta / count[:n]
-            m2_g[row, :n] += delta * (vals - mean_g[row, :n])
-        if tr.diverged:
-            diverged.append(rep)
+    query, value_many, grad_many = o.query_batch, p.value_many, p.grad_many
+    f_star = p.f_star or 0.0
+    limit_sq = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
+    half_sq = limit_sq / 2
+    dense = n_rec == T + 1  # every iterate is recorded
+    X = np.tile(x0, (lanes, 1))
+    live = np.arange(lanes)  # the lane of each row of X
+    rng = rngs[0] if lanes == 1 else _LaneStreams(rngs)
+    slot = b0 = 0
+
+    def fold() -> None:
+        F[:slot - b0] -= f_star
+        stats.fold(b0, F[:slot - b0], GN[:slot - b0], length)
+
+    # a failing lane is classified and dropped below, so its overflow or
+    # NaN arithmetic needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = value_many(X)
+        # one pass per iterate x_0 .. x_T; the last one takes no step
+        for t, gamma in enumerate(itertools.chain(sched.steps(T), [None])):
+            if dense or t == grid[slot]:
+                G = grad_many(X)
+                if len(live) == lanes:
+                    F[slot - b0] = fx
+                    np.vecdot(G, G, out=GN[slot - b0])
+                else:
+                    F[slot - b0, live] = fx
+                    GN[slot - b0, live] = np.vecdot(G, G)
+                slot += 1
+                if slot - b0 == block:
+                    fold()
+                    b0 = slot
+            if gamma is None:
+                break
+            X -= gamma * query(X, rng)
+            fx = value_many(X)
+            # one sum bounds every lane at once; only when it fails is each
+            # lane tested (NaN fails every comparison, so both tests catch it)
+            if not (fx @ fx + np.vdot(X, X) <= half_sq):
+                ok = (np.abs(fx) <= DIVERGENCE_LIMIT) & (np.vecdot(X, X) <= limit_sq)
+                if not ok.all():
+                    for i in np.flatnonzero(~ok):
+                        stopped[int(live[i])] = (_divergence_reason(fx[i], X[i]), t + 1)
+                        final_x[live[i]] = X[i]
+                        length[live[i]] = slot
+                    X, fx, live = X[ok], fx[ok], live[ok]
+                    if not len(live):
+                        break
+                    rng = _LaneStreams([rngs[i] for i in live])
+        if slot > b0:
+            fold()
+        final_x[live] = X
+        rising = stats.rising & (stats.last > stats.first)
+
+    stepsizes = np.full(n_rec, np.nan)
+    stepsizes[:-1] = sched.values[0] if sched.kind == "constant" \
+        else np.asarray(sched.values)[grid[:-1]]
+    fingerprint = {
+        "problem": p.name, "oracle": o.name, "bounds": o.bounds.as_dict(),
+        "schedule": sched.describe(), "T": T, "seed": int(seed),
+    }
+    diverged, traces = [], [] if keep_traces else None
+    for lane in range(lanes):
+        reason, iteration = stopped.get(lane, (None, T))
+        if reason is None and rising[lane]:
+            reason = "monotone-increase"
+        if reason is not None:
+            diverged.append(Divergence(lane, reason, iteration))
         if keep_traces:
-            traces.append(tr)
+            n = length[lane]
+            traces.append(RunTrace(
+                t=grid[:n], f_gap=F[:n, lane].copy(),
+                grad_norm_sq=GN[:n, lane].copy(), stepsizes=stepsizes[:n],
+                final_x=final_x[lane], status="completed" if reason is None
+                else "diverged", reason=reason, fingerprint=dict(fingerprint)))
 
+    count = stats.count
     keep = count > 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        se = np.where(count > 1, np.sqrt(m2_g / np.maximum(count - 1, 1) / np.maximum(count, 1)), 0.0)
+        se = np.where(count > 1, np.sqrt(stats.m2 / np.maximum(count - 1, 1)
+                                         / np.maximum(count, 1)), 0.0)
     return RepeatedRuns(
         t=grid[keep],
-        mean_f_gap=mean_g[0, keep], se_f_gap=se[0, keep],
-        mean_grad_norm_sq=mean_g[1, keep], se_grad_norm_sq=se[1, keep],
-        count=count[keep], reps=reps, diverged_reps=diverged, traces=traces,
+        mean_f_gap=stats.mean[0, keep], se_f_gap=se[0, keep],
+        mean_grad_norm_sq=stats.mean[1, keep], se_grad_norm_sq=se[1, keep],
+        count=count[keep], reps=lanes, diverged_reps=diverged, traces=traces,
     )
+
+
+def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
+            seed: int, x0: Optional[np.ndarray] = None,
+            rng: Optional[np.random.Generator] = None) -> RunTrace:
+    """Run x_{t+1} = x_t - gamma_t * g_t for T steps from x0: the one-lane engine.
+
+    Bit-deterministic given (problem, oracle, schedule, T, seed, x0); `rng`
+    defaults to `stream(seed)`. A non-finite or overflowing iterate stops the
+    run early with a partial trace; a run whose gap only ever increases is
+    also flagged as diverged.
+    """
+    rng = stream(seed) if rng is None else rng
+    return _run_lanes(p, o, sched, T, seed, x0, [rng], keep_traces=True).traces[0]
+
+
+def sgd_run_repeated(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
+                     reps: int, seed: int, x0: Optional[np.ndarray] = None,
+                     keep_traces: Optional[bool] = None) -> RepeatedRuns:
+    """Independent repetitions, stepped together as the lanes of one engine run.
+
+    Rep i draws from `stream(seed, i)`, exactly as `sgd_run(..., rng=stream(seed,
+    i))` would, so its trace does not depend on `reps`. Means and standard
+    errors are accumulated per recorded iteration (Welford, in rep order);
+    beyond KEEP_TRACES_LIMIT recorded values the traces are not kept and the
+    aggregate is streamed in blocks, so memory stays bounded.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    return _run_lanes(p, o, sched, T, seed, x0,
+                      [stream(seed, rep) for rep in range(reps)], keep_traces)
 
 
 def uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> int:

@@ -332,3 +332,92 @@ def test_verify_honours_seed(tmp_path):
     first = table(5, "a")
     assert table(5, "b") == first
     assert table(6, "c") != first
+
+
+def test_summary_lists_each_diverged_rep(tmp_path):
+    text = """
+[problem]
+kind = huber
+[oracle]
+kind = huber_shifted
+[run]
+T = 50
+reps = 2
+seed = 1
+stepsize = 0.1
+"""
+    experiments.run_experiment(parse_config(text), out_dir=str(tmp_path / "h"))
+    summary = (tmp_path / "h/summary.txt").read_text()
+    assert "diverged_reps = 2\n" in summary
+    assert "diverged_detail = 0:monotone-increase@50 1:monotone-increase@50\n" \
+        in summary
+    # an overflowing stepsize: each rep is listed with its first bad iterate
+    cfg = parse_config(MINI).with_overrides(stepsize=10.0, reps=2)
+    out = experiments.run_experiment(cfg, out_dir=str(tmp_path / "o"))
+    # the first bad iterate is the one after the last recorded
+    assert out.summary["diverged_detail"] == " ".join(
+        f"{rep}:overflow@{len(tr.t)}" for rep, tr in enumerate(out.agg.traces))
+    assert all(len(tr.t) < cfg.run.T for tr in out.agg.traces)
+    assert f"diverged_detail = {out.summary['diverged_detail']}\n" in \
+        (tmp_path / "o/summary.txt").read_text()
+    clean = experiments.run_experiment(parse_config(MINI))
+    assert clean.summary["diverged_detail"] == "-"
+
+
+TUNE_POLICY = """
+[tune]
+target_eps = 0.05
+max_T = 3000
+reps = 2
+grid = 0.0625, 0.125, 0.25
+"""
+
+
+def test_race_rerun_uses_the_tuned_stepsize(tmp_path, monkeypatch):
+    # under a theory stepsize policy the rerun must still run at the tuned
+    # stepsize its curve is labelled with
+    cfg = parse_config(MINI.replace("stepsize = 0.01", "stepsize_policy = theory_pl")
+                       + TUNE_POLICY)
+    used = []
+    run = experiments.run_experiment
+
+    def recording(sub, *args, **kwargs):
+        out = run(sub, *args, **kwargs)
+        used.append(float(out.summary["stepsize"]))
+        return out
+
+    monkeypatch.setattr(experiments, "run_experiment", recording)
+    res = experiments.tune_experiment(cfg, out_dir=str(tmp_path))
+    best = res.cells[0]["result"].best
+    assert best is not None
+    assert used == [best.gamma]
+    assert f"(g={best.gamma:g})" in (tmp_path / "race.svg").read_text()
+
+
+def test_tune_theory_policy_on_huber_writes_race(tmp_path):
+    # Huber has no PL constant, so theory_pl cannot give the rerun a stepsize;
+    # the rerun uses the tuned one instead of failing
+    cfg_path = tmp_path / "huber.cfg"
+    cfg_path.write_text("""
+[problem]
+kind = huber
+[oracle]
+kind = exact
+[run]
+stepsize_policy = theory_pl
+""" + TUNE_POLICY)
+    out = tmp_path / "out"
+    assert cli.main(["tune", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "tune.csv").exists()
+    assert (out / "race.svg").exists()
+
+
+def test_verify_accepts_figure(tmp_path, capsys):
+    assert cli.main(["verify", "--figure", "fig1", "--samples", "2000",
+                     "--out", str(tmp_path / "f")]) == 0
+    table = (tmp_path / "f/verify.md").read_text()
+    cfg = figures.preset("fig1")
+    _, direct = experiments.verify_experiment(cfg, out_dir=None, samples=2000)
+    assert table == direct
+    assert len(table.splitlines()) == 3  # header, rule, the preset's oracle
+    assert capsys.readouterr().out.startswith("| oracle |")

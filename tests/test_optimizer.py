@@ -3,14 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biased_sgd import (BiasedOracle, OracleBounds, StepSchedule,
+from biased_sgd import (BiasedOracle, Divergence, OracleBounds, StepSchedule,
                         additive_bias_oracle, compressed_oracle,
                         descent_lemma_rhs, error_floor, exact_oracle,
-                        gaussian_noise_oracle, huber_shifted_oracle,
-                        make_nesterov_worst, pl_envelope, sgd_run,
-                        sgd_run_repeated, stepsize_cap, tightness_oracle,
+                        gaussian_noise_oracle, gaussian_smoothing_oracle,
+                        huber_shifted_oracle, make_nesterov_worst, pl_envelope,
+                        rand_k_compressor, sgd_run, sgd_run_repeated,
+                        stepsize_cap, synthetic_tight_oracle, tightness_oracle,
                         top_k_compressor, uniform_direction,
                         uniform_random_iterate)
+from biased_sgd import optimizer
 from biased_sgd._rng import stream
 
 
@@ -211,22 +213,30 @@ def test_fingerprint_records_configuration():
 
 
 def test_completed_run_evaluates_f_once_per_step():
+    # f is evaluated once per iterate and lane: value_many rows, T+1 per lane
     p = make_nesterov_worst(6)
-    calls = []
+    rows = []
+
+    def value_many(X):
+        rows.append(len(X))
+        return p.value_many(X)
 
     def value(x):
-        calls.append(1)
+        rows.append(1)
         return p.value(x)
 
-    counted = replace(p, value=value)
+    counted = replace(p, value=value, value_many=value_many)
     T = 30
-    tr = sgd_run(counted, gaussian_noise_oracle(counted, 1.0),
-                 StepSchedule.constant(0.05), T, seed=3)
-    assert tr.status == "completed"
-    assert len(calls) == T + 1
-    plain = sgd_run(p, gaussian_noise_oracle(p, 1.0),
-                    StepSchedule.constant(0.05), T, seed=3)
-    assert np.array_equal(tr.f_gap, plain.f_gap)
+    sched = StepSchedule.constant(0.05)
+    for reps in (1, 3):
+        rows.clear()
+        agg = sgd_run_repeated(counted, gaussian_noise_oracle(counted, 1.0),
+                               sched, T, reps=reps, seed=3)
+        assert not agg.any_diverged
+        assert sum(rows) == reps * (T + 1)
+        plain = sgd_run_repeated(p, gaussian_noise_oracle(p, 1.0), sched, T,
+                                 reps=reps, seed=3)
+        assert np.array_equal(agg.mean_f_gap, plain.mean_f_gap)
 
 
 @pytest.mark.parametrize("fill,reason", [(np.nan, "non-finite"),
@@ -238,3 +248,96 @@ def test_divergence_reason_from_bad_oracle(fill, reason):
     tr = sgd_run(p, o, StepSchedule.constant(1.0), 10, seed=0)
     assert tr.diverged and tr.reason == reason
     assert len(tr.t) == 1  # only the starting point was recorded
+
+
+def _lane_oracle(name, p):
+    noise = gaussian_noise_oracle(p, 1.0)
+    if name == "noise":
+        return noise
+    if name == "rand_k_noise":
+        return compressed_oracle(rand_k_compressor(2, p.dim), noise, p)
+    if name == "top_k_noise":
+        return compressed_oracle(top_k_compressor(2, p.dim), noise, p,
+                                 bounds_mode="query_only")
+    if name == "gaussian_smoothing":
+        return gaussian_smoothing_oracle(p, 0.01)
+    return synthetic_tight_oracle(p, 0.5, 0.01, 0.5, 1.0)
+
+
+def _assert_same_run(tr, ref):
+    assert np.array_equal(tr.t, ref.t)
+    assert (tr.status, tr.reason) == (ref.status, ref.reason)
+    np.testing.assert_allclose(tr.f_gap, ref.f_gap, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tr.grad_norm_sq, ref.grad_norm_sq, rtol=1e-12,
+                               atol=0)
+
+
+@pytest.mark.parametrize("name", ["noise", "rand_k_noise", "top_k_noise",
+                                  "gaussian_smoothing", "synthetic_tight"])
+def test_repeated_lanes_match_single_runs(name):
+    # rep i of a repeated run is the one-lane run on stream(seed, i): its
+    # draws do not depend on the lanes stepping beside it
+    p = make_nesterov_worst(6)
+    o = _lane_oracle(name, p)
+    sched = StepSchedule.constant(0.02)
+    agg = sgd_run_repeated(p, o, sched, 80, reps=5, seed=13)
+    assert len(agg.traces) == 5
+    for i, tr in enumerate(agg.traces):
+        _assert_same_run(tr, sgd_run(p, o, sched, 80, seed=13, rng=stream(13, i)))
+    assert not np.array_equal(agg.traces[0].f_gap, agg.traces[1].f_gap)
+
+
+def _blow_up_oracle(p, rate):
+    """Noisy gradient rows, each replaced by 1e16 with probability `rate`."""
+    def rows(X, rng):
+        G = p.grad_many(X) + 0.1 * rng.standard_normal(X.shape)
+        G[rng.random(X.shape)[:, 0] < rate] = 1e16
+        return G
+    return BiasedOracle(name="blow_up", dim=p.dim, bounds=OracleBounds(),
+                        _query_batch=rows)
+
+
+def test_lanes_diverging_mid_run_leave_the_rest_unaffected():
+    p = make_nesterov_worst(6)
+    o = _blow_up_oracle(p, 0.005)
+    sched = StepSchedule.constant(0.05)
+    T, reps, seed = 100, 6, 4
+    agg = sgd_run_repeated(p, o, sched, T, reps=reps, seed=seed)
+    lengths = np.array([len(tr.t) for tr in agg.traces])
+    stopped = np.flatnonzero(lengths < T + 1)
+    assert 0 < len(stopped) < reps  # some lanes, not all, diverge mid-run
+    for i, tr in enumerate(agg.traces):
+        _assert_same_run(tr, sgd_run(p, o, sched, T, seed=seed,
+                                     rng=stream(seed, i)))
+    assert agg.diverged_reps == [Divergence(int(i), "overflow", int(lengths[i]))
+                                 for i in stopped]
+    # the count at each recorded t is the number of lanes still running
+    assert np.array_equal(agg.count, (lengths[:, None] > agg.t).sum(axis=0))
+    assert agg.count[lengths.min() - 1] == reps
+    assert agg.count[lengths.min()] == reps - np.sum(lengths == lengths.min())
+    # the aggregate is the mean over the traces still running at each t
+    for j in (0, lengths.min(), T):
+        alive = [tr.f_gap[j] for tr in agg.traces if len(tr.t) > j]
+        assert agg.mean_f_gap[j] == pytest.approx(np.mean(alive), rel=1e-12)
+
+
+def test_streamed_aggregate_matches_kept_traces(monkeypatch):
+    # a small stream block folds the aggregate in many blocks; diverging and
+    # monotone-increasing lanes must come out as with one block
+    p = make_nesterov_worst(6)
+    cases = [(p, _blow_up_oracle(p, 0.01), 0.05, None),
+             (*huber_shifted_oracle(), 0.1, np.array([2.0]))]
+    for prob, o, gamma, x0 in cases:
+        sched = StepSchedule.constant(gamma)
+        kept = sgd_run_repeated(prob, o, sched, 120, reps=4, seed=8, x0=x0)
+        monkeypatch.setattr(optimizer, "_STREAM_BLOCK", 28)  # 7 slots per block
+        streamed = sgd_run_repeated(prob, o, sched, 120, reps=4, seed=8, x0=x0,
+                                    keep_traces=False)
+        monkeypatch.undo()
+        assert streamed.traces is None and kept.traces is not None
+        for field in ("t", "mean_f_gap", "se_f_gap", "mean_grad_norm_sq",
+                      "se_grad_norm_sq", "count"):
+            assert np.array_equal(getattr(kept, field), getattr(streamed, field))
+        assert kept.diverged_reps == streamed.diverged_reps
+        assert kept.diverged_reps
+
