@@ -54,6 +54,9 @@ def _cmd_tune(args) -> int:
         raise ConfigError("tune needs a [tune] section (or use --figure fig6)")
     res = experiments.tune_experiment(cfg, out_dir=args.out, workers=args.workers)
     for rec in res.cells:
+        if "error" in rec:
+            print(f"cell {rec['label']}: FAILED ({rec['error']})")
+            continue
         best = rec["result"].best
         if best is not None:
             print(f"cell {rec['label']}: best_gamma={best.gamma:g} "

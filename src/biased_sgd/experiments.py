@@ -309,38 +309,45 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
                        out_dir=out_dir)
 
 
-def _tune_cell(args) -> tuple:
+def _tune_cell(args):
+    """One tune cell: (result, race curve), or the error message if it fails.
+
+    The result leaves out the search history, of which the race figure needs
+    only the race curve (`TuneResult.race_curve`). Failures are caught here,
+    so serial and pooled runs record them alike.
+    """
     text, overrides = args
-    full = parse_config(text)
-    tune = full.tune
-    cfg = _cell_config(full, overrides)
-    p = build_problem(cfg)
-    o, _ = build_oracle(cfg, p, estimate_missing_bounds=False)
-    grid = list(tune.grid) if tune.grid else default_gamma_grid(p.smoothness_L)
-    res = tune_stepsize(p, o, tune.target_eps, grid=grid, reps=tune.reps,
-                        max_T=tune.max_T, seed=cfg.run.seed, x0=_x0(cfg, p))
-    return overrides, res
+    try:
+        full = parse_config(text)
+        tune = full.tune
+        cfg = _cell_config(full, overrides)
+        p = build_problem(cfg)
+        o, _ = build_oracle(cfg, p, estimate_missing_bounds=False)
+        grid = list(tune.grid) if tune.grid else default_gamma_grid(p.smoothness_L)
+        res = tune_stepsize(p, o, tune.target_eps, grid=grid, reps=tune.reps,
+                            max_T=tune.max_T, seed=cfg.run.seed, x0=_x0(cfg, p))
+    except Exception as exc:  # noqa: BLE001 - cell failures are data, not fatal
+        return str(exc)
+    return replace(res, history_t=None, history=None), res.race_curve()
 
 
 @dataclass
 class TuneOutput:
-    cells: list  # dicts: label, overrides, result (TuneResult)
+    # dicts: label, overrides, and result (TuneResult) and race (its race
+    # curve or None), or error (the message of a failed cell)
+    cells: list
     out_dir: str
-
-    def result_for(self, **match) -> Optional[TuneResult]:
-        for rec in self.cells:
-            if all(rec["overrides"].get(k) == v for k, v in match.items()):
-                return rec["result"]
-        return None
 
 
 def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
-                    workers: int = 1, race_plot: bool = True) -> TuneOutput:
+                    workers: int = 1) -> TuneOutput:
     """Grid-tune the stepsize for each sweep cell (or the single configuration).
 
     Writes tune.csv (one row per cell and grid stepsize), tune_summary.txt
-    (best stepsize and iterations-to-target per cell), and a race figure
-    re-run at each cell's best stepsize.
+    (best stepsize and iterations-to-target per cell, or the error of a
+    failed cell), and a race figure of each cell's rep-mean gap at its tuned
+    stepsize, taken from the search itself. A failing cell is recorded in
+    the summary and does not abort the others.
     """
     if cfg.tune is None:
         raise ConfigError("tune requires a [tune] section")
@@ -353,8 +360,10 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     else:
         outs = [_tune_cell(t) for t in tasks]
 
-    cells = [{"label": label, "overrides": ov, "result": res}
-             for (label, ov), (_, res) in zip(base_cells, outs)]
+    cells = [{"label": label, "overrides": ov, "error": out}
+             if isinstance(out, str) else
+             {"label": label, "overrides": ov, "result": out[0], "race": out[1]}
+             for (label, ov), out in zip(base_cells, outs)]
     if out_dir is None:
         return TuneOutput(cells=cells, out_dir="")
 
@@ -363,6 +372,10 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     summary_lines = [f"# tune summary  fingerprint={cfg.fingerprint()} "
                      f"target_eps={cfg.tune.target_eps!r} max_T={cfg.tune.max_T}"]
     for rec in cells:
+        if "error" in rec:
+            summary_lines.append(f"cell={rec['label']} status=failed "
+                                 f"error={rec['error']}")
+            continue
         res: TuneResult = rec["result"]
         for e in res.entries:
             rows.append(f"{rec['label']},{e.gamma!r},{int(e.reached)},"
@@ -381,8 +394,7 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     with open(os.path.join(out_dir, "tune_summary.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(summary_lines) + "\n")
 
-    if race_plot:
-        _write_race_plot(cfg, cells, out_dir)
+    _write_race_plot(cfg, cells, out_dir)
     return TuneOutput(cells=cells, out_dir=out_dir)
 
 
@@ -390,24 +402,12 @@ def _write_race_plot(cfg: ExperimentConfig, cells: list, out_dir: str) -> None:
     panel_keys, series_key = _panel_keys(cfg)
     panels: dict = {}
     for rec in cells:
-        res: TuneResult = rec["result"]
-        best = res.best
-        if best is not None:
-            gamma, T = best.gamma, max(best.iterations, 10)
-        else:
-            viable = [e for e in res.entries if not e.diverged]
-            if not viable:
-                continue
-            gamma = min(viable, key=lambda e: e.best_gap).gamma
-            T = min(res.max_T, 200_000)
-        sub = _cell_config(cfg, rec["overrides"]).with_overrides(
-            stepsize=gamma, stepsize_policy="fixed", T=int(T),
-            reps=min(cfg.tune.reps, 5))
-        out = run_experiment(sub)
+        if rec.get("race") is None:  # failed, or every stepsize diverged
+            continue
+        entry, t, gap = rec["race"]
         title = _panel_title(panel_keys, rec["overrides"])
         series = _series_label(series_key, rec["overrides"], rec["label"])
-        panels.setdefault(title, []).append(
-            (f"{series} (g={gamma:g})", out.agg.t, out.agg.mean_f_gap))
+        panels.setdefault(title, []).append((f"{series} (g={entry.gamma:g})", t, gap))
     if panels:
         svg = panel_grid(list(panels.items()), columns=min(2, len(panels)),
                          xlabel="iteration t", ylabel="f(x_t) - f*")

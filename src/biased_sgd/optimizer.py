@@ -3,7 +3,9 @@
 Repetitions run as the rows ("lanes") of one state matrix, stepped together
 through the row forms of the oracle and the problem. Each lane draws only
 from its own Philox stream, so its trace does not depend on the lanes that
-run beside it; `sgd_run` is the one-lane case.
+run beside it; `sgd_run` is the one-lane case. The stream adapter
+(`LaneStreams`) and the divergence test (`failing_lanes`) are the ones the
+stepsize search in `tuning` uses too.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .problems import Problem
 FULL_TRACE_LIMIT = 1_000_000
 # an iterate with |f| or ||x|| beyond this (or not finite) ends the run
 DIVERGENCE_LIMIT = 1e12
+_LIMIT_SQ = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
+_HALF_LIMIT_SQ = _LIMIT_SQ / 2
 # repeated runs keep every trace up to this many recorded values per array;
 # beyond it the aggregate is streamed through blocks of _STREAM_BLOCK values
 KEEP_TRACES_LIMIT = 5_000_000
@@ -145,28 +149,43 @@ def _divergence_reason(f: float, x: np.ndarray) -> str:
     return "overflow"
 
 
-class _LaneStreams:
-    """The `rng` of a lane-batched row map: row i is drawn from lane i's stream.
+class LaneStreams:
+    """The `rng` of a lane-batched row map: row i is drawn from gens[rows[i]].
 
     Row maps draw only through `standard_normal(shape)` and `random(shape)`,
-    one row per lane, so each lane consumes exactly the draws a one-lane run
-    on its own generator would.
+    one row per lane. Each call draws one row from every generator, and rows
+    that share a generator get that same row, so each generator is advanced
+    exactly as a one-lane run on it would be, however many rows share it.
+    `rows=None` gives row i its own generator gens[i].
     """
 
-    def __init__(self, gens: list):
-        self.gens = gens
+    def __init__(self, gens: list, rows: Optional[np.ndarray] = None):
+        self.gens, self.rows = gens, rows
 
     def standard_normal(self, size) -> np.ndarray:
-        out = np.empty(size)
-        for g, row in zip(self.gens, out, strict=True):
+        out = np.empty((len(self.gens), *size[1:]))
+        for g, row in zip(self.gens, out):
             g.standard_normal(out=row)
-        return out
+        return out if self.rows is None else out[self.rows]
 
     def random(self, size) -> np.ndarray:
-        out = np.empty(size)
-        for g, row in zip(self.gens, out, strict=True):
+        out = np.empty((len(self.gens), *size[1:]))
+        for g, row in zip(self.gens, out):
             g.random(out=row)
-        return out
+        return out if self.rows is None else out[self.rows]
+
+
+def failing_lanes(fx: np.ndarray, X: np.ndarray) -> Optional[np.ndarray]:
+    """The divergence test of every lane: None when all pass, else the failing mask.
+
+    Lane i passes while |f(x_i)| <= DIVERGENCE_LIMIT and ||x_i||^2 <=
+    DIVERGENCE_LIMIT^2. One sum bounds every lane at once; only when it fails
+    is each lane tested (NaN fails every comparison, so both tests catch it).
+    """
+    if fx @ fx + np.vdot(X, X) <= _HALF_LIMIT_SQ:
+        return None
+    bad = ~((np.abs(fx) <= DIVERGENCE_LIMIT) & (np.vecdot(X, X) <= _LIMIT_SQ))
+    return bad if bad.any() else None
 
 
 class _LaneStats:
@@ -243,12 +262,10 @@ def _run_lanes(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
 
     query, value_many, grad_many = o.query_batch, p.value_many, p.grad_many
     f_star = p.f_star or 0.0
-    limit_sq = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
-    half_sq = limit_sq / 2
     dense = n_rec == T + 1  # every iterate is recorded
     X = np.tile(x0, (lanes, 1))
     live = np.arange(lanes)  # the lane of each row of X
-    rng = rngs[0] if lanes == 1 else _LaneStreams(rngs)
+    rng = rngs[0] if lanes == 1 else LaneStreams(rngs)
     slot = b0 = 0
 
     def fold() -> None:
@@ -277,19 +294,17 @@ def _run_lanes(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
                 break
             X -= gamma * query(X, rng)
             fx = value_many(X)
-            # one sum bounds every lane at once; only when it fails is each
-            # lane tested (NaN fails every comparison, so both tests catch it)
-            if not (fx @ fx + np.vdot(X, X) <= half_sq):
-                ok = (np.abs(fx) <= DIVERGENCE_LIMIT) & (np.vecdot(X, X) <= limit_sq)
-                if not ok.all():
-                    for i in np.flatnonzero(~ok):
-                        stopped[int(live[i])] = (_divergence_reason(fx[i], X[i]), t + 1)
-                        final_x[live[i]] = X[i]
-                        length[live[i]] = slot
-                    X, fx, live = X[ok], fx[ok], live[ok]
-                    if not len(live):
-                        break
-                    rng = _LaneStreams([rngs[i] for i in live])
+            bad = failing_lanes(fx, X)
+            if bad is not None:
+                for i in np.flatnonzero(bad):
+                    stopped[int(live[i])] = (_divergence_reason(fx[i], X[i]), t + 1)
+                    final_x[live[i]] = X[i]
+                    length[live[i]] = slot
+                ok = ~bad
+                X, fx, live = X[ok], fx[ok], live[ok]
+                if not len(live):
+                    break
+                rng = LaneStreams([rngs[i] for i in live])
         if slot > b0:
             fold()
         final_x[live] = X

@@ -5,6 +5,14 @@ single state matrix. Because every lane group steps in lockstep, the first
 group whose repetition-mean gap touches the target is exactly the grid
 minimizer of iterations-to-target, so the search stops there; slower groups
 are reported as censored at that iteration.
+
+The lanes keep the engine's contracts (`optimizer`): lane (stepsize, rep r)
+draws from `stream(seed, r)`, rep r's stream in `sgd_run_repeated`, so every
+stepsize sees the same draws and a stepsize's result does not depend on the
+rest of the grid; a stepsize diverges when any of its lanes fails the
+engine's divergence test. The rep-mean gap of every stepsize is recorded as
+the search goes, which is the curve `sgd_run_repeated` would trace at that
+stepsize.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import stream
-from .optimizer import DIVERGENCE_LIMIT
+from .optimizer import LaneStreams, failing_lanes
 from .oracles import BiasedOracle
 from .problems import Problem
 
@@ -30,11 +38,33 @@ class TuneEntry:
     censored_at: Optional[int]  # search stopped here before this gamma reached
 
 
+# the history is dense up to this iteration, the race figure's horizon for
+# a stepsize that never reached the target, and log-spaced beyond it
+RACE_HORIZON = 200_000
+_LOG_POINTS = 1_000
+
+
+def history_grid(max_T: int) -> np.ndarray:
+    """Iterations the search records: every t <= RACE_HORIZON, then log-spaced.
+
+    At most RACE_HORIZON + _LOG_POINTS + 1 entries whatever max_T is.
+    """
+    if max_T <= RACE_HORIZON:
+        return np.arange(max_T + 1)
+    tail = np.geomspace(RACE_HORIZON, max_T, _LOG_POINTS).astype(np.int64)
+    return np.unique(np.concatenate([np.arange(RACE_HORIZON + 1), tail, [max_T]]))
+
+
 @dataclass
 class TuneResult:
     target_eps: float
     max_T: int
     entries: list
+    # rep-mean gap (column per grid stepsize, NaN once it diverged) at the
+    # iterations history_t: history_grid(max_T) up to the stopping iteration,
+    # which is always the last row
+    history_t: Optional[np.ndarray] = None
+    history: Optional[np.ndarray] = None
 
     @property
     def best(self) -> Optional[TuneEntry]:
@@ -59,6 +89,25 @@ class TuneResult:
             return (0, b.iterations)
         return (1, self.best_gap)
 
+    def race_curve(self) -> Optional[tuple]:
+        """(entry, t, rep-mean gap) of the stepsize the race figure plots.
+
+        The winner over 0 .. its iterations-to-target; without one, the
+        non-diverged stepsize with the lowest gap over 0 .. min(max_T,
+        RACE_HORIZON). None when every stepsize diverged.
+        """
+        best = self.best
+        if best is None:
+            viable = [e for e in self.entries if not e.diverged]
+            if not viable:
+                return None
+            best = min(viable, key=lambda e: e.best_gap)
+        n = np.searchsorted(self.history_t, best.iterations if best.reached
+                            else RACE_HORIZON, side="right")
+        # copies, so that the curve does not keep the whole history alive
+        return best, self.history_t[:n].copy(), \
+            self.history[:n, self.entries.index(best)].copy()
+
 
 def default_gamma_grid(L: float, lo_exp: int = 20) -> list:
     """Log grid 2^-lo_exp .. 1 clipped to the 1/L stability cap (cap included)."""
@@ -74,7 +123,7 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
                   x0: Optional[np.ndarray] = None) -> TuneResult:
     """Grid-search the constant stepsize minimizing iterations to target.
 
-    Diverged stepsizes are parked and excluded; if no stepsize reaches the
+    Diverged stepsizes are dropped and excluded; if no stepsize reaches the
     target within max_T, every entry reports its best achieved gap instead.
     """
     if target_eps <= 0:
@@ -92,55 +141,61 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
         x0 = p.default_x0
 
     n_g = len(grid)
+    live = np.arange(n_g)  # the live stepsizes, one block of reps rows each
     lane_gamma = np.repeat(np.asarray(grid), reps)[:, None]
-    lane_group = np.repeat(np.arange(n_g), reps)
     X = np.tile(np.asarray(x0, dtype=float), (n_g * reps, 1))
-    rng = stream(seed, 0x7E)
+    gens = [stream(seed, r) for r in range(reps)]
+    rng = LaneStreams(gens, np.tile(np.arange(reps), n_g))
     f_star = p.f_star or 0.0
+    rec_t = history_grid(max_T)
+    # one spare row for a stop between recorded iterations; rows are written
+    # as the search goes, so an early stop never touches most of the buffer
+    hist = np.empty((len(rec_t) + 1, n_g))
+    hist_t = np.empty(len(rec_t) + 1, dtype=np.int64)
 
     diverged = np.zeros(n_g, dtype=bool)
     reached = np.zeros(n_g, dtype=bool)
-    reach_t = np.full(n_g, -1, dtype=np.int64)
     best_gap = np.full(n_g, np.inf)
     stop_t = None
 
     inv_reps = 1.0 / reps
-    gaps = p.value_many(X) - f_star
-    means = gaps.reshape(n_g, reps).sum(axis=1) * inv_reps
-    np.minimum(best_gap, means, out=best_gap)
-    first = means <= target_eps
-    if first.any():
-        reached, reach_t[first], stop_t = first, 0, 0
-    else:
-        err_state = np.errstate(over="ignore", invalid="ignore")
-        err_state.__enter__()
-        try:
-            for t in range(1, max_T + 1):
-                G = o.query_batch(X, rng)
-                X -= lane_gamma * G
-                gaps = p.value_many(X) - f_star
-                means = gaps.reshape(n_g, reps).sum(axis=1) * inv_reps
-                # cheap divergence gate on the group means; gaps are
-                # nonnegative so lane blow-ups cannot cancel in the sum
-                trouble = ~np.isfinite(means) | (np.abs(means) > DIVERGENCE_LIMIT)
-                if trouble.any():
-                    bad = ~np.isfinite(gaps) | (np.abs(gaps) > DIVERGENCE_LIMIT)
-                    diverged[np.unique(lane_group[bad])] = True
-                    X[bad] = 0.0  # park exploded lanes; their group is out
-                    if diverged.all():
-                        stop_t = t
-                        break
-                    means = np.where(diverged, np.inf, means)
-                live = ~diverged
-                best_gap[live] = np.minimum(best_gap[live], means[live])
-                hits = live & (means <= target_eps)
-                if hits.any():
-                    reached = hits
-                    reach_t[hits] = t
+    fx = p.value_many(X)
+    t = slot = 0
+    # a failing stepsize is dropped below, so its overflow or NaN arithmetic
+    # needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            means = (fx - f_star).reshape(len(live), reps).sum(axis=1) * inv_reps
+            best_gap[live] = np.minimum(best_gap[live], means)
+            hits = live[means <= target_eps]
+            done = len(hits) > 0 or t == max_T
+            if done or t == rec_t[slot]:
+                row = hist[slot]
+                if len(live) < n_g:
+                    row.fill(np.nan)
+                row[live] = means
+                hist_t[slot] = t
+                slot += 1
+            if done:
+                if len(hits):
+                    reached[hits] = True
+                    stop_t = t
+                break
+            t += 1
+            X -= lane_gamma * o.query_batch(X, rng)
+            fx = p.value_many(X)
+            bad = failing_lanes(fx, X)
+            if bad is not None:
+                # a stepsize with any failing lane is out, all its lanes with it
+                out = bad.reshape(len(live), reps).any(axis=1)
+                diverged[live[out]] = True
+                keep = np.repeat(~out, reps)
+                X, fx, lane_gamma = X[keep], fx[keep], lane_gamma[keep]
+                live = live[~out]
+                if not len(live):
                     stop_t = t
                     break
-        finally:
-            err_state.__exit__(None, None, None)
+                rng = LaneStreams(gens, np.tile(np.arange(reps), len(live)))
 
     entries = []
     for i in range(n_g):
@@ -149,7 +204,8 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
             censored = int(stop_t)
         entries.append(TuneEntry(
             gamma=grid[i], reached=bool(reached[i]),
-            iterations=int(reach_t[i]) if reached[i] else None,
+            iterations=stop_t if reached[i] else None,
             best_gap=float(best_gap[i]) if np.isfinite(best_gap[i]) else float("inf"),
             diverged=bool(diverged[i]), censored_at=censored))
-    return TuneResult(target_eps=target_eps, max_T=max_T, entries=entries)
+    return TuneResult(target_eps=target_eps, max_T=max_T, entries=entries,
+                      history_t=hist_t[:slot], history=hist[:slot])

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from biased_sgd import cli, experiments, figures
+from biased_sgd import StepSchedule, cli, experiments, figures, sgd_run_repeated
 from biased_sgd.config import (ConfigError, ExperimentConfig, parse_config,
                                serialize_config)
 
@@ -373,25 +373,44 @@ grid = 0.0625, 0.125, 0.25
 """
 
 
-def test_race_rerun_uses_the_tuned_stepsize(tmp_path, monkeypatch):
-    # under a theory stepsize policy the rerun must still run at the tuned
-    # stepsize its curve is labelled with
+def test_race_curves_are_the_tuned_stepsize_runs(tmp_path, monkeypatch):
+    # the race figure plots each cell's search at its tuned stepsize: the
+    # repeated run sgd_run_repeated would give, labelled with that stepsize,
+    # also under a theory stepsize policy, and without rerunning anything
     cfg = parse_config(MINI.replace("stepsize = 0.01", "stepsize_policy = theory_pl")
-                       + TUNE_POLICY)
-    used = []
-    run = experiments.run_experiment
+                       + """
+[sweep]
+compressor = none, rand_k
+series_by = compressor
+""" + TUNE_POLICY)
+    plotted = []
+    panel_grid = experiments.panel_grid
 
-    def recording(sub, *args, **kwargs):
-        out = run(sub, *args, **kwargs)
-        used.append(float(out.summary["stepsize"]))
-        return out
+    def recording(panels, **kwargs):
+        plotted.extend(s for _, series in panels for s in series)
+        return panel_grid(panels, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_experiment", recording)
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("the race figure must not rerun a cell")
+
+    monkeypatch.setattr(experiments, "panel_grid", recording)
+    monkeypatch.setattr(experiments, "run_experiment", no_rerun)
     res = experiments.tune_experiment(cfg, out_dir=str(tmp_path))
-    best = res.cells[0]["result"].best
-    assert best is not None
-    assert used == [best.gamma]
-    assert f"(g={best.gamma:g})" in (tmp_path / "race.svg").read_text()
+    assert len(plotted) == len(res.cells) == 2
+    svg = (tmp_path / "race.svg").read_text()
+    for rec, (label, t, gap) in zip(res.cells, plotted):
+        best = rec["result"].best
+        assert best is not None
+        assert label == f"compressor={rec['overrides']['compressor']} " \
+            f"(g={best.gamma:g})" and label in svg
+        sub = experiments._cell_config(cfg, rec["overrides"])
+        p = experiments.build_problem(sub)
+        o, _ = experiments.build_oracle(sub, p)
+        agg = sgd_run_repeated(p, o, StepSchedule.constant(best.gamma),
+                               best.iterations, cfg.tune.reps, cfg.run.seed,
+                               x0=experiments._x0(sub, p))
+        assert np.array_equal(t, agg.t)
+        np.testing.assert_allclose(gap, agg.mean_f_gap, rtol=1e-12, atol=0)
 
 
 def test_tune_theory_policy_on_huber_writes_race(tmp_path):
@@ -410,6 +429,54 @@ stepsize_policy = theory_pl
     assert cli.main(["tune", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "tune.csv").exists()
     assert (out / "race.svg").exists()
+
+
+def test_tune_huber_shifted_writes_race(tmp_path):
+    # the compressed cells' bounds cannot be fitted on the 1-d Huber problem;
+    # the search does not need them, and the race figure no longer reruns
+    cfg_path = tmp_path / "huber.cfg"
+    cfg_path.write_text("""
+[problem]
+kind = huber
+[oracle]
+kind = huber_shifted
+[sweep]
+compressor = none, top_k
+noise_sigma_sq = 0.0, 1.0
+""" + TUNE_POLICY)
+    out = tmp_path / "out"
+    assert cli.main(["tune", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len((out / "tune.csv").read_text().splitlines()) == 1 + 4 * 3
+    assert "status=failed" not in (out / "tune_summary.txt").read_text()
+    assert (out / "race.svg").read_text().count("(g=") == 4
+
+
+def test_tune_failed_cells_same_under_workers(tmp_path, capsys):
+    cfg_path = tmp_path / "tau.cfg"
+    cfg_path.write_text("""
+[problem]
+kind = nesterov_quadratic
+dim = 5
+[oracle]
+kind = gaussian_smoothing
+[sweep]
+tau = 0.1, 0.0
+""" + TUNE_POLICY)
+    outs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert cli.main(["tune", "--config", str(cfg_path), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+        outs[workers] = {name: (out / name).read_bytes()
+                         for name in ("tune.csv", "tune_summary.txt", "race.svg")}
+    assert outs[1] == outs[2]
+    summary = outs[1]["tune_summary.txt"].decode()
+    assert "cell=tau=0.0 status=failed error=tau must be positive\n" in summary
+    assert "cell=tau=0.1 best_gamma=" in summary
+    rows = outs[1]["tune.csv"].decode().splitlines()[1:]
+    assert len(rows) == 3 and all(r.startswith("tau=0.1,") for r in rows)
+    assert outs[1]["race.svg"].decode().count("(g=") == 1
+    assert "cell tau=0.0: FAILED (tau must be positive)" in capsys.readouterr().out
 
 
 def test_verify_accepts_figure(tmp_path, capsys):

@@ -287,6 +287,23 @@ def test_repeated_lanes_match_single_runs(name):
     assert not np.array_equal(agg.traces[0].f_gap, agg.traces[1].f_gap)
 
 
+def test_lane_streams_draw_once_per_generator():
+    # rows that share a generator get one draw, and each generator advances
+    # exactly as a one-lane run on it would
+    gens = [stream(5, r) for r in range(3)]
+    shared = optimizer.LaneStreams(gens, np.array([0, 1, 2, 0, 1, 2, 1]))
+    Z, U = shared.standard_normal((7, 4)), shared.random((7, 4))
+    for r in range(3):
+        ref = stream(5, r)
+        z, u = ref.standard_normal((1, 4)), ref.random((1, 4))
+        rows = [i for i, g in enumerate([0, 1, 2, 0, 1, 2, 1]) if g == r]
+        assert np.array_equal(Z[rows], np.repeat(z, len(rows), axis=0))
+        assert np.array_equal(U[rows], np.repeat(u, len(rows), axis=0))
+        assert gens[r].random() == ref.random()  # same state after
+    own = optimizer.LaneStreams([stream(5, r) for r in range(3)])
+    assert np.array_equal(own.standard_normal((3, 4)), Z[:3])
+
+
 def _blow_up_oracle(p, rate):
     """Noisy gradient rows, each replaced by 1e16 with probability `rate`."""
     def rows(X, rng):

@@ -1,0 +1,131 @@
+import numpy as np
+import pytest
+
+from biased_sgd import (BiasedOracle, OracleBounds, StepSchedule,
+                        compressed_oracle, gaussian_noise_oracle,
+                        gaussian_smoothing_oracle, make_nesterov_worst,
+                        rand_k_compressor, sgd_run_repeated, top_k_compressor,
+                        tune_stepsize)
+from biased_sgd import tuning
+
+
+def _oracle(name, p):
+    noise = gaussian_noise_oracle(p, 1.0)
+    if name == "noise":
+        return noise
+    if name == "rand_k_noise":
+        return compressed_oracle(rand_k_compressor(2, p.dim), noise, p)
+    if name == "top_k_noise":
+        return compressed_oracle(top_k_compressor(2, p.dim), noise, p,
+                                 bounds_mode="query_only")
+    return gaussian_smoothing_oracle(p, 0.01)
+
+
+def test_stepsize_result_does_not_depend_on_the_grid():
+    # every stepsize draws rep r's stream, so its lanes see the same draws
+    # whichever stepsizes share the grid
+    p = make_nesterov_worst(10)
+    o = gaussian_noise_oracle(p, 1.0)
+
+    def tune(grid):
+        return tune_stepsize(p, o, 5e-4, grid=grid, reps=3, max_T=500, seed=3)
+
+    alone, pair = tune([0.01]), tune([0.02, 0.01])
+    assert alone.entries[0] == pair.entries[1]
+    assert np.array_equal(alone.history[:, 0], pair.history[:, 1])
+    # a diverging stepsize leaves the others untouched
+    wide = tune([0.02, 0.01, 1.0])
+    assert wide.entries[2].diverged and not wide.entries[2].reached
+    assert wide.entries[:2] == pair.entries
+    assert np.array_equal(wide.history[:, :2], pair.history)
+    assert np.isnan(wide.history[-1, 2])
+
+
+@pytest.mark.parametrize("name", ["noise", "rand_k_noise", "top_k_noise",
+                                  "gaussian_smoothing"])
+def test_race_curve_is_the_repeated_run_at_the_tuned_stepsize(name):
+    p = make_nesterov_worst(6)
+    o = _oracle(name, p)
+    grid, reps, seed = [0.02, 0.05, 0.1], 3, 8
+    for target, max_T in ((0.05, 2000), (1e-9, 300)):  # reached, censored
+        res = tune_stepsize(p, o, target, grid=grid, reps=reps, max_T=max_T,
+                            seed=seed)
+        entry, t, gap = res.race_curve()
+        T = entry.iterations if entry.reached else max_T
+        assert entry.reached == (target == 0.05)
+        agg = sgd_run_repeated(p, o, StepSchedule.constant(entry.gamma), T,
+                               reps, seed)
+        assert np.array_equal(t, agg.t)
+        np.testing.assert_allclose(gap, agg.mean_f_gap, rtol=1e-12, atol=0)
+        # every stepsize's column is that stepsize's repeated run
+        for i, g in enumerate(grid):
+            ref = sgd_run_repeated(p, o, StepSchedule.constant(g), int(t[-1]),
+                                   reps, seed)
+            np.testing.assert_allclose(res.history[:len(t), i], ref.mean_f_gap,
+                                       rtol=1e-12, atol=0)
+
+
+def test_censored_race_curve_stops_at_the_race_horizon(monkeypatch):
+    monkeypatch.setattr(tuning, "RACE_HORIZON", 40)
+    p = make_nesterov_worst(6)
+    o = gaussian_noise_oracle(p, 1.0)
+    res = tune_stepsize(p, o, 1e-9, grid=[0.02, 0.05], reps=2, max_T=500, seed=1)
+    assert res.best is None and res.history_t[-1] == 500
+    entry, t, gap = res.race_curve()
+    assert entry.gamma == min(res.entries, key=lambda e: e.best_gap).gamma
+    assert np.array_equal(t, np.arange(41))
+
+
+def test_history_length_stops_growing_beyond_the_race_horizon(monkeypatch):
+    H = tuning.RACE_HORIZON
+    assert np.array_equal(tuning.history_grid(1000), np.arange(1001))
+    assert np.array_equal(tuning.history_grid(H)[-2:], [H - 1, H])
+    sizes = {T: len(tuning.history_grid(T)) for T in (10 * H, 10**7, 10**9)}
+    assert len(set(sizes.values())) == 1
+    assert sizes[10**7] <= H + 1 + tuning._LOG_POINTS
+    for T in (10**7, 10**9):
+        g = tuning.history_grid(T)
+        assert np.array_equal(g[:H + 1], np.arange(H + 1))
+        assert g[-1] == T and np.all(np.diff(g) > 0)
+    # a search at max_T = 1e7 records on that grid and ends its history at
+    # the iteration it stopped at, here past a shrunken dense horizon
+    monkeypatch.setattr(tuning, "RACE_HORIZON", 50)
+    p = make_nesterov_worst(6)
+    res = tune_stepsize(p, gaussian_noise_oracle(p, 0.01), 0.1, grid=[0.01],
+                        reps=2, max_T=10**7, seed=2)
+    stop = res.best.iterations
+    assert stop > 50
+    grid = tuning.history_grid(10**7)
+    assert np.array_equal(res.history_t[:-1], grid[grid < stop])
+    assert res.history_t[-1] == stop
+    assert res.history.shape == (len(res.history_t), 1)
+    assert res.history[-1, 0] <= 0.1 < res.history[-2, 0]
+
+
+def _blow_up_oracle(p, rate):
+    """Noisy gradient rows, each replaced by 1e16 with probability `rate`."""
+    def rows(X, rng):
+        G = p.grad_many(X) + 0.1 * rng.standard_normal(X.shape)
+        G[rng.random(X.shape)[:, 0] < rate] = 1e16
+        return G
+    return BiasedOracle(name="blow_up", dim=p.dim, bounds=OracleBounds(),
+                        _query_batch=rows)
+
+
+def test_one_failing_lane_takes_its_stepsize_out():
+    # the engine's test per lane: a stepsize is out as soon as one of its
+    # reps fails it, even while the rep mean is still small
+    p = make_nesterov_worst(6)
+    o = _blow_up_oracle(p, 0.005)
+    reps, seed, T = 6, 4, 100
+    agg = sgd_run_repeated(p, o, StepSchedule.constant(0.05), T, reps, seed)
+    first = min(d.iteration for d in agg.diverged_reps)
+    assert 0 < len(agg.diverged_reps) < reps
+    res = tune_stepsize(p, o, 1e-9, grid=[0.05], reps=reps, max_T=T, seed=seed)
+    (e,) = res.entries
+    assert e.diverged and not e.reached
+    assert res.history_t[-1] == first - 1  # the last iterate before it failed
+    np.testing.assert_allclose(res.history[:, 0], agg.mean_f_gap[:first],
+                               rtol=1e-12, atol=0)
+    assert e.best_gap == np.min(res.history[:, 0])
+    assert res.race_curve() is None
