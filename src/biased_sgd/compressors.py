@@ -26,9 +26,12 @@ def _top_k_rows(G: np.ndarray, k: int) -> np.ndarray:
     if k == d:
         return G.copy()
     # flat indices of each row's k largest magnitudes; the stable sort keeps
-    # the lower index on ties
-    keep = (np.argsort(-np.abs(G), axis=1, kind="stable")[:, :k]
-            + np.arange(0, n * d, d)[:, None])
+    # the lower index on ties, as argmax (its first entry, on finite rows) does
+    if k == 1:
+        top = np.abs(G).argmax(axis=1)[:, None]
+    else:
+        top = np.argsort(-np.abs(G), axis=1, kind="stable")[:, :k]
+    keep = top + np.arange(0, n * d, d)[:, None]
     out = np.zeros(n * d)
     out[keep] = G.ravel()[keep]
     return out.reshape(n, d)
@@ -40,7 +43,9 @@ def _rand_k_rows(G: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     if k == G.shape[1]:
         return G.copy()
     keys = rng.random(G.shape)
-    thresh = np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
+    # the row minimum is exactly partition's 0th element, without the copy
+    thresh = (keys.min(axis=1, keepdims=True) if k == 1
+              else np.partition(keys, k - 1, axis=1)[:, k - 1 : k])
     return G * (keys <= thresh)
 
 

@@ -19,7 +19,10 @@ from .oracles import BiasedOracle, OracleBounds
 from .problems import Problem
 
 DEFAULT_SLACK = 5.0
-_CHUNK = 20_000
+# rows per sampling chunk: small enough that the chunk's temporaries are
+# reused from the allocator's free lists instead of being returned to the OS
+# and faulted in again on every chunk
+_CHUNK = 2_048
 
 
 @dataclass
@@ -71,13 +74,16 @@ def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
     s3 = np.zeros(d)
     s5 = np.zeros((d, d))
     done = 0
+    ones = np.ones(_CHUNK)
     while done < n_samples:
         take = min(_CHUNK, n_samples - done)
         G = o.query_many(x, take, rng)
         sq = np.einsum("ij,ij->i", G, G)
-        s1 += G.sum(axis=0)
-        s2 += float(sq.sum())
-        s4 += float((sq * sq).sum())
+        # column sums as BLAS products: several times faster than axis-0 sums
+        w = ones[:take]
+        s1 += w @ G
+        s2 += float(w @ sq)
+        s4 += float(sq @ sq)
         s3 += sq @ G
         s5 += G.T @ G
         done += take
@@ -122,10 +128,15 @@ def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
 
 def _collect_points(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
                     samples: int, seed: int, tag: int,
-                    min_samples: int = 0) -> list:
-    """`_collect` at every point, point i drawing from stream (seed, tag, i)."""
+                    min_samples: int = 2) -> list:
+    """`_collect` at every point, point i drawing from stream (seed, tag, i).
+
+    A stochastic oracle needs at least 2 samples per point (the covariance
+    divides by n - 1); a deterministic one is always sampled twice.
+    """
     if samples < min_samples and not o.deterministic:
-        raise ValueError(f"samples must be >= {min_samples} for stochastic oracles")
+        raise ValueError(f"samples must be >= {min_samples} for stochastic "
+                         f"oracles, got {samples}")
     return [_collect(o, p, x, samples, stream(seed, tag, i))
             for i, x in enumerate(points)]
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -257,6 +256,8 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
              for label, ov in cells]
 
     if workers > 1:
+        # imported here so that serial runs do not pay its import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outs = list(pool.map(_run_cell, tasks))
     else:
@@ -355,6 +356,7 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     text = cfg.canonical()
     tasks = [(text, ov) for _, ov in base_cells]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outs = list(pool.map(_tune_cell, tasks))
     else:

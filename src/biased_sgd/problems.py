@@ -82,7 +82,7 @@ def quadratic_problem(A: np.ndarray, name: str = "quadratic",
 
     def value_many(X: np.ndarray) -> np.ndarray:
         R = X @ A.T
-        return 0.5 * (R * R).sum(axis=1)
+        return 0.5 * np.einsum("ij,ij->i", R, R)
 
     def grad_many(X: np.ndarray) -> np.ndarray:
         return X @ H  # H symmetric

@@ -276,6 +276,24 @@ def test_console_script_entry():
         assert cmd in out.stdout
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    code = ("import sys, biased_sgd.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_verify_rejects_fewer_than_two_samples(tmp_path, capsys, samples):
+    assert cli.main(["verify", "--samples", samples,
+                     "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert f"samples must be >= 2 for stochastic oracles, got {samples}" in err
+    assert not (tmp_path / "v/verify.md").exists()
+
+
 def test_sweep_workers_match_serial(tmp_path):
     cfg = figures.preset("fig1").with_overrides(T=150, reps=2)
     experiments.sweep_experiment(cfg, out_dir=str(tmp_path / "w1"), workers=1)

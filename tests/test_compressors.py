@@ -138,6 +138,25 @@ def test_batch_rows_match_distributions():
     assert np.array_equal(out_t[0], [0.0, 0.0, 3.0, 4.0])
 
 
+def test_k1_paths_bit_equal_to_sort_and_partition():
+    # tied magnitudes (signs, zeros, rounded normals) as well as random rows
+    G = np.vstack([[[1.0, -1.0, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0],
+                    [-2.0, 2.0, 2.0, -2.0], [0.5, -3.0, 3.0, 1.0]],
+                   stream(11).standard_normal((300, 4)),
+                   np.round(stream(12).standard_normal((300, 4)))])
+    top = np.argsort(-np.abs(G), axis=1, kind="stable")[:, :1]
+    want = np.zeros_like(G)
+    np.put_along_axis(want, top, np.take_along_axis(G, top, axis=1), axis=1)
+    assert top_k_compressor(1, 4).apply_rows(G, None).tobytes() == want.tobytes()
+    assert top_k(G[0], 1).tobytes() == want[0].tobytes()
+
+    ref_rng, rng = stream(13), stream(13)
+    keys = ref_rng.random(G.shape)
+    want = G * (keys <= np.partition(keys, 0, axis=1)[:, 0:1])
+    assert rand_k_compressor(1, 4).apply_rows(G, rng).tobytes() == want.tobytes()
+    assert rng.random() == ref_rng.random()  # same draws consumed
+
+
 def test_contraction_invariant():
     rng = stream(8)
     for c in (top_k_compressor(3, 10), scale_compressor(0.36, 10)):

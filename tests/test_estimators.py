@@ -10,6 +10,7 @@ from biased_sgd import (BiasedOracle, OracleBounds, additive_bias_oracle,
                         probe_points, rand_k_compressor, synthetic_tight_oracle,
                         tightness_oracle, top_k_compressor, uniform_direction,
                         verify_declared)
+from biased_sgd import estimators
 from biased_sgd.estimators import fit_envelope
 from biased_sgd._rng import stream
 
@@ -173,3 +174,38 @@ def test_sample_floor_enforced():
     with pytest.raises(ValueError):
         estimate_bias(gaussian_noise_oracle(p, 1.0), p,
                       probe_points(p, 5, seed=0), samples=100, seed=0)
+    for samples in (0, 1):  # the covariance divides by samples - 1
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            verify_declared(gaussian_noise_oracle(p, 1.0), p, n_points=5,
+                            samples=samples)
+        # a deterministic oracle is sampled twice whatever is asked
+        assert verify_declared(exact_oracle(p), p, n_points=5,
+                               samples=samples).ok
+
+
+@pytest.mark.parametrize("build", [
+    exact_oracle,
+    lambda p: gaussian_noise_oracle(p, 1.0),
+    lambda p: gaussian_smoothing_oracle(p, 0.1),
+    lambda p: compressed_oracle(rand_k_compressor(1, p.dim), exact_oracle(p), p),
+], ids=["exact", "noise", "gaussian_smoothing", "rand_k"])
+def test_collect_independent_of_chunk_size(build, monkeypatch):
+    # each of these draws one kind of number per call, so the stream does
+    # not depend on how the samples are split into chunks
+    p = make_nesterov_worst(10)
+    o = build(p)
+    pts = probe_points(p, 3, seed=14)
+
+    def stats():
+        return estimators._collect_points(o, p, pts, 5000, seed=14, tag=0x14)
+
+    default = stats()
+    monkeypatch.setattr(estimators, "_CHUNK", 7)
+    for a, b in zip(default, stats()):
+        for field in ("bias_norm_sq", "bias_se", "noise_var", "mean_norm_sq"):
+            assert getattr(b, field) == pytest.approx(getattr(a, field),
+                                                      rel=1e-12, abs=0.0)
+        # noise_se comes from raw fourth moments, which cancel about eight
+        # digits where ||mean||^2 is far above the noise (the r = 10 point)
+        assert b.noise_se == pytest.approx(a.noise_se, rel=1e-8, abs=0.0)
+        np.testing.assert_allclose(b.bias, a.bias, rtol=1e-12)
