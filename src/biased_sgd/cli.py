@@ -37,7 +37,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     res = experiments.sweep_experiment(cfg, out_dir=args.out, workers=args.workers)
-    print(f"wrote {len(res.cells)} cells to {res.out_dir}")
+    print(f"wrote {len(res.cells)} cells ({res.distinct_runs} distinct runs) "
+          f"to {res.out_dir}")
     for rec in res.cells:
         if "error" in rec:
             print(f"  cell {rec['label']}: FAILED ({rec['error']})")
@@ -53,6 +54,8 @@ def _cmd_tune(args) -> int:
     if cfg.tune is None:
         raise ConfigError("tune needs a [tune] section (or use --figure fig6)")
     res = experiments.tune_experiment(cfg, out_dir=args.out, workers=args.workers)
+    print(f"wrote {len(res.cells)} cells ({res.distinct_runs} distinct runs) "
+          f"to {res.out_dir}")
     for rec in res.cells:
         if "error" in rec:
             print(f"cell {rec['label']}: FAILED ({rec['error']})")
@@ -95,7 +98,7 @@ def main(argv: Optional[list] = None) -> int:
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override run seed")
         sp.add_argument("--workers", type=int, default=1,
-                        help="parallel sweep/tune cells")
+                        help="processes for sweep/tune runs (>= 1)")
         sp.add_argument("--figure", choices=figures.FIGURE_NAMES,
                         help="use a built-in figure preset")
 

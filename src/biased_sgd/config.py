@@ -248,6 +248,11 @@ def _build_sweep(raw: dict) -> SweepSpec:
     return SweepSpec(axes=axes, panel_by=panel_by, series_by=series_by)
 
 
+def problem_dim(p: ProblemSpec) -> int:
+    """The dimension of the problem a spec builds (the Huber problem is 1-d)."""
+    return 1 if p.kind == "huber" else p.dim
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     p, o, r = cfg.problem, cfg.oracle, cfg.run
     if p.kind not in PROBLEM_KINDS:
@@ -269,7 +274,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("gaussian_smoothing oracle needs tau > 0")
     if o.kind == "inexact" and o.delta < 0:
         raise ConfigError("inexact oracle needs delta >= 0")
-    dim = p.dim if p.kind != "huber" else 1
+    dim = problem_dim(p)
     if o.compressor != "none":
         if o.compressor == "scale":
             if not 0 < o.delta <= 1:

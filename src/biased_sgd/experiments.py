@@ -14,7 +14,8 @@ from .compressors import (Compressor, UnsupportedCompositionError,
                           compressed_oracle, rand_k_compressor,
                           rand_k_unbiased_compressor, scale_compressor,
                           top_k_compressor)
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import (ConfigError, ExperimentConfig, OracleSpec, parse_config,
+                     problem_dim)
 from .oracles import (BiasedOracle, additive_bias_oracle, exact_oracle,
                       gaussian_noise_oracle, gaussian_smoothing_oracle,
                       huber_shifted_oracle, inexact_oracle, tightness_oracle,
@@ -126,18 +127,14 @@ class RunOutput:
     config: ExperimentConfig
     agg: RepeatedRuns
     summary: dict
+    problem: Problem
+    oracle: BiasedOracle
+    bounds_source: str
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   out_dir: Optional[str] = None) -> RunOutput:
-    """Execute one repeated run; optionally write trace.csv and summary.txt."""
-    p = build_problem(cfg)
-    o, bounds_source = build_oracle(cfg, p)
+def _cell_summary(cfg: ExperimentConfig, p: Problem, o: BiasedOracle,
+                  bounds_source: str, agg: RepeatedRuns) -> dict:
     gamma = _resolved_stepsize(cfg, p, o)
-    sched = StepSchedule.constant(gamma)
-    agg = sgd_run_repeated(p, o, sched, cfg.run.T, cfg.run.reps, cfg.run.seed,
-                           x0=_x0(cfg, p))
-
     b = o.bounds
     cap = theory.stepsize_cap(p.smoothness_L, b)
     floor = ""
@@ -145,8 +142,7 @@ def run_experiment(cfg: ExperimentConfig,
         floor = repr(theory.error_floor(gamma, p.smoothness_L, p.pl_mu, b))
     psi = float(np.mean(agg.mean_grad_norm_sq[:-1])) \
         if len(agg.t) > 1 else float(agg.mean_grad_norm_sq[0])
-
-    summary = {
+    return {
         "fingerprint": cfg.fingerprint(),
         "problem": p.name,
         "oracle": o.name,
@@ -165,13 +161,30 @@ def run_experiment(cfg: ExperimentConfig,
         "diverged_detail": " ".join(f"{d.rep}:{d.reason}@{d.iteration}"
                                     for d in agg.diverged_reps) or "-",
     }
+
+
+def _write_run(out_dir: str, cfg: ExperimentConfig, agg: RepeatedRuns,
+               summary: dict) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    write_trace_csv(os.path.join(out_dir, "trace.csv"), agg)
+    write_kv(os.path.join(out_dir, "summary.txt"), summary)
+    with open(os.path.join(out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(cfg.canonical())
+
+
+def run_experiment(cfg: ExperimentConfig,
+                   out_dir: Optional[str] = None) -> RunOutput:
+    """Execute one repeated run; optionally write trace.csv and summary.txt."""
+    p = build_problem(cfg)
+    o, bounds_source = build_oracle(cfg, p)
+    gamma = _resolved_stepsize(cfg, p, o)
+    agg = sgd_run_repeated(p, o, StepSchedule.constant(gamma), cfg.run.T,
+                           cfg.run.reps, cfg.run.seed, x0=_x0(cfg, p))
+    summary = _cell_summary(cfg, p, o, bounds_source, agg)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_trace_csv(os.path.join(out_dir, "trace.csv"), agg)
-        write_kv(os.path.join(out_dir, "summary.txt"), summary)
-        with open(os.path.join(out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
-            fh.write(cfg.canonical())
-    return RunOutput(config=cfg, agg=agg, summary=summary)
+        _write_run(out_dir, cfg, agg, summary)
+    return RunOutput(config=cfg, agg=agg, summary=summary, problem=p, oracle=o,
+                     bounds_source=bounds_source)
 
 
 def expand_cells(cfg: ExperimentConfig) -> list:
@@ -200,18 +213,85 @@ def _cell_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     return sub.with_overrides(**ov)
 
 
-def _run_cell(args):
-    """One sweep cell: (summary, t, mean_f_gap), or the error message if it fails.
+# compressors that are the identity at k = d (delta = k/d = 1; no draws)
+_IDENTITY_AT_FULL_K = ("top_k", "rand_k", "rand_k_unbiased")
 
-    Failures are caught here, so serial and pooled sweeps record them alike.
+
+def _run_config(cfg: ExperimentConfig, bounds_matter: bool) -> ExperimentConfig:
+    """The run a cell asks for: its config with the oracle chain normalised.
+
+    `k` means nothing without a compressor. top_k, rand_k and
+    rand_k_unbiased at k = d run as `none`, unless the run depends on the
+    oracle's bounds: a theory stepsize over the k = d top_k of a noisy
+    oracle comes from fitted bounds, not from the uncompressed ones.
     """
-    text, overrides, cell_dir = args
+    o = cfg.oracle
+    if (not bounds_matter and o.compressor in _IDENTITY_AT_FULL_K
+            and o.k == problem_dim(cfg.problem)):
+        o = replace(o, compressor="none")
+    if o.compressor == "none":
+        o = replace(o, k=OracleSpec.k)
+    return replace(cfg, oracle=o)
+
+
+def _distinct_runs(runs: list) -> list:
+    """[(run config, [indices of the cells asking for it])], first-seen order."""
+    groups: dict = {}
+    for i, run in enumerate(runs):
+        groups.setdefault(run.canonical(), (run, []))[1].append(i)
+    return list(groups.values())
+
+
+def _map(fn, tasks: list, workers: int) -> list:
+    """[fn(task) for task in tasks], in min(workers, len(tasks)) processes."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    n = min(workers, len(tasks))
+    if n <= 1:
+        return [fn(t) for t in tasks]
+    # imported here so that serial runs do not pay its import time
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _fan_out(groups: list, outs: list, n_cells: int) -> list:
+    """Per cell, its entry of its group's list of outs."""
+    per_cell = [None] * n_cells
+    for (_, idx), out in zip(groups, outs):
+        for i, o in zip(idx, out):
+            per_cell[i] = o
+    return per_cell
+
+
+def _sweep_group(args):
+    """One distinct run, written out for each sweep cell that asks for it.
+
+    Returns per cell (summary, t, mean_f_gap), or the error message of a
+    failed cell. Failures are caught here, so serial and pooled sweeps record
+    them alike: a failed run fails every cell of its group, a failed oracle
+    build only its own cell. Each cell's summary is built from its own
+    config and oracle (name, fingerprint, bounds, predicted floor).
+    """
+    run_cfg, members = args
     try:
-        cfg = _cell_config(parse_config(text), overrides)
-        out = run_experiment(cfg, out_dir=cell_dir)
+        run = run_experiment(run_cfg)
     except Exception as exc:  # noqa: BLE001 - cell failures are data, not fatal
-        return str(exc)
-    return out.summary, out.agg.t, out.agg.mean_f_gap
+        return [str(exc)] * len(members)
+    outs = []
+    for cfg, cell_dir in members:
+        try:
+            if cfg.oracle.compressor == run_cfg.oracle.compressor:
+                o, source = run.oracle, run.bounds_source
+            else:
+                o, source = build_oracle(cfg, run.problem)
+            summary = _cell_summary(cfg, run.problem, o, source, run.agg)
+            _write_run(cell_dir, cfg, run.agg, summary)
+        except Exception as exc:  # noqa: BLE001
+            outs.append(str(exc))
+            continue
+        outs.append((summary, run.agg.t, run.agg.mean_f_gap))
+    return outs
 
 
 @dataclass
@@ -219,6 +299,7 @@ class SweepOutput:
     cells: list  # dicts: label, overrides, summary, curve (t, mean_f_gap)
     panels: list  # (panel_title, [series labels])
     out_dir: str
+    distinct_runs: int  # engine runs the cells shared out
 
 
 def _panel_keys(cfg: ExperimentConfig) -> tuple:
@@ -247,21 +328,18 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
                      workers: int = 1) -> SweepOutput:
     """Run every sweep cell, then write per-cell CSVs, figure.svg, manifest.txt.
 
+    Cells that ask for the same run (`_run_config`) share one engine run.
     A failing cell is recorded in the manifest and does not abort the sweep.
     """
     cells = expand_cells(cfg)
+    base = parse_config(cfg.canonical())
+    cell_cfgs = [_cell_config(base, ov) for _, ov in cells]
+    groups = _distinct_runs([_run_config(c, c.run.stepsize_policy != "fixed")
+                             for c in cell_cfgs])
+    tasks = [(run, [(cell_cfgs[i], os.path.join(out_dir, "cells", cells[i][0]))
+                    for i in idx]) for run, idx in groups]
+    outs = _fan_out(groups, _map(_sweep_group, tasks, workers), len(cells))
     os.makedirs(out_dir, exist_ok=True)
-    text = cfg.canonical()
-    tasks = [(text, ov, os.path.join(out_dir, "cells", label))
-             for label, ov in cells]
-
-    if workers > 1:
-        # imported here so that serial runs do not pay its import time
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(_run_cell, tasks))
-    else:
-        outs = [_run_cell(t) for t in tasks]
 
     panel_keys, series_key = _panel_keys(cfg)
     panels: dict = {}
@@ -304,32 +382,30 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
         fh.write("\n".join(lines) + "\n")
     write_kv(os.path.join(out_dir, "sweep_summary.txt"),
              {"fingerprint": cfg.fingerprint(), "cells": len(cells),
+              "distinct_runs": len(groups),
               "failed": sum(isinstance(res, str) for res in outs)})
     return SweepOutput(cells=records,
                        panels=[(t, [s[0] for s in ss]) for t, ss in panels.items()],
-                       out_dir=out_dir)
+                       out_dir=out_dir, distinct_runs=len(groups))
 
 
-def _tune_cell(args):
-    """One tune cell: (result, race curve), or the error message if it fails.
+def _tune_group(args):
+    """One distinct search: per cell (result, race curve), or the error message.
 
     The result leaves out the search history, of which the race figure needs
     only the race curve (`TuneResult.race_curve`). Failures are caught here,
     so serial and pooled runs record them alike.
     """
-    text, overrides = args
+    cfg, tune, n_cells = args
     try:
-        full = parse_config(text)
-        tune = full.tune
-        cfg = _cell_config(full, overrides)
         p = build_problem(cfg)
         o, _ = build_oracle(cfg, p, estimate_missing_bounds=False)
         grid = list(tune.grid) if tune.grid else default_gamma_grid(p.smoothness_L)
         res = tune_stepsize(p, o, tune.target_eps, grid=grid, reps=tune.reps,
                             max_T=tune.max_T, seed=cfg.run.seed, x0=_x0(cfg, p))
     except Exception as exc:  # noqa: BLE001 - cell failures are data, not fatal
-        return str(exc)
-    return replace(res, history_t=None, history=None), res.race_curve()
+        return [str(exc)] * n_cells
+    return [(replace(res, history_t=None, history=None), res.race_curve())] * n_cells
 
 
 @dataclass
@@ -338,6 +414,7 @@ class TuneOutput:
     # curve or None), or error (the message of a failed cell)
     cells: list
     out_dir: str
+    distinct_runs: int  # searches the cells shared out
 
 
 def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
@@ -347,27 +424,26 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     Writes tune.csv (one row per cell and grid stepsize), tune_summary.txt
     (best stepsize and iterations-to-target per cell, or the error of a
     failed cell), and a race figure of each cell's rep-mean gap at its tuned
-    stepsize, taken from the search itself. A failing cell is recorded in
-    the summary and does not abort the others.
+    stepsize, taken from the search itself. Cells that ask for the same
+    search share it: the grid does not depend on the oracle's bounds, so a
+    k = d top_k, rand_k or rand_k_unbiased cell searches as `none`. A
+    failing cell is recorded in the summary and does not abort the others.
     """
     if cfg.tune is None:
         raise ConfigError("tune requires a [tune] section")
     base_cells = expand_cells(cfg) if cfg.sweep is not None else [("all", {})]
-    text = cfg.canonical()
-    tasks = [(text, ov) for _, ov in base_cells]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(_tune_cell, tasks))
-    else:
-        outs = [_tune_cell(t) for t in tasks]
+    base = parse_config(cfg.canonical())
+    groups = _distinct_runs([_run_config(_cell_config(base, ov), bounds_matter=False)
+                             for _, ov in base_cells])
+    tasks = [(run, base.tune, len(idx)) for run, idx in groups]
+    outs = _fan_out(groups, _map(_tune_group, tasks, workers), len(base_cells))
 
     cells = [{"label": label, "overrides": ov, "error": out}
              if isinstance(out, str) else
              {"label": label, "overrides": ov, "result": out[0], "race": out[1]}
              for (label, ov), out in zip(base_cells, outs)]
     if out_dir is None:
-        return TuneOutput(cells=cells, out_dir="")
+        return TuneOutput(cells=cells, out_dir="", distinct_runs=len(groups))
 
     os.makedirs(out_dir, exist_ok=True)
     rows = ["cell,gamma,reached,iterations,best_gap,diverged,censored_at"]
@@ -397,7 +473,7 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         fh.write("\n".join(summary_lines) + "\n")
 
     _write_race_plot(cfg, cells, out_dir)
-    return TuneOutput(cells=cells, out_dir=out_dir)
+    return TuneOutput(cells=cells, out_dir=out_dir, distinct_runs=len(groups))
 
 
 def _write_race_plot(cfg: ExperimentConfig, cells: list, out_dir: str) -> None:

@@ -1,0 +1,322 @@
+"""Sweep and tune cells that ask for the same run share one engine result."""
+
+import concurrent.futures
+
+import numpy as np
+import pytest
+
+from biased_sgd import (StepSchedule, additive_bias_oracle, cli,
+                        compressed_oracle, exact_oracle, experiments,
+                        gaussian_noise_oracle, make_nesterov_worst,
+                        rand_k_compressor, rand_k_unbiased_compressor,
+                        sgd_run_repeated, top_k_compressor, uniform_direction)
+from biased_sgd.config import parse_config
+
+BASE = """
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = exact
+noise_sigma_sq = 1.0
+
+[run]
+T = 40
+reps = 2
+seed = 5
+stepsize = 0.01
+"""
+
+# fig6's shape: none/top_k/rand_k x three noise levels x k in {1, d}
+FIG6_GRID = """
+[sweep]
+noise_sigma_sq = 0.0, 1.0, 100.0
+k = 1, 10
+compressor = none, top_k, rand_k
+panel_by = noise_sigma_sq,k
+series_by = compressor
+"""
+
+TUNE = """
+[tune]
+target_eps = 0.05
+max_T = 300
+reps = 2
+grid = 0.0625, 0.125, 0.25
+"""
+
+# theory_pl: the k = d top_k cell resolves its stepsize from fitted bounds,
+# so it must not share the uncompressed run; none at k = 1 and k = d do share;
+# the scale cells fail (delta = 0)
+MIXED = BASE.replace("stepsize = 0.01", "stepsize_policy = theory_pl\n"
+                     "policy_eps = 0.01") + """
+[sweep]
+k = 1, 10
+compressor = none, top_k, scale
+series_by = compressor
+"""
+
+D = 10
+
+
+def _with_oracle(lines: str) -> str:
+    return BASE.replace("kind = exact\n", "kind = exact\n" + lines)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("sigma_sq", [0.0, 1.0])
+@pytest.mark.parametrize("zeta", [0.0, 0.1])
+@pytest.mark.parametrize("factory", [top_k_compressor, rand_k_compressor,
+                                     rand_k_unbiased_compressor])
+def test_full_k_compressors_run_bit_identical_to_the_inner_oracle(
+        sigma_sq, zeta, factory):
+    p = make_nesterov_worst(D)
+    inner = exact_oracle(p)
+    if sigma_sq > 0:
+        inner = gaussian_noise_oracle(p, sigma_sq, inner=inner)
+    if zeta != 0:
+        inner = additive_bias_oracle(inner, zeta, uniform_direction(D))
+    outer = compressed_oracle(factory(D, D), inner, p, bounds_mode="query_only")
+    runs = [sgd_run_repeated(p, o, StepSchedule.constant(0.05), 60, 3, 11)
+            for o in (inner, outer)]
+    for field in ("t", "mean_f_gap", "se_f_gap", "mean_grad_norm_sq",
+                  "se_grad_norm_sq"):
+        assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field))
+    for a, b in zip(runs[0].traces, runs[1].traces):
+        assert np.array_equal(a.f_gap, b.f_gap)
+
+
+def test_k_changes_nothing_without_a_compressor(tmp_path):
+    outs = [experiments.run_experiment(parse_config(_with_oracle(f"k = {k}\n")),
+                                       out_dir=str(tmp_path / f"k{k}"))
+            for k in (1, 7)]
+    assert (tmp_path / "k1/trace.csv").read_bytes() == \
+        (tmp_path / "k7/trace.csv").read_bytes()
+    a, b = (dict(o.summary, fingerprint=None) for o in outs)
+    assert a == b
+
+
+def test_run_config_normalises_only_what_is_safe():
+    cfg = parse_config(BASE)
+
+    def key(bounds_matter=False, **ov):
+        c = cfg.with_overrides(**ov)
+        return experiments._run_config(c, bounds_matter).oracle
+
+    none = key()
+    assert key(k=D) == none
+    for comp in ("top_k", "rand_k", "rand_k_unbiased"):
+        assert key(compressor=comp, k=D) == none
+        assert key(compressor=comp, k=D - 1).compressor == comp
+        assert key(compressor=comp, k=D + 1).compressor == comp  # fails later
+        assert key(True, compressor=comp, k=D).compressor == comp
+    assert key(compressor="scale", delta=1.0).compressor == "scale"
+
+
+def test_fig6_grid_runs_each_distinct_chain_once(tmp_path, monkeypatch, capsys):
+    calls = _counting(monkeypatch, "sgd_run_repeated")
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(BASE + FIG6_GRID)
+    assert cli.main(["sweep", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "s")]) == 0
+    assert len(calls) == 9
+    assert capsys.readouterr().out.startswith(
+        f"wrote 18 cells (9 distinct runs) to {tmp_path / 's'}\n")
+    summary = (tmp_path / "s/sweep_summary.txt").read_text()
+    assert "cells = 18\ndistinct_runs = 9\nfailed = 0\n" in summary
+    # each cell's files are those of its own run, oracle text included
+    for label in ("noise_sigma_sq=1.0_k=10_compressor=top_k",
+                  "noise_sigma_sq=100.0_k=10_compressor=none",
+                  "noise_sigma_sq=0.0_k=10_compressor=rand_k"):
+        cell_dir = tmp_path / "s/cells" / label
+        cfg = parse_config((cell_dir / "config.cfg").read_text())
+        experiments.run_experiment(cfg, out_dir=str(tmp_path / "direct" / label))
+        for name in ("trace.csv", "summary.txt", "config.cfg"):
+            assert (cell_dir / name).read_bytes() == \
+                (tmp_path / "direct" / label / name).read_bytes(), (label, name)
+
+
+def test_fig6_grid_tunes_each_distinct_chain_once(tmp_path, monkeypatch, capsys):
+    calls = _counting(monkeypatch, "tune_stepsize")
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(BASE + FIG6_GRID + TUNE)
+    assert cli.main(["tune", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "t")]) == 0
+    assert len(calls) == 9
+    assert capsys.readouterr().out.startswith(
+        f"wrote 18 cells (9 distinct runs) to {tmp_path / 't'}\n")
+    rows: dict = {}
+    for line in (tmp_path / "t/tune.csv").read_text().splitlines()[1:]:
+        cell, rest = line.split(",", 1)
+        rows.setdefault(cell, []).append(rest)
+    assert len(rows) == 18
+    for sigma in ("0.0", "1.0", "100.0"):
+        same = {tuple(rows[f"noise_sigma_sq={sigma}_k={k}_compressor={c}"])
+                for k, c in (("1", "none"), ("10", "none"), ("10", "top_k"),
+                             ("10", "rand_k"))}
+        assert len(same) == 1
+
+
+def test_outputs_match_across_workers_with_shared_failed_and_unshared_cells(
+        tmp_path):
+    cfg = parse_config(MIXED + TUNE)
+    sweeps = [experiments.sweep_experiment(cfg, str(tmp_path / f"s{w}"), workers=w)
+              for w in (1, 2)]
+    assert [s.distinct_runs for s in sweeps] == [5, 5]
+    failed = [rec["label"] for rec in sweeps[0].cells if "error" in rec]
+    assert failed == ["k=1_compressor=scale", "k=10_compressor=scale"]
+    files = sorted(p.relative_to(tmp_path / "s1")
+                   for p in (tmp_path / "s1").rglob("*") if p.is_file())
+    assert len(files) == 3 + 4 * 3  # figure, manifest, summary; 4 cells x 3
+    for rel in files:
+        assert (tmp_path / "s1" / rel).read_bytes() == \
+            (tmp_path / "s2" / rel).read_bytes(), rel
+    cells = tmp_path / "s1/cells"
+    assert (cells / "k=1_compressor=none/trace.csv").read_bytes() == \
+        (cells / "k=10_compressor=none/trace.csv").read_bytes()
+    kd = (cells / "k=10_compressor=top_k/summary.txt").read_text()
+    plain = (cells / "k=10_compressor=none/summary.txt").read_text()
+    assert "bounds_source = estimated" in kd and "bounds_source = derived" in plain
+    assert (cells / "k=10_compressor=top_k/trace.csv").read_bytes() != \
+        (cells / "k=10_compressor=none/trace.csv").read_bytes()
+
+    tunes = [experiments.tune_experiment(cfg, str(tmp_path / f"t{w}"), workers=w)
+             for w in (1, 2)]
+    # tune's grid does not depend on the bounds: top_k at k = d joins none
+    assert [t.distinct_runs for t in tunes] == [4, 4]
+    for name in ("tune.csv", "tune_summary.txt", "race.svg"):
+        assert (tmp_path / "t1" / name).read_bytes() == \
+            (tmp_path / "t2" / name).read_bytes(), name
+    summary = (tmp_path / "t1/tune_summary.txt").read_text()
+    assert summary.count("status=failed") == 2
+
+
+def test_full_k_plus_one_cell_fails_alone(tmp_path):
+    # k = d + 1 is no identity: its cells fail, the others at the same
+    # noise level (and their run) are untouched
+    cfg = parse_config(_with_oracle("k = 11\n") + """
+[sweep]
+noise_sigma_sq = 0.0, 1.0
+compressor = none, top_k, rand_k
+""")
+    res = experiments.sweep_experiment(cfg, str(tmp_path / "s"))
+    assert res.distinct_runs == 6
+    errors = {rec["label"]: rec.get("error") for rec in res.cells}
+    for sigma in ("0.0", "1.0"):
+        assert errors[f"noise_sigma_sq={sigma}_compressor=none"] is None
+        for comp in ("top_k", "rand_k"):
+            assert errors[f"noise_sigma_sq={sigma}_compressor={comp}"] == \
+                "k must lie in [1, 10], got 11"
+    direct = experiments.run_experiment(
+        parse_config(BASE.replace("noise_sigma_sq = 1.0", "noise_sigma_sq = 0.0")),
+        out_dir=str(tmp_path / "d"))
+    assert direct.summary["diverged"] == "false"
+    assert (tmp_path / "s/cells/noise_sigma_sq=0.0_compressor=none/trace.csv"
+            ).read_bytes() == (tmp_path / "d/trace.csv").read_bytes()
+
+
+def test_a_cell_build_failure_stays_in_its_cell(tmp_path, monkeypatch):
+    real = experiments.build_oracle
+
+    def flaky(cfg, p, *args, **kwargs):
+        if cfg.oracle.compressor == "top_k":
+            raise RuntimeError("synthetic build failure")
+        return real(cfg, p, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_oracle", flaky)
+    cfg = parse_config(BASE + """
+[sweep]
+k = 1, 10
+compressor = none, top_k, rand_k
+""")
+    res = experiments.sweep_experiment(cfg, str(tmp_path))
+    errors = {rec["label"]: rec.get("error") for rec in res.cells}
+    assert errors == {
+        "k=1_compressor=none": None, "k=1_compressor=top_k": "synthetic build failure",
+        "k=1_compressor=rand_k": None, "k=10_compressor=none": None,
+        "k=10_compressor=top_k": "synthetic build failure",
+        "k=10_compressor=rand_k": None}
+    assert "k=10_compressor=top_k" not in {p.name for p in (tmp_path / "cells").iterdir()}
+
+
+def test_a_failed_shared_run_fails_its_whole_group(tmp_path, monkeypatch):
+    real = experiments.sgd_run_repeated
+
+    def flaky(p, o, *args, **kwargs):
+        if "rand_k" not in o.name:
+            raise RuntimeError("synthetic engine failure")
+        return real(p, o, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sgd_run_repeated", flaky)
+    cfg = parse_config(BASE + """
+[sweep]
+k = 1, 10
+compressor = none, rand_k
+""")
+    res = experiments.sweep_experiment(cfg, str(tmp_path))
+    errors = {rec["label"]: rec.get("error") for rec in res.cells}
+    assert errors == {"k=1_compressor=none": "synthetic engine failure",
+                      "k=1_compressor=rand_k": None,
+                      "k=10_compressor=none": "synthetic engine failure",
+                      "k=10_compressor=rand_k": "synthetic engine failure"}
+    assert "distinct_runs = 2\nfailed = 3\n" in \
+        (tmp_path / "sweep_summary.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["sweep", "tune"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_a_config_error(tmp_path, capsys, command, workers):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(BASE + FIG6_GRID + TUNE)
+    assert cli.main([command, "--config", str(cfg_path), "--workers", workers,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers,expected", [(64, [3]), (2, [2]), (1, [])])
+def test_pool_is_sized_to_the_distinct_runs(tmp_path, monkeypatch, workers,
+                                            expected):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = parse_config(BASE + """
+[sweep]
+k = 1, 10
+compressor = none, top_k, rand_k
+""")  # 6 cells, 3 distinct runs
+    res = experiments.sweep_experiment(cfg, str(tmp_path / "s"), workers=workers)
+    assert res.distinct_runs == 3
+    tuned = experiments.tune_experiment(parse_config(cfg.canonical() + TUNE),
+                                        str(tmp_path / "t"), workers=workers)
+    assert tuned.distinct_runs == 3
+    assert _RecordingPool.sizes == expected * 2
