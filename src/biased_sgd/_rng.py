@@ -30,3 +30,41 @@ def stream(seed: int, *path: int) -> np.random.Generator:
         word = _mix64(word, int(component))
     key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class KindStreams:
+    """The draws of one generator, each draw kind on its own stream.
+
+    Row maps draw only through `standard_normal(size)` and `random(size)`.
+    The first kind drawn keeps the generator's own stream; the n-th kind
+    after it draws from `Generator(bit_generator.jumped(n))` of the
+    generator's state before that first draw, a counter range 2^128 draws
+    away (Salmon et al., SC'11, "Parallel random numbers: as easy as 1, 2,
+    3"). So a one-kind row map draws exactly what the generator would give
+    it, and the draws of one kind do not depend on how the other kind's are
+    split into calls.
+    """
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self._kinds: dict = {}  # method name -> the generator it draws from
+        self._origin: dict = {}  # the generator's state before the first draw
+
+    def stream(self, kind: str) -> np.random.Generator:
+        g = self._kinds.get(kind)
+        if g is None:
+            if not self._kinds:
+                self._origin = self.gen.bit_generator.state
+                g = self.gen
+            else:
+                bit_gen = type(self.gen.bit_generator)()
+                bit_gen.state = self._origin
+                g = np.random.Generator(bit_gen.jumped(len(self._kinds)))
+            self._kinds[kind] = g
+        return g
+
+    def standard_normal(self, size) -> np.ndarray:
+        return self.stream("standard_normal").standard_normal(size)
+
+    def random(self, size) -> np.ndarray:
+        return self.stream("random").random(size)

@@ -15,6 +15,21 @@ class UnsupportedCompositionError(ValueError):
     """Raised when composed bound formulas do not cover an oracle/compressor pair."""
 
 
+# kinds that keep every coordinate at k = dim (delta = k/d = 1)
+_IDENTITY_AT_FULL_K = ("top_k", "rand_k", "rand_k_unbiased")
+
+
+def is_identity(kind: str, dim: int, k: Optional[int] = None,
+                delta: Optional[float] = None) -> bool:
+    """Whether the compressor `kind` with these parameters is the identity map.
+
+    top_k, rand_k and rand_k_unbiased are at k = dim (they draw nothing
+    then), and `scale` is at delta = 1.
+    """
+    return (kind in _IDENTITY_AT_FULL_K and k == dim) or \
+        (kind == "scale" and delta == 1.0)
+
+
 def _check_k(k: int, dim: int) -> None:
     if not 1 <= k <= dim:
         raise ValueError(f"k must lie in [1, {dim}], got {k}")
@@ -169,9 +184,11 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
 
     In "derived" mode the bound parameters follow the closed-form composition
     rules, which require an unbiased inner oracle (and, for deterministic
-    compressors, a noiseless one). "estimated" mode fits the bounds
-    empirically instead (and refuses if the fitted bias slope reaches 1, which
-    the bound parameterization cannot represent). "query_only" attaches
+    compressors, a noiseless one); an identity compressor (`is_identity`)
+    keeps the inner oracle's bounds and mean over any inner oracle.
+    "estimated" mode fits the bounds empirically instead (and refuses if the
+    fitted bias slope reaches 1, which the bound parameterization cannot
+    represent). "query_only" attaches
     all-zero placeholder bounds for consumers that use just the query stream.
     """
     if bounds_mode not in ("derived", "estimated", "query_only"):
@@ -182,7 +199,10 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
 
     ib = inner.bounds
     expected = None
-    if bounds_mode == "derived":
+    identity = is_identity(c.kind, d, c.k, c.delta)
+    if bounds_mode == "derived" and identity:
+        bounds, expected = ib, inner.expected_query
+    elif bounds_mode == "derived":
         if ib.m != 0.0 or ib.zeta_sq != 0.0:
             raise UnsupportedCompositionError(
                 "derived composition needs an unbiased inner oracle "
@@ -219,7 +239,7 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
         bounds=OracleBounds(),  # placeholder, replaced below
         _query_batch=lambda X, rng: c.apply_rows(inner.query_batch(X, rng), rng),
         expected_query=expected,
-        deterministic=inner.deterministic and c.deterministic,
+        deterministic=inner.deterministic and (c.deterministic or identity),
     )
     if bounds_mode == "derived":
         return oracle.with_bounds(bounds)

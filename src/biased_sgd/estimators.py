@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import KindStreams, stream
 from .oracles import BiasedOracle, OracleBounds
 from .problems import Problem
 
@@ -61,7 +61,7 @@ def probe_points(p: Problem, n_points: int, seed: int,
 
 
 def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
-             rng: np.random.Generator) -> PointStats:
+             rng: KindStreams) -> PointStats:
     d = o.dim
     x = np.asarray(x, dtype=float)
     grad = p.grad(x)
@@ -131,13 +131,16 @@ def _collect_points(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
                     min_samples: int = 2) -> list:
     """`_collect` at every point, point i drawing from stream (seed, tag, i).
 
+    Each draw kind has its own stream (`KindStreams`), so the samples do not
+    depend on how they are split into chunks.
+
     A stochastic oracle needs at least 2 samples per point (the covariance
     divides by n - 1); a deterministic one is always sampled twice.
     """
     if samples < min_samples and not o.deterministic:
         raise ValueError(f"samples must be >= {min_samples} for stochastic "
                          f"oracles, got {samples}")
-    return [_collect(o, p, x, samples, stream(seed, tag, i))
+    return [_collect(o, p, x, samples, KindStreams(stream(seed, tag, i)))
             for i, x in enumerate(points)]
 
 

@@ -11,11 +11,11 @@ import numpy as np
 
 from . import estimators, theory
 from .compressors import (Compressor, UnsupportedCompositionError,
-                          compressed_oracle, rand_k_compressor,
+                          compressed_oracle, is_identity, rand_k_compressor,
                           rand_k_unbiased_compressor, scale_compressor,
                           top_k_compressor)
-from .config import (ConfigError, ExperimentConfig, OracleSpec, parse_config,
-                     problem_dim)
+from .config import (ConfigError, ExperimentConfig, OracleSpec, RunSpec,
+                     parse_config, problem_dim)
 from .oracles import (BiasedOracle, additive_bias_oracle, exact_oracle,
                       gaussian_noise_oracle, gaussian_smoothing_oracle,
                       huber_shifted_oracle, inexact_oracle, tightness_oracle,
@@ -213,25 +213,25 @@ def _cell_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     return sub.with_overrides(**ov)
 
 
-# compressors that are the identity at k = d (delta = k/d = 1; no draws)
-_IDENTITY_AT_FULL_K = ("top_k", "rand_k", "rand_k_unbiased")
+def _run_config(cfg: ExperimentConfig, tune: bool = False) -> ExperimentConfig:
+    """The run a cell asks for: its config without the fields the run ignores.
 
-
-def _run_config(cfg: ExperimentConfig, bounds_matter: bool) -> ExperimentConfig:
-    """The run a cell asks for: its config with the oracle chain normalised.
-
-    `k` means nothing without a compressor. top_k, rand_k and
-    rand_k_unbiased at k = d run as `none`, unless the run depends on the
-    oracle's bounds: a theory stepsize over the k = d top_k of a noisy
-    oracle comes from fitted bounds, not from the uncompressed ones.
+    An identity compressor (`compressors.is_identity`: top_k, rand_k and
+    rand_k_unbiased at k = d, scale at delta = 1) runs as `none`, whose
+    bounds it has; `k` means nothing without a compressor. `stepsize` is
+    ignored under a theory policy and `policy_eps` under `fixed`; `tune`'s
+    grid search uses neither.
     """
-    o = cfg.oracle
-    if (not bounds_matter and o.compressor in _IDENTITY_AT_FULL_K
-            and o.k == problem_dim(cfg.problem)):
+    o, r = cfg.oracle, cfg.run
+    if is_identity(o.compressor, problem_dim(cfg.problem), o.k, o.delta):
         o = replace(o, compressor="none")
     if o.compressor == "none":
         o = replace(o, k=OracleSpec.k)
-    return replace(cfg, oracle=o)
+    if tune or r.stepsize_policy != "fixed":
+        r = replace(r, stepsize=RunSpec.stepsize)
+    if tune or r.stepsize_policy == "fixed":
+        r = replace(r, policy_eps=RunSpec.policy_eps)
+    return replace(cfg, oracle=o, run=r)
 
 
 def _distinct_runs(runs: list) -> list:
@@ -334,8 +334,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
     cells = expand_cells(cfg)
     base = parse_config(cfg.canonical())
     cell_cfgs = [_cell_config(base, ov) for _, ov in cells]
-    groups = _distinct_runs([_run_config(c, c.run.stepsize_policy != "fixed")
-                             for c in cell_cfgs])
+    groups = _distinct_runs([_run_config(c) for c in cell_cfgs])
     tasks = [(run, [(cell_cfgs[i], os.path.join(out_dir, "cells", cells[i][0]))
                     for i in idx]) for run, idx in groups]
     outs = _fan_out(groups, _map(_sweep_group, tasks, workers), len(cells))
@@ -425,15 +424,14 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     (best stepsize and iterations-to-target per cell, or the error of a
     failed cell), and a race figure of each cell's rep-mean gap at its tuned
     stepsize, taken from the search itself. Cells that ask for the same
-    search share it: the grid does not depend on the oracle's bounds, so a
-    k = d top_k, rand_k or rand_k_unbiased cell searches as `none`. A
-    failing cell is recorded in the summary and does not abort the others.
+    search (`_run_config`) share it. A failing cell is recorded in the
+    summary and does not abort the others.
     """
     if cfg.tune is None:
         raise ConfigError("tune requires a [tune] section")
     base_cells = expand_cells(cfg) if cfg.sweep is not None else [("all", {})]
     base = parse_config(cfg.canonical())
-    groups = _distinct_runs([_run_config(_cell_config(base, ov), bounds_matter=False)
+    groups = _distinct_runs([_run_config(_cell_config(base, ov), tune=True)
                              for _, ov in base_cells])
     tasks = [(run, base.tune, len(idx)) for run, idx in groups]
     outs = _fan_out(groups, _map(_tune_group, tasks, workers), len(base_cells))

@@ -2,8 +2,9 @@
 
 Repetitions run as the rows ("lanes") of one state matrix, stepped together
 through the row forms of the oracle and the problem. Each lane draws only
-from its own Philox stream, so its trace does not depend on the lanes that
-run beside it; `sgd_run` is the one-lane case. The stream adapter
+from its own Philox stream (one per draw kind, read ahead in blocks), so its
+trace does not depend on the lanes that run beside it; `sgd_run` is the
+one-lane case. The stream adapter
 (`LaneStreams`) and the divergence test (`failing_lanes`) are the ones the
 stepsize search in `tuning` uses too.
 """
@@ -16,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import KindStreams, stream
 from .oracles import BiasedOracle
 from .problems import Problem
 
@@ -30,6 +31,9 @@ _HALF_LIMIT_SQ = _LIMIT_SQ / 2
 # beyond it the aggregate is streamed through blocks of _STREAM_BLOCK values
 KEEP_TRACES_LIMIT = 5_000_000
 _STREAM_BLOCK = 1_000_000
+# `LaneStreams` reads each draw kind ahead in blocks of this many floats
+# over all its generators (64 KiB), or one row per generator when wider
+_BLOCK_FLOATS = 8_192
 
 
 @dataclass(frozen=True)
@@ -152,27 +156,65 @@ def _divergence_reason(f: float, x: np.ndarray) -> str:
 class LaneStreams:
     """The `rng` of a lane-batched row map: row i is drawn from gens[rows[i]].
 
-    Row maps draw only through `standard_normal(shape)` and `random(shape)`,
-    one row per lane. Each call draws one row from every generator, and rows
-    that share a generator get that same row, so each generator is advanced
-    exactly as a one-lane run on it would be, however many rows share it.
-    `rows=None` gives row i its own generator gens[i].
+    Each call of `standard_normal(size)` or `random(size)` takes the next
+    row of that kind from every generator, and rows that share a generator
+    get that same row, so a generator's draws do not depend on how many
+    rows share it. `rows=None` gives row i its own generator gens[i]; a loop
+    whose lanes drop out reassigns `rows` and keeps the adapter. Each draw
+    kind has its own stream per generator (`KindStreams`), read ahead in
+    blocks: one call per generator fills the next B rows, one row per step,
+    with B sized to _BLOCK_FLOATS over all generators and to the `steps`
+    left, so a generator is advanced in whole blocks. One (B, d) draw gives
+    the values of B draws of d, so B changes no value.
     """
 
-    def __init__(self, gens: list, rows: Optional[np.ndarray] = None):
-        self.gens, self.rows = gens, rows
+    def __init__(self, gens: list, steps: int,
+                 rows: Optional[np.ndarray] = None):
+        self.rows, self.steps = rows, steps
+        self._streams = [KindStreams(g) for g in gens]
+        self._blocks: dict = {}  # kind -> _Block
+
+    def _draw(self, kind: str, size) -> np.ndarray:
+        block = self._blocks.get(kind)
+        if block is None:
+            block = self._blocks[kind] = _Block(len(self._streams), tuple(size[1:]))
+        elif tuple(size[1:]) != block.row_shape:
+            raise ValueError(f"{kind} draws rows of shape {block.row_shape}, "
+                             f"not {tuple(size[1:])}")
+        if block.pos == block.buf.shape[1]:
+            block.refill(self._streams, kind, self.steps)
+        pos = block.pos
+        block.pos = pos + 1
+        if self.rows is None:
+            return block.buf[:, pos].copy()
+        return block.buf[:, pos].take(self.rows, axis=0)
 
     def standard_normal(self, size) -> np.ndarray:
-        out = np.empty((len(self.gens), *size[1:]))
-        for g, row in zip(self.gens, out):
-            g.standard_normal(out=row)
-        return out if self.rows is None else out[self.rows]
+        return self._draw("standard_normal", size)
 
     def random(self, size) -> np.ndarray:
-        out = np.empty((len(self.gens), *size[1:]))
-        for g, row in zip(self.gens, out):
-            g.random(out=row)
-        return out if self.rows is None else out[self.rows]
+        return self._draw("random", size)
+
+
+class _Block:
+    """One draw kind's read-ahead: buf[j, pos] is generator j's next row."""
+
+    __slots__ = ("row_shape", "buf", "pos", "drawn")
+
+    def __init__(self, n_gens: int, row_shape: tuple):
+        self.row_shape = row_shape
+        self.buf = np.empty((n_gens, 0, *row_shape))
+        self.pos = self.drawn = 0  # next row; rows drawn per generator
+
+    def refill(self, streams: list, kind: str, steps: int) -> None:
+        n_gens = len(self.buf)
+        width = n_gens * int(np.prod(self.row_shape, dtype=np.int64))
+        rows = max(1, min(steps - self.drawn, _BLOCK_FLOATS // max(1, width)))
+        if rows != self.buf.shape[1]:
+            self.buf = np.empty((n_gens, rows, *self.row_shape))
+        for gen_streams, out in zip(streams, self.buf):
+            getattr(gen_streams.stream(kind), kind)(out=out)
+        self.pos, self.drawn = 0, self.drawn + rows
 
 
 def failing_lanes(fx: np.ndarray, X: np.ndarray) -> Optional[np.ndarray]:
@@ -265,7 +307,7 @@ def _run_lanes(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     dense = n_rec == T + 1  # every iterate is recorded
     X = np.tile(x0, (lanes, 1))
     live = np.arange(lanes)  # the lane of each row of X
-    rng = rngs[0] if lanes == 1 else LaneStreams(rngs)
+    rng = LaneStreams(rngs, T)
     slot = b0 = 0
 
     def fold() -> None:
@@ -304,7 +346,7 @@ def _run_lanes(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
                 X, fx, live = X[ok], fx[ok], live[ok]
                 if not len(live):
                     break
-                rng = LaneStreams([rngs[i] for i in live])
+                rng.rows = live
         if slot > b0:
             fold()
         final_x[live] = X
@@ -351,7 +393,10 @@ def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     """Run x_{t+1} = x_t - gamma_t * g_t for T steps from x0: the one-lane engine.
 
     Bit-deterministic given (problem, oracle, schedule, T, seed, x0); `rng`
-    defaults to `stream(seed)`. A non-finite or overflowing iterate stops the
+    defaults to `stream(seed)`. Draws are read ahead in blocks
+    (`LaneStreams`), so a passed `rng` is advanced in whole blocks, past the
+    draws the run used; a second draw kind draws from a jumped copy of it,
+    which does not advance it. A non-finite or overflowing iterate stops the
     run early with a partial trace; a run whose gap only ever increases is
     also flagged as diverged.
     """

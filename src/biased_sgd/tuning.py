@@ -145,7 +145,9 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
     lane_gamma = np.repeat(np.asarray(grid), reps)[:, None]
     X = np.tile(np.asarray(x0, dtype=float), (n_g * reps, 1))
     gens = [stream(seed, r) for r in range(reps)]
-    rng = LaneStreams(gens, np.tile(np.arange(reps), n_g))
+    # one adapter for the whole search, so its read-ahead blocks survive
+    # stepsizes dropping out
+    rng = LaneStreams(gens, max_T, np.tile(np.arange(reps), n_g))
     f_star = p.f_star or 0.0
     rec_t = history_grid(max_T)
     # one spare row for a stop between recorded iterations; rows are written
@@ -195,7 +197,7 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
                 if not len(live):
                     stop_t = t
                     break
-                rng = LaneStreams(gens, np.tile(np.arange(reps), len(live)))
+                rng.rows = np.tile(np.arange(reps), len(live))
 
     entries = []
     for i in range(n_g):

@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from biased_sgd import (UnsupportedCompositionError, compressed_oracle,
-                        exact_oracle, gaussian_noise_oracle,
+from biased_sgd import (UnsupportedCompositionError, additive_bias_oracle,
+                        compressed_oracle, exact_oracle, gaussian_noise_oracle,
                         make_nesterov_worst, rand_k, rand_k_compressor,
                         rand_k_unbiased, rand_k_unbiased_compressor,
-                        scale_compressor, synthetic_tight_oracle, top_k,
-                        top_k_compressor)
-from biased_sgd.compressors import empirical_contraction
+                        scale_compressor, synthetic_tight_oracle,
+                        tightness_oracle, top_k, top_k_compressor,
+                        uniform_direction)
+from biased_sgd.compressors import empirical_contraction, is_identity
 from biased_sgd.estimators import verify_declared
 from biased_sgd._rng import stream
 
@@ -195,6 +196,35 @@ def test_composed_bounds_delta_one_is_exact():
     assert o.bounds.m == 0.0
     x = p.default_x0
     assert np.allclose(o.query(x, stream(9)), p.grad(x), atol=0)
+
+
+@pytest.mark.parametrize("inner_name", ["exact", "noise", "noise_bias",
+                                        "tightness"])
+def test_identity_compressors_keep_the_inner_bounds(inner_name):
+    # top_k, rand_k and rand_k_unbiased at k = d and scale at delta = 1 are
+    # the identity, so their derived bounds and mean are the inner oracle's,
+    # noisy or biased as it may be
+    d = 10
+    p = make_nesterov_worst(d)
+    inner = {"exact": lambda: exact_oracle(p),
+             "noise": lambda: gaussian_noise_oracle(p, 100.0),
+             "noise_bias": lambda: additive_bias_oracle(
+                 gaussian_noise_oracle(p, 1.0), 0.1, uniform_direction(d)),
+             "tightness": lambda: tightness_oracle(
+                 p, 0.5, 0.04, 0.2 * uniform_direction(d))}[inner_name]()
+    identities = [top_k_compressor(d, d), rand_k_compressor(d, d),
+                  rand_k_unbiased_compressor(d, d), scale_compressor(1.0, d)]
+    x = p.default_x0
+    for c in identities:
+        assert is_identity(c.kind, d, c.k, c.delta)
+        o = compressed_oracle(c, inner, p)
+        assert o.bounds == inner.bounds
+        assert o.expected_query is inner.expected_query
+        assert o.deterministic == inner.deterministic
+        assert np.array_equal(o.query(x, stream(4)), inner.query(x, stream(4)))
+    for c in (top_k_compressor(d - 1, d), rand_k_compressor(d - 1, d),
+              rand_k_unbiased_compressor(d - 1, d), scale_compressor(0.99, d)):
+        assert not is_identity(c.kind, d, c.k, c.delta)
 
 
 def test_unsupported_composition_errors():

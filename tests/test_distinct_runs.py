@@ -46,9 +46,9 @@ reps = 2
 grid = 0.0625, 0.125, 0.25
 """
 
-# theory_pl: the k = d top_k cell resolves its stepsize from fitted bounds,
-# so it must not share the uncompressed run; none at k = 1 and k = d do share;
-# the scale cells fail (delta = 0)
+# theory_pl: the k = d top_k cell has the uncompressed oracle's bounds, so it
+# shares the run of none at k = 1 and k = d; top_k at k = 1 runs alone; the
+# scale cells fail (delta = 0)
 MIXED = BASE.replace("stepsize = 0.01", "stepsize_policy = theory_pl\n"
                      "policy_eps = 0.01") + """
 [sweep]
@@ -111,9 +111,9 @@ def test_k_changes_nothing_without_a_compressor(tmp_path):
 def test_run_config_normalises_only_what_is_safe():
     cfg = parse_config(BASE)
 
-    def key(bounds_matter=False, **ov):
-        c = cfg.with_overrides(**ov)
-        return experiments._run_config(c, bounds_matter).oracle
+    def key(policy="fixed", **ov):
+        c = cfg.with_overrides(stepsize_policy=policy, **ov)
+        return experiments._run_config(c).oracle
 
     none = key()
     assert key(k=D) == none
@@ -121,8 +121,44 @@ def test_run_config_normalises_only_what_is_safe():
         assert key(compressor=comp, k=D) == none
         assert key(compressor=comp, k=D - 1).compressor == comp
         assert key(compressor=comp, k=D + 1).compressor == comp  # fails later
-        assert key(True, compressor=comp, k=D).compressor == comp
-    assert key(compressor="scale", delta=1.0).compressor == "scale"
+        # the identity has the uncompressed bounds, so theory stepsizes agree
+        assert key("theory_pl", compressor=comp, k=D) == key("theory_pl")
+    assert key(compressor="scale", delta=1.0).compressor == "none"
+    assert key(compressor="scale", delta=0.99).compressor == "scale"
+
+    def run(tune=False, **ov):
+        return experiments._run_config(cfg.with_overrides(**ov), tune).run
+
+    # the stepsize under a theory policy, policy_eps under a fixed one, and
+    # both in tune are ignored by the run
+    for policy in ("theory_pl", "theory_smooth"):
+        assert run(stepsize_policy=policy, stepsize=0.2) == \
+            run(stepsize_policy=policy, stepsize=0.1)
+        assert run(stepsize_policy=policy, policy_eps=0.1) != \
+            run(stepsize_policy=policy, policy_eps=0.2)
+    assert run(policy_eps=0.1) == run(policy_eps=0.2)
+    assert run(stepsize=0.1) != run(stepsize=0.2)
+    assert run(True, stepsize=0.1, policy_eps=0.1) == \
+        run(True, stepsize=0.2, policy_eps=0.2)
+
+
+@pytest.mark.parametrize("policy", ["theory_pl", "theory_smooth"])
+def test_stepsize_under_a_theory_policy_does_not_split_the_run(tmp_path, policy):
+    cfg = parse_config(BASE.replace("stepsize = 0.01", f"stepsize_policy = {policy}")
+                       + "\n[sweep]\nstepsize = 0.1, 0.2\n")
+    res = experiments.sweep_experiment(cfg, str(tmp_path))
+    assert res.distinct_runs == 1
+    (a, b) = res.cells
+    assert a["summary"]["fingerprint"] != b["summary"]["fingerprint"]
+    for rec in (a, b):
+        cell_cfg = parse_config((tmp_path / "cells" / rec["label"] / "config.cfg"
+                                 ).read_text())
+        assert rec["summary"]["fingerprint"] == cell_cfg.fingerprint()
+    assert (tmp_path / "cells" / a["label"] / "trace.csv").read_bytes() == \
+        (tmp_path / "cells" / b["label"] / "trace.csv").read_bytes()
+    # tune's grid search uses neither field
+    tuned = experiments.tune_experiment(parse_config(cfg.canonical() + TUNE))
+    assert tuned.distinct_runs == 1
 
 
 def test_fig6_grid_runs_each_distinct_chain_once(tmp_path, monkeypatch, capsys):
@@ -174,7 +210,7 @@ def test_outputs_match_across_workers_with_shared_failed_and_unshared_cells(
     cfg = parse_config(MIXED + TUNE)
     sweeps = [experiments.sweep_experiment(cfg, str(tmp_path / f"s{w}"), workers=w)
               for w in (1, 2)]
-    assert [s.distinct_runs for s in sweeps] == [5, 5]
+    assert [s.distinct_runs for s in sweeps] == [4, 4]
     failed = [rec["label"] for rec in sweeps[0].cells if "error" in rec]
     assert failed == ["k=1_compressor=scale", "k=10_compressor=scale"]
     files = sorted(p.relative_to(tmp_path / "s1")
@@ -188,9 +224,11 @@ def test_outputs_match_across_workers_with_shared_failed_and_unshared_cells(
         (cells / "k=10_compressor=none/trace.csv").read_bytes()
     kd = (cells / "k=10_compressor=top_k/summary.txt").read_text()
     plain = (cells / "k=10_compressor=none/summary.txt").read_text()
-    assert "bounds_source = estimated" in kd and "bounds_source = derived" in plain
-    assert (cells / "k=10_compressor=top_k/trace.csv").read_bytes() != \
+    assert "bounds_source = derived" in kd and "bounds_source = derived" in plain
+    assert (cells / "k=10_compressor=top_k/trace.csv").read_bytes() == \
         (cells / "k=10_compressor=none/trace.csv").read_bytes()
+    assert (cells / "k=1_compressor=top_k/trace.csv").read_bytes() != \
+        (cells / "k=1_compressor=none/trace.csv").read_bytes()
 
     tunes = [experiments.tune_experiment(cfg, str(tmp_path / f"t{w}"), workers=w)
              for w in (1, 2)]

@@ -188,10 +188,12 @@ def test_sample_floor_enforced():
     lambda p: gaussian_noise_oracle(p, 1.0),
     lambda p: gaussian_smoothing_oracle(p, 0.1),
     lambda p: compressed_oracle(rand_k_compressor(1, p.dim), exact_oracle(p), p),
-], ids=["exact", "noise", "gaussian_smoothing", "rand_k"])
+    lambda p: compressed_oracle(rand_k_compressor(1, p.dim),
+                                gaussian_noise_oracle(p, 1.0), p),
+], ids=["exact", "noise", "gaussian_smoothing", "rand_k", "rand_k_noise"])
 def test_collect_independent_of_chunk_size(build, monkeypatch):
-    # each of these draws one kind of number per call, so the stream does
-    # not depend on how the samples are split into chunks
+    # each draw kind has its own stream, so the samples do not depend on
+    # how they are split into chunks, even where a call draws two kinds
     p = make_nesterov_worst(10)
     o = build(p)
     pts = probe_points(p, 3, seed=14)

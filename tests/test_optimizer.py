@@ -287,21 +287,82 @@ def test_repeated_lanes_match_single_runs(name):
     assert not np.array_equal(agg.traces[0].f_gap, agg.traces[1].f_gap)
 
 
-def test_lane_streams_draw_once_per_generator():
-    # rows that share a generator get one draw, and each generator advances
-    # exactly as a one-lane run on it would
-    gens = [stream(5, r) for r in range(3)]
-    shared = optimizer.LaneStreams(gens, np.array([0, 1, 2, 0, 1, 2, 1]))
-    Z, U = shared.standard_normal((7, 4)), shared.random((7, 4))
+_ROW_MAP = np.array([0, 1, 2, 0, 1, 2, 1])  # rows 0, 3 share generator 0
+
+
+def _draw_steps(streams, kind, steps, d, rows=len(_ROW_MAP)):
+    """(steps, rows, d): one `kind` draw of every row per step."""
+    return np.stack([getattr(streams, kind)((rows, d)) for _ in range(steps)])
+
+
+def test_lane_streams_rows_sharing_a_generator_get_the_same_values():
+    streams = optimizer.LaneStreams([stream(5, r) for r in range(3)], 50, _ROW_MAP)
+    for kind in ("standard_normal", "random"):
+        Z = _draw_steps(streams, kind, 50, 4)
+        for r in range(3):
+            rows = Z[:, _ROW_MAP == r]
+            assert np.array_equal(rows, np.repeat(rows[:, :1], len(rows[0]), axis=1))
+        assert not np.array_equal(Z[:, 0], Z[:, 1])
+
+
+@pytest.mark.parametrize("kind", ["standard_normal", "random"])
+def test_lane_streams_one_kind_equals_per_step_draws(kind):
+    # the first kind keeps each generator's own stream, read in blocks: over
+    # two full blocks and a partial one, every row is what one draw of d per
+    # step from a fresh generator gives
+    d = 4
+    block = optimizer._BLOCK_FLOATS // (3 * d)
+    steps = 2 * block + 37
+    streams = optimizer.LaneStreams([stream(5, r) for r in range(3)], 10**6,
+                                    _ROW_MAP)
+    Z = _draw_steps(streams, kind, steps, d)
+    assert streams._blocks[kind].buf.shape == (3, block, d)
     for r in range(3):
         ref = stream(5, r)
-        z, u = ref.standard_normal((1, 4)), ref.random((1, 4))
-        rows = [i for i, g in enumerate([0, 1, 2, 0, 1, 2, 1]) if g == r]
-        assert np.array_equal(Z[rows], np.repeat(z, len(rows), axis=0))
-        assert np.array_equal(U[rows], np.repeat(u, len(rows), axis=0))
-        assert gens[r].random() == ref.random()  # same state after
-    own = optimizer.LaneStreams([stream(5, r) for r in range(3)])
-    assert np.array_equal(own.standard_normal((3, 4)), Z[:3])
+        expected = np.stack([getattr(ref, kind)(d) for _ in range(steps)])
+        for row in np.flatnonzero(_ROW_MAP == r):
+            assert np.array_equal(Z[:, row], expected)
+    own = optimizer.LaneStreams([stream(5, r) for r in range(3)], steps)
+    # rows=None: row i draws from generator i
+    assert np.array_equal(_draw_steps(own, kind, steps, d, rows=3), Z[:, :3])
+
+
+def test_lane_streams_second_kind_draws_from_the_jumped_stream():
+    d, steps = 3, 40
+    gens = [stream(6, r) for r in range(3)]
+    streams = optimizer.LaneStreams(gens, steps, _ROW_MAP)
+    Z, U = [], []
+    for _ in range(steps):  # a two-kind row map: normals, then uniforms
+        Z.append(streams.standard_normal((len(_ROW_MAP), d)))
+        U.append(streams.random((len(_ROW_MAP), d)))
+    Z, U = np.stack(Z), np.stack(U)
+    for r in range(3):
+        base = stream(6, r)
+        jumped = np.random.Generator(stream(6, r).bit_generator.jumped())
+        z = np.stack([base.standard_normal(d) for _ in range(steps)])
+        u = np.stack([jumped.random(d) for _ in range(steps)])
+        for row in np.flatnonzero(_ROW_MAP == r):
+            assert np.array_equal(Z[:, row], z)
+            assert np.array_equal(U[:, row], u)
+
+
+def test_lane_streams_buffers_stay_within_the_byte_budget():
+    budget = optimizer._BLOCK_FLOATS * 8
+    assert budget == 64 * 1024
+    for d, n_gens in ((10, 20), (10, 3), (5_000, 20)):
+        streams = optimizer.LaneStreams([stream(7, r) for r in range(n_gens)],
+                                        10**6)
+        for _ in range(3):
+            streams.standard_normal((n_gens, d))
+            streams.random((n_gens, d))
+        for buf in (block.buf for block in streams._blocks.values()):
+            # one block per generator, of at least one row
+            assert all(b.nbytes <= budget for b in buf)
+            assert buf.nbytes <= max(budget, n_gens * d * 8)
+    # a short run reads no further ahead than its steps
+    short = optimizer.LaneStreams([stream(7, 0)], 5)
+    short.random((1, 10))
+    assert short._blocks["random"].buf.shape == (1, 5, 10)
 
 
 def _blow_up_oracle(p, rate):
