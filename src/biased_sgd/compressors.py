@@ -157,24 +157,6 @@ def scale_compressor(delta: float, dim: int) -> Compressor:
     )
 
 
-def empirical_contraction(c: Compressor, rng: np.random.Generator,
-                          n_vectors: int = 1000, samples: int = 200) -> float:
-    """Worst observed E||C(g)-g||^2 / ||g||^2 over random test vectors.
-
-    Validates a claimed delta without trusting it: the result should not
-    exceed 1 - delta (up to Monte-Carlo error for stochastic compressors).
-    """
-    worst = 0.0
-    reps = 1 if c.deterministic else samples
-    for _ in range(n_vectors):
-        g = rng.standard_normal(c.dim)
-        G = np.tile(g, (reps, 1))
-        err = c.apply_rows(G, rng) - G
-        ratio = float(np.mean(np.einsum("ij,ij->i", err, err))) / float(g @ g)
-        worst = max(worst, ratio)
-    return worst
-
-
 def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
                       bounds_mode: str = "derived",
                       estimate_seed: int = 0,

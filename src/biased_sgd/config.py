@@ -8,7 +8,7 @@ embedded in every output file as the config fingerprint.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 PROBLEM_KINDS = ("nesterov_quadratic", "huber")
@@ -63,9 +63,6 @@ class SweepSpec:
     panel_by: str = ""
     series_by: str = ""
 
-    def axes_dict(self) -> dict:
-        return {k: list(v) for k, v in self.axes}
-
 
 @dataclass(frozen=True)
 class TuneSpec:
@@ -115,29 +112,12 @@ def _fmt_list(vals) -> str:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = ["[problem]",
-             f"kind = {cfg.problem.kind}",
-             f"dim = {cfg.problem.dim}",
-             "",
-             "[oracle]",
-             f"kind = {cfg.oracle.kind}",
-             f"noise_sigma_sq = {_fmt_value(cfg.oracle.noise_sigma_sq)}",
-             f"bias_zeta = {_fmt_value(cfg.oracle.bias_zeta)}",
-             f"compressor = {cfg.oracle.compressor}",
-             f"k = {cfg.oracle.k}",
-             f"delta = {_fmt_value(cfg.oracle.delta)}",
-             f"tau = {_fmt_value(cfg.oracle.tau)}",
-             f"m = {_fmt_value(cfg.oracle.m)}",
-             f"zeta_sq = {_fmt_value(cfg.oracle.zeta_sq)}",
-             "",
-             "[run]",
-             f"T = {cfg.run.T}",
-             f"reps = {cfg.run.reps}",
-             f"seed = {cfg.run.seed}",
-             f"stepsize = {_fmt_value(cfg.run.stepsize)}",
-             f"stepsize_policy = {cfg.run.stepsize_policy}",
-             f"policy_eps = {_fmt_value(cfg.run.policy_eps)}",
-             f"x0_gap = {_fmt_value(cfg.run.x0_gap)}"]
+    lines = []
+    for name in ("problem", "oracle", "run"):
+        spec = getattr(cfg, name)
+        lines += [f"[{name}]", *(f"{f.name} = {_fmt_value(getattr(spec, f.name))}"
+                                 for f in fields(spec)), ""]
+    lines.pop()
     if cfg.sweep is not None:
         lines += ["", "[sweep]"]
         for key, vals in cfg.sweep.axes:
@@ -168,18 +148,11 @@ def _parse_scalar(raw: str, line_no: int, key: str, want: type):
     return raw
 
 
-_FIELD_TYPES = {
-    ("problem", "kind"): str, ("problem", "dim"): int,
-    ("oracle", "kind"): str, ("oracle", "noise_sigma_sq"): float,
-    ("oracle", "bias_zeta"): float, ("oracle", "compressor"): str,
-    ("oracle", "k"): int, ("oracle", "delta"): float, ("oracle", "tau"): float,
-    ("oracle", "m"): float, ("oracle", "zeta_sq"): float,
-    ("run", "T"): int, ("run", "reps"): int, ("run", "seed"): int,
-    ("run", "stepsize"): float, ("run", "stepsize_policy"): str,
-    ("run", "policy_eps"): float, ("run", "x0_gap"): float,
-    ("tune", "target_eps"): float, ("tune", "max_T"): int,
-    ("tune", "reps"): int, ("tune", "grid"): str,
-}
+# the type of each field; `tune.grid` is parsed on its own
+_FIELD_TYPES = {(name, f.name): {"int": int, "float": float}.get(f.type, str)
+                for name, spec in (("problem", ProblemSpec), ("oracle", OracleSpec),
+                                   ("run", RunSpec), ("tune", TuneSpec))
+                for f in fields(spec)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -291,12 +264,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.policy_eps must be positive")
     if r.x0_gap < 0:
         raise ConfigError("run.x0_gap must be nonnegative")
+    compressors = {o.compressor}
     if cfg.sweep is not None:
         for key, vals in cfg.sweep.axes:
             if key == "k" and any(not 1 <= v <= dim for v in vals):
                 raise ConfigError(f"sweep k values must lie in [1, {dim}]")
-            if key == "compressor" and any(v not in COMPRESSOR_NAMES for v in vals):
-                raise ConfigError(f"sweep compressor values must be in {COMPRESSOR_NAMES}")
+            if key == "compressor":
+                if any(v not in COMPRESSOR_NAMES for v in vals):
+                    raise ConfigError("sweep compressor values must be in "
+                                      f"{COMPRESSOR_NAMES}")
+                compressors = set(vals)
+    if o.kind == "inexact" and "scale" in compressors:
+        raise ConfigError("oracle.kind=inexact and compressor=scale both read "
+                          "oracle.delta; they cannot be combined")
     if cfg.tune is not None:
         if cfg.tune.target_eps <= 0:
             raise ConfigError("tune.target_eps must be positive")

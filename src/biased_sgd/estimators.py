@@ -75,9 +75,12 @@ def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
     s5 = np.zeros((d, d))
     done = 0
     ones = np.ones(_CHUNK)
+    ref = None  # the first sample: the moments are summed about it
     while done < n_samples:
         take = min(_CHUNK, n_samples - done)
         G = o.query_many(x, take, rng)
+        ref = G[0].copy() if ref is None else ref
+        G -= ref
         sq = np.einsum("ij,ij->i", G, G)
         # column sums as BLAS products: several times faster than axis-0 sums
         w = ones[:take]
@@ -88,8 +91,9 @@ def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
         s5 += G.T @ G
         done += take
     n = float(n_samples)
-    mean = s1 / n
-    cov = (s5 - n * np.outer(mean, mean)) / (n - 1.0)
+    mean_c = s1 / n  # mean - ref
+    mean = ref + mean_c
+    cov = (s5 - n * np.outer(mean_c, mean_c)) / (n - 1.0)
     tr_cov = float(np.trace(cov))
 
     if o.expected_query is not None:
@@ -107,11 +111,11 @@ def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
         mean_norm_sq = max(0.0, float(mean @ mean) - tr_cov / n)
 
     noise_var = max(0.0, tr_cov)
-    # spread of the per-sample squared deviations, from raw moments
-    mns = float(mean @ mean)
+    # spread of the per-sample squared deviations, from the moments about ref
+    mns = float(mean_c @ mean_c)
     e_q2 = (s4 / n
-            - 4.0 * float((s3 / n) @ mean)
-            + 4.0 * float(mean @ (s5 / n) @ mean)
+            - 4.0 * float((s3 / n) @ mean_c)
+            + 4.0 * float(mean_c @ (s5 / n) @ mean_c)
             + 2.0 * mns * (s2 / n)
             - 4.0 * mns * mns
             + mns * mns)

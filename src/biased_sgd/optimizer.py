@@ -4,9 +4,8 @@ Repetitions run as the rows ("lanes") of one state matrix, stepped together
 through the row forms of the oracle and the problem. Each lane draws only
 from its own Philox stream (one per draw kind, read ahead in blocks), so its
 trace does not depend on the lanes that run beside it; `sgd_run` is the
-one-lane case. The stream adapter
-(`LaneStreams`) and the divergence test (`failing_lanes`) are the ones the
-stepsize search in `tuning` uses too.
+one-lane case. `_run_lanes` is the one step loop: the repeated runs here and
+the stepsize search in `tuning` are its consumers.
 """
 
 from __future__ import annotations
@@ -146,13 +145,6 @@ class RepeatedRuns:
         return float(np.mean(self.mean_f_gap[n - k:]))
 
 
-def _divergence_reason(f: float, x: np.ndarray) -> str:
-    """Why an iterate failed the step loop's bound test."""
-    if not np.isfinite(f) or not np.all(np.isfinite(x)):
-        return "non-finite"
-    return "overflow"
-
-
 class LaneStreams:
     """The `rng` of a lane-batched row map: row i is drawn from gens[rows[i]].
 
@@ -217,38 +209,34 @@ class _Block:
         self.pos, self.drawn = 0, self.drawn + rows
 
 
-def failing_lanes(fx: np.ndarray, X: np.ndarray) -> Optional[np.ndarray]:
-    """The divergence test of every lane: None when all pass, else the failing mask.
-
-    Lane i passes while |f(x_i)| <= DIVERGENCE_LIMIT and ||x_i||^2 <=
-    DIVERGENCE_LIMIT^2. One sum bounds every lane at once; only when it fails
-    is each lane tested (NaN fails every comparison, so both tests catch it).
-    """
-    if fx @ fx + np.vdot(X, X) <= _HALF_LIMIT_SQ:
-        return None
-    bad = ~((np.abs(fx) <= DIVERGENCE_LIMIT) & (np.vecdot(X, X) <= _LIMIT_SQ))
-    return bad if bad.any() else None
-
-
 class _LaneStats:
-    """Per-slot mean and SE over the lanes, and each lane's monotone-gap test.
-
-    Slots arrive in blocks of a (slots x lanes) buffer. Each block is folded
-    lane by lane in lane order with Welford's update, the same arithmetic as
-    adding the repetitions' traces one after another.
+    """The repeated runs' consumer: per-slot mean and SE over the lanes (Welford,
+    lane by lane in lane order, as if adding the traces one after another),
+    each lane's divergence and monotone-gap test, and with `keep_traces` the
+    traces themselves: then the buffers hold every slot.
     """
 
-    def __init__(self, n_rec: int, lanes: int):
+    target = None
+
+    def __init__(self, grid: np.ndarray, T: int, lanes: int, dim: int,
+                 keep_traces: bool):
+        n_rec = len(grid)
+        self.grid = None if n_rec == T + 1 else grid  # None: every iterate
+        block = n_rec if keep_traces else max(1, min(n_rec, _STREAM_BLOCK // lanes))
+        self.F = np.empty((block, lanes))   # f(x), then f(x) - f*, of each slot and lane
+        self.GN = np.empty((block, lanes))  # ||grad f(x)||^2
+        self.length = np.full(lanes, n_rec)  # slots each lane records
+        self.stopped = {}                    # lane -> (reason, iteration)
+        self.final_x = np.empty((lanes, dim))
         self.count = np.zeros(n_rec, dtype=np.int64)
         self.mean = np.zeros((2, n_rec))
         self.m2 = np.zeros((2, n_rec))
         self.rising = np.ones(lanes, dtype=bool)  # no decrease of the gap so far
         self.first = self.last = None
 
-    def fold(self, b0: int, F: np.ndarray, GN: np.ndarray,
-             length: np.ndarray) -> None:
+    def fold(self, b0: int, F: np.ndarray, GN: np.ndarray, cols) -> None:
         """Fold slots b0 .. b0+len(F)-1; lane i records length[i] slots in all."""
-        for lane, n in enumerate(np.clip(length - b0, 0, len(F))):
+        for lane, n in enumerate(np.clip(self.length - b0, 0, len(F))):
             s = slice(b0, b0 + n)
             c = self.count[s]
             c += 1
@@ -266,90 +254,123 @@ class _LaneStats:
         self.rising &= (np.diff(F, axis=0) >= 0).all(axis=0)
         self.last = F[-1].copy()
 
+    def drop(self, t: int, slot: int, lanes: np.ndarray, X: np.ndarray,
+             fx: np.ndarray) -> None:
+        self.final_x[lanes], self.length[lanes] = X, slot
+        for lane, f, x in zip(lanes, fx, X):
+            finite = np.isfinite(f) and np.isfinite(x).all()
+            self.stopped[int(lane)] = ("overflow" if finite else "non-finite", t)
 
-def _run_lanes(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
-               seed: int, x0: Optional[np.ndarray], rngs: list,
-               keep_traces: Optional[bool]) -> RepeatedRuns:
-    """Run one lane per generator in `rngs` for T steps from x0, in lockstep.
 
-    Lane i is row i of the state matrix X and draws only from rngs[i]. Every
-    step passes the live rows through `o.query_batch`, `p.value_many` and, at
-    recorded iterations, `p.grad_many`. A lane whose iterate fails the
-    divergence test leaves the live set with a partial trace; a completed
-    lane whose gap only ever increased is flagged `monotone-increase`.
+def _run_lanes(p: Problem, o: BiasedOracle, T: int, x0: Optional[np.ndarray],
+               gens: list, sink, gamma, rows: Optional[np.ndarray] = None,
+               group: int = 1) -> tuple:
+    """The one step loop: x_{t+1} = x_t - gamma * g_t on every lane, up to T steps.
+
+    Lane i is row i of the state matrix and draws from gens[rows[i]] (gens[i]
+    when `rows` is None). `gamma` is the T stepsizes of every lane, or a
+    (lanes, 1) array of one constant stepsize per lane. A lane failing the
+    divergence test takes its group (the lanes with its i // group) out of
+    the live set.
+
+    The consumer `sink` owns the (slots x lanes) buffer `F`, and `GN` for
+    ||grad f||^2 unless it is None; slot j is iteration `sink.grid[j]` (j
+    when `grid` is None). `sink.fold(b0, F, GN, cols)` gets the slots from
+    b0 on, less f*, when the buffer is full, before lanes drop and at the
+    end; `cols` selects the live lanes' columns. `sink.drop(t, slot, lanes,
+    X, fx)` gets the lanes leaving at iterate t. With `sink.target` set, an
+    iterate whose smallest f is at most it asks `sink.hit(t, fx, cols)`
+    whether to stop there. Returns (t, live, X): the last iterate's index,
+    the live lanes and their rows.
+    """
+    if x0 is None and p.default_x0 is None:
+        raise ValueError(f"problem {p.name} has no default x0; pass one")
+    x0 = np.array(p.default_x0 if x0 is None else x0, dtype=float)
+    if x0.shape != (p.dim,):
+        raise ValueError(f"x0 must have shape ({p.dim},)")
+
+    lanes = len(gens) if rows is None else len(rows)
+    F, GN, grid, target = sink.F, sink.GN, sink.grid, sink.target
+    block, dense = len(F), grid is None
+    steps = None if isinstance(gamma, np.ndarray) else iter(gamma)
+    query, value_many, grad_many = o.query_batch, p.value_many, p.grad_many
+    f_star = p.f_star or 0.0
+    X = np.tile(x0, (lanes, 1))
+    live = np.arange(lanes)  # the lane of each row of X
+    cols = slice(None)       # a slice, not an index array, while all run
+    rng = LaneStreams(gens, T, rows)
+    # slots from b0 on are not folded yet; buffer row 0 holds slot `base`
+    slot = b0 = base = 0
+
+    def fold() -> None:
+        r = slice(b0 - base, slot - base)
+        F[r] -= f_star
+        sink.fold(b0, F[r], None if GN is None else GN[r], cols)
+
+    # a failing lane is dropped below, so its overflow or NaN arithmetic
+    # needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = value_many(X)
+        for t in range(T + 1):  # one pass per iterate; the last takes no step
+            if dense or t == grid[slot]:
+                F[slot - base, cols] = fx
+                if GN is not None:
+                    G = grad_many(X)
+                    GN[slot - base, cols] = np.vecdot(G, G)
+                slot += 1
+            if t == T or (target is not None and fx.min() <= target
+                          and sink.hit(t, fx, cols)):
+                break
+            if slot - base == block:
+                fold()
+                base = b0 = slot
+            X -= (gamma if steps is None else next(steps)) * query(X, rng)
+            fx = value_many(X)
+            # a lane fails once |f| > DIVERGENCE_LIMIT or ||x||^2 >
+            # DIVERGENCE_LIMIT^2 (NaN fails both); one sum bounds every lane
+            if fx @ fx + np.vdot(X, X) <= _HALF_LIMIT_SQ:
+                continue
+            bad = ~((np.abs(fx) <= DIVERGENCE_LIMIT) & (np.vecdot(X, X) <= _LIMIT_SQ))
+            if not bad.any():
+                continue
+            bad = np.repeat(bad.reshape(-1, group).any(axis=1), group)
+            if slot > b0:
+                fold()
+                b0 = slot
+            sink.drop(t + 1, slot, live[bad], X[bad], fx[bad])
+            ok = ~bad
+            X, fx, live = X[ok], fx[ok], live[ok]
+            cols = live
+            if steps is None:
+                gamma = gamma[ok]
+            if not len(live):
+                return t + 1, live, X
+            rng.rows = live if rows is None else rows[live]
+        if slot > b0:
+            fold()
+    return t, live, X
+
+
+def _repeat(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
+            seed: int, x0: Optional[np.ndarray], rngs: list,
+            keep_traces: Optional[bool]) -> RepeatedRuns:
+    """One lane per generator in `rngs`, T steps of `sched` on the engine.
+
+    A diverging lane leaves with a partial trace; a completed lane whose gap
+    only ever increased is flagged `monotone-increase`.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     sched.check_length(T)
-    if x0 is None:
-        if p.default_x0 is None:
-            raise ValueError(f"problem {p.name} has no default x0; pass one")
-        x0 = p.default_x0
-    x0 = np.array(x0, dtype=float)
-    if x0.shape != (p.dim,):
-        raise ValueError(f"x0 must have shape ({p.dim},)")
-
     lanes = len(rngs)
     grid = _record_grid(T)
     n_rec = len(grid)
     if keep_traces is None:
         keep_traces = lanes * n_rec <= KEEP_TRACES_LIMIT
-    block = n_rec if keep_traces else max(1, min(n_rec, _STREAM_BLOCK // lanes))
-    F = np.empty((block, lanes))   # f(x), then f(x) - f*, of each slot and lane
-    GN = np.empty((block, lanes))  # ||grad f(x)||^2
-    stats = _LaneStats(n_rec, lanes)
-    length = np.full(lanes, n_rec)  # slots each lane records
-    stopped = {}                    # lane -> (reason, iteration)
-    final_x = np.empty((lanes, p.dim))
-
-    query, value_many, grad_many = o.query_batch, p.value_many, p.grad_many
-    f_star = p.f_star or 0.0
-    dense = n_rec == T + 1  # every iterate is recorded
-    X = np.tile(x0, (lanes, 1))
-    live = np.arange(lanes)  # the lane of each row of X
-    rng = LaneStreams(rngs, T)
-    slot = b0 = 0
-
-    def fold() -> None:
-        F[:slot - b0] -= f_star
-        stats.fold(b0, F[:slot - b0], GN[:slot - b0], length)
-
-    # a failing lane is classified and dropped below, so its overflow or
-    # NaN arithmetic needs no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = value_many(X)
-        # one pass per iterate x_0 .. x_T; the last one takes no step
-        for t, gamma in enumerate(itertools.chain(sched.steps(T), [None])):
-            if dense or t == grid[slot]:
-                G = grad_many(X)
-                if len(live) == lanes:
-                    F[slot - b0] = fx
-                    np.vecdot(G, G, out=GN[slot - b0])
-                else:
-                    F[slot - b0, live] = fx
-                    GN[slot - b0, live] = np.vecdot(G, G)
-                slot += 1
-                if slot - b0 == block:
-                    fold()
-                    b0 = slot
-            if gamma is None:
-                break
-            X -= gamma * query(X, rng)
-            fx = value_many(X)
-            bad = failing_lanes(fx, X)
-            if bad is not None:
-                for i in np.flatnonzero(bad):
-                    stopped[int(live[i])] = (_divergence_reason(fx[i], X[i]), t + 1)
-                    final_x[live[i]] = X[i]
-                    length[live[i]] = slot
-                ok = ~bad
-                X, fx, live = X[ok], fx[ok], live[ok]
-                if not len(live):
-                    break
-                rng.rows = live
-        if slot > b0:
-            fold()
-        final_x[live] = X
+    stats = _LaneStats(grid, T, lanes, p.dim, keep_traces)
+    _, live, X = _run_lanes(p, o, T, x0, rngs, stats, sched.steps(T))
+    stats.final_x[live] = X
+    with np.errstate(invalid="ignore"):
         rising = stats.rising & (stats.last > stats.first)
 
     stepsizes = np.full(n_rec, np.nan)
@@ -361,17 +382,17 @@ def _run_lanes(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     }
     diverged, traces = [], [] if keep_traces else None
     for lane in range(lanes):
-        reason, iteration = stopped.get(lane, (None, T))
+        reason, iteration = stats.stopped.get(lane, (None, T))
         if reason is None and rising[lane]:
             reason = "monotone-increase"
         if reason is not None:
             diverged.append(Divergence(lane, reason, iteration))
         if keep_traces:
-            n = length[lane]
+            n = stats.length[lane]
             traces.append(RunTrace(
-                t=grid[:n], f_gap=F[:n, lane].copy(),
-                grad_norm_sq=GN[:n, lane].copy(), stepsizes=stepsizes[:n],
-                final_x=final_x[lane], status="completed" if reason is None
+                t=grid[:n], f_gap=stats.F[:n, lane].copy(),
+                grad_norm_sq=stats.GN[:n, lane].copy(), stepsizes=stepsizes[:n],
+                final_x=stats.final_x[lane], status="completed" if reason is None
                 else "diverged", reason=reason, fingerprint=dict(fingerprint)))
 
     count = stats.count
@@ -401,7 +422,7 @@ def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     also flagged as diverged.
     """
     rng = stream(seed) if rng is None else rng
-    return _run_lanes(p, o, sched, T, seed, x0, [rng], keep_traces=True).traces[0]
+    return _repeat(p, o, sched, T, seed, x0, [rng], keep_traces=True).traces[0]
 
 
 def sgd_run_repeated(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
@@ -417,8 +438,8 @@ def sgd_run_repeated(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return _run_lanes(p, o, sched, T, seed, x0,
-                      [stream(seed, rep) for rep in range(reps)], keep_traces)
+    return _repeat(p, o, sched, T, seed, x0,
+                   [stream(seed, rep) for rep in range(reps)], keep_traces)
 
 
 def uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> int:

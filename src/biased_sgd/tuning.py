@@ -1,18 +1,19 @@
 """Stepsize tuning: find the grid stepsize reaching a target gap fastest.
 
 All (stepsize, repetition) lanes of one configuration advance together as a
-single state matrix. Because every lane group steps in lockstep, the first
+single state matrix on the engine's step loop (`optimizer._run_lanes`), with
+`_Race` as its consumer. Because every lane group steps in lockstep, the first
 group whose repetition-mean gap touches the target is exactly the grid
 minimizer of iterations-to-target, so the search stops there; slower groups
 are reported as censored at that iteration.
 
-The lanes keep the engine's contracts (`optimizer`): lane (stepsize, rep r)
-draws from `stream(seed, r)`, rep r's stream in `sgd_run_repeated`, so every
-stepsize sees the same draws and a stepsize's result does not depend on the
-rest of the grid; a stepsize diverges when any of its lanes fails the
-engine's divergence test. The rep-mean gap of every stepsize is recorded as
-the search goes, which is the curve `sgd_run_repeated` would trace at that
-stepsize.
+The lanes keep the engine's contracts: lane (stepsize, rep r) draws from
+`stream(seed, r)`, rep r's stream in `sgd_run_repeated`, so every stepsize
+sees the same draws and a stepsize's result does not depend on the rest of
+the grid; a stepsize diverges when any of its lanes fails the engine's
+divergence test (its lanes form one group). The rep-mean gap of every
+stepsize is recorded as the search goes, which is the curve
+`sgd_run_repeated` would trace at that stepsize.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import stream
-from .optimizer import LaneStreams, failing_lanes
+from .optimizer import _run_lanes
 from .oracles import BiasedOracle
 from .problems import Problem
 
@@ -37,6 +38,12 @@ class TuneEntry:
     diverged: bool
     censored_at: Optional[int]  # search stopped here before this gamma reached
 
+
+# the search folds its f values in blocks of this many floats (128 KiB)
+_FOLD_FLOATS = 16_384
+# a step is tested for a hit when its smallest f is within this relative
+# margin of target_eps + f*, which covers the rounding of the rep means
+_HIT_MARGIN = 1e-9
 
 # the history is dense up to this iteration, the race figure's horizon for
 # a stepsize that never reached the target, and log-spaced beyond it
@@ -68,10 +75,8 @@ class TuneResult:
 
     @property
     def best(self) -> Optional[TuneEntry]:
-        hits = [e for e in self.entries if e.reached]
-        if not hits:
-            return None
-        return min(hits, key=lambda e: e.iterations)
+        return min((e for e in self.entries if e.reached),
+                   key=lambda e: e.iterations, default=None)
 
     @property
     def best_gap(self) -> float:
@@ -85,9 +90,7 @@ class TuneResult:
         lower curve beats a higher one.
         """
         b = self.best
-        if b is not None:
-            return (0, b.iterations)
-        return (1, self.best_gap)
+        return (1, self.best_gap) if b is None else (0, b.iterations)
 
     def race_curve(self) -> Optional[tuple]:
         """(entry, t, rep-mean gap) of the stepsize the race figure plots.
@@ -112,9 +115,82 @@ class TuneResult:
 def default_gamma_grid(L: float, lo_exp: int = 20) -> list:
     """Log grid 2^-lo_exp .. 1 clipped to the 1/L stability cap (cap included)."""
     cap = 1.0 / L
-    grid = sorted({g for g in (2.0 ** -k for k in range(lo_exp, -1, -1))
+    return sorted({g for g in (2.0 ** -k for k in range(lo_exp, -1, -1))
                    if g <= cap} | {cap})
-    return grid
+
+
+class _Race:
+    """The search's consumer of the engine: each stepsize's rep-mean gap.
+
+    Lanes come in groups of `reps`, one per grid stepsize. Blocks of f values
+    are folded into the groups' means (the reps' gaps summed, times 1/reps,
+    as in `hit`), best gaps and history rows. The engine asks `hit` only at
+    an iterate whose smallest f is within a rounding margin of target_eps +
+    f*, as every iterate with a mean at the target is.
+    """
+
+    grid, GN = None, None
+
+    def __init__(self, p: Problem, n_g: int, reps: int, target_eps: float,
+                 max_T: int):
+        lanes = n_g * reps
+        self.F = np.empty((max(1, min(max_T + 1, _FOLD_FLOATS // lanes)), lanes))
+        self.f_star = p.f_star or 0.0
+        self.target = target_eps + self.f_star \
+            + _HIT_MARGIN * (target_eps + abs(self.f_star))
+        self.eps, self.reps = target_eps, reps
+        self.reached = np.zeros(n_g, dtype=bool)
+        self.diverged = np.zeros(n_g, dtype=bool)
+        self.best_gap = np.full(n_g, np.inf)
+        self.stop = None  # the iterate at which a mean reached the target
+        self.rec_t = history_grid(max_T)
+        # a spare row for a stop between recorded iterations; rows are
+        # written as the search goes, so an early stop touches few of them
+        self.hist = np.empty((len(self.rec_t) + 1, n_g))
+        self.hist_t = np.empty(len(self.rec_t) + 1, dtype=np.int64)
+        self.rows = 0  # history rows written
+
+    def _groups(self, cols):
+        return cols if isinstance(cols, slice) else cols[::self.reps] // self.reps
+
+    def _means(self, F: np.ndarray) -> np.ndarray:
+        return F.reshape(len(F), -1, self.reps).sum(axis=2) * (1.0 / self.reps)
+
+    def fold(self, b0: int, F: np.ndarray, GN, cols) -> None:
+        g = self._groups(cols)
+        # C-ordered, so that each rep sum adds contiguous values as `hit` does
+        means = self._means(np.ascontiguousarray(F[:, cols]))
+        self.best_gap[g] = np.minimum(self.best_gap[g], means.min(axis=0))
+        r0 = self.rows
+        t = self.rec_t[r0:r0 + np.searchsorted(self.rec_t[r0:], b0 + len(F))]
+        if self.stop is not None and (not len(t) or t[-1] != self.stop):
+            t = np.append(t, self.stop)  # the last block ends at the stop
+        self.rows = r1 = r0 + len(t)
+        self.hist_t[r0:r1] = t
+        self.hist[r0:r1] = np.nan
+        self.hist[r0:r1, g] = means[t - b0]
+
+    def drop(self, t: int, slot: int, lanes: np.ndarray, X, fx) -> None:
+        self.diverged[self._groups(lanes)] = True
+
+    def hit(self, t: int, fx: np.ndarray, cols) -> bool:
+        hits = self._means((fx - self.f_star)[None])[0] <= self.eps
+        if not hits.any():
+            return False
+        self.reached[self._groups(cols)] = hits
+        self.stop = t
+        return True
+
+    def result(self, grid: list, max_T: int) -> TuneResult:
+        entries = [TuneEntry(
+            gamma=gamma, reached=bool(r), iterations=self.stop if r else None,
+            best_gap=float(b) if np.isfinite(b) else float("inf"),
+            diverged=bool(d), censored_at=None if r or d else self.stop)
+            for gamma, r, d, b in zip(grid, self.reached, self.diverged,
+                                      self.best_gap)]
+        return TuneResult(target_eps=self.eps, max_T=max_T, entries=entries,
+                          history_t=self.hist_t[:self.rows],
+                          history=self.hist[:self.rows])
 
 
 def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
@@ -135,79 +211,12 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
         raise ValueError("stepsize grid is empty")
     if any(g <= 0 for g in grid):
         raise ValueError("stepsizes must be positive")
-    if x0 is None:
-        if p.default_x0 is None:
-            raise ValueError(f"problem {p.name} has no default x0; pass one")
-        x0 = p.default_x0
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
 
     n_g = len(grid)
-    live = np.arange(n_g)  # the live stepsizes, one block of reps rows each
-    lane_gamma = np.repeat(np.asarray(grid), reps)[:, None]
-    X = np.tile(np.asarray(x0, dtype=float), (n_g * reps, 1))
-    gens = [stream(seed, r) for r in range(reps)]
-    # one adapter for the whole search, so its read-ahead blocks survive
-    # stepsizes dropping out
-    rng = LaneStreams(gens, max_T, np.tile(np.arange(reps), n_g))
-    f_star = p.f_star or 0.0
-    rec_t = history_grid(max_T)
-    # one spare row for a stop between recorded iterations; rows are written
-    # as the search goes, so an early stop never touches most of the buffer
-    hist = np.empty((len(rec_t) + 1, n_g))
-    hist_t = np.empty(len(rec_t) + 1, dtype=np.int64)
-
-    diverged = np.zeros(n_g, dtype=bool)
-    reached = np.zeros(n_g, dtype=bool)
-    best_gap = np.full(n_g, np.inf)
-    stop_t = None
-
-    inv_reps = 1.0 / reps
-    fx = p.value_many(X)
-    t = slot = 0
-    # a failing stepsize is dropped below, so its overflow or NaN arithmetic
-    # needs no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            means = (fx - f_star).reshape(len(live), reps).sum(axis=1) * inv_reps
-            best_gap[live] = np.minimum(best_gap[live], means)
-            hits = live[means <= target_eps]
-            done = len(hits) > 0 or t == max_T
-            if done or t == rec_t[slot]:
-                row = hist[slot]
-                if len(live) < n_g:
-                    row.fill(np.nan)
-                row[live] = means
-                hist_t[slot] = t
-                slot += 1
-            if done:
-                if len(hits):
-                    reached[hits] = True
-                    stop_t = t
-                break
-            t += 1
-            X -= lane_gamma * o.query_batch(X, rng)
-            fx = p.value_many(X)
-            bad = failing_lanes(fx, X)
-            if bad is not None:
-                # a stepsize with any failing lane is out, all its lanes with it
-                out = bad.reshape(len(live), reps).any(axis=1)
-                diverged[live[out]] = True
-                keep = np.repeat(~out, reps)
-                X, fx, lane_gamma = X[keep], fx[keep], lane_gamma[keep]
-                live = live[~out]
-                if not len(live):
-                    stop_t = t
-                    break
-                rng.rows = np.tile(np.arange(reps), len(live))
-
-    entries = []
-    for i in range(n_g):
-        censored = None
-        if not reached[i] and not diverged[i] and stop_t is not None:
-            censored = int(stop_t)
-        entries.append(TuneEntry(
-            gamma=grid[i], reached=bool(reached[i]),
-            iterations=stop_t if reached[i] else None,
-            best_gap=float(best_gap[i]) if np.isfinite(best_gap[i]) else float("inf"),
-            diverged=bool(diverged[i]), censored_at=censored))
-    return TuneResult(target_eps=target_eps, max_T=max_T, entries=entries,
-                      history_t=hist_t[:slot], history=hist[:slot])
+    race = _Race(p, n_g, reps, target_eps, max_T)
+    _run_lanes(p, o, max_T, x0, [stream(seed, r) for r in range(reps)], race,
+               np.repeat(np.asarray(grid), reps)[:, None],
+               rows=np.tile(np.arange(reps), n_g), group=reps)
+    return race.result(grid, max_T)

@@ -257,6 +257,27 @@ def test_cli_main_paths(tmp_path):
     assert cli.main(["run", "--out", str(tmp_path)]) == 1  # no config, no figure
 
 
+@pytest.mark.parametrize("oracle, sweep", [
+    ("compressor = scale\n", ""),
+    ("", "[sweep]\ncompressor = none, scale\n"),
+], ids=["oracle", "sweep_axis"])
+def test_inexact_oracle_with_scale_compressor_is_rejected(tmp_path, oracle, sweep):
+    # oracle.delta cannot be the inexact oracle's accuracy and the scale
+    # compressor's delta at once
+    text = ("[problem]\nkind = nesterov_quadratic\ndim = 10\n\n[oracle]\n"
+            f"kind = inexact\ndelta = 0.1\n{oracle}\n[run]\nT = 20\nreps = 2\n\n"
+            + sweep)
+    with pytest.raises(ConfigError, match="inexact"):
+        parse_config(text)
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    # either one alone is a valid config
+    parse_config(text.replace("kind = inexact", "kind = exact"))
+    parse_config(text.replace("scale", "top_k"))
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(MINI)

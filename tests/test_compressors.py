@@ -10,7 +10,7 @@ from biased_sgd import (UnsupportedCompositionError, additive_bias_oracle,
                         scale_compressor, synthetic_tight_oracle,
                         tightness_oracle, top_k, top_k_compressor,
                         uniform_direction)
-from biased_sgd.compressors import empirical_contraction, is_identity
+from biased_sgd.compressors import Compressor, is_identity
 from biased_sgd.estimators import verify_declared
 from biased_sgd._rng import stream
 
@@ -156,6 +156,24 @@ def test_k1_paths_bit_equal_to_sort_and_partition():
     want = G * (keys <= np.partition(keys, 0, axis=1)[:, 0:1])
     assert rand_k_compressor(1, 4).apply_rows(G, rng).tobytes() == want.tobytes()
     assert rng.random() == ref_rng.random()  # same draws consumed
+
+
+def empirical_contraction(c: Compressor, rng: np.random.Generator,
+                          n_vectors: int = 1000, samples: int = 200) -> float:
+    """Worst observed E||C(g)-g||^2 / ||g||^2 over random test vectors.
+
+    Validates a claimed delta without trusting it: the result should not
+    exceed 1 - delta (up to Monte-Carlo error for stochastic compressors).
+    """
+    worst = 0.0
+    reps = 1 if c.deterministic else samples
+    for _ in range(n_vectors):
+        g = rng.standard_normal(c.dim)
+        G = np.tile(g, (reps, 1))
+        err = c.apply_rows(G, rng) - G
+        ratio = float(np.mean(np.einsum("ij,ij->i", err, err))) / float(g @ g)
+        worst = max(worst, ratio)
+    return worst
 
 
 def test_contraction_invariant():

@@ -207,7 +207,21 @@ def test_collect_independent_of_chunk_size(build, monkeypatch):
         for field in ("bias_norm_sq", "bias_se", "noise_var", "mean_norm_sq"):
             assert getattr(b, field) == pytest.approx(getattr(a, field),
                                                       rel=1e-12, abs=0.0)
-        # noise_se comes from raw fourth moments, which cancel about eight
-        # digits where ||mean||^2 is far above the noise (the r = 10 point)
-        assert b.noise_se == pytest.approx(a.noise_se, rel=1e-8, abs=0.0)
+        assert b.noise_se == pytest.approx(a.noise_se, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(b.bias, a.bias, rtol=1e-12)
+
+
+def test_noise_se_does_not_cancel_far_from_the_optimum(monkeypatch):
+    # at the r = 10 probe point ||grad f||^2 = 608 against a noise of 1;
+    # moments summed about 0 lost eight digits of noise_se there, and the
+    # loss depended on how the samples were split into chunks
+    p = make_nesterov_worst(10)
+    o = gaussian_noise_oracle(p, 1.0)
+    x = probe_points(p, 3, seed=14)[-1]
+    assert float(p.grad(x) @ p.grad(x)) > 500
+    ses = []
+    for chunk in (7, 13, 100, 999, 2_048, 4_096, 20_000):
+        monkeypatch.setattr(estimators, "_CHUNK", chunk)
+        (s,) = estimators._collect_points(o, p, [x], 5000, seed=14, tag=0x14)
+        ses.append(s.noise_se)
+    assert max(ses) - min(ses) <= 1e-12 * min(ses)

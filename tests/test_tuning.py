@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from biased_sgd import (BiasedOracle, OracleBounds, StepSchedule,
-                        compressed_oracle, gaussian_noise_oracle,
+                        compressed_oracle, exact_oracle, gaussian_noise_oracle,
                         gaussian_smoothing_oracle, make_nesterov_worst,
-                        rand_k_compressor, sgd_run_repeated, top_k_compressor,
-                        tune_stepsize)
+                        rand_k_compressor, sgd_run, sgd_run_repeated,
+                        top_k_compressor, tune_stepsize)
 from biased_sgd import tuning
 
 
@@ -129,3 +129,68 @@ def test_one_failing_lane_takes_its_stepsize_out():
                                rtol=1e-12, atol=0)
     assert e.best_gap == np.min(res.history[:, 0])
     assert res.race_curve() is None
+
+
+def _searches():
+    """(name, reps, search): a hit, a stepsize diverging, a censored search,
+    and a hit between the recorded iterations past the race horizon."""
+    p6, p10 = make_nesterov_worst(6), make_nesterov_worst(10)
+    noisy6, noisy10 = gaussian_noise_oracle(p6, 1.0), gaussian_noise_oracle(p10, 1.0)
+    rand_k = _oracle("rand_k_noise", p6)
+    return [
+        ("hit", 3, lambda: tune_stepsize(p6, rand_k, 0.07, grid=[0.02, 0.05, 0.1],
+                                         reps=3, max_T=2000, seed=8)),
+        # 8 reps: a rep sum long enough for numpy's unrolled summation, whose
+        # order only contiguous rows keep
+        ("diverged", 8, lambda: tune_stepsize(p10, noisy10, 5e-4,
+                                              grid=[0.02, 0.01, 1.0], reps=8,
+                                              max_T=500, seed=3)),
+        ("censored", 2, lambda: tune_stepsize(p6, noisy6, 1e-9, grid=[0.02, 0.05],
+                                              reps=2, max_T=299, seed=1)),
+        ("sparse_hit", 2, lambda: tune_stepsize(
+            p6, gaussian_noise_oracle(p6, 0.01), 0.1, grid=[0.01, 0.005],
+            reps=2, max_T=10**7, seed=2)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["hit", "diverged", "censored",
+                                                "sparse_hit"])
+def test_fold_block_size_changes_nothing(case, monkeypatch):
+    # the search folds its f values per block; a block of one slot is the
+    # per-step bookkeeping, and 7 slots put the hit, the divergence and
+    # max_T inside a block
+    monkeypatch.setattr(tuning, "RACE_HORIZON", 50)
+    name, reps, search = _searches()[case]
+    default = search()
+    stop = default.history_t[-1]
+    if name == "hit":
+        assert default.best is not None and stop % 7 != 6
+    if name == "diverged":
+        assert default.entries[2].diverged and not default.entries[2].reached
+        assert np.isnan(default.history[-1, 2])
+        out = default.history_t[np.isnan(default.history[:, 2])][0]
+        assert out <= 50 and out % 7 != 0  # it drops out mid-block
+    if name == "censored":
+        assert default.best is None and stop == 299 and 299 % 7 != 6
+    if name == "sparse_hit":
+        assert stop > 50 and stop not in tuning.history_grid(10**7)
+    for rows in (1, 7):
+        monkeypatch.setattr(tuning, "_FOLD_FLOATS", rows * reps * len(default.entries))
+        res = search()
+        assert res.entries == default.entries
+        assert res.history_t.tobytes() == default.history_t.tobytes()
+        assert res.history.tobytes() == default.history.tobytes()
+
+
+def test_the_search_stops_at_the_first_iterate_at_the_target():
+    # with an exact oracle every rep of a stepsize takes the same path, so a
+    # step's smallest f is its rep mean: the one-`min` test of a step must
+    # let the first iterate at the target through, not a later one
+    p = make_nesterov_worst(6)
+    o = exact_oracle(p)
+    grid = [0.05, 0.1, 0.2]
+    res = tune_stepsize(p, o, 1e-3, grid=grid, reps=2, max_T=5000, seed=0)
+    first = [int(np.argmax(sgd_run(p, o, StepSchedule.constant(g), 5000,
+                                   seed=0).f_gap <= 1e-3)) for g in grid]
+    assert res.best.iterations == min(first) == 78
+    assert res.best.gamma == grid[int(np.argmin(first))]
