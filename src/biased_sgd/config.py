@@ -8,7 +8,7 @@ embedded in every output file as the config fingerprint.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 PROBLEM_KINDS = ("nesterov_quadratic", "huber")
@@ -112,12 +112,29 @@ def _fmt_list(vals) -> str:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for name in ("problem", "oracle", "run"):
-        spec = getattr(cfg, name)
-        lines += [f"[{name}]", *(f"{f.name} = {_fmt_value(getattr(spec, f.name))}"
-                                 for f in fields(spec)), ""]
-    lines.pop()
+    lines = ["[problem]",
+             f"kind = {cfg.problem.kind}",
+             f"dim = {cfg.problem.dim}",
+             "",
+             "[oracle]",
+             f"kind = {cfg.oracle.kind}",
+             f"noise_sigma_sq = {_fmt_value(cfg.oracle.noise_sigma_sq)}",
+             f"bias_zeta = {_fmt_value(cfg.oracle.bias_zeta)}",
+             f"compressor = {cfg.oracle.compressor}",
+             f"k = {cfg.oracle.k}",
+             f"delta = {_fmt_value(cfg.oracle.delta)}",
+             f"tau = {_fmt_value(cfg.oracle.tau)}",
+             f"m = {_fmt_value(cfg.oracle.m)}",
+             f"zeta_sq = {_fmt_value(cfg.oracle.zeta_sq)}",
+             "",
+             "[run]",
+             f"T = {cfg.run.T}",
+             f"reps = {cfg.run.reps}",
+             f"seed = {cfg.run.seed}",
+             f"stepsize = {_fmt_value(cfg.run.stepsize)}",
+             f"stepsize_policy = {cfg.run.stepsize_policy}",
+             f"policy_eps = {_fmt_value(cfg.run.policy_eps)}",
+             f"x0_gap = {_fmt_value(cfg.run.x0_gap)}"]
     if cfg.sweep is not None:
         lines += ["", "[sweep]"]
         for key, vals in cfg.sweep.axes:
@@ -148,11 +165,18 @@ def _parse_scalar(raw: str, line_no: int, key: str, want: type):
     return raw
 
 
-# the type of each field; `tune.grid` is parsed on its own
-_FIELD_TYPES = {(name, f.name): {"int": int, "float": float}.get(f.type, str)
-                for name, spec in (("problem", ProblemSpec), ("oracle", OracleSpec),
-                                   ("run", RunSpec), ("tune", TuneSpec))
-                for f in fields(spec)}
+_FIELD_TYPES = {
+    ("problem", "kind"): str, ("problem", "dim"): int,
+    ("oracle", "kind"): str, ("oracle", "noise_sigma_sq"): float,
+    ("oracle", "bias_zeta"): float, ("oracle", "compressor"): str,
+    ("oracle", "k"): int, ("oracle", "delta"): float, ("oracle", "tau"): float,
+    ("oracle", "m"): float, ("oracle", "zeta_sq"): float,
+    ("run", "T"): int, ("run", "reps"): int, ("run", "seed"): int,
+    ("run", "stepsize"): float, ("run", "stepsize_policy"): str,
+    ("run", "policy_eps"): float, ("run", "x0_gap"): float,
+    ("tune", "target_eps"): float, ("tune", "max_T"): int,
+    ("tune", "reps"): int, ("tune", "grid"): str,
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -280,8 +280,7 @@ def _run_lanes(p: Problem, o: BiasedOracle, T: int, x0: Optional[np.ndarray],
     end; `cols` selects the live lanes' columns. `sink.drop(t, slot, lanes,
     X, fx)` gets the lanes leaving at iterate t. With `sink.target` set, an
     iterate whose smallest f is at most it asks `sink.hit(t, fx, cols)`
-    whether to stop there. Returns (t, live, X): the last iterate's index,
-    the live lanes and their rows.
+    whether to stop there. Returns (live, X): the live lanes and their rows.
     """
     if x0 is None and p.default_x0 is None:
         raise ValueError(f"problem {p.name} has no default x0; pass one")
@@ -318,8 +317,10 @@ def _run_lanes(p: Problem, o: BiasedOracle, T: int, x0: Optional[np.ndarray],
                     G = grad_many(X)
                     GN[slot - base, cols] = np.vecdot(G, G)
                 slot += 1
-            if t == T or (target is not None and fx.min() <= target
-                          and sink.hit(t, fx, cols)):
+            # the target test comes first, so that an iterate T at the
+            # target is a hit
+            if (target is not None and fx.min() <= target
+                    and sink.hit(t, fx, cols)) or t == T:
                 break
             if slot - base == block:
                 fold()
@@ -344,11 +345,11 @@ def _run_lanes(p: Problem, o: BiasedOracle, T: int, x0: Optional[np.ndarray],
             if steps is None:
                 gamma = gamma[ok]
             if not len(live):
-                return t + 1, live, X
+                break
             rng.rows = live if rows is None else rows[live]
         if slot > b0:
             fold()
-    return t, live, X
+    return live, X
 
 
 def _repeat(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
@@ -368,7 +369,7 @@ def _repeat(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     if keep_traces is None:
         keep_traces = lanes * n_rec <= KEEP_TRACES_LIMIT
     stats = _LaneStats(grid, T, lanes, p.dim, keep_traces)
-    _, live, X = _run_lanes(p, o, T, x0, rngs, stats, sched.steps(T))
+    live, X = _run_lanes(p, o, T, x0, rngs, stats, sched.steps(T))
     stats.final_x[live] = X
     with np.errstate(invalid="ignore"):
         rising = stats.rising & (stats.last > stats.first)

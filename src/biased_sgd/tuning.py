@@ -75,8 +75,10 @@ class TuneResult:
 
     @property
     def best(self) -> Optional[TuneEntry]:
-        return min((e for e in self.entries if e.reached),
-                   key=lambda e: e.iterations, default=None)
+        hits = [e for e in self.entries if e.reached]
+        if not hits:
+            return None
+        return min(hits, key=lambda e: e.iterations)
 
     @property
     def best_gap(self) -> float:
@@ -90,7 +92,9 @@ class TuneResult:
         lower curve beats a higher one.
         """
         b = self.best
-        return (1, self.best_gap) if b is None else (0, b.iterations)
+        if b is not None:
+            return (0, b.iterations)
+        return (1, self.best_gap)
 
     def race_curve(self) -> Optional[tuple]:
         """(entry, t, rep-mean gap) of the stepsize the race figure plots.
@@ -115,8 +119,9 @@ class TuneResult:
 def default_gamma_grid(L: float, lo_exp: int = 20) -> list:
     """Log grid 2^-lo_exp .. 1 clipped to the 1/L stability cap (cap included)."""
     cap = 1.0 / L
-    return sorted({g for g in (2.0 ** -k for k in range(lo_exp, -1, -1))
+    grid = sorted({g for g in (2.0 ** -k for k in range(lo_exp, -1, -1))
                    if g <= cap} | {cap})
+    return grid
 
 
 class _Race:

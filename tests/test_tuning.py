@@ -133,7 +133,8 @@ def test_one_failing_lane_takes_its_stepsize_out():
 
 def _searches():
     """(name, reps, search): a hit, a stepsize diverging, a censored search,
-    and a hit between the recorded iterations past the race horizon."""
+    a hit at max_T and a hit between the recorded iterations past the race
+    horizon."""
     p6, p10 = make_nesterov_worst(6), make_nesterov_worst(10)
     noisy6, noisy10 = gaussian_noise_oracle(p6, 1.0), gaussian_noise_oracle(p10, 1.0)
     rand_k = _oracle("rand_k_noise", p6)
@@ -147,14 +148,17 @@ def _searches():
                                               max_T=500, seed=3)),
         ("censored", 2, lambda: tune_stepsize(p6, noisy6, 1e-9, grid=[0.02, 0.05],
                                               reps=2, max_T=299, seed=1)),
+        ("hit_at_max_T", 2, lambda: tune_stepsize(p6, exact_oracle(p6), 1e-3,
+                                                  grid=[0.05, 0.1, 0.2], reps=2,
+                                                  max_T=78, seed=0)),
         ("sparse_hit", 2, lambda: tune_stepsize(
             p6, gaussian_noise_oracle(p6, 0.01), 0.1, grid=[0.01, 0.005],
             reps=2, max_T=10**7, seed=2)),
     ]
 
 
-@pytest.mark.parametrize("case", range(4), ids=["hit", "diverged", "censored",
-                                                "sparse_hit"])
+@pytest.mark.parametrize("case", range(5), ids=["hit", "diverged", "censored",
+                                                "hit_at_max_T", "sparse_hit"])
 def test_fold_block_size_changes_nothing(case, monkeypatch):
     # the search folds its f values per block; a block of one slot is the
     # per-step bookkeeping, and 7 slots put the hit, the divergence and
@@ -172,6 +176,8 @@ def test_fold_block_size_changes_nothing(case, monkeypatch):
         assert out <= 50 and out % 7 != 0  # it drops out mid-block
     if name == "censored":
         assert default.best is None and stop == 299 and 299 % 7 != 6
+    if name == "hit_at_max_T":
+        assert default.best is not None and stop == 78 and 78 % 7 != 6
     if name == "sparse_hit":
         assert stop > 50 and stop not in tuning.history_grid(10**7)
     for rows in (1, 7):
@@ -182,15 +188,19 @@ def test_fold_block_size_changes_nothing(case, monkeypatch):
         assert res.history.tobytes() == default.history.tobytes()
 
 
-def test_the_search_stops_at_the_first_iterate_at_the_target():
+@pytest.mark.parametrize("max_T", [5000, 78])
+def test_the_search_stops_at_the_first_iterate_at_the_target(max_T):
     # with an exact oracle every rep of a stepsize takes the same path, so a
     # step's smallest f is its rep mean: the one-`min` test of a step must
-    # let the first iterate at the target through, not a later one
+    # let the first iterate at the target through, not a later one, and
+    # also when that iterate is the last one, max_T
     p = make_nesterov_worst(6)
     o = exact_oracle(p)
     grid = [0.05, 0.1, 0.2]
-    res = tune_stepsize(p, o, 1e-3, grid=grid, reps=2, max_T=5000, seed=0)
+    res = tune_stepsize(p, o, 1e-3, grid=grid, reps=2, max_T=max_T, seed=0)
     first = [int(np.argmax(sgd_run(p, o, StepSchedule.constant(g), 5000,
                                    seed=0).f_gap <= 1e-3)) for g in grid]
     assert res.best.iterations == min(first) == 78
     assert res.best.gamma == grid[int(np.argmin(first))]
+    assert [e.censored_at for e in res.entries] == [78, 78, None]
+
