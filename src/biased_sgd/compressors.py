@@ -216,10 +216,18 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
             raise UnsupportedCompositionError(
                 f"no derived bounds for compressor kind {c.kind!r}")
 
+    def rows(X, n, rng):
+        G = inner._query_batch(X, n, rng)
+        # a random compressor draws n rows, so it gets the one inner row n
+        # times (tested first: a broadcast_to on every engine step costs)
+        if len(G) < n and not c.deterministic:
+            G = np.broadcast_to(G, (n, d))
+        return c.apply_rows(G, rng)
+
     oracle = BiasedOracle(
         name=f"{c.name}({inner.name})", dim=d,
         bounds=OracleBounds(),  # placeholder, replaced below
-        _query_batch=lambda X, rng: c.apply_rows(inner.query_batch(X, rng), rng),
+        _query_batch=rows,
         expected_query=expected,
         deterministic=inner.deterministic and (c.deterministic or identity),
     )

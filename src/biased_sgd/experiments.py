@@ -521,11 +521,12 @@ def table1_oracles(dim: int = 10) -> list:
 
 def verify_experiment(cfg: Optional[ExperimentConfig], out_dir: Optional[str],
                       samples: int = 100_000, n_points: int = 20,
-                      seed: int = 0) -> list:
+                      seed: int = 0) -> tuple[list, str]:
     """verify_declared for the configured oracle, or all special-case rows.
 
-    Returns the reports and writes a markdown table mirroring the declared
-    vs fitted parameters.
+    Returns (reports, table): the (row name, report) pairs and the markdown
+    table mirroring the declared vs fitted parameters, which is also written
+    to `out_dir`/verify.md when `out_dir` is given.
     """
     if cfg is not None:
         p = build_problem(cfg)

@@ -102,11 +102,6 @@ class RunTrace:
     def diverged(self) -> bool:
         return self.status == "diverged"
 
-    def psi(self) -> float:
-        """Mean squared gradient norm over the recorded iterates before the last."""
-        return float(np.mean(self.grad_norm_sq[:-1])) if len(self.t) > 1 \
-            else float(self.grad_norm_sq[0])
-
 
 class Divergence(NamedTuple):
     """One diverged repetition: its index, why, and when it was flagged.
@@ -288,11 +283,12 @@ def _run_lanes(p: Problem, o: BiasedOracle, T: int, x0: Optional[np.ndarray],
     if x0.shape != (p.dim,):
         raise ValueError(f"x0 must have shape ({p.dim},)")
 
-    lanes = len(gens) if rows is None else len(rows)
+    lanes = n = len(gens) if rows is None else len(rows)
     F, GN, grid, target = sink.F, sink.GN, sink.grid, sink.target
     block, dense = len(F), grid is None
     steps = None if isinstance(gamma, np.ndarray) else iter(gamma)
-    query, value_many, grad_many = o.query_batch, p.value_many, p.grad_many
+    # the row map on n = len(X) rows, a frame less per step than query_batch
+    query, value_many, grad_many = o._query_batch, p.value_many, p.grad_many
     f_star = p.f_star or 0.0
     X = np.tile(x0, (lanes, 1))
     live = np.arange(lanes)  # the lane of each row of X
@@ -325,7 +321,7 @@ def _run_lanes(p: Problem, o: BiasedOracle, T: int, x0: Optional[np.ndarray],
             if slot - base == block:
                 fold()
                 base = b0 = slot
-            X -= (gamma if steps is None else next(steps)) * query(X, rng)
+            X -= (gamma if steps is None else next(steps)) * query(X, n, rng)
             fx = value_many(X)
             # a lane fails once |f| > DIVERGENCE_LIMIT or ||x||^2 >
             # DIVERGENCE_LIMIT^2 (NaN fails both); one sum bounds every lane
@@ -341,7 +337,7 @@ def _run_lanes(p: Problem, o: BiasedOracle, T: int, x0: Optional[np.ndarray],
             sink.drop(t + 1, slot, live[bad], X[bad], fx[bad])
             ok = ~bad
             X, fx, live = X[ok], fx[ok], live[ok]
-            cols = live
+            cols, n = live, len(live)
             if steps is None:
                 gamma = gamma[ok]
             if not len(live):

@@ -36,14 +36,6 @@ class OracleBounds:
             if getattr(self, label) < 0.0:
                 raise ValueError(f"{label} must be nonnegative")
 
-    def noise_bound_vs_gradient(self) -> tuple[float, float]:
-        """(M_bar, sigma_bar^2) bounding the noise against ||grad f||^2 alone.
-
-        M_bar = 2M(1+m) and sigma_bar^2 = sigma^2 + 2M*zeta^2; follows from
-        ||a+b||^2 <= 2||a||^2 + 2||b||^2 applied to grad f + b.
-        """
-        return 2.0 * self.M * (1.0 + self.m), self.sigma_sq + 2.0 * self.M * self.zeta_sq
-
     def as_dict(self) -> dict:
         return {"m": self.m, "zeta_sq": self.zeta_sq, "M": self.M,
                 "sigma_sq": self.sigma_sq}
@@ -56,19 +48,20 @@ EXACT_BOUNDS = OracleBounds(0.0, 0.0, 0.0, 0.0)
 class BiasedOracle:
     """A stochastic gradient map with declared bound parameters.
 
-    The map is one row form, `_query_batch(X, rng)`: one draw at each row of
-    an (n, dim) state matrix. `query(x)` is that map on a batch of one, and
-    `query_many(x, n)` is that map on n copies of x (Monte-Carlo estimation
-    at a fixed point). `__post_init__` derives `_query` and `_query_many`
-    from the row map unless they are passed explicitly, as
-    `dataclasses.replace` does. `expected_query` gives grad f(x) + b(x) in
-    closed form when available.
+    The map is one row form, `_query_batch(X, n, rng)`: X has 1 or n rows,
+    every draw has n rows, and a deterministic map may return its one row,
+    so a point's deterministic part (grad f(x), f(x)) is computed once for
+    any number of draws. `query_batch(X)` is the map on (X, len(X)),
+    `query(x)` on (x[None], 1) and `query_many(x, n)` on (x[None], n), always
+    n fresh rows. `__post_init__` derives `_query` and `_query_many` from the
+    row map unless they are passed explicitly, as `dataclasses.replace`
+    does. `expected_query` gives grad f(x) + b(x) in closed form if known.
     """
 
     name: str
     dim: int
     bounds: OracleBounds
-    _query_batch: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    _query_batch: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     _query: Optional[Callable] = None
     _query_many: Optional[Callable] = None
     expected_query: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -77,12 +70,12 @@ class BiasedOracle:
     def __post_init__(self):
         rows = self._query_batch
         if self._query is None:
-            object.__setattr__(self, "_query", lambda x, rng: rows(x[None], rng)[0])
+            object.__setattr__(self, "_query", lambda x, rng: rows(x[None], 1, rng)[0])
         if self._query_many is None:
-            # contiguous copies, not a broadcast view: matmul on a stride-0
-            # view skips BLAS and is several times slower
-            object.__setattr__(self, "_query_many",
-                               lambda x, n, rng: rows(np.tile(x, (n, 1)), rng))
+            def many(x, n, rng):  # n writable rows: _collect subtracts in place
+                G = rows(x[None], n, rng)
+                return G if len(G) == n else np.repeat(G, n, axis=0)
+            object.__setattr__(self, "_query_many", many)
 
     def query(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self._query(x, rng)
@@ -92,7 +85,7 @@ class BiasedOracle:
         return self._query_many(x, n, rng)
 
     def query_batch(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self._query_batch(X, rng)
+        return self._query_batch(X, len(X), rng)
 
     def with_bounds(self, bounds: OracleBounds) -> "BiasedOracle":
         """Same query stream with different declared bounds."""
@@ -113,7 +106,7 @@ def exact_oracle(p: Problem) -> BiasedOracle:
     grad_many = p.grad_many
     return BiasedOracle(
         name="exact", dim=p.dim, bounds=EXACT_BOUNDS,
-        _query_batch=lambda X, rng: grad_many(X),
+        _query_batch=lambda X, n, rng: grad_many(X),
         expected_query=p.grad, deterministic=True,
     )
 
@@ -131,13 +124,13 @@ def gaussian_noise_oracle(p: Problem, sigma_sq: float,
         inner = exact_oracle(p)
     if sigma_sq == 0.0:
         return inner
-    scale = np.sqrt(sigma_sq / p.dim)
-    b = inner.bounds
+    d, rows, b = p.dim, inner._query_batch, inner.bounds
+    scale = np.sqrt(sigma_sq / d)
     return BiasedOracle(
         name=f"{inner.name}+noise({sigma_sq:g})", dim=p.dim,
         bounds=replace(b, sigma_sq=b.sigma_sq + sigma_sq),
-        _query_batch=lambda X, rng: (inner.query_batch(X, rng)
-                                     + scale * rng.standard_normal(X.shape)),
+        _query_batch=lambda X, n, rng: (rows(X, n, rng)
+                                        + scale * rng.standard_normal((n, d))),
         expected_query=inner.expected_query, deterministic=False,
     )
 
@@ -151,12 +144,12 @@ def additive_bias_oracle(inner: BiasedOracle, zeta: float,
     if zeta == 0.0:
         return inner
     bias = zeta * direction
-    b = inner.bounds
+    b, rows = inner.bounds, inner._query_batch
     expected = inner.expected_query
     return BiasedOracle(
         name=f"{inner.name}+bias({zeta:g})", dim=inner.dim,
         bounds=replace(b, zeta_sq=b.zeta_sq + zeta * zeta),
-        _query_batch=lambda X, rng: inner.query_batch(X, rng) + bias,
+        _query_batch=lambda X, n, rng: rows(X, n, rng) + bias,
         expected_query=(lambda x: expected(x) + bias) if expected else None,
         deterministic=inner.deterministic,
     )
@@ -178,8 +171,6 @@ def tightness_oracle(p: Problem, m: float, zeta_sq: float,
     (positive root), so ||g - grad f||^2 = m||grad f||^2 + zeta^2 exactly and
     any stationary point of the oracle field has ||grad f||^2 = zeta^2/(1-m).
     """
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"m must lie in [0, 1), got {m}")
     if zeta_sq <= 0.0:
         raise ValueError("zeta_sq must be positive (rho is undefined at 0)")
     b = np.asarray(b, dtype=float)
@@ -189,7 +180,7 @@ def tightness_oracle(p: Problem, m: float, zeta_sq: float,
     return BiasedOracle(
         name=f"tightness(m={m:g},zeta_sq={zeta_sq:g})", dim=p.dim,
         bounds=OracleBounds(m=m, zeta_sq=zeta_sq),
-        _query_batch=lambda X, rng: rows(X),
+        _query_batch=lambda X, n, rng: rows(X),
         expected_query=_at_point(rows), deterministic=True,
     )
 
@@ -212,11 +203,8 @@ def gaussian_smoothing_oracle(p: Problem, tau: float) -> BiasedOracle:
     u is standard Gaussian (identity covariance). The declared bounds scale as
     tau^2 in both zeta^2 and sigma^2 and as d in M.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-
-    def rows(X, rng):
-        U = rng.standard_normal(X.shape)
+    def rows(X, n, rng):
+        U = rng.standard_normal((n, p.dim))
         return ((p.value_many(X + tau * U) - p.value_many(X)) / tau)[:, None] * U
 
     return BiasedOracle(
@@ -271,18 +259,16 @@ def synthetic_tight_oracle(p: Problem, m: float, zeta_sq: float,
     noise is an isotropic Gaussian rescaled per point so that
     E||n||^2 = M||grad f + b||^2 + sigma^2 exactly.
     """
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"m must lie in [0, 1), got {m}")
     if m > 0.0 and zeta_sq == 0.0:
         raise ValueError("the tight construction needs zeta_sq > 0 when m > 0")
     d = p.dim
     mean_rows = _tight_rows(p, m, zeta_sq, np.sqrt(zeta_sq) * uniform_direction(d)) \
         if zeta_sq > 0 else p.grad_many
 
-    def rows(X, rng):
+    def rows(X, n, rng):
         mean = mean_rows(X)
         scale = np.sqrt((M * _sq_rows(mean) + sigma_sq) / d)
-        W = rng.standard_normal(X.shape)
+        W = rng.standard_normal((n, d))
         norms = np.sqrt(_sq_rows(W) / d)
         return mean + scale[:, None] * (W / norms[:, None])
 

@@ -55,6 +55,13 @@ class QuadraticProblem(Problem):
     hessian: np.ndarray = field(default=None, repr=False)
 
 
+def _gemm_row(x: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # x @ B for one row x, as the first row of a two-row product: numpy
+    # hands a one-row product to gemv, which can round differently from
+    # gemm, and a gemm row does not depend on the rows beside it
+    return (np.concatenate((x, x)) @ B)[:1]
+
+
 def quadratic_problem(A: np.ndarray, name: str = "quadratic",
                       eigvals: Optional[np.ndarray] = None) -> QuadraticProblem:
     """Least-squares objective 0.5*||Ax||^2 for a dense matrix A (rows >= cols).
@@ -81,11 +88,11 @@ def quadratic_problem(A: np.ndarray, name: str = "quadratic",
         return H @ x
 
     def value_many(X: np.ndarray) -> np.ndarray:
-        R = X @ A.T
+        R = X @ A.T if X.shape[0] != 1 else _gemm_row(X, A.T)
         return 0.5 * np.einsum("ij,ij->i", R, R)
 
     def grad_many(X: np.ndarray) -> np.ndarray:
-        return X @ H  # H symmetric
+        return X @ H if X.shape[0] != 1 else _gemm_row(X, H)  # H symmetric
 
     # x0 scaled so the initial gap is exactly 1
     v = np.ones(dim) / np.sqrt(dim)

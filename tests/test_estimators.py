@@ -132,14 +132,14 @@ def test_assumption4_infeasible_detection():
     p = make_nesterov_worst(10)
     u = uniform_direction(10)
 
-    def rows(X, rng):
+    def rows(X, n, rng):
         G = p.grad_many(X)
         return G + 1.2 * np.linalg.norm(G, axis=1)[:, None] * u
 
     o = BiasedOracle(name="overbiased", dim=10,
                      bounds=OracleBounds(m=0.5, zeta_sq=1.0),
                      _query_batch=rows,
-                     expected_query=lambda x: rows(x[None], None)[0],
+                     expected_query=lambda x: rows(x[None], 1, None)[0],
                      deterministic=True)
     stats = estimate_bias(o, p, probe_points(p, 10, seed=11), samples=10, seed=11)
     fit = fit_bounds(stats)

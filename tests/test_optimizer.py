@@ -182,12 +182,6 @@ def test_sequence_schedule_applied_per_step():
     assert np.allclose(tr.stepsizes[:3], gammas, rtol=0)
 
 
-def test_psi_matches_mean_of_leading_iterates():
-    p = make_nesterov_worst(6)
-    tr = sgd_run(p, exact_oracle(p), StepSchedule.constant(0.05), 40, seed=0)
-    assert tr.psi() == pytest.approx(float(np.mean(tr.grad_norm_sq[:-1])), rel=0)
-
-
 def test_uniform_random_iterate():
     p = make_nesterov_worst(6)
     tr1 = sgd_run(p, exact_oracle(p), StepSchedule.constant(0.05), 1, seed=0)
@@ -200,7 +194,7 @@ def test_uniform_random_iterate():
     assert np.all(np.abs(freq - 0.1) < 5 * se)
     # plug-in estimator of the averaged squared gradient norm
     est = float(np.mean(tr.grad_norm_sq[draws]))
-    assert est == pytest.approx(tr.psi(), rel=0.05)
+    assert est == pytest.approx(float(np.mean(tr.grad_norm_sq[:-1])), rel=0.05)
 
 
 def test_fingerprint_records_configuration():
@@ -244,7 +238,7 @@ def test_completed_run_evaluates_f_once_per_step():
 def test_divergence_reason_from_bad_oracle(fill, reason):
     p = make_nesterov_worst(4)
     o = BiasedOracle(name="bad", dim=4, bounds=OracleBounds(),
-                     _query_batch=lambda X, rng: np.full(X.shape, fill))
+                     _query_batch=lambda X, n, rng: np.full(X.shape, fill))
     tr = sgd_run(p, o, StepSchedule.constant(1.0), 10, seed=0)
     assert tr.diverged and tr.reason == reason
     assert len(tr.t) == 1  # only the starting point was recorded
@@ -367,9 +361,9 @@ def test_lane_streams_buffers_stay_within_the_byte_budget():
 
 def _blow_up_oracle(p, rate):
     """Noisy gradient rows, each replaced by 1e16 with probability `rate`."""
-    def rows(X, rng):
-        G = p.grad_many(X) + 0.1 * rng.standard_normal(X.shape)
-        G[rng.random(X.shape)[:, 0] < rate] = 1e16
+    def rows(X, n, rng):
+        G = p.grad_many(X) + 0.1 * rng.standard_normal((n, p.dim))
+        G[rng.random((n, p.dim))[:, 0] < rate] = 1e16
         return G
     return BiasedOracle(name="blow_up", dim=p.dim, bounds=OracleBounds(),
                         _query_batch=rows)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from biased_sgd import (OracleBounds, additive_bias_oracle, compressed_oracle,
                         rand_k_unbiased_compressor, scale_compressor,
                         synthetic_tight_oracle, tightness_oracle,
                         top_k_compressor, uniform_direction)
+from biased_sgd.estimators import _CHUNK, probe_points
+from biased_sgd.experiments import table1_oracles
 from biased_sgd.problems import Problem
 from biased_sgd._rng import stream
 
@@ -22,13 +26,6 @@ def test_bounds_validation():
         OracleBounds(zeta_sq=-1.0)
     with pytest.raises(ValueError):
         OracleBounds(sigma_sq=-1e-9)
-
-
-def test_noise_bound_vs_gradient():
-    b = OracleBounds(m=0.5, zeta_sq=2.0, M=3.0, sigma_sq=1.0)
-    M_bar, s_bar = b.noise_bound_vs_gradient()
-    assert M_bar == 2 * 3.0 * 1.5
-    assert s_bar == 1.0 + 2 * 3.0 * 2.0
 
 
 def test_exact_oracle_values():
@@ -192,7 +189,9 @@ def test_variance_bounds_battery():
     rng = stream(9)
     for o in oracles:
         b = o.bounds
-        M_bar, s_bar = b.noise_bound_vs_gradient()
+        # the noise bound against ||grad f||^2 alone, from
+        # ||a+b||^2 <= 2||a||^2 + 2||b||^2 applied to grad f + b
+        M_bar, s_bar = 2.0 * b.M * (1.0 + b.m), b.sigma_sq + 2.0 * b.M * b.zeta_sq
         for _ in range(20):
             x = 2 * rng.standard_normal(10)
             g = p.grad(x)
@@ -252,16 +251,16 @@ def test_synthetic_tight_oracle_is_exactly_tight():
         assert np.allclose(q, target, rtol=1e-10)
 
 
-def _contract_oracles():
-    p = make_nesterov_worst(6)
+def _contract_oracles(d=6):
+    p = make_nesterov_worst(d)
     noise = gaussian_noise_oracle(p, 1.0)
     hp, huber = huber_shifted_oracle()
     return {
         "exact": (p, exact_oracle(p)),
         "noise": (p, noise),
-        "additive_bias": (p, additive_bias_oracle(noise, 0.1, uniform_direction(6))),
+        "additive_bias": (p, additive_bias_oracle(noise, 0.1, uniform_direction(d))),
         "tightness": (p, tightness_oracle(p, 0.5, 0.01,
-                                          0.1 * uniform_direction(6))),
+                                          0.1 * uniform_direction(d))),
         "gaussian_smoothing": (p, gaussian_smoothing_oracle(p, 0.1)),
         "inexact": (p, inexact_oracle(p, 0.1)),
         "stochastic_inexact": (p, inexact_oracle(p, 0.1, noise_sigma_sq=1.0)),
@@ -270,9 +269,9 @@ def _contract_oracles():
         "synthetic_tight_unbiased": (p, synthetic_tight_oracle(p, 0.0, 0.0, 1.0, 0.5)),
         **{f"compressed_{c.name}": (p, compressed_oracle(c, noise, p,
                                                          bounds_mode="query_only"))
-           for c in (top_k_compressor(2, 6), top_k_compressor(6, 6),
-                     rand_k_compressor(2, 6), rand_k_compressor(6, 6),
-                     rand_k_unbiased_compressor(2, 6), scale_compressor(0.36, 6))},
+           for c in (top_k_compressor(2, d), top_k_compressor(d, d),
+                     rand_k_compressor(2, d), rand_k_compressor(d, d),
+                     rand_k_unbiased_compressor(2, d), scale_compressor(0.36, d))},
     }
 
 
@@ -287,3 +286,54 @@ def test_query_forms_wrap_the_row_map(name):
         o.query_batch(np.tile(x, (7, 1)), r2).tobytes()
     assert repr(r1.bit_generator.state) == repr(r2.bit_generator.state)
 
+
+def _point_query_cases():
+    cases = {f"contract_{name}": po for name, po in _contract_oracles(10).items()}
+    cases.update({f"table1_{name}": (p, o) for name, p, o in table1_oracles()})
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_point_query_cases()))
+def test_point_query_is_the_tiled_batch(name):
+    """At the estimator's chunk size, n draws at one point are the row map on
+    n copies of it, to the bit, and leave the generator where it leaves it."""
+    p, o = _point_query_cases()[name]
+    n = _CHUNK
+    for x in probe_points(p, 4, seed=2) + [1.5 * p.default_x0]:
+        r1, r2 = stream(31), stream(31)
+        G = o.query_many(x, n, r1)
+        assert G.shape == (n, p.dim) and G.flags.writeable
+        assert G.tobytes() == o.query_batch(np.tile(x, (n, 1)), r2).tobytes()
+        assert repr(r1.bit_generator.state) == repr(r2.bit_generator.state)
+
+
+def _row_counting(p):
+    """`p` with value_many/grad_many counting the rows they are given."""
+    rows = {"value_many": 0, "grad_many": 0}
+
+    def counted(name):
+        fn = getattr(p, name)
+
+        def many(X):
+            rows[name] += len(X)
+            return fn(X)
+        return many
+
+    return replace(p, value_many=counted("value_many"),
+                   grad_many=counted("grad_many")), rows
+
+
+@pytest.mark.parametrize("kind,expected", [
+    ("noise", {"value_many": 0, "grad_many": 1}),
+    ("rand_k_exact", {"value_many": 0, "grad_many": 1}),
+    ("gaussian_smoothing", {"value_many": 1 + _CHUNK, "grad_many": 0}),
+])
+def test_point_query_does_its_deterministic_part_once(kind, expected):
+    p, rows = _row_counting(make_nesterov_worst(10))
+    o = {"noise": lambda: gaussian_noise_oracle(p, 1.0),
+         "rand_k_exact": lambda: compressed_oracle(rand_k_compressor(2, 10),
+                                                   exact_oracle(p), p),
+         "gaussian_smoothing": lambda: gaussian_smoothing_oracle(p, 0.1)}[kind]()
+    G = o.query_many(p.default_x0, _CHUNK, stream(32))
+    assert G.shape == (_CHUNK, 10)
+    assert rows == expected
