@@ -13,7 +13,8 @@ from .oracles import (BiasedOracle, OracleBounds, additive_bias_oracle,
                       inexact_oracle, synthetic_tight_oracle, tightness_oracle,
                       uniform_direction)
 from .optimizer import (Divergence, RepeatedRuns, RunTrace, StepSchedule,
-                        sgd_run, sgd_run_repeated, uniform_random_iterate)
+                        sgd_run, sgd_run_repeated, sgd_run_repeated_many,
+                        uniform_random_iterate)
 from .problems import (Problem, QuadraticProblem, finite_diff_check,
                        make_huber_problem, make_nesterov_worst,
                        quadratic_problem, scaled_x0)
@@ -22,6 +23,7 @@ from .theory import (RatePrediction, descent_lemma_rhs, error_floor,
                      pl_stepsize_proof, psi_bound, smooth_iterations,
                      smooth_prediction, smooth_stepsize, smooth_stepsize_proof,
                      stepsize_cap, zo_budget)
-from .tuning import TuneResult, default_gamma_grid, tune_stepsize
+from .tuning import (TuneResult, default_gamma_grid, tune_stepsize,
+                     tune_stepsize_many)
 
 __version__ = "0.1.0"

@@ -20,10 +20,13 @@ from .oracles import (BiasedOracle, additive_bias_oracle, exact_oracle,
                       gaussian_noise_oracle, gaussian_smoothing_oracle,
                       huber_shifted_oracle, inexact_oracle, tightness_oracle,
                       uniform_direction)
-from .optimizer import RepeatedRuns, StepSchedule, sgd_run_repeated
+from .optimizer import (RepeatedRuns, StepSchedule, sgd_run_repeated,
+                        sgd_run_repeated_many)
 from .problems import Problem, make_huber_problem, make_nesterov_worst, scaled_x0
 from .svgplot import line_plot, panel_grid
-from .tuning import TuneResult, default_gamma_grid, tune_stepsize
+# tune_stepsize has no caller here, but perfbench/tracer.py wraps it by name
+from .tuning import (TuneResult, default_gamma_grid, tune_stepsize,  # noqa: F401
+                     tune_stepsize_many)
 
 CSV_HEADER = "t,mean_f_gap,se_f_gap,mean_grad_norm_sq,se_grad_norm_sq"
 
@@ -172,14 +175,19 @@ def _write_run(out_dir: str, cfg: ExperimentConfig, agg: RepeatedRuns,
         fh.write(cfg.canonical())
 
 
+def _build_run(cfg: ExperimentConfig) -> tuple:
+    """(problem, oracle, bounds source, schedule) of the run `cfg` asks for."""
+    p = build_problem(cfg)
+    o, bounds_source = build_oracle(cfg, p)
+    return p, o, bounds_source, StepSchedule.constant(_resolved_stepsize(cfg, p, o))
+
+
 def run_experiment(cfg: ExperimentConfig,
                    out_dir: Optional[str] = None) -> RunOutput:
     """Execute one repeated run; optionally write trace.csv and summary.txt."""
-    p = build_problem(cfg)
-    o, bounds_source = build_oracle(cfg, p)
-    gamma = _resolved_stepsize(cfg, p, o)
-    agg = sgd_run_repeated(p, o, StepSchedule.constant(gamma), cfg.run.T,
-                           cfg.run.reps, cfg.run.seed, x0=_x0(cfg, p))
+    p, o, bounds_source, sched = _build_run(cfg)
+    agg = sgd_run_repeated(p, o, sched, cfg.run.T, cfg.run.reps, cfg.run.seed,
+                           x0=_x0(cfg, p))
     summary = _cell_summary(cfg, p, o, bounds_source, agg)
     if out_dir is not None:
         _write_run(out_dir, cfg, agg, summary)
@@ -243,16 +251,55 @@ def _distinct_runs(runs: list) -> list:
 
 
 def _map(fn, tasks: list, workers: int) -> list:
-    """[fn(task) for task in tasks], in min(workers, len(tasks)) processes."""
+    """fn on min(workers, len(tasks)) contiguous parts of `tasks`, one
+    process each; fn(part) gives one out per task, and the outs are joined.
+    """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     n = min(workers, len(tasks))
+    size, extra = divmod(len(tasks), n)
+    ends = [i * size + min(i, extra) for i in range(n + 1)]
+    parts = [tasks[a:b] for a, b in zip(ends, ends[1:])]
     if n <= 1:
-        return [fn(t) for t in tasks]
+        return [out for part in parts for out in fn(part)]
     # imported here so that serial runs do not pay its import time
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, tasks))
+        return [out for outs in pool.map(fn, parts) for out in outs]
+
+
+def _batched(build, run, tasks: list) -> list:
+    """Per task (member, result), or the error message of its failure:
+    build(task) gives its member, and run(members) one result per member,
+    all members in one call.
+
+    A task whose build raises stays out of the call. If the call raises,
+    each member runs alone, so that a failing run gets its own message and
+    the others their results. Failures are caught here, so serial and pooled
+    runs record them alike.
+    """
+    built = []
+    for task in tasks:
+        try:
+            built.append(build(task))
+        except Exception as exc:  # noqa: BLE001 - cell failures are data, not fatal
+            built.append(str(exc))
+    members = [m for m in built if not isinstance(m, str)]
+    try:
+        results = run(members) if members else []
+    except Exception:  # noqa: BLE001 - rerun alone below, each failure its own
+        results = []
+        for m in members:
+            try:
+                results += run([m])
+            except Exception as exc:  # noqa: BLE001
+                results.append(str(exc))
+    results = iter(results)
+    for i, m in enumerate(built):
+        if not isinstance(m, str):
+            res = next(results)
+            built[i] = res if isinstance(res, str) else (m, res)
+    return built
 
 
 def _fan_out(groups: list, outs: list, n_cells: int) -> list:
@@ -264,33 +311,44 @@ def _fan_out(groups: list, outs: list, n_cells: int) -> list:
     return per_cell
 
 
-def _sweep_group(args):
-    """One distinct run, written out for each sweep cell that asks for it.
+def _sweep_part(tasks: list) -> list:
+    """Distinct runs stepped as one engine run, each written out for the
+    sweep cells that ask for it.
 
-    Returns per cell (summary, t, mean_f_gap), or the error message of a
-    failed cell. Failures are caught here, so serial and pooled sweeps record
-    them alike: a failed run fails every cell of its group, a failed oracle
-    build only its own cell. Each cell's summary is built from its own
+    Returns per run its cells' (summary, t, mean_f_gap), or the error message
+    of a failed cell: a failed run fails every cell of its group, a failed
+    oracle build only its own cell. Each cell's summary is built from its own
     config and oracle (name, fingerprint, bounds, predicted floor).
     """
-    run_cfg, members = args
-    try:
-        run = run_experiment(run_cfg)
-    except Exception as exc:  # noqa: BLE001 - cell failures are data, not fatal
-        return [str(exc)] * len(members)
+    r = tasks[0][0].run  # no sweep axis changes T, reps, seed or x0
+
+    def run(members: list) -> list:
+        p = members[0][0]
+        return sgd_run_repeated_many(p, [(o, sched) for _, o, _, sched in members],
+                                     r.T, r.reps, r.seed, x0=_x0(tasks[0][0], p),
+                                     keep_traces=False)
+
     outs = []
-    for cfg, cell_dir in members:
-        try:
-            if cfg.oracle.compressor == run_cfg.oracle.compressor:
-                o, source = run.oracle, run.bounds_source
-            else:
-                o, source = build_oracle(cfg, run.problem)
-            summary = _cell_summary(cfg, run.problem, o, source, run.agg)
-            _write_run(cell_dir, cfg, run.agg, summary)
-        except Exception as exc:  # noqa: BLE001
-            outs.append(str(exc))
+    runs = _batched(lambda task: _build_run(task[0]), run, tasks)
+    for (run_cfg, cells), res in zip(tasks, runs):
+        if isinstance(res, str):
+            outs.append([res] * len(cells))
             continue
-        outs.append((summary, run.agg.t, run.agg.mean_f_gap))
+        (p, run_o, run_source, _), agg = res
+        cell_outs = []
+        for cfg, cell_dir in cells:
+            try:
+                if cfg.oracle.compressor == run_cfg.oracle.compressor:
+                    o, source = run_o, run_source
+                else:
+                    o, source = build_oracle(cfg, p)
+                summary = _cell_summary(cfg, p, o, source, agg)
+                _write_run(cell_dir, cfg, agg, summary)
+            except Exception as exc:  # noqa: BLE001
+                cell_outs.append(str(exc))
+                continue
+            cell_outs.append((summary, agg.t, agg.mean_f_gap))
+        outs.append(cell_outs)
     return outs
 
 
@@ -328,8 +386,10 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
                      workers: int = 1) -> SweepOutput:
     """Run every sweep cell, then write per-cell CSVs, figure.svg, manifest.txt.
 
-    Cells that ask for the same run (`_run_config`) share one engine run.
-    A failing cell is recorded in the manifest and does not abort the sweep.
+    Cells that ask for the same run (`_run_config`) share one result, and
+    the distinct runs are stepped as the members of one engine run (one per
+    process under `workers`). A failing cell is recorded in the manifest and
+    does not abort the sweep.
     """
     cells = expand_cells(cfg)
     base = parse_config(cfg.canonical())
@@ -337,7 +397,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
     groups = _distinct_runs([_run_config(c) for c in cell_cfgs])
     tasks = [(run, [(cell_cfgs[i], os.path.join(out_dir, "cells", cells[i][0]))
                     for i in idx]) for run, idx in groups]
-    outs = _fan_out(groups, _map(_sweep_group, tasks, workers), len(cells))
+    outs = _fan_out(groups, _map(_sweep_part, tasks, workers), len(cells))
     os.makedirs(out_dir, exist_ok=True)
 
     panel_keys, series_key = _panel_keys(cfg)
@@ -388,23 +448,29 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
                        out_dir=out_dir, distinct_runs=len(groups))
 
 
-def _tune_group(args):
-    """One distinct search: per cell (result, race curve), or the error message.
+def _tune_part(tasks: list) -> list:
+    """Distinct searches stepped as one engine run: per search its cells'
+    (result, race curve), or the error message.
 
     The result leaves out the search history, of which the race figure needs
-    only the race curve (`TuneResult.race_curve`). Failures are caught here,
-    so serial and pooled runs record them alike.
+    only the race curve (`TuneResult.race_curve`).
     """
-    cfg, tune, n_cells = args
-    try:
-        p = build_problem(cfg)
-        o, _ = build_oracle(cfg, p, estimate_missing_bounds=False)
+    cfg, tune, _ = tasks[0]  # no sweep axis changes the search
+
+    def build(task) -> tuple:
+        p = build_problem(task[0])
+        return p, build_oracle(task[0], p, estimate_missing_bounds=False)[0]
+
+    def run(members: list) -> list:
+        p = members[0][0]
         grid = list(tune.grid) if tune.grid else default_gamma_grid(p.smoothness_L)
-        res = tune_stepsize(p, o, tune.target_eps, grid=grid, reps=tune.reps,
-                            max_T=tune.max_T, seed=cfg.run.seed, x0=_x0(cfg, p))
-    except Exception as exc:  # noqa: BLE001 - cell failures are data, not fatal
-        return [str(exc)] * n_cells
-    return [(replace(res, history_t=None, history=None), res.race_curve())] * n_cells
+        return tune_stepsize_many(p, [o for _, o in members], tune.target_eps,
+                                  grid=grid, reps=tune.reps, max_T=tune.max_T,
+                                  seed=cfg.run.seed, x0=_x0(cfg, p),
+                                  keep_history=False)
+
+    return [[res if isinstance(res, str) else res[1]] * n_cells
+            for (_, _, n_cells), res in zip(tasks, _batched(build, run, tasks))]
 
 
 @dataclass
@@ -424,8 +490,9 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     (best stepsize and iterations-to-target per cell, or the error of a
     failed cell), and a race figure of each cell's rep-mean gap at its tuned
     stepsize, taken from the search itself. Cells that ask for the same
-    search (`_run_config`) share it. A failing cell is recorded in the
-    summary and does not abort the others.
+    search (`_run_config`) share it, and the distinct searches are stepped as
+    the members of one engine run (one per process under `workers`). A
+    failing cell is recorded in the summary and does not abort the others.
     """
     if cfg.tune is None:
         raise ConfigError("tune requires a [tune] section")
@@ -434,7 +501,7 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     groups = _distinct_runs([_run_config(_cell_config(base, ov), tune=True)
                              for _, ov in base_cells])
     tasks = [(run, base.tune, len(idx)) for run, idx in groups]
-    outs = _fan_out(groups, _map(_tune_group, tasks, workers), len(base_cells))
+    outs = _fan_out(groups, _map(_tune_part, tasks, workers), len(base_cells))
 
     cells = [{"label": label, "overrides": ov, "error": out}
              if isinstance(out, str) else

@@ -5,7 +5,8 @@ through the row forms of the oracle and the problem. Each lane draws only
 from its own Philox stream (one per draw kind, read ahead in blocks), so its
 trace does not depend on the lanes that run beside it; `sgd_run` is the
 one-lane case. `_run_lanes` is the one step loop: the repeated runs here and
-the stepsize search in `tuning` are its consumers.
+the stepsize search in `tuning` are its consumers, and several runs on one
+problem step together as its members, contiguous row blocks of one matrix.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ DIVERGENCE_LIMIT = 1e12
 _LIMIT_SQ = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
 _HALF_LIMIT_SQ = _LIMIT_SQ / 2
 # repeated runs keep every trace up to this many recorded values per array;
-# beyond it the aggregate is streamed through blocks of _STREAM_BLOCK values
+# beyond it, and in a batch of runs (`sgd_run_repeated_many` without
+# traces), the aggregate is streamed through blocks of _STREAM_BLOCK values
+# (2 MB per array)
 KEEP_TRACES_LIMIT = 5_000_000
-_STREAM_BLOCK = 1_000_000
+_STREAM_BLOCK = 250_000
 # `LaneStreams` reads each draw kind ahead in blocks of this many floats
 # over all its generators (64 KiB), or one row per generator when wider
 _BLOCK_FLOATS = 8_192
@@ -208,18 +211,16 @@ class _LaneStats:
     """The repeated runs' consumer: per-slot mean and SE over the lanes (Welford,
     lane by lane in lane order, as if adding the traces one after another),
     each lane's divergence and monotone-gap test, and with `keep_traces` the
-    traces themselves: then the buffers hold every slot.
+    traces themselves: then its buffers hold every slot.
     """
 
-    target = None
+    target, grad_norms = None, True
 
     def __init__(self, grid: np.ndarray, T: int, lanes: int, dim: int,
                  keep_traces: bool):
         n_rec = len(grid)
         self.grid = None if n_rec == T + 1 else grid  # None: every iterate
-        block = n_rec if keep_traces else max(1, min(n_rec, _STREAM_BLOCK // lanes))
-        self.F = np.empty((block, lanes))   # f(x), then f(x) - f*, of each slot and lane
-        self.GN = np.empty((block, lanes))  # ||grad f(x)||^2
+        self.floats = None if keep_traces else _STREAM_BLOCK
         self.length = np.full(lanes, n_rec)  # slots each lane records
         self.stopped = {}                    # lane -> (reason, iteration)
         self.final_x = np.empty((lanes, dim))
@@ -256,26 +257,55 @@ class _LaneStats:
             finite = np.isfinite(f) and np.isfinite(x).all()
             self.stopped[int(lane)] = ("overflow" if finite else "non-finite", t)
 
+    def stop(self, lanes: np.ndarray, X: np.ndarray) -> None:
+        self.final_x[lanes] = X
 
-def _run_lanes(p: Problem, o: BiasedOracle, T: int, x0: Optional[np.ndarray],
-               gens: list, sink, gamma, rows: Optional[np.ndarray] = None,
-               group: int = 1) -> tuple:
+
+class _Member:
+    """One run of an engine call: the row map of `o` and its consumer `sink`.
+
+    Lane i draws from gens[rows[i]] (gens[i] when `rows` is None) through
+    the member's own `LaneStreams`. `gamma` is the T stepsizes of every
+    lane, or a (lanes, 1) array of one constant per lane. A lane failing the
+    divergence test takes its group (the lanes with its i // group) out.
+    """
+
+    def __init__(self, o: BiasedOracle, sink, gens: list, gamma, T: int,
+                 rows: Optional[np.ndarray] = None, group: int = 1):
+        # the row map itself, a frame less per step than query_batch
+        self.query, self.sink, self.group = o._query_batch, sink, group
+        self.gamma = gamma
+        self.steps = None if isinstance(gamma, np.ndarray) else iter(gamma)
+        self.gen_of, self.rng = rows, LaneStreams(gens, T, rows)
+        self.lanes = self.n = len(gens) if rows is None else len(rows)
+        self.live = np.arange(self.n)  # the lane of each of its rows
+        self.cols = slice(None)        # a slice, not an index array, while all run
+        self.sl = self.X = None        # its rows of the engine's state matrix
+        self.b0 = 0                    # its slots from b0 on are not folded yet
+
+
+def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
+               members: list) -> None:
     """The one step loop: x_{t+1} = x_t - gamma * g_t on every lane, up to T steps.
 
-    Lane i is row i of the state matrix and draws from gens[rows[i]] (gens[i]
-    when `rows` is None). `gamma` is the T stepsizes of every lane, or a
-    (lanes, 1) array of one constant stepsize per lane. A lane failing the
-    divergence test takes its group (the lanes with its i // group) out of
-    the live set.
+    Each member (`_Member`) is a contiguous block of rows of one state
+    matrix, and its row map steps its block in place. `value_many`, the
+    divergence test, the f-value writes and the target test run once over
+    all rows, so the members must share the problem, x0, T, the recorded
+    slots and the target; a member's values do not depend on the others.
 
-    The consumer `sink` owns the (slots x lanes) buffer `F`, and `GN` for
-    ||grad f||^2 unless it is None; slot j is iteration `sink.grid[j]` (j
-    when `grid` is None). `sink.fold(b0, F, GN, cols)` gets the slots from
-    b0 on, less f*, when the buffer is full, before lanes drop and at the
-    end; `cols` selects the live lanes' columns. `sink.drop(t, slot, lanes,
-    X, fx)` gets the lanes leaving at iterate t. With `sink.target` set, an
-    iterate whose smallest f is at most it asks `sink.hit(t, fx, cols)`
-    whether to stop there. Returns (live, X): the live lanes and their rows.
+    The members share the (slots x lanes) buffer `F`, and `GN` for ||grad
+    f||^2 when a consumer sets `grad_norms`; each consumer gets its columns
+    as its `F` and `GN`. The buffers hold `sink.floats` floats (the least of
+    the members'), or every slot when one is None; slot j is iteration
+    `sink.grid[j]` (j when `grid` is None). `sink.fold(b0, F, GN, cols)` gets
+    the slots from b0 on, less f*, when the buffer is full, before lanes
+    drop and when the member stops; `cols` selects its live lanes' columns.
+    `sink.drop(t, slot, lanes, X, fx)` gets the lanes leaving at iterate t.
+    With `sink.target` set, an iterate whose smallest f is at most it asks
+    `sink.hit(t, fx, cols)` whether to stop there. A member stops on a hit,
+    when its last lane leaves, or at T: `sink.stop(lanes, X)` gets its live
+    lanes and their rows, and its draws are released.
     """
     if x0 is None and p.default_x0 is None:
         raise ValueError(f"problem {p.name} has no default x0; pass one")
@@ -283,24 +313,57 @@ def _run_lanes(p: Problem, o: BiasedOracle, T: int, x0: Optional[np.ndarray],
     if x0.shape != (p.dim,):
         raise ValueError(f"x0 must have shape ({p.dim},)")
 
-    lanes = n = len(gens) if rows is None else len(rows)
-    F, GN, grid, target = sink.F, sink.GN, sink.grid, sink.target
-    block, dense = len(F), grid is None
-    steps = None if isinstance(gamma, np.ndarray) else iter(gamma)
-    # the row map on n = len(X) rows, a frame less per step than query_batch
-    query, value_many, grad_many = o._query_batch, p.value_many, p.grad_many
-    f_star = p.f_star or 0.0
+    lanes = sum(m.lanes for m in members)
+    grid, target = members[0].sink.grid, members[0].sink.target
+    n_slots = T + 1 if grid is None else len(grid)
+    floats = [m.sink.floats for m in members]
+    block = n_slots if None in floats \
+        else max(1, min(n_slots, min(floats) // lanes))
+    F = np.empty((block, lanes))
+    GN = np.empty((block, lanes)) if any(m.sink.grad_norms for m in members) \
+        else None
     X = np.tile(x0, (lanes, 1))
-    live = np.arange(lanes)  # the lane of each row of X
+    lo = 0
+    for m in members:
+        c = slice(lo, lo + m.lanes)
+        m.sink.F, m.sink.GN = F[:, c], None if GN is None else GN[:, c]
+        m.sl, m.X, lo = c, X[c], lo + m.lanes
+    dense = grid is None
+    value_many, grad_many = p.value_many, p.grad_many
+    f_star = p.f_star or 0.0
+    live = np.arange(lanes)  # the column of each row of X
     cols = slice(None)       # a slice, not an index array, while all run
-    rng = LaneStreams(gens, T, rows)
-    # slots from b0 on are not folded yet; buffer row 0 holds slot `base`
-    slot = b0 = base = 0
+    members = list(members)
+    # slots from a member's b0 on are not folded yet; buffer row 0 holds
+    # slot `base`
+    slot = base = 0
 
-    def fold() -> None:
-        r = slice(b0 - base, slot - base)
-        F[r] -= f_star
-        sink.fold(b0, F[r], None if GN is None else GN[r], cols)
+    def fold(m: _Member) -> None:
+        r = slice(m.b0 - base, slot - base)
+        Fm = m.sink.F[r]
+        Fm -= f_star
+        m.sink.fold(m.b0, Fm, None if GN is None else m.sink.GN[r], m.cols)
+        m.b0 = slot
+
+    def stop(m: _Member, rows: np.ndarray) -> None:
+        if slot > m.b0:
+            fold(m)
+        m.sink.stop(m.live, rows)
+        m.rng = None
+
+    def shrink(ok: np.ndarray) -> list:
+        # the rows `ok` keeps, and the members that still run
+        nonlocal X, fx, live, cols
+        X, fx, live = X[ok], fx[ok], live[ok]
+        # a slice writes faster, and the live lanes often stay contiguous
+        cols = slice(live[0], live[-1] + 1) \
+            if len(live) and live[-1] - live[0] == len(live) - 1 else live
+        row = 0
+        left = [m for m in members if m.rng is not None]
+        for m in left:
+            m.sl, row = slice(row, row + m.n), row + m.n
+            m.X = X[m.sl]
+        return left
 
     # a failing lane is dropped below, so its overflow or NaN arithmetic
     # needs no warning
@@ -315,58 +378,85 @@ def _run_lanes(p: Problem, o: BiasedOracle, T: int, x0: Optional[np.ndarray],
                 slot += 1
             # the target test comes first, so that an iterate T at the
             # target is a hit
-            if (target is not None and fx.min() <= target
-                    and sink.hit(t, fx, cols)) or t == T:
+            if target is not None and fx.min() <= target:
+                ok = np.ones(len(X), dtype=bool)
+                for m in members:
+                    fm = fx[m.sl]
+                    if fm.min() <= target and m.sink.hit(t, fm, m.cols):
+                        stop(m, m.X)
+                        ok[m.sl] = False
+                if not ok.all():
+                    members = shrink(ok)
+            if t == T or not members:
                 break
             if slot - base == block:
-                fold()
-                base = b0 = slot
-            X -= (gamma if steps is None else next(steps)) * query(X, n, rng)
+                for m in members:
+                    fold(m)
+                base = slot
+            for m in members:
+                m.X -= (m.gamma if m.steps is None else next(m.steps)) \
+                    * m.query(m.X, m.n, m.rng)
             fx = value_many(X)
             # a lane fails once |f| > DIVERGENCE_LIMIT or ||x||^2 >
             # DIVERGENCE_LIMIT^2 (NaN fails both); one sum bounds every lane
             if fx @ fx + np.vdot(X, X) <= _HALF_LIMIT_SQ:
                 continue
-            bad = ~((np.abs(fx) <= DIVERGENCE_LIMIT) & (np.vecdot(X, X) <= _LIMIT_SQ))
-            if not bad.any():
+            ok = (np.abs(fx) <= DIVERGENCE_LIMIT) & (np.vecdot(X, X) <= _LIMIT_SQ)
+            if ok.all():
                 continue
-            bad = np.repeat(bad.reshape(-1, group).any(axis=1), group)
-            if slot > b0:
-                fold()
-                b0 = slot
-            sink.drop(t + 1, slot, live[bad], X[bad], fx[bad])
-            ok = ~bad
-            X, fx, live = X[ok], fx[ok], live[ok]
-            cols, n = live, len(live)
-            if steps is None:
-                gamma = gamma[ok]
-            if not len(live):
+            for m in members:
+                keep = ok[m.sl]
+                if keep.all():
+                    continue
+                keep = np.repeat(keep.reshape(-1, m.group).all(axis=1), m.group)
+                ok[m.sl] = keep
+                if slot > m.b0:
+                    fold(m)
+                bad = ~keep
+                m.sink.drop(t + 1, slot, m.live[bad], m.X[bad], fx[m.sl][bad])
+                m.live = m.cols = m.live[keep]
+                m.n = len(m.live)
+                if m.steps is None:
+                    m.gamma = m.gamma[keep]
+                if m.n:
+                    m.rng.rows = m.live if m.gen_of is None else m.gen_of[m.live]
+                else:
+                    stop(m, m.X[keep])
+            members = shrink(ok)
+            if not members:
                 break
-            rng.rows = live if rows is None else rows[live]
-        if slot > b0:
-            fold()
-    return live, X
+        for m in members:
+            stop(m, m.X)
 
 
-def _repeat(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
-            seed: int, x0: Optional[np.ndarray], rngs: list,
-            keep_traces: Optional[bool]) -> RepeatedRuns:
-    """One lane per generator in `rngs`, T steps of `sched` on the engine.
+def _repeat(p: Problem, runs: list, T: int, seed: int,
+            x0: Optional[np.ndarray], keep_traces: Optional[bool]) -> list:
+    """Per (oracle, schedule, generators) in `runs`, one lane per generator
+    taking T steps of the schedule, the runs stepped as the members of one
+    engine run.
 
     A diverging lane leaves with a partial trace; a completed lane whose gap
     only ever increased is flagged `monotone-increase`.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    sched.check_length(T)
-    lanes = len(rngs)
     grid = _record_grid(T)
     n_rec = len(grid)
-    if keep_traces is None:
-        keep_traces = lanes * n_rec <= KEEP_TRACES_LIMIT
-    stats = _LaneStats(grid, T, lanes, p.dim, keep_traces)
-    live, X = _run_lanes(p, o, T, x0, rngs, stats, sched.steps(T))
-    stats.final_x[live] = X
+    members = []
+    for o, sched, gens in runs:
+        sched.check_length(T)
+        keep = len(gens) * n_rec <= KEEP_TRACES_LIMIT if keep_traces is None \
+            else keep_traces
+        members.append(_Member(o, _LaneStats(grid, T, len(gens), p.dim, keep),
+                               gens, sched.steps(T), T))
+    _run_lanes(p, T, x0, members)
+    return [_aggregate(p, o, sched, T, seed, grid, m.sink)
+            for (o, sched, _), m in zip(runs, members)]
+
+
+def _aggregate(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
+               seed: int, grid: np.ndarray, stats: _LaneStats) -> RepeatedRuns:
+    lanes, n_rec = len(stats.length), len(grid)
     with np.errstate(invalid="ignore"):
         rising = stats.rising & (stats.last > stats.first)
 
@@ -377,6 +467,7 @@ def _repeat(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
         "problem": p.name, "oracle": o.name, "bounds": o.bounds.as_dict(),
         "schedule": sched.describe(), "T": T, "seed": int(seed),
     }
+    keep_traces = stats.floats is None
     diverged, traces = [], [] if keep_traces else None
     for lane in range(lanes):
         reason, iteration = stats.stopped.get(lane, (None, T))
@@ -419,7 +510,8 @@ def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     also flagged as diverged.
     """
     rng = stream(seed) if rng is None else rng
-    return _repeat(p, o, sched, T, seed, x0, [rng], keep_traces=True).traces[0]
+    return _repeat(p, [(o, sched, [rng])], T, seed, x0,
+                   keep_traces=True)[0].traces[0]
 
 
 def sgd_run_repeated(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
@@ -433,10 +525,22 @@ def sgd_run_repeated(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     beyond KEEP_TRACES_LIMIT recorded values the traces are not kept and the
     aggregate is streamed in blocks, so memory stays bounded.
     """
+    return sgd_run_repeated_many(p, [(o, sched)], T, reps, seed, x0,
+                                 keep_traces)[0]
+
+
+def sgd_run_repeated_many(p: Problem, runs: list, T: int, reps: int, seed: int,
+                          x0: Optional[np.ndarray] = None,
+                          keep_traces: Optional[bool] = None) -> list:
+    """`sgd_run_repeated` of each (oracle, schedule) in `runs`, in one engine run.
+
+    Each run is a member of the engine's loop (its own row block, streams and
+    schedule), so its result is byte-identical to its own `sgd_run_repeated`.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return _repeat(p, o, sched, T, seed, x0,
-                   [stream(seed, rep) for rep in range(reps)], keep_traces)
+    return _repeat(p, [(o, sched, [stream(seed, rep) for rep in range(reps)])
+                       for o, sched in runs], T, seed, x0, keep_traces)
 
 
 def uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> int:

@@ -5,7 +5,9 @@ single state matrix on the engine's step loop (`optimizer._run_lanes`), with
 `_Race` as its consumer. Because every lane group steps in lockstep, the first
 group whose repetition-mean gap touches the target is exactly the grid
 minimizer of iterations-to-target, so the search stops there; slower groups
-are reported as censored at that iteration.
+are reported as censored at that iteration. The searches of several oracles
+on one problem (`tune_stepsize_many`) are the members of one engine run, and
+each stops on its own hit while the others step on.
 
 The lanes keep the engine's contracts: lane (stepsize, rep r) draws from
 `stream(seed, r)`, rep r's stream in `sgd_run_repeated`, so every stepsize
@@ -18,13 +20,13 @@ stepsize is recorded as the search goes, which is the curve
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._rng import stream
-from .optimizer import _run_lanes
+from .optimizer import _Member, _run_lanes
 from .oracles import BiasedOracle
 from .problems import Problem
 
@@ -131,29 +133,32 @@ class _Race:
     are folded into the groups' means (the reps' gaps summed, times 1/reps,
     as in `hit`), best gaps and history rows. The engine asks `hit` only at
     an iterate whose smallest f is within a rounding margin of target_eps +
-    f*, as every iterate with a mean at the target is.
+    f*, as every iterate with a mean at the target is. When the search
+    stops, `out` is its (result, race curve), and the history is released
+    unless `keep_history`.
     """
 
-    grid, GN = None, None
+    grid, grad_norms = None, False
 
-    def __init__(self, p: Problem, n_g: int, reps: int, target_eps: float,
-                 max_T: int):
-        lanes = n_g * reps
-        self.F = np.empty((max(1, min(max_T + 1, _FOLD_FLOATS // lanes)), lanes))
+    def __init__(self, p: Problem, gammas: list, reps: int, target_eps: float,
+                 max_T: int, rec_t: np.ndarray, keep_history: bool):
+        n_g = len(gammas)
+        self.floats = _FOLD_FLOATS
         self.f_star = p.f_star or 0.0
         self.target = target_eps + self.f_star \
             + _HIT_MARGIN * (target_eps + abs(self.f_star))
-        self.eps, self.reps = target_eps, reps
+        self.eps, self.reps, self.gammas, self.max_T = target_eps, reps, gammas, max_T
+        self.keep_history = keep_history
         self.reached = np.zeros(n_g, dtype=bool)
         self.diverged = np.zeros(n_g, dtype=bool)
         self.best_gap = np.full(n_g, np.inf)
-        self.stop = None  # the iterate at which a mean reached the target
-        self.rec_t = history_grid(max_T)
+        self.stop_t = None  # the iterate at which a mean reached the target
+        self.rec_t = rec_t  # history_grid(max_T), shared by the searches
         # a spare row for a stop between recorded iterations; rows are
         # written as the search goes, so an early stop touches few of them
-        self.hist = np.empty((len(self.rec_t) + 1, n_g))
-        self.hist_t = np.empty(len(self.rec_t) + 1, dtype=np.int64)
+        self.hist = np.empty((len(rec_t) + 1, n_g))
         self.rows = 0  # history rows written
+        self.out = None
 
     def _groups(self, cols):
         return cols if isinstance(cols, slice) else cols[::self.reps] // self.reps
@@ -168,10 +173,9 @@ class _Race:
         self.best_gap[g] = np.minimum(self.best_gap[g], means.min(axis=0))
         r0 = self.rows
         t = self.rec_t[r0:r0 + np.searchsorted(self.rec_t[r0:], b0 + len(F))]
-        if self.stop is not None and (not len(t) or t[-1] != self.stop):
-            t = np.append(t, self.stop)  # the last block ends at the stop
+        if self.stop_t is not None and (not len(t) or t[-1] != self.stop_t):
+            t = np.append(t, self.stop_t)  # the last block ends at the stop
         self.rows = r1 = r0 + len(t)
-        self.hist_t[r0:r1] = t
         self.hist[r0:r1] = np.nan
         self.hist[r0:r1, g] = means[t - b0]
 
@@ -183,19 +187,25 @@ class _Race:
         if not hits.any():
             return False
         self.reached[self._groups(cols)] = hits
-        self.stop = t
+        self.stop_t = t
         return True
 
-    def result(self, grid: list, max_T: int) -> TuneResult:
+    def stop(self, lanes, X) -> None:
         entries = [TuneEntry(
-            gamma=gamma, reached=bool(r), iterations=self.stop if r else None,
+            gamma=gamma, reached=bool(r), iterations=self.stop_t if r else None,
             best_gap=float(b) if np.isfinite(b) else float("inf"),
-            diverged=bool(d), censored_at=None if r or d else self.stop)
-            for gamma, r, d, b in zip(grid, self.reached, self.diverged,
+            diverged=bool(d), censored_at=None if r or d else self.stop_t)
+            for gamma, r, d, b in zip(self.gammas, self.reached, self.diverged,
                                       self.best_gap)]
-        return TuneResult(target_eps=self.eps, max_T=max_T, entries=entries,
-                          history_t=self.hist_t[:self.rows],
-                          history=self.hist[:self.rows])
+        hist_t = self.rec_t[:self.rows].copy()
+        if self.stop_t is not None:  # its last row is the stop
+            hist_t[-1] = self.stop_t
+        res = TuneResult(target_eps=self.eps, max_T=self.max_T, entries=entries,
+                         history_t=hist_t, history=self.hist[:self.rows])
+        curve = res.race_curve()
+        if not self.keep_history:
+            res = replace(res, history_t=None, history=None)
+        self.out, self.hist = (res, curve), None
 
 
 def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
@@ -206,6 +216,25 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
 
     Diverged stepsizes are dropped and excluded; if no stepsize reaches the
     target within max_T, every entry reports its best achieved gap instead.
+    The search is a one-oracle `tune_stepsize_many`.
+    """
+    return tune_stepsize_many(p, [o], target_eps, grid, reps, max_T, seed,
+                              x0)[0][0]
+
+
+def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
+                       grid: Optional[Sequence[float]] = None, reps: int = 3,
+                       max_T: int = 1_000_000, seed: int = 0,
+                       x0: Optional[np.ndarray] = None,
+                       keep_history: bool = True) -> list:
+    """`tune_stepsize` of each oracle, the searches stepped in one engine run.
+
+    Each search is a member of the engine's loop (its own row block and
+    streams) and stops on its own hit, so its result is byte-identical to
+    its own `tune_stepsize`. Returns per oracle (result, race curve); without
+    `keep_history` the result has no history, which is released as soon as
+    the search stops. A censored search keeps min(max_T, RACE_HORIZON) + 1
+    history rows of 8 bytes per stepsize until the last search stops.
     """
     if target_eps <= 0:
         raise ValueError("target_eps must be positive")
@@ -218,10 +247,14 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
         raise ValueError("stepsizes must be positive")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-
-    n_g = len(grid)
-    race = _Race(p, n_g, reps, target_eps, max_T)
-    _run_lanes(p, o, max_T, x0, [stream(seed, r) for r in range(reps)], race,
-               np.repeat(np.asarray(grid), reps)[:, None],
-               rows=np.tile(np.arange(reps), n_g), group=reps)
-    return race.result(grid, max_T)
+    if max_T < 1:
+        raise ValueError("max_T must be >= 1")
+    gamma = np.repeat(np.asarray(grid), reps)[:, None]
+    rows = np.tile(np.arange(reps), len(grid))
+    rec_t = history_grid(max_T)
+    races = [_Race(p, grid, reps, target_eps, max_T, rec_t, keep_history)
+             for _ in oracles]
+    _run_lanes(p, max_T, x0, [
+        _Member(o, race, [stream(seed, r) for r in range(reps)], gamma, max_T,
+                rows, group=reps) for o, race in zip(oracles, races)])
+    return [race.out for race in races]

@@ -17,7 +17,7 @@ from biased_sgd import (StepSchedule, additive_bias_oracle, compressed_oracle,
                         rand_k_compressor, sgd_run, sgd_run_repeated,
                         smooth_iterations, smooth_stepsize_proof, stepsize_cap,
                         tightness_oracle, top_k, top_k_compressor,
-                        tune_stepsize, uniform_direction)
+                        tune_stepsize_many, uniform_direction)
 from biased_sgd import OracleBounds
 from biased_sgd._rng import stream
 from biased_sgd.experiments import verify_experiment
@@ -199,25 +199,28 @@ def test_criterion_7_rate_slowdown_and_ordering():
         p = make_nesterov_worst(10)
         eps, max_T = 5e-4, 1_000_000
 
-        def tuned(compressor, sigma_sq):
+        def oracle(compressor, sigma_sq):
             inner = gaussian_noise_oracle(p, sigma_sq) if sigma_sq else exact_oracle(p)
             if compressor == "none":
-                o = inner
-            elif compressor == "top_k":
-                o = compressed_oracle(top_k_compressor(1, 10), inner, p,
-                                      bounds_mode="derived"
-                                      if sigma_sq == 0 else "query_only")
-            else:
-                o = compressed_oracle(rand_k_compressor(1, 10), inner, p)
-            return tune_stepsize(p, o, eps, reps=3, max_T=max_T, seed=SEED)
+                return inner
+            if compressor == "top_k":
+                return compressed_oracle(top_k_compressor(1, 10), inner, p,
+                                         bounds_mode="derived"
+                                         if sigma_sq == 0 else "query_only")
+            return compressed_oracle(rand_k_compressor(1, 10), inner, p)
 
-        none0 = tuned("none", 0.0)
-        rand0 = tuned("rand_k", 0.0)
+        # the seven distinct chains, searched as the members of one engine run
+        chains = [("none", 0.0)] + [(c, s) for s in (0.0, 1.0, 100.0)
+                                    for c in ("top_k", "rand_k")]
+        searches = tune_stepsize_many(p, [oracle(*c) for c in chains], eps,
+                                      reps=3, max_T=max_T, seed=SEED,
+                                      keep_history=False)
+        tuned = {c: res for c, (res, _) in zip(chains, searches)}
+        none0, rand0 = tuned["none", 0.0], tuned["rand_k", 0.0]
         ratio = rand0.best.iterations / none0.best.iterations
         assert 5.0 <= ratio <= 20.0, ratio
         for sigma_sq in (0.0, 1.0, 100.0):
-            top = tuned("top_k", sigma_sq)
-            rand = tuned("rand_k", sigma_sq)
+            top, rand = tuned["top_k", sigma_sq], tuned["rand_k", sigma_sq]
             assert top.outcome() < rand.outcome(), \
                 (sigma_sq, top.outcome(), rand.outcome())
         print(f"      slowdown ratio rand-k/none = {ratio:.2f}")

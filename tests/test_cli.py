@@ -152,14 +152,14 @@ def test_sweep_svg_series_match_cells(tmp_path):
 
 def test_sweep_failed_cell_recorded_not_fatal(tmp_path, monkeypatch):
     cfg = figures.preset("fig1").with_overrides(T=100, reps=2)
-    real = experiments.run_experiment
+    real = experiments._build_run
 
-    def flaky(sub_cfg, out_dir=None):
+    def flaky(sub_cfg):
         if sub_cfg.oracle.bias_zeta == 0.1 and sub_cfg.oracle.noise_sigma_sq == 0.0:
             raise RuntimeError("synthetic cell failure")
-        return real(sub_cfg, out_dir=out_dir)
+        return real(sub_cfg)
 
-    monkeypatch.setattr(experiments, "run_experiment", flaky)
+    monkeypatch.setattr(experiments, "_build_run", flaky)
     res = experiments.sweep_experiment(cfg, out_dir=str(tmp_path))
     failed = [rec for rec in res.cells if "error" in rec]
     assert len(failed) == 1

@@ -65,11 +65,12 @@ def _with_oracle(lines: str) -> str:
 
 
 def _counting(monkeypatch, name):
+    """The members (runs or searches) passed to the batched engine call `name`."""
     calls = []
     real = getattr(experiments, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.extend(args[1])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(experiments, name, counted)
@@ -162,7 +163,7 @@ def test_stepsize_under_a_theory_policy_does_not_split_the_run(tmp_path, policy)
 
 
 def test_fig6_grid_runs_each_distinct_chain_once(tmp_path, monkeypatch, capsys):
-    calls = _counting(monkeypatch, "sgd_run_repeated")
+    calls = _counting(monkeypatch, "sgd_run_repeated_many")
     cfg_path = tmp_path / "grid.cfg"
     cfg_path.write_text(BASE + FIG6_GRID)
     assert cli.main(["sweep", "--config", str(cfg_path),
@@ -185,7 +186,7 @@ def test_fig6_grid_runs_each_distinct_chain_once(tmp_path, monkeypatch, capsys):
 
 
 def test_fig6_grid_tunes_each_distinct_chain_once(tmp_path, monkeypatch, capsys):
-    calls = _counting(monkeypatch, "tune_stepsize")
+    calls = _counting(monkeypatch, "tune_stepsize_many")
     cfg_path = tmp_path / "grid.cfg"
     cfg_path.write_text(BASE + FIG6_GRID + TUNE)
     assert cli.main(["tune", "--config", str(cfg_path),
@@ -208,17 +209,19 @@ def test_fig6_grid_tunes_each_distinct_chain_once(tmp_path, monkeypatch, capsys)
 def test_outputs_match_across_workers_with_shared_failed_and_unshared_cells(
         tmp_path):
     cfg = parse_config(MIXED + TUNE)
+    # 4 distinct runs, 2 of them failing: one batch, two of 2, four of 1
     sweeps = [experiments.sweep_experiment(cfg, str(tmp_path / f"s{w}"), workers=w)
-              for w in (1, 2)]
-    assert [s.distinct_runs for s in sweeps] == [4, 4]
+              for w in (1, 2, 4)]
+    assert [s.distinct_runs for s in sweeps] == [4, 4, 4]
     failed = [rec["label"] for rec in sweeps[0].cells if "error" in rec]
     assert failed == ["k=1_compressor=scale", "k=10_compressor=scale"]
     files = sorted(p.relative_to(tmp_path / "s1")
                    for p in (tmp_path / "s1").rglob("*") if p.is_file())
     assert len(files) == 3 + 4 * 3  # figure, manifest, summary; 4 cells x 3
     for rel in files:
-        assert (tmp_path / "s1" / rel).read_bytes() == \
-            (tmp_path / "s2" / rel).read_bytes(), rel
+        for w in (2, 4):
+            assert (tmp_path / "s1" / rel).read_bytes() == \
+                (tmp_path / f"s{w}" / rel).read_bytes(), (w, rel)
     cells = tmp_path / "s1/cells"
     assert (cells / "k=1_compressor=none/trace.csv").read_bytes() == \
         (cells / "k=10_compressor=none/trace.csv").read_bytes()
@@ -231,12 +234,13 @@ def test_outputs_match_across_workers_with_shared_failed_and_unshared_cells(
         (cells / "k=1_compressor=none/trace.csv").read_bytes()
 
     tunes = [experiments.tune_experiment(cfg, str(tmp_path / f"t{w}"), workers=w)
-             for w in (1, 2)]
+             for w in (1, 2, 4)]
     # tune's grid does not depend on the bounds: top_k at k = d joins none
-    assert [t.distinct_runs for t in tunes] == [4, 4]
+    assert [t.distinct_runs for t in tunes] == [4, 4, 4]
     for name in ("tune.csv", "tune_summary.txt", "race.svg"):
-        assert (tmp_path / "t1" / name).read_bytes() == \
-            (tmp_path / "t2" / name).read_bytes(), name
+        for w in (2, 4):
+            assert (tmp_path / "t1" / name).read_bytes() == \
+                (tmp_path / f"t{w}" / name).read_bytes(), (w, name)
     summary = (tmp_path / "t1/tune_summary.txt").read_text()
     assert summary.count("status=failed") == 2
 
@@ -290,14 +294,14 @@ compressor = none, top_k, rand_k
 
 
 def test_a_failed_shared_run_fails_its_whole_group(tmp_path, monkeypatch):
-    real = experiments.sgd_run_repeated
+    real = experiments.sgd_run_repeated_many
 
-    def flaky(p, o, *args, **kwargs):
-        if "rand_k" not in o.name:
+    def flaky(p, runs, *args, **kwargs):
+        if any("rand_k" not in o.name for o, _ in runs):
             raise RuntimeError("synthetic engine failure")
-        return real(p, o, *args, **kwargs)
+        return real(p, runs, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "sgd_run_repeated", flaky)
+    monkeypatch.setattr(experiments, "sgd_run_repeated_many", flaky)
     cfg = parse_config(BASE + """
 [sweep]
 k = 1, 10
