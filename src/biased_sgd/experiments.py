@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -251,21 +252,26 @@ def _distinct_runs(runs: list) -> list:
 
 
 def _map(fn, tasks: list, workers: int) -> list:
-    """fn on min(workers, len(tasks)) contiguous parts of `tasks`, one
-    process each; fn(part) gives one out per task, and the outs are joined.
+    """fn on min(workers, len(tasks)) parts of `tasks`, one process each;
+    fn(part) gives one out per task, and the outs come back in task order.
+
+    Part i takes tasks i, i + n, i + 2n, ..., so that the runs of one kind
+    (fig6's three long sigma^2 = 100 searches come last) spread over the
+    processes instead of filling the last part.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     n = min(workers, len(tasks))
-    size, extra = divmod(len(tasks), n)
-    ends = [i * size + min(i, extra) for i in range(n + 1)]
-    parts = [tasks[a:b] for a, b in zip(ends, ends[1:])]
     if n <= 1:
-        return [out for part in parts for out in fn(part)]
+        return fn(tasks) if tasks else []
     # imported here so that serial runs do not pay its import time
     from concurrent.futures import ProcessPoolExecutor
+    outs = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return [out for outs in pool.map(fn, parts) for out in outs]
+        parts = pool.map(fn, [tasks[i::n] for i in range(n)])
+        for i, part_outs in enumerate(parts):
+            outs[i::n] = part_outs
+    return outs
 
 
 def _batched(build, run, tasks: list) -> list:
@@ -275,8 +281,9 @@ def _batched(build, run, tasks: list) -> list:
 
     A task whose build raises stays out of the call. If the call raises,
     each member runs alone, so that a failing run gets its own message and
-    the others their results. Failures are caught here, so serial and pooled
-    runs record them alike.
+    the others their results; a RuntimeWarning says so, as a fault of the
+    batched path would otherwise only show as a slower run. Failures are
+    caught here, so serial and pooled runs record them alike.
     """
     built = []
     for task in tasks:
@@ -287,7 +294,9 @@ def _batched(build, run, tasks: list) -> list:
     members = [m for m in built if not isinstance(m, str)]
     try:
         results = run(members) if members else []
-    except Exception:  # noqa: BLE001 - rerun alone below, each failure its own
+    except Exception as exc:  # noqa: BLE001 - rerun alone below, each failure its own
+        warnings.warn(f"a batch of {len(members)} runs failed ({exc}); "
+                      "rerunning each alone", RuntimeWarning, stacklevel=2)
         results = []
         for m in members:
             try:

@@ -312,6 +312,8 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
     x0 = np.array(p.default_x0 if x0 is None else x0, dtype=float)
     if x0.shape != (p.dim,):
         raise ValueError(f"x0 must have shape ({p.dim},)")
+    if not members:
+        return
 
     lanes = sum(m.lanes for m in members)
     grid, target = members[0].sink.grid, members[0].sink.target

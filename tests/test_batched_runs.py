@@ -8,6 +8,7 @@ live lane.
 
 import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,12 @@ def test_without_history_a_search_keeps_its_race_curve():
     assert bare_curve[2].tobytes() == curve[2].tobytes()
 
 
+def test_an_empty_batch_returns_no_results():
+    p = make_nesterov_worst(6)
+    assert sgd_run_repeated_many(p, [], 20, 2, 1) == []
+    assert tune_stepsize_many(p, [], 1e-3, grid=[0.1], max_T=20) == []
+
+
 @pytest.mark.parametrize("max_T", [0, -3])
 def test_max_T_below_one_is_rejected(max_T):
     p = make_nesterov_worst(6)
@@ -181,8 +188,12 @@ compressor = none, top_k, rand_k
     clean_sweep = experiments.sweep_experiment(cfg, str(tmp_path / "clean"))
     clean_tune = experiments.tune_experiment(cfg, str(tmp_path / "clean_t"))
     _failing_top_k(monkeypatch)
-    sweep = experiments.sweep_experiment(cfg, str(tmp_path / "s"))
-    tune = experiments.tune_experiment(cfg, str(tmp_path / "t"))
+    # the failed batch is reported, then each member reruns alone
+    with pytest.warns(RuntimeWarning, match="a batch of 3 runs failed "
+                      r"\(synthetic row map failure\); rerunning each alone"):
+        sweep = experiments.sweep_experiment(cfg, str(tmp_path / "s"))
+    with pytest.warns(RuntimeWarning, match="rerunning each alone"):
+        tune = experiments.tune_experiment(cfg, str(tmp_path / "t"))
     # k = d top_k runs as `none`, so only the k = 1 top_k run steps the
     # raising row map
     for out, clean in ((sweep, clean_sweep), (tune, clean_tune)):
@@ -202,6 +213,36 @@ compressor = none, top_k, rand_k
             if not r.startswith("k=1_compressor=top_k,")]
     assert rows == [r for r in (tmp_path / "clean_t/tune.csv").read_text()
                     .splitlines() if not r.startswith("k=1_compressor=top_k,")]
+
+
+def _batch_sizes(monkeypatch, name):
+    """The member count of each call of the batched engine call `name`."""
+    calls = []
+    real = getattr(experiments, name)
+
+    def counted(p, members, *args, **kwargs):
+        calls.append(len(members))
+        return real(p, members, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+def test_a_clean_sweep_or_tune_steps_each_part_in_one_batch(tmp_path, monkeypatch):
+    # a batch that raised would rerun its members alone, with the same
+    # outputs; one call per part shows that no batch fell back
+    cfg = parse_config(BASE + """
+[sweep]
+k = 1, 10
+compressor = none, top_k, rand_k
+""" + TUNE)  # 6 cells, 3 distinct runs
+    runs = _batch_sizes(monkeypatch, "sgd_run_repeated_many")
+    searches = _batch_sizes(monkeypatch, "tune_stepsize_many")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        experiments.sweep_experiment(cfg, str(tmp_path / "s"))
+        experiments.tune_experiment(cfg, str(tmp_path / "t"))
+    assert runs == [3] and searches == [3]
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():

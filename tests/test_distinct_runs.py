@@ -307,7 +307,8 @@ def test_a_failed_shared_run_fails_its_whole_group(tmp_path, monkeypatch):
 k = 1, 10
 compressor = none, rand_k
 """)
-    res = experiments.sweep_experiment(cfg, str(tmp_path))
+    with pytest.warns(RuntimeWarning, match="rerunning each alone"):
+        res = experiments.sweep_experiment(cfg, str(tmp_path))
     errors = {rec["label"]: rec.get("error") for rec in res.cells}
     assert errors == {"k=1_compressor=none": "synthetic engine failure",
                       "k=1_compressor=rand_k": None,
@@ -362,3 +363,19 @@ compressor = none, top_k, rand_k
                                         str(tmp_path / "t"), workers=workers)
     assert tuned.distinct_runs == 3
     assert _RecordingPool.sizes == expected * 2
+
+
+def test_parts_take_every_nth_run_and_outputs_keep_task_order(monkeypatch):
+    # runs of one kind sit next to each other in task order (fig6's three
+    # long sigma^2 = 100 searches come last), so each part takes every n-th
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    parts = []
+
+    def fn(part):
+        parts.append(part)
+        return [10 * task for task in part]
+
+    assert experiments._map(fn, list(range(7)), 3) == [10 * t for t in range(7)]
+    assert parts == [[0, 3, 6], [1, 4], [2, 5]]
+    assert _RecordingPool.sizes == [3]
