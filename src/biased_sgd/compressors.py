@@ -159,9 +159,7 @@ def scale_compressor(delta: float, dim: int) -> Compressor:
 
 def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
                       bounds_mode: str = "derived",
-                      estimate_seed: int = 0,
-                      estimate_points: int = 10,
-                      estimate_samples: int = 4000) -> BiasedOracle:
+                      estimate_seed: int = 0) -> BiasedOracle:
     """Compose compressor and oracle into a single biased oracle.
 
     In "derived" mode the bound parameters follow the closed-form composition
@@ -238,9 +236,7 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
 
     from . import estimators  # local import; estimators depends on oracles
 
-    fitted = estimators.fit_oracle_bounds(
-        oracle, p, n_points=estimate_points, samples=estimate_samples,
-        seed=estimate_seed)
+    fitted = estimators.fit_oracle_bounds(oracle, p, seed=estimate_seed)
     if not fitted.feasible:
         raise UnsupportedCompositionError(
             f"fitted bias slope for {oracle.name} reaches 1; the bound "

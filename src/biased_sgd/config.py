@@ -1,6 +1,8 @@
 """Experiment configuration: a flat key = value format with [section] headers.
 
-The canonical serialization (fixed section and key order, shortest float
+The spec dataclasses below are the schema: each section is a spec, each key
+one of its fields, read as the field's annotated type. The canonical
+serialization (sections and keys in field order, shortest float
 representation) is stable under parse -> serialize -> parse, and its hash is
 embedded in every output file as the config fingerprint.
 """
@@ -8,7 +10,7 @@ embedded in every output file as the config fingerprint.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from typing import Optional
 
 PROBLEM_KINDS = ("nesterov_quadratic", "huber")
@@ -100,10 +102,10 @@ class ExperimentConfig:
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, tuple):  # tune.grid: empty means the automatic grid
+        return _fmt_list(v) or "auto"
     return str(v)
 
 
@@ -112,78 +114,62 @@ def _fmt_list(vals) -> str:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = ["[problem]",
-             f"kind = {cfg.problem.kind}",
-             f"dim = {cfg.problem.dim}",
-             "",
-             "[oracle]",
-             f"kind = {cfg.oracle.kind}",
-             f"noise_sigma_sq = {_fmt_value(cfg.oracle.noise_sigma_sq)}",
-             f"bias_zeta = {_fmt_value(cfg.oracle.bias_zeta)}",
-             f"compressor = {cfg.oracle.compressor}",
-             f"k = {cfg.oracle.k}",
-             f"delta = {_fmt_value(cfg.oracle.delta)}",
-             f"tau = {_fmt_value(cfg.oracle.tau)}",
-             f"m = {_fmt_value(cfg.oracle.m)}",
-             f"zeta_sq = {_fmt_value(cfg.oracle.zeta_sq)}",
-             "",
-             "[run]",
-             f"T = {cfg.run.T}",
-             f"reps = {cfg.run.reps}",
-             f"seed = {cfg.run.seed}",
-             f"stepsize = {_fmt_value(cfg.run.stepsize)}",
-             f"stepsize_policy = {cfg.run.stepsize_policy}",
-             f"policy_eps = {_fmt_value(cfg.run.policy_eps)}",
-             f"x0_gap = {_fmt_value(cfg.run.x0_gap)}"]
-    if cfg.sweep is not None:
-        lines += ["", "[sweep]"]
-        for key, vals in cfg.sweep.axes:
-            lines.append(f"{key} = {_fmt_list(vals)}")
-        if cfg.sweep.panel_by:
-            lines.append(f"panel_by = {cfg.sweep.panel_by}")
-        if cfg.sweep.series_by:
-            lines.append(f"series_by = {cfg.sweep.series_by}")
-    if cfg.tune is not None:
-        lines += ["", "[tune]",
-                  f"target_eps = {_fmt_value(cfg.tune.target_eps)}",
-                  f"max_T = {cfg.tune.max_T}",
-                  f"reps = {cfg.tune.reps}"]
-        lines.append("grid = auto" if not cfg.tune.grid
-                      else f"grid = {_fmt_list(cfg.tune.grid)}")
-    return "\n".join(lines) + "\n"
+    """Sections in `ExperimentConfig` field order, each section's keys in its
+    spec's field order; an unset [sweep] or [tune] is left out."""
+    blocks = []
+    for section in fields(cfg):
+        spec = getattr(cfg, section.name)
+        if spec is None:
+            continue
+        if isinstance(spec, SweepSpec):
+            lines = [f"{key} = {_fmt_list(vals)}" for key, vals in spec.axes]
+            lines += [f"{key} = {getattr(spec, key)}"
+                      for key in ("panel_by", "series_by") if getattr(spec, key)]
+        else:
+            lines = [f"{f.name} = {_fmt_value(getattr(spec, f.name))}"
+                     for f in fields(spec)]
+        blocks.append("\n".join([f"[{section.name}]"] + lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def _parse_scalar(raw: str, line_no: int, key: str, want: type):
     try:
-        if want is int:
-            return int(raw)
-        if want is float:
-            return float(raw)
+        return want(raw)
     except ValueError:
         raise ConfigError(f"line {line_no}: field {key!r} expects {want.__name__}, "
                           f"got {raw!r}") from None
-    return raw
 
 
-_FIELD_TYPES = {
-    ("problem", "kind"): str, ("problem", "dim"): int,
-    ("oracle", "kind"): str, ("oracle", "noise_sigma_sq"): float,
-    ("oracle", "bias_zeta"): float, ("oracle", "compressor"): str,
-    ("oracle", "k"): int, ("oracle", "delta"): float, ("oracle", "tau"): float,
-    ("oracle", "m"): float, ("oracle", "zeta_sq"): float,
-    ("run", "T"): int, ("run", "reps"): int, ("run", "seed"): int,
-    ("run", "stepsize"): float, ("run", "stepsize_policy"): str,
-    ("run", "policy_eps"): float, ("run", "x0_gap"): float,
-    ("tune", "target_eps"): float, ("tune", "max_T"): int,
-    ("tune", "reps"): int, ("tune", "grid"): str,
-}
+# the value type of each annotation a spec field may have; any other
+# annotation fails here, at import, instead of parsing as some other type
+_ANNOTATION_TYPES = {"int": int, "float": float, "str": str, "tuple": tuple}
+_SPECS = {"problem": ProblemSpec, "oracle": OracleSpec, "run": RunSpec,
+          "tune": TuneSpec}
+
+
+def _value_type(spec: type, f: Field) -> type:
+    if f.type not in _ANNOTATION_TYPES:
+        raise TypeError(f"{spec.__name__}.{f.name}: annotation {f.type!r} "
+                        f"is not one of {tuple(_ANNOTATION_TYPES)}")
+    return _ANNOTATION_TYPES[f.type]
+
+
+_FIELD_TYPES = {(section, f.name): _value_type(spec, f)
+                for section, spec in _SPECS.items() for f in fields(spec)}
+# a sweep axis takes the type of the oracle or run field it sets
+_SWEEP_TYPES = {key: _FIELD_TYPES.get(("oracle", key)) or _FIELD_TYPES[("run", key)]
+                for key in SWEEP_KEYS}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text, reporting the offending line on any error."""
+    """Parse config text, reporting the offending line on any error.
+
+    A key may be set only once per section; a section header may repeat.
+    """
     section = None
-    data: dict = {"problem": {}, "oracle": {}, "run": {}, "sweep": {}, "tune": {}}
+    data: dict = {f.name: {} for f in fields(ExperimentConfig)}
     seen: set = set()
+    set_on: dict = {}  # (section, key) -> the line that set it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -200,6 +186,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: key outside any [section]")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        first = set_on.setdefault((section, key), line_no)
+        if first != line_no:
+            raise ConfigError(f"line {line_no}: {key!r} in [{section}] is already "
+                              f"set on line {first}")
         if section == "sweep":
             if key in ("panel_by", "series_by"):
                 data["sweep"][key] = val
@@ -207,8 +197,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if key not in SWEEP_KEYS:
                 raise ConfigError(f"line {line_no}: unknown sweep axis {key!r} "
                                   f"(allowed: {', '.join(SWEEP_KEYS)})")
-            want = str if key == "compressor" else (int if key == "k" else float)
-            vals = [_parse_scalar(v.strip(), line_no, key, want)
+            vals = [_parse_scalar(v.strip(), line_no, key, _SWEEP_TYPES[key])
                     for v in val.split(",") if v.strip()]
             if not vals:
                 raise ConfigError(f"line {line_no}: sweep axis {key!r} is empty")
@@ -217,13 +206,10 @@ def parse_config(text: str) -> ExperimentConfig:
         want = _FIELD_TYPES.get((section, key))
         if want is None:
             raise ConfigError(f"line {line_no}: unknown field {key!r} in [{section}]")
-        if section == "tune" and key == "grid":
-            if val == "auto":
-                data["tune"]["grid"] = ()
-            else:
-                data["tune"]["grid"] = tuple(
-                    _parse_scalar(v.strip(), line_no, key, float)
-                    for v in val.split(",") if v.strip())
+        if want is tuple:  # tune.grid: stepsizes, or auto for the default grid
+            data[section][key] = () if val == "auto" else tuple(
+                _parse_scalar(v.strip(), line_no, key, float)
+                for v in val.split(",") if v.strip())
             continue
         data[section][key] = _parse_scalar(val, line_no, key, want)
 

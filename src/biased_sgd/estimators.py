@@ -18,7 +18,7 @@ from ._rng import KindStreams, stream
 from .oracles import BiasedOracle, OracleBounds
 from .problems import Problem
 
-DEFAULT_SLACK = 5.0
+SLACK = 5.0  # standard errors
 # rows per sampling chunk: small enough that the chunk's temporaries are
 # reused from the allocator's free lists instead of being returned to the OS
 # and faulted in again on every chunk
@@ -41,9 +41,8 @@ class PointStats:
     exact_bias: bool
 
 
-def probe_points(p: Problem, n_points: int, seed: int,
-                 radii: tuple = (1e-3, 10.0)) -> list:
-    """Geometric sequence of distances from x*, along random unit directions.
+def probe_points(p: Problem, n_points: int, seed: int) -> list:
+    """Geometric distances 1e-3 .. 10 from x*, along random unit directions.
 
     Spreads ||grad f(x)||^2 over several orders of magnitude, which separates
     the slope from the intercept in the envelope fits.
@@ -51,7 +50,7 @@ def probe_points(p: Problem, n_points: int, seed: int,
     if p.x_star is None:
         raise ValueError(f"problem {p.name} has no known x*; supply points explicitly")
     rng = stream(seed, 0xF0)
-    rs = np.geomspace(radii[0], radii[1], n_points)
+    rs = np.geomspace(1e-3, 10.0, n_points)
     points = []
     for r in rs:
         u = rng.standard_normal(p.dim)
@@ -225,8 +224,7 @@ class BoundEstimate:
                             sigma_sq=self.noise_fit.intercept)
 
 
-def fit_bounds(stats: Sequence[PointStats],
-               slack: float = DEFAULT_SLACK) -> BoundEstimate:
+def fit_bounds(stats: Sequence[PointStats]) -> BoundEstimate:
     """Envelope fits for both assumptions from per-point statistics.
 
     The bias envelope is fitted against ||grad f||^2 and must have slope < 1
@@ -234,9 +232,9 @@ def fit_bounds(stats: Sequence[PointStats],
     against ||grad f + b||^2.
     """
     gns = np.array([s.grad_norm_sq for s in stats])
-    bias_ucb = np.array([s.bias_norm_sq + slack * s.bias_se for s in stats])
+    bias_ucb = np.array([s.bias_norm_sq + SLACK * s.bias_se for s in stats])
     mns = np.array([s.mean_norm_sq for s in stats])
-    noise_ucb = np.array([s.noise_var + slack * s.noise_se for s in stats])
+    noise_ucb = np.array([s.noise_var + SLACK * s.noise_se for s in stats])
     return BoundEstimate(points=list(stats),
                          bias_fit=fit_envelope(gns, bias_ucb, slope_cap=1.0),
                          noise_fit=fit_envelope(mns, noise_ucb))
@@ -278,8 +276,7 @@ class VerdictReport:
 
 
 def verify_declared(o: BiasedOracle, p: Problem, n_points: int = 20,
-                    samples: int = 100_000, seed: int = 0,
-                    slack: float = DEFAULT_SLACK) -> VerdictReport:
+                    samples: int = 100_000, seed: int = 0) -> VerdictReport:
     """Check each per-point estimate against the declared bounds with 5-SE slack.
 
     Violations are data, not errors: the report carries the worst margin per
@@ -290,7 +287,7 @@ def verify_declared(o: BiasedOracle, p: Problem, n_points: int = 20,
                             samples, seed, 0xC7)
 
     def check(name, values, ses, rhs):
-        excess = np.array([v - r - slack * s for v, s, r in zip(values, ses, rhs)])
+        excess = np.array([v - r - SLACK * s for v, s, r in zip(values, ses, rhs)])
         worst = int(np.argmax(excess))
         margin = float(excess[worst])
         return AssumptionVerdict(name=name,
@@ -304,4 +301,4 @@ def verify_declared(o: BiasedOracle, p: Problem, n_points: int = 20,
     noise_v = check("noise", [s.noise_var for s in stats],
                     [s.noise_se for s in stats], noise_rhs)
     return VerdictReport(oracle=o.name, declared=b, stats=stats,
-                         bias=bias_v, noise=noise_v, fitted=fit_bounds(stats, slack))
+                         bias=bias_v, noise=noise_v, fitted=fit_bounds(stats))

@@ -24,10 +24,9 @@ from .oracles import (BiasedOracle, additive_bias_oracle, exact_oracle,
 from .optimizer import (RepeatedRuns, StepSchedule, sgd_run_repeated,
                         sgd_run_repeated_many)
 from .problems import Problem, make_huber_problem, make_nesterov_worst, scaled_x0
-from .svgplot import line_plot, panel_grid
+from .svgplot import panel_grid
 # tune_stepsize has no caller here, but perfbench/tracer.py wraps it by name
-from .tuning import (TuneResult, default_gamma_grid, tune_stepsize,  # noqa: F401
-                     tune_stepsize_many)
+from .tuning import TuneResult, tune_stepsize, tune_stepsize_many  # noqa: F401
 
 CSV_HEADER = "t,mean_f_gap,se_f_gap,mean_grad_norm_sq,se_grad_norm_sq"
 
@@ -128,12 +127,8 @@ def write_kv(path: str, pairs: dict) -> None:
 
 @dataclass
 class RunOutput:
-    config: ExperimentConfig
     agg: RepeatedRuns
     summary: dict
-    problem: Problem
-    oracle: BiasedOracle
-    bounds_source: str
 
 
 def _cell_summary(cfg: ExperimentConfig, p: Problem, o: BiasedOracle,
@@ -192,8 +187,7 @@ def run_experiment(cfg: ExperimentConfig,
     summary = _cell_summary(cfg, p, o, bounds_source, agg)
     if out_dir is not None:
         _write_run(out_dir, cfg, agg, summary)
-    return RunOutput(config=cfg, agg=agg, summary=summary, problem=p, oracle=o,
-                     bounds_source=bounds_source)
+    return RunOutput(agg=agg, summary=summary)
 
 
 def expand_cells(cfg: ExperimentConfig) -> list:
@@ -215,11 +209,7 @@ def _label_value(v) -> str:
 
 
 def _cell_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    sub = replace(cfg, sweep=None, tune=None)
-    ov = dict(overrides)
-    if "stepsize" in ov:
-        sub = sub.with_overrides(stepsize=ov.pop("stepsize"))
-    return sub.with_overrides(**ov)
+    return replace(cfg, sweep=None, tune=None).with_overrides(**overrides)
 
 
 def _run_config(cfg: ExperimentConfig, tune: bool = False) -> ExperimentConfig:
@@ -364,7 +354,6 @@ def _sweep_part(tasks: list) -> list:
 @dataclass
 class SweepOutput:
     cells: list  # dicts: label, overrides, summary, curve (t, mean_f_gap)
-    panels: list  # (panel_title, [series labels])
     out_dir: str
     distinct_runs: int  # engine runs the cells shared out
 
@@ -430,8 +419,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
                         "reach_t": reach})
 
     panel_list = [(title, series) for title, series in panels.items()]
-    svg = panel_grid(panel_list, columns=min(2, max(1, len(panel_list))),
-                     xlabel="iteration t", ylabel="f(x_t) - f*")
+    svg = panel_grid(panel_list)
     with open(os.path.join(out_dir, "figure.svg"), "w", encoding="utf-8") as fh:
         fh.write(svg)
 
@@ -452,9 +440,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
              {"fingerprint": cfg.fingerprint(), "cells": len(cells),
               "distinct_runs": len(groups),
               "failed": sum(isinstance(res, str) for res in outs)})
-    return SweepOutput(cells=records,
-                       panels=[(t, [s[0] for s in ss]) for t, ss in panels.items()],
-                       out_dir=out_dir, distinct_runs=len(groups))
+    return SweepOutput(cells=records, out_dir=out_dir, distinct_runs=len(groups))
 
 
 def _tune_part(tasks: list) -> list:
@@ -472,11 +458,10 @@ def _tune_part(tasks: list) -> list:
 
     def run(members: list) -> list:
         p = members[0][0]
-        grid = list(tune.grid) if tune.grid else default_gamma_grid(p.smoothness_L)
         return tune_stepsize_many(p, [o for _, o in members], tune.target_eps,
-                                  grid=grid, reps=tune.reps, max_T=tune.max_T,
-                                  seed=cfg.run.seed, x0=_x0(cfg, p),
-                                  keep_history=False)
+                                  grid=tune.grid or None, reps=tune.reps,
+                                  max_T=tune.max_T, seed=cfg.run.seed,
+                                  x0=_x0(cfg, p), keep_history=False)
 
     return [[res if isinstance(res, str) else res[1]] * n_cells
             for (_, _, n_cells), res in zip(tasks, _batched(build, run, tasks))]
@@ -561,8 +546,7 @@ def _write_race_plot(cfg: ExperimentConfig, cells: list, out_dir: str) -> None:
         series = _series_label(series_key, rec["overrides"], rec["label"])
         panels.setdefault(title, []).append((f"{series} (g={entry.gamma:g})", t, gap))
     if panels:
-        svg = panel_grid(list(panels.items()), columns=min(2, len(panels)),
-                         xlabel="iteration t", ylabel="f(x_t) - f*")
+        svg = panel_grid(list(panels.items()))
         with open(os.path.join(out_dir, "race.svg"), "w", encoding="utf-8") as fh:
             fh.write(svg)
 
@@ -581,14 +565,15 @@ TABLE1_SPECS = (
 )
 
 
-def table1_oracles(dim: int = 10) -> list:
-    """(row name, problem, oracle) for every implemented special-case row."""
+def table1_oracles() -> list:
+    """(row name, problem, oracle) for every implemented special-case row, on
+    the default quadratic unless the row names its dimension."""
     rows = []
     for spec in TABLE1_SPECS:
         name, overrides = spec[0], dict(spec[1])
-        d = spec[2] if len(spec) > 2 else dim
         cfg = ExperimentConfig().with_overrides(**overrides)
-        cfg = replace(cfg, problem=replace(cfg.problem, dim=d))
+        if len(spec) > 2:
+            cfg = replace(cfg, problem=replace(cfg.problem, dim=spec[2]))
         p = build_problem(cfg)
         o, _ = build_oracle(cfg, p)
         rows.append((name, p, o))

@@ -136,10 +136,10 @@ class RepeatedRuns:
     def any_diverged(self) -> bool:
         return bool(self.diverged_reps)
 
-    def tail_mean_f_gap(self, fraction: float = 0.1) -> float:
-        """Mean f_gap over the trailing fraction of recorded iterations."""
+    def tail_mean_f_gap(self) -> float:
+        """Mean f_gap over the last tenth of the recorded iterations."""
         n = len(self.t)
-        k = max(1, int(np.ceil(fraction * n)))
+        k = max(1, int(np.ceil(0.1 * n)))
         return float(np.mean(self.mean_f_gap[n - k:]))
 
 

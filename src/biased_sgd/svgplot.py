@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -12,6 +12,8 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
 
 _FLOOR = 1e-16
 _MAX_POINTS = 800
+_WIDTH, _HEIGHT = 720, 460  # of one panel
+_XLABEL, _YLABEL = "iteration t", "f(x_t) - f*"
 
 
 def _fmt(v: float) -> str:
@@ -60,24 +62,20 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
-def line_plot(series: Sequence[tuple], title: str = "", xlabel: str = "t",
-              ylabel: str = "f gap", log_y: bool = True,
-              width: int = 720, height: int = 460,
-              y_floor: float = _FLOOR) -> str:
+def line_plot(series: Sequence[tuple], title: str = "") -> str:
     """Render (label, x, y) series as an SVG string.
 
-    With `log_y`, values below `y_floor` are clamped so that exactly-converged
-    runs stay on the canvas.
+    Values below `_FLOOR` are clamped so that exactly-converged runs stay on
+    the canvas.
     """
+    width, height = _WIDTH, _HEIGHT
     ml, mr, mt, mb = 64, 16, 28, 44
     pw, ph = width - ml - mr, height - mt - mb
 
     prepared = []
     for label, x, y in series:
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if log_y:
-            y = np.maximum(y, y_floor)
+        y = np.maximum(np.asarray(y, dtype=float), _FLOOR)
         x, y = _thin(x, y)
         prepared.append((label, x, y))
 
@@ -87,25 +85,18 @@ def line_plot(series: Sequence[tuple], title: str = "", xlabel: str = "t",
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
-    if log_y:
-        y_lo = max(y_lo, y_floor)
-        if y_hi <= y_lo:
-            y_hi = y_lo * 10.0
-        ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
-        if ly_hi - ly_lo < 1e-9:
-            ly_hi = ly_lo + 1.0
-    else:
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
+    y_lo = max(y_lo, _FLOOR)
+    if y_hi <= y_lo:
+        y_hi = y_lo * 10.0
+    ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
+    if ly_hi - ly_lo < 1e-9:
+        ly_hi = ly_lo + 1.0
 
     def px(v: float) -> float:
         return ml + (v - x_lo) / (x_hi - x_lo) * pw
 
     def py(v: float) -> float:
-        if log_y:
-            frac = (math.log10(max(v, y_floor)) - ly_lo) / (ly_hi - ly_lo)
-        else:
-            frac = (v - y_lo) / (y_hi - y_lo)
+        frac = (math.log10(max(v, _FLOOR)) - ly_lo) / (ly_hi - ly_lo)
         return mt + (1.0 - frac) * ph
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -117,9 +108,8 @@ def line_plot(series: Sequence[tuple], title: str = "", xlabel: str = "t",
         out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
                    f'font-size="13" font-family="sans-serif">{title}</text>')
 
-    y_ticks = _pow10_ticks(y_lo, y_hi) if log_y else _lin_ticks(y_lo, y_hi)
-    for v in y_ticks:
-        if log_y and not (y_lo * 0.999 <= v <= y_hi * 1.001):
+    for v in _pow10_ticks(y_lo, y_hi):
+        if not (y_lo * 0.999 <= v <= y_hi * 1.001):
             continue
         yy = py(v)
         out.append(f'<line x1="{ml}" y1="{_fmt(yy)}" x2="{width - mr}" y2="{_fmt(yy)}" '
@@ -133,10 +123,10 @@ def line_plot(series: Sequence[tuple], title: str = "", xlabel: str = "t",
         out.append(f'<text x="{_fmt(xx)}" y="{mt + ph + 16}" text-anchor="middle" '
                    f'font-size="10" font-family="sans-serif">{_tick_label(v)}</text>')
     out.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" '
-               f'font-size="11" font-family="sans-serif">{xlabel}</text>')
+               f'font-size="11" font-family="sans-serif">{_XLABEL}</text>')
     out.append(f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" font-size="11" '
                f'font-family="sans-serif" transform="rotate(-90 14 {mt + ph / 2:.1f})">'
-               f'{ylabel}</text>')
+               f'{_YLABEL}</text>')
 
     for i, (label, x, y) in enumerate(prepared):
         color = PALETTE[i % len(PALETTE)]
@@ -154,18 +144,18 @@ def line_plot(series: Sequence[tuple], title: str = "", xlabel: str = "t",
     return "\n".join(out) + "\n"
 
 
-def panel_grid(panels: Sequence[tuple], columns: int = 2, **kwargs) -> str:
-    """Stack several (panel_title, series) plots into one SVG document."""
-    width = kwargs.pop("width", 720)
-    height = kwargs.pop("height", 460)
+def panel_grid(panels: Sequence[tuple]) -> str:
+    """Stack several (panel_title, series) plots into one SVG document, two
+    panels a row (one when there is only one)."""
+    columns = min(2, max(1, len(panels)))
     rows = math.ceil(len(panels) / columns)
-    total_w, total_h = columns * width, rows * height
+    total_w, total_h = columns * _WIDTH, rows * _HEIGHT
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
            f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">']
     for i, (title, series) in enumerate(panels):
-        inner = line_plot(series, title=title, width=width, height=height, **kwargs)
+        inner = line_plot(series, title=title)
         body = inner.split("\n", 1)[1].rsplit("</svg>", 1)[0]
-        tx, ty = (i % columns) * width, (i // columns) * height
+        tx, ty = (i % columns) * _WIDTH, (i // columns) * _HEIGHT
         out.append(f'<g transform="translate({tx} {ty})">\n{body}</g>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -118,10 +118,10 @@ class TuneResult:
             self.history[:n, self.entries.index(best)].copy()
 
 
-def default_gamma_grid(L: float, lo_exp: int = 20) -> list:
-    """Log grid 2^-lo_exp .. 1 clipped to the 1/L stability cap (cap included)."""
+def default_gamma_grid(L: float) -> list:
+    """Log grid 2^-20 .. 1 clipped to the 1/L stability cap (cap included)."""
     cap = 1.0 / L
-    grid = sorted({g for g in (2.0 ** -k for k in range(lo_exp, -1, -1))
+    grid = sorted({g for g in (2.0 ** -k for k in range(20, -1, -1))
                    if g <= cap} | {cap})
     return grid
 

@@ -1,11 +1,14 @@
 import subprocess
 import sys
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biased_sgd import StepSchedule, cli, experiments, figures, sgd_run_repeated
-from biased_sgd.config import (ConfigError, ExperimentConfig, parse_config,
+from biased_sgd import StepSchedule, cli, config, experiments, figures, sgd_run_repeated
+from biased_sgd.config import (ConfigError, ExperimentConfig, OracleSpec,
+                               ProblemSpec, RunSpec, TuneSpec, parse_config,
                                serialize_config)
 
 MINI = """
@@ -54,11 +57,62 @@ def test_config_defaults_and_fingerprint():
     ("key = 1\n", "outside any"),
     ("[problem]\nno_equals_here\n", "key = value"),
     ("[sweep]\nbogus_axis = 1, 2\n", "unknown sweep axis"),
+    ("[run]\nT = 10\nT = 20\n", "line 3: 'T' in [run] is already set on line 2"),
+    ("[run]\nT = 10\n[problem]\ndim = 5\n[run]\nT = 20\n",
+     "line 6: 'T' in [run] is already set on line 2"),
+    ("[sweep]\nk = 1, 2\nk = 3\n", "line 3: 'k' in [sweep] is already set on line 2"),
 ])
 def test_parse_errors_carry_diagnostics(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+def test_a_section_header_may_repeat():
+    cfg = parse_config("[run]\nT = 10\n[problem]\ndim = 5\n[run]\nreps = 2\n")
+    assert (cfg.run.T, cfg.run.reps, cfg.problem.dim) == (10, 2, 5)
+
+
+# a valid value other than the default for every field of every spec
+OTHER_VALUES = {
+    ProblemSpec: {"kind": "huber", "dim": 5},
+    OracleSpec: {"kind": "gaussian_smoothing", "noise_sigma_sq": 1.0,
+                 "bias_zeta": 0.1, "compressor": "top_k", "k": 2, "delta": 0.5,
+                 "tau": 0.1, "m": 0.5, "zeta_sq": 0.5},
+    RunSpec: {"T": 5, "reps": 3, "seed": 7, "stepsize": 0.02,
+              "stepsize_policy": "theory_pl", "policy_eps": 0.01, "x0_gap": 2.0},
+    TuneSpec: {"target_eps": 1e-3, "max_T": 100, "reps": 2, "grid": (0.1, 0.2)},
+}
+
+
+def test_every_config_field_reaches_the_canonical_text():
+    # a field the canonical text left out would give two different runs one
+    # fingerprint and one run key
+    base = ExperimentConfig(tune=TuneSpec())
+    sections = {type(getattr(base, f.name)): f.name for f in fields(base)}
+    for spec, values in OTHER_VALUES.items():
+        assert [f.name for f in fields(spec)] == list(values)
+        section = sections[spec]
+        for name, value in values.items():
+            cfg = replace(base, **{section: replace(getattr(base, section),
+                                                    **{name: value})})
+            assert cfg.canonical() != base.canonical(), (section, name)
+            assert parse_config(cfg.canonical()) == cfg, (section, name)
+
+
+def test_an_unsupported_annotation_is_refused():
+    @dataclass
+    class Spec:
+        flag: "bool" = False
+
+    with pytest.raises(TypeError, match="Spec.flag: annotation 'bool'"):
+        config._value_type(Spec, fields(Spec)[0])
+
+
+@pytest.mark.parametrize("name", figures.FIGURE_NAMES)
+def test_config_files_are_the_presets_canonical_text(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+    assert path.read_text(encoding="utf-8") == figures.preset(name).canonical()
 
 
 @pytest.mark.parametrize("override", [
