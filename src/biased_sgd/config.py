@@ -10,6 +10,7 @@ embedded in every output file as the config fingerprint.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Optional
 
@@ -62,8 +63,12 @@ class RunSpec:
 @dataclass(frozen=True)
 class SweepSpec:
     axes: tuple = ()  # ((key, (values...)), ...) in canonical key order
-    panel_by: str = ""
+    panel_by: str = ""  # comma-separated sweep axes
     series_by: str = ""
+
+    @property
+    def panel_keys(self) -> list:
+        return [k.strip() for k in self.panel_by.split(",") if k.strip()]
 
 
 @dataclass(frozen=True)
@@ -133,10 +138,15 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def _parse_scalar(raw: str, line_no: int, key: str, want: type):
+    """`raw` as a `want`; a float must be finite."""
     try:
-        return want(raw)
+        val = want(raw)
+        if want is float and not math.isfinite(val):
+            raise ValueError
+        return val
     except ValueError:
-        raise ConfigError(f"line {line_no}: field {key!r} expects {want.__name__}, "
+        kind = "finite float" if want is float else want.__name__
+        raise ConfigError(f"line {line_no}: field {key!r} expects {kind}, "
                           f"got {raw!r}") from None
 
 
@@ -276,6 +286,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.x0_gap must be nonnegative")
     compressors = {o.compressor}
     if cfg.sweep is not None:
+        axes = [key for key, _ in cfg.sweep.axes]
+        named = [("panel_by", key) for key in cfg.sweep.panel_keys]
+        for name, key in named + [("series_by", cfg.sweep.series_by.strip())]:
+            if key and key not in axes:
+                raise ConfigError(f"sweep.{name} names {key!r}, which is not a "
+                                  f"sweep axis (axes: {', '.join(axes) or 'none'})")
         for key, vals in cfg.sweep.axes:
             if key == "k" and any(not 1 <= v <= dim for v in vals):
                 raise ConfigError(f"sweep k values must lie in [1, {dim}]")

@@ -6,6 +6,7 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -16,7 +17,7 @@ from .compressors import (Compressor, UnsupportedCompositionError,
                           rand_k_unbiased_compressor, scale_compressor,
                           top_k_compressor)
 from .config import (ConfigError, ExperimentConfig, OracleSpec, RunSpec,
-                     parse_config, problem_dim)
+                     SweepSpec, TuneSpec, parse_config, problem_dim)
 from .oracles import (BiasedOracle, additive_bias_oracle, exact_oracle,
                       gaussian_noise_oracle, gaussian_smoothing_oracle,
                       huber_shifted_oracle, inexact_oracle, tightness_oracle,
@@ -26,7 +27,7 @@ from .optimizer import (RepeatedRuns, StepSchedule, sgd_run_repeated,
 from .problems import Problem, make_huber_problem, make_nesterov_worst, scaled_x0
 from .svgplot import panel_grid
 # tune_stepsize has no caller here, but perfbench/tracer.py wraps it by name
-from .tuning import TuneResult, tune_stepsize, tune_stepsize_many  # noqa: F401
+from .tuning import tune_stepsize, tune_stepsize_many  # noqa: F401
 
 CSV_HEADER = "t,mean_f_gap,se_f_gap,mean_grad_norm_sq,se_grad_norm_sq"
 
@@ -167,8 +168,7 @@ def _write_run(out_dir: str, cfg: ExperimentConfig, agg: RepeatedRuns,
     os.makedirs(out_dir, exist_ok=True)
     write_trace_csv(os.path.join(out_dir, "trace.csv"), agg)
     write_kv(os.path.join(out_dir, "summary.txt"), summary)
-    with open(os.path.join(out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.canonical())
+    _write_text(out_dir, "config.cfg", cfg.canonical())
 
 
 def _build_run(cfg: ExperimentConfig) -> tuple:
@@ -233,14 +233,6 @@ def _run_config(cfg: ExperimentConfig, tune: bool = False) -> ExperimentConfig:
     return replace(cfg, oracle=o, run=r)
 
 
-def _distinct_runs(runs: list) -> list:
-    """[(run config, [indices of the cells asking for it])], first-seen order."""
-    groups: dict = {}
-    for i, run in enumerate(runs):
-        groups.setdefault(run.canonical(), (run, []))[1].append(i)
-    return list(groups.values())
-
-
 def _map(fn, tasks: list, workers: int) -> list:
     """fn on min(workers, len(tasks)) parts of `tasks`, one process each;
     fn(part) gives one out per task, and the outs come back in task order.
@@ -262,6 +254,30 @@ def _map(fn, tasks: list, workers: int) -> list:
         for i, part_outs in enumerate(parts):
             outs[i::n] = part_outs
     return outs
+
+
+def _run_cells(cfg: ExperimentConfig, cells: list, part, workers: int,
+               tune: bool) -> tuple:
+    """(per cell its out, the number of distinct runs) of `part` on `cells`.
+
+    Cells that ask for the same run (`_run_config`) share it: `part` gets
+    one task (run config, [(label, cell config), ...]) per distinct run and
+    gives per task one out per cell; `_map` spreads the tasks over the
+    processes.
+    """
+    base = parse_config(cfg.canonical())
+    cell_cfgs = [_cell_config(base, overrides) for _, overrides in cells]
+    groups: dict = {}  # run text -> (run config, [indices of its cells])
+    for i, cell in enumerate(cell_cfgs):
+        run = _run_config(cell, tune)
+        groups.setdefault(run.canonical(), (run, []))[1].append(i)
+    tasks = [(run, [(cells[i][0], cell_cfgs[i]) for i in idx])
+             for run, idx in groups.values()]
+    outs = [None] * len(cells)
+    for (_, idx), task_outs in zip(groups.values(), _map(part, tasks, workers)):
+        for i, out in zip(idx, task_outs):
+            outs[i] = out
+    return outs, len(tasks)
 
 
 def _batched(build, run, tasks: list) -> list:
@@ -301,18 +317,9 @@ def _batched(build, run, tasks: list) -> list:
     return built
 
 
-def _fan_out(groups: list, outs: list, n_cells: int) -> list:
-    """Per cell, its entry of its group's list of outs."""
-    per_cell = [None] * n_cells
-    for (_, idx), out in zip(groups, outs):
-        for i, o in zip(idx, out):
-            per_cell[i] = o
-    return per_cell
-
-
-def _sweep_part(tasks: list) -> list:
-    """Distinct runs stepped as one engine run, each written out for the
-    sweep cells that ask for it.
+def _sweep_part(out_dir: str, tasks: list) -> list:
+    """Distinct runs stepped as one engine run, each written out under
+    `out_dir`/cells for the sweep cells that ask for it.
 
     Returns per run its cells' (summary, t, mean_f_gap), or the error message
     of a failed cell: a failed run fails every cell of its group, a failed
@@ -335,14 +342,14 @@ def _sweep_part(tasks: list) -> list:
             continue
         (p, run_o, run_source, _), agg = res
         cell_outs = []
-        for cfg, cell_dir in cells:
+        for label, cfg in cells:
             try:
                 if cfg.oracle.compressor == run_cfg.oracle.compressor:
                     o, source = run_o, run_source
                 else:
                     o, source = build_oracle(cfg, p)
                 summary = _cell_summary(cfg, p, o, source, agg)
-                _write_run(cell_dir, cfg, agg, summary)
+                _write_run(os.path.join(out_dir, "cells", label), cfg, agg, summary)
             except Exception as exc:  # noqa: BLE001
                 cell_outs.append(str(exc))
                 continue
@@ -351,106 +358,14 @@ def _sweep_part(tasks: list) -> list:
     return outs
 
 
-@dataclass
-class SweepOutput:
-    cells: list  # dicts: label, overrides, summary, curve (t, mean_f_gap)
-    out_dir: str
-    distinct_runs: int  # engine runs the cells shared out
-
-
-def _panel_keys(cfg: ExperimentConfig) -> tuple:
-    s = cfg.sweep
-    if s is None:  # a single tuned configuration
-        return [], ""
-    panel = [k.strip() for k in s.panel_by.split(",") if k.strip()] if s.panel_by else []
-    series = s.series_by.strip() if s.series_by else ""
-    return panel, series
-
-
-def _series_label(series_key: str, overrides: dict, label: str) -> str:
-    if series_key and series_key in overrides:
-        return f"{series_key}={_label_value(overrides[series_key])}"
-    return label
-
-
-def _panel_title(panel_keys: list, overrides: dict) -> str:
-    if not panel_keys:
-        return "sweep"
-    return ", ".join(f"{k}={_label_value(overrides[k])}"
-                     for k in panel_keys if k in overrides)
-
-
-def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
-                     workers: int = 1) -> SweepOutput:
-    """Run every sweep cell, then write per-cell CSVs, figure.svg, manifest.txt.
-
-    Cells that ask for the same run (`_run_config`) share one result, and
-    the distinct runs are stepped as the members of one engine run (one per
-    process under `workers`). A failing cell is recorded in the manifest and
-    does not abort the sweep.
-    """
-    cells = expand_cells(cfg)
-    base = parse_config(cfg.canonical())
-    cell_cfgs = [_cell_config(base, ov) for _, ov in cells]
-    groups = _distinct_runs([_run_config(c) for c in cell_cfgs])
-    tasks = [(run, [(cell_cfgs[i], os.path.join(out_dir, "cells", cells[i][0]))
-                    for i in idx]) for run, idx in groups]
-    outs = _fan_out(groups, _map(_sweep_part, tasks, workers), len(cells))
-    os.makedirs(out_dir, exist_ok=True)
-
-    panel_keys, series_key = _panel_keys(cfg)
-    panels: dict = {}
-    records = []
-    target = cfg.tune.target_eps if cfg.tune is not None else None
-    for (label, overrides), res in zip(cells, outs):
-        if isinstance(res, str):
-            records.append({"label": label, "error": res})
-            continue
-        summary, t, gap = res
-        title = _panel_title(panel_keys, overrides)
-        series = _series_label(series_key, overrides, label)
-        panels.setdefault(title, []).append((series, t, gap))
-        reach = "-"
-        if target is not None:
-            hit = np.nonzero(gap <= target)[0]
-            reach = str(int(t[hit[0]])) if hit.size else "did-not-reach"
-        records.append({"label": label, "overrides": overrides,
-                        "summary": summary, "panel": title, "series": series,
-                        "reach_t": reach})
-
-    panel_list = [(title, series) for title, series in panels.items()]
-    svg = panel_grid(panel_list)
-    with open(os.path.join(out_dir, "figure.svg"), "w", encoding="utf-8") as fh:
-        fh.write(svg)
-
-    lines = [f"# sweep manifest  fingerprint={cfg.fingerprint()}"]
-    for rec in records:
-        if "error" in rec:
-            lines.append(f"cell={rec['label']} status=failed error={rec['error']}")
-            continue
-        s = rec["summary"]
-        lines.append(
-            f"cell={rec['label']} panel={rec['panel']!r} series={rec['series']!r} "
-            f"csv=cells/{rec['label']}/trace.csv fingerprint={s['fingerprint']} "
-            f"floor_estimate={s['tail_mean_f_gap']} predicted_floor={s['predicted_floor']} "
-            f"iterations_to_target={rec['reach_t']} diverged={s['diverged']}")
-    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    write_kv(os.path.join(out_dir, "sweep_summary.txt"),
-             {"fingerprint": cfg.fingerprint(), "cells": len(cells),
-              "distinct_runs": len(groups),
-              "failed": sum(isinstance(res, str) for res in outs)})
-    return SweepOutput(cells=records, out_dir=out_dir, distinct_runs=len(groups))
-
-
-def _tune_part(tasks: list) -> list:
+def _tune_part(tune: TuneSpec, tasks: list) -> list:
     """Distinct searches stepped as one engine run: per search its cells'
     (result, race curve), or the error message.
 
     The result leaves out the search history, of which the race figure needs
     only the race curve (`TuneResult.race_curve`).
     """
-    cfg, tune, _ = tasks[0]  # no sweep axis changes the search
+    cfg = tasks[0][0]  # no sweep axis changes the search
 
     def build(task) -> tuple:
         p = build_problem(task[0])
@@ -463,21 +378,86 @@ def _tune_part(tasks: list) -> list:
                                   max_T=tune.max_T, seed=cfg.run.seed,
                                   x0=_x0(cfg, p), keep_history=False)
 
-    return [[res if isinstance(res, str) else res[1]] * n_cells
-            for (_, _, n_cells), res in zip(tasks, _batched(build, run, tasks))]
+    return [[res if isinstance(res, str) else res[1]] * len(cells)
+            for (_, cells), res in zip(tasks, _batched(build, run, tasks))]
 
 
 @dataclass
-class TuneOutput:
-    # dicts: label, overrides, and result (TuneResult) and race (its race
-    # curve or None), or error (the message of a failed cell)
+class CellsOutput:
+    # dicts: label, overrides, and the cell's outputs (sweep: summary; tune:
+    # result, a TuneResult, and race, its race curve or None), or error (the
+    # message of a failed cell)
     cells: list
     out_dir: str
-    distinct_runs: int  # searches the cells shared out
+    distinct_runs: int  # engine runs or searches the cells shared out
 
 
-def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
-                    workers: int = 1) -> TuneOutput:
+def _placement(cfg: ExperimentConfig, label: str, overrides: dict) -> tuple:
+    """(panel title, series label) of a cell in the figures and the manifest:
+    its values of the `panel_by` and `series_by` axes, or "sweep" and its
+    label where these are unset."""
+    s = cfg.sweep or SweepSpec()
+
+    def axis(key: str) -> str:
+        return f"{key}={_label_value(overrides[key])}"
+
+    series = s.series_by.strip()
+    title = ", ".join(map(axis, s.panel_keys)) or "sweep"
+    return title, axis(series) if series else label
+
+
+def _write_text(out_dir: str, name: str, text: str) -> None:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
+                     workers: int = 1) -> CellsOutput:
+    """Run every sweep cell, then write per-cell CSVs, figure.svg, manifest.txt.
+
+    Cells that ask for the same run (`_run_config`) share one result, and
+    the distinct runs are stepped as the members of one engine run (one per
+    process under `workers`). A failing cell is recorded in the manifest and
+    does not abort the sweep.
+    """
+    cells = expand_cells(cfg)
+    outs, runs = _run_cells(cfg, cells, partial(_sweep_part, out_dir), workers,
+                            tune=False)
+    os.makedirs(out_dir, exist_ok=True)
+    target = cfg.tune.target_eps if cfg.tune is not None else None
+    panels: dict = {}
+    records = []
+    lines = [f"# sweep manifest  fingerprint={cfg.fingerprint()}"]
+    for (label, overrides), res in zip(cells, outs):
+        records.append({"label": label, "overrides": overrides})
+        if isinstance(res, str):
+            records[-1]["error"] = res
+            lines.append(f"cell={label} status=failed error={res}")
+            continue
+        s, t, gap = res
+        records[-1]["summary"] = s
+        title, series = _placement(cfg, label, overrides)
+        panels.setdefault(title, []).append((series, t, gap))
+        reach = "-"
+        if target is not None:
+            hit = np.nonzero(gap <= target)[0]
+            reach = str(int(t[hit[0]])) if hit.size else "did-not-reach"
+        lines.append(
+            f"cell={label} panel={title!r} series={series!r} "
+            f"csv=cells/{label}/trace.csv fingerprint={s['fingerprint']} "
+            f"floor_estimate={s['tail_mean_f_gap']} predicted_floor={s['predicted_floor']} "
+            f"iterations_to_target={reach} diverged={s['diverged']}")
+    _write_text(out_dir, "figure.svg", panel_grid(list(panels.items())))
+    _write_text(out_dir, "manifest.txt", "\n".join(lines) + "\n")
+    write_kv(os.path.join(out_dir, "sweep_summary.txt"),
+             {"fingerprint": cfg.fingerprint(), "cells": len(cells),
+              "distinct_runs": runs,
+              "failed": sum(isinstance(res, str) for res in outs)})
+    return CellsOutput(cells=records, out_dir=out_dir, distinct_runs=runs)
+
+
+def tune_experiment(cfg: ExperimentConfig, out_dir: str,
+                    workers: int = 1) -> CellsOutput:
     """Grid-tune the stepsize for each sweep cell (or the single configuration).
 
     Writes tune.csv (one row per cell and grid stepsize), tune_summary.txt
@@ -490,65 +470,44 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     """
     if cfg.tune is None:
         raise ConfigError("tune requires a [tune] section")
-    base_cells = expand_cells(cfg) if cfg.sweep is not None else [("all", {})]
-    base = parse_config(cfg.canonical())
-    groups = _distinct_runs([_run_config(_cell_config(base, ov), tune=True)
-                             for _, ov in base_cells])
-    tasks = [(run, base.tune, len(idx)) for run, idx in groups]
-    outs = _fan_out(groups, _map(_tune_part, tasks, workers), len(base_cells))
-
-    cells = [{"label": label, "overrides": ov, "error": out}
-             if isinstance(out, str) else
-             {"label": label, "overrides": ov, "result": out[0], "race": out[1]}
-             for (label, ov), out in zip(base_cells, outs)]
-    if out_dir is None:
-        return TuneOutput(cells=cells, out_dir="", distinct_runs=len(groups))
-
+    cells = expand_cells(cfg) if cfg.sweep is not None else [("all", {})]
+    outs, runs = _run_cells(cfg, cells, partial(_tune_part, cfg.tune), workers,
+                            tune=True)
     os.makedirs(out_dir, exist_ok=True)
+    panels: dict = {}
+    records = []
     rows = ["cell,gamma,reached,iterations,best_gap,diverged,censored_at"]
-    summary_lines = [f"# tune summary  fingerprint={cfg.fingerprint()} "
-                     f"target_eps={cfg.tune.target_eps!r} max_T={cfg.tune.max_T}"]
-    for rec in cells:
-        if "error" in rec:
-            summary_lines.append(f"cell={rec['label']} status=failed "
-                                 f"error={rec['error']}")
+    lines = [f"# tune summary  fingerprint={cfg.fingerprint()} "
+             f"target_eps={cfg.tune.target_eps!r} max_T={cfg.tune.max_T}"]
+    for (label, overrides), out in zip(cells, outs):
+        records.append({"label": label, "overrides": overrides})
+        if isinstance(out, str):
+            records[-1]["error"] = out
+            lines.append(f"cell={label} status=failed error={out}")
             continue
-        res: TuneResult = rec["result"]
+        res, race = out
+        records[-1].update(result=res, race=race)
         for e in res.entries:
-            rows.append(f"{rec['label']},{e.gamma!r},{int(e.reached)},"
+            rows.append(f"{label},{e.gamma!r},{int(e.reached)},"
                         f"{e.iterations if e.reached else ''},{e.best_gap!r},"
                         f"{int(e.diverged)},"
                         f"{e.censored_at if e.censored_at is not None else ''}")
         best = res.best
         if best is not None:
-            summary_lines.append(f"cell={rec['label']} best_gamma={best.gamma!r} "
-                                 f"iterations={best.iterations}")
+            lines.append(f"cell={label} best_gamma={best.gamma!r} "
+                         f"iterations={best.iterations}")
         else:
-            summary_lines.append(f"cell={rec['label']} best_gamma=did-not-reach "
-                                 f"best_gap={res.best_gap!r}")
-    with open(os.path.join(out_dir, "tune.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
-    with open(os.path.join(out_dir, "tune_summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(summary_lines) + "\n")
-
-    _write_race_plot(cfg, cells, out_dir)
-    return TuneOutput(cells=cells, out_dir=out_dir, distinct_runs=len(groups))
-
-
-def _write_race_plot(cfg: ExperimentConfig, cells: list, out_dir: str) -> None:
-    panel_keys, series_key = _panel_keys(cfg)
-    panels: dict = {}
-    for rec in cells:
-        if rec.get("race") is None:  # failed, or every stepsize diverged
-            continue
-        entry, t, gap = rec["race"]
-        title = _panel_title(panel_keys, rec["overrides"])
-        series = _series_label(series_key, rec["overrides"], rec["label"])
-        panels.setdefault(title, []).append((f"{series} (g={entry.gamma:g})", t, gap))
+            lines.append(f"cell={label} best_gamma=did-not-reach "
+                         f"best_gap={res.best_gap!r}")
+        if race is not None:  # None: every stepsize diverged
+            entry, t, gap = race
+            title, series = _placement(cfg, label, overrides)
+            panels.setdefault(title, []).append((f"{series} (g={entry.gamma:g})", t, gap))
+    _write_text(out_dir, "tune.csv", "\n".join(rows) + "\n")
+    _write_text(out_dir, "tune_summary.txt", "\n".join(lines) + "\n")
     if panels:
-        svg = panel_grid(list(panels.items()))
-        with open(os.path.join(out_dir, "race.svg"), "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_text(out_dir, "race.svg", panel_grid(list(panels.items())))
+    return CellsOutput(cells=records, out_dir=out_dir, distinct_runs=runs)
 
 
 TABLE1_SPECS = (
@@ -619,8 +578,7 @@ def verify_experiment(cfg: Optional[ExperimentConfig], out_dir: Optional[str],
     table = "\n".join(lines) + "\n"
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "verify.md"), "w", encoding="utf-8") as fh:
-            fh.write(table)
+        _write_text(out_dir, "verify.md", table)
     return reports, table
 
 

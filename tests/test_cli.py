@@ -61,6 +61,27 @@ def test_config_defaults_and_fingerprint():
     ("[run]\nT = 10\n[problem]\ndim = 5\n[run]\nT = 20\n",
      "line 6: 'T' in [run] is already set on line 2"),
     ("[sweep]\nk = 1, 2\nk = 3\n", "line 3: 'k' in [sweep] is already set on line 2"),
+    # the figure layout names sweep axes only
+    ("[sweep]\nk = 1, 2\npanel_by = bogus\n",
+     "sweep.panel_by names 'bogus', which is not a sweep axis (axes: k)"),
+    ("[sweep]\nk = 1, 2\ntau = 0.1\npanel_by = k, delta\n",
+     "sweep.panel_by names 'delta', which is not a sweep axis (axes: k, tau)"),
+    ("[sweep]\nk = 1, 2\nseries_by = compressor\n",
+     "sweep.series_by names 'compressor', which is not a sweep axis (axes: k)"),
+    # a float field takes finite values only
+    ("[run]\nstepsize = nan\n", "line 2: field 'stepsize' expects finite float, "
+     "got 'nan'"),
+    ("[run]\nT = 10\nstepsize = inf\n", "line 3: field 'stepsize' expects finite"),
+    ("[run]\nx0_gap = nan\n", "line 2: field 'x0_gap' expects finite"),
+    ("[oracle]\nnoise_sigma_sq = nan\n", "line 2: field 'noise_sigma_sq' expects finite"),
+    ("[oracle]\nbias_zeta = inf\n", "line 2: field 'bias_zeta' expects finite"),
+    ("[oracle]\nbias_zeta = -inf\n", "line 2: field 'bias_zeta' expects finite"),
+    ("[oracle]\ntau = inf\n", "line 2: field 'tau' expects finite"),
+    ("[tune]\ntarget_eps = nan\n", "line 2: field 'target_eps' expects finite"),
+    ("[tune]\ngrid = 0.1, nan\n", "line 2: field 'grid' expects finite float, "
+     "got 'nan'"),
+    ("[sweep]\nnoise_sigma_sq = 0.0, nan\n",
+     "line 2: field 'noise_sigma_sq' expects finite float, got 'nan'"),
 ])
 def test_parse_errors_carry_diagnostics(text, fragment):
     with pytest.raises(ConfigError) as err:

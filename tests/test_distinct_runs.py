@@ -158,7 +158,8 @@ def test_stepsize_under_a_theory_policy_does_not_split_the_run(tmp_path, policy)
     assert (tmp_path / "cells" / a["label"] / "trace.csv").read_bytes() == \
         (tmp_path / "cells" / b["label"] / "trace.csv").read_bytes()
     # tune's grid search uses neither field
-    tuned = experiments.tune_experiment(parse_config(cfg.canonical() + TUNE))
+    tuned = experiments.tune_experiment(parse_config(cfg.canonical() + TUNE),
+                                        str(tmp_path / "t"))
     assert tuned.distinct_runs == 1
 
 

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -413,3 +414,39 @@ def test_streamed_aggregate_matches_kept_traces(monkeypatch):
         assert kept.diverged_reps == streamed.diverged_reps
         assert kept.diverged_reps
 
+
+
+
+@functools.lru_cache(maxsize=None)
+def _long_dense_run():
+    """A 50,000-step run recorded at every iterate, shared by the cases below."""
+    p = make_nesterov_worst(2)
+    o = gaussian_noise_oracle(p, 1.0)
+    T = 50_000
+    sched = StepSchedule.sequence(0.2 / np.sqrt(1.0 + np.arange(T)))
+    return p, o, sched, T, sgd_run_repeated(p, o, sched, T, reps=2, seed=5)
+
+
+@pytest.mark.parametrize("keep_traces", [True, False])
+def test_thinned_record_grid_matches_the_dense_run(monkeypatch, keep_traces):
+    # beyond FULL_TRACE_LIMIT a run records log-thinned checkpoints; every
+    # recorded slot must hold what a dense run holds at that iterate
+    p, o, sched, T, dense = _long_dense_run()
+    assert np.array_equal(dense.t, np.arange(T + 1))
+    monkeypatch.setattr(optimizer, "FULL_TRACE_LIMIT", 100)
+    monkeypatch.setattr(optimizer, "_STREAM_BLOCK", 2 * 4_000)  # 4,000 slots
+    thin = sgd_run_repeated(p, o, sched, T, reps=2, seed=5,
+                            keep_traces=keep_traces)
+    assert len(thin.t) == 42_644 and thin.t[-1] == T
+    for field in ("mean_f_gap", "se_f_gap", "mean_grad_norm_sq",
+                  "se_grad_norm_sq", "count"):
+        assert np.array_equal(getattr(thin, field),
+                              getattr(dense, field)[thin.t]), field
+    if not keep_traces:
+        assert thin.traces is None
+        return
+    for tr, full in zip(thin.traces, dense.traces):
+        assert np.array_equal(tr.t, thin.t)
+        assert np.array_equal(tr.f_gap, full.f_gap[tr.t])
+        # the stepsize taken at each recorded iterate; none after T
+        assert np.array_equal(tr.stepsizes, full.stepsizes[tr.t], equal_nan=True)
