@@ -32,6 +32,14 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def generator_at(gen: np.random.Generator, state: dict,
+                 jumps: int = 0) -> np.random.Generator:
+    """A new generator of `gen`'s kind at `state`, jumped `jumps` times."""
+    bit_gen = type(gen.bit_generator)()
+    bit_gen.state = state
+    return np.random.Generator(bit_gen.jumped(jumps) if jumps else bit_gen)
+
+
 class KindStreams:
     """The draws of one generator, each draw kind on its own stream.
 
@@ -57,9 +65,7 @@ class KindStreams:
                 self._origin = self.gen.bit_generator.state
                 g = self.gen
             else:
-                bit_gen = type(self.gen.bit_generator)()
-                bit_gen.state = self._origin
-                g = np.random.Generator(bit_gen.jumped(len(self._kinds)))
+                g = generator_at(self.gen, self._origin, len(self._kinds))
             self._kinds[kind] = g
         return g
 

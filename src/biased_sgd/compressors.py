@@ -214,18 +214,14 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
             raise UnsupportedCompositionError(
                 f"no derived bounds for compressor kind {c.kind!r}")
 
-    def rows(X, n, rng):
-        G = inner._query_batch(X, n, rng)
-        # a random compressor draws n rows, so it gets the one inner row n
-        # times (tested first: a broadcast_to on every engine step costs)
-        if len(G) < n and not c.deterministic:
-            G = np.broadcast_to(G, (n, d))
-        return c.apply_rows(G, rng)
-
+    # rand-k draws its keys; a custom random map draws what it draws
+    draws = () if c.deterministic or identity else \
+        ("random",) if c.kind in ("rand_k", "rand_k_unbiased") else None
     oracle = BiasedOracle(
         name=f"{c.name}({inner.name})", dim=d,
         bounds=OracleBounds(),  # placeholder, replaced below
-        _query_batch=rows,
+        _query_batch=inner._query_batch.then(
+            lambda G, n, rng: c.apply_rows(G, rng), c, draws),
         expected_query=expected,
         deterministic=inner.deterministic and (c.deterministic or identity),
     )

@@ -10,6 +10,7 @@ embedded in every output file as the config fingerprint.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Optional
@@ -211,6 +212,10 @@ def parse_config(text: str) -> ExperimentConfig:
                     for v in val.split(",") if v.strip()]
             if not vals:
                 raise ConfigError(f"line {line_no}: sweep axis {key!r} is empty")
+            repeated = [v for i, v in enumerate(vals) if v in vals[:i]]
+            if repeated:
+                raise ConfigError(f"line {line_no}: sweep axis {key!r} repeats "
+                                  f"the value {_fmt_value(repeated[0])}")
             data["sweep"][key] = vals
             continue
         want = _FIELD_TYPES.get((section, key))
@@ -284,7 +289,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.policy_eps must be positive")
     if r.x0_gap < 0:
         raise ConfigError("run.x0_gap must be nonnegative")
-    compressors = {o.compressor}
+    if o.kind == "inexact" and o.compressor == "scale":
+        raise ConfigError("oracle.kind=inexact and compressor=scale both read "
+                          "oracle.delta; they cannot be combined")
     if cfg.sweep is not None:
         axes = [key for key, _ in cfg.sweep.axes]
         named = [("panel_by", key) for key in cfg.sweep.panel_keys]
@@ -292,17 +299,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if key and key not in axes:
                 raise ConfigError(f"sweep.{name} names {key!r}, which is not a "
                                   f"sweep axis (axes: {', '.join(axes) or 'none'})")
-        for key, vals in cfg.sweep.axes:
-            if key == "k" and any(not 1 <= v <= dim for v in vals):
-                raise ConfigError(f"sweep k values must lie in [1, {dim}]")
-            if key == "compressor":
-                if any(v not in COMPRESSOR_NAMES for v in vals):
-                    raise ConfigError("sweep compressor values must be in "
-                                      f"{COMPRESSOR_NAMES}")
-                compressors = set(vals)
-    if o.kind == "inexact" and "scale" in compressors:
-        raise ConfigError("oracle.kind=inexact and compressor=scale both read "
-                          "oracle.delta; they cannot be combined")
+        # each axis value alone, then each cell: the config it runs must pass
+        base = replace(cfg, sweep=None, tune=None)
+        cells = [[(key, v)] for key, vals in cfg.sweep.axes for v in vals]
+        cells += [list(zip(axes, combo)) for combo in
+                  itertools.product(*[vals for _, vals in cfg.sweep.axes])]
+        for cell in cells:
+            try:
+                validate_config(base.with_overrides(**dict(cell)))
+            except ConfigError as exc:
+                where = ", ".join(f"{k} = {_fmt_value(v)}" for k, v in cell)
+                raise ConfigError(f"sweep axis {where}: {exc}") from None
     if cfg.tune is not None:
         if cfg.tune.target_eps <= 0:
             raise ConfigError("tune.target_eps must be positive")

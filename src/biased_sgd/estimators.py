@@ -19,10 +19,13 @@ from .oracles import BiasedOracle, OracleBounds
 from .problems import Problem
 
 SLACK = 5.0  # standard errors
-# rows per sampling chunk: small enough that the chunk's temporaries are
-# reused from the allocator's free lists instead of being returned to the OS
-# and faulted in again on every chunk
+# rows per sampling chunk, whose moments are summed at once; a chunk wider
+# than _QUERY_FLOATS floats (80 KiB) is drawn by several queries into one
+# buffer reused by every chunk and point, so that the queries' temporaries
+# stay under glibc's 128 KiB mmap threshold and come from its free lists
+# instead of being mapped and faulted in again on every chunk
 _CHUNK = 2_048
+_QUERY_FLOATS = 10_240
 
 
 @dataclass
@@ -60,7 +63,7 @@ def probe_points(p: Problem, n_points: int, seed: int) -> list:
 
 
 def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
-             rng: KindStreams) -> PointStats:
+             rng: KindStreams, buf: np.ndarray) -> PointStats:
     d = o.dim
     x = np.asarray(x, dtype=float)
     grad = p.grad(x)
@@ -74,10 +77,16 @@ def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
     s5 = np.zeros((d, d))
     done = 0
     ones = np.ones(_CHUNK)
+    step = max(1, _QUERY_FLOATS // d)
     ref = None  # the first sample: the moments are summed about it
     while done < n_samples:
         take = min(_CHUNK, n_samples - done)
-        G = o.query_many(x, take, rng)
+        if take <= step:
+            G = o.query_many(x, take, rng)
+        else:  # each kind's draws do not depend on how they split into queries
+            G = buf[:take]
+            for lo in range(0, take, step):
+                G[lo:lo + step] = o.query_many(x, min(step, take - lo), rng)
         ref = G[0].copy() if ref is None else ref
         G -= ref
         sq = np.einsum("ij,ij->i", G, G)
@@ -143,7 +152,8 @@ def _collect_points(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
     if samples < min_samples and not o.deterministic:
         raise ValueError(f"samples must be >= {min_samples} for stochastic "
                          f"oracles, got {samples}")
-    return [_collect(o, p, x, samples, KindStreams(stream(seed, tag, i)))
+    buf = np.empty((_CHUNK, o.dim))
+    return [_collect(o, p, x, samples, KindStreams(stream(seed, tag, i)), buf)
             for i, x in enumerate(points)]
 
 

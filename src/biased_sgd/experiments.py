@@ -171,17 +171,17 @@ def _write_run(out_dir: str, cfg: ExperimentConfig, agg: RepeatedRuns,
     _write_text(out_dir, "config.cfg", cfg.canonical())
 
 
-def _build_run(cfg: ExperimentConfig) -> tuple:
-    """(problem, oracle, bounds source, schedule) of the run `cfg` asks for."""
-    p = build_problem(cfg)
+def _build_run(cfg: ExperimentConfig, p: Problem) -> tuple:
+    """(oracle, bounds source, schedule) of the run `cfg` asks for on `p`."""
     o, bounds_source = build_oracle(cfg, p)
-    return p, o, bounds_source, StepSchedule.constant(_resolved_stepsize(cfg, p, o))
+    return o, bounds_source, StepSchedule.constant(_resolved_stepsize(cfg, p, o))
 
 
 def run_experiment(cfg: ExperimentConfig,
                    out_dir: Optional[str] = None) -> RunOutput:
     """Execute one repeated run; optionally write trace.csv and summary.txt."""
-    p, o, bounds_source, sched = _build_run(cfg)
+    p = build_problem(cfg)
+    o, bounds_source, sched = _build_run(cfg, p)
     agg = sgd_run_repeated(p, o, sched, cfg.run.T, cfg.run.reps, cfg.run.seed,
                            x0=_x0(cfg, p))
     summary = _cell_summary(cfg, p, o, bounds_source, agg)
@@ -324,23 +324,24 @@ def _sweep_part(out_dir: str, tasks: list) -> list:
     Returns per run its cells' (summary, t, mean_f_gap), or the error message
     of a failed cell: a failed run fails every cell of its group, a failed
     oracle build only its own cell. Each cell's summary is built from its own
-    config and oracle (name, fingerprint, bounds, predicted floor).
+    config and oracle (name, fingerprint, bounds, predicted floor). The
+    oracles are built on one problem, so their chains share its gradient.
     """
-    r = tasks[0][0].run  # no sweep axis changes T, reps, seed or x0
+    cfg = tasks[0][0]  # no sweep axis changes the problem, T, reps, seed or x0
+    p, r = build_problem(cfg), cfg.run
 
     def run(members: list) -> list:
-        p = members[0][0]
-        return sgd_run_repeated_many(p, [(o, sched) for _, o, _, sched in members],
-                                     r.T, r.reps, r.seed, x0=_x0(tasks[0][0], p),
+        return sgd_run_repeated_many(p, [(o, sched) for o, _, sched in members],
+                                     r.T, r.reps, r.seed, x0=_x0(cfg, p),
                                      keep_traces=False)
 
     outs = []
-    runs = _batched(lambda task: _build_run(task[0]), run, tasks)
+    runs = _batched(lambda task: _build_run(task[0], p), run, tasks)
     for (run_cfg, cells), res in zip(tasks, runs):
         if isinstance(res, str):
             outs.append([res] * len(cells))
             continue
-        (p, run_o, run_source, _), agg = res
+        (run_o, run_source, _), agg = res
         cell_outs = []
         for label, cfg in cells:
             try:
@@ -363,17 +364,17 @@ def _tune_part(tune: TuneSpec, tasks: list) -> list:
     (result, race curve), or the error message.
 
     The result leaves out the search history, of which the race figure needs
-    only the race curve (`TuneResult.race_curve`).
+    only the race curve (`TuneResult.race_curve`). The oracles are built on
+    one problem, so their chains share its gradient.
     """
-    cfg = tasks[0][0]  # no sweep axis changes the search
+    cfg = tasks[0][0]  # no sweep axis changes the problem or the search
+    p = build_problem(cfg)
 
-    def build(task) -> tuple:
-        p = build_problem(task[0])
-        return p, build_oracle(task[0], p, estimate_missing_bounds=False)[0]
+    def build(task) -> BiasedOracle:
+        return build_oracle(task[0], p, estimate_missing_bounds=False)[0]
 
     def run(members: list) -> list:
-        p = members[0][0]
-        return tune_stepsize_many(p, [o for _, o in members], tune.target_eps,
+        return tune_stepsize_many(p, members, tune.target_eps,
                                   grid=tune.grid or None, reps=tune.reps,
                                   max_T=tune.max_T, seed=cfg.run.seed,
                                   x0=_x0(cfg, p), keep_history=False)

@@ -6,7 +6,8 @@ from its own Philox stream (one per draw kind, read ahead in blocks), so its
 trace does not depend on the lanes that run beside it; `sgd_run` is the
 one-lane case. `_run_lanes` is the one step loop: the repeated runs here and
 the stepsize search in `tuning` are its consumers, and several runs on one
-problem step together as its members, contiguous row blocks of one matrix.
+problem step together as its members, contiguous row blocks of one matrix,
+whose oracle chains run each stage they share once per step.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._rng import KindStreams, stream
-from .oracles import BiasedOracle
+from ._rng import KindStreams, generator_at, stream
+from .oracles import BiasedOracle, Stage
 from .problems import Problem
 
 # beyond this many iterations traces are thinned to logarithmic checkpoints
@@ -164,20 +165,22 @@ class LaneStreams:
         self._streams = [KindStreams(g) for g in gens]
         self._blocks: dict = {}  # kind -> _Block
 
-    def _draw(self, kind: str, size) -> np.ndarray:
+    def next(self, kind: str, row_shape: tuple) -> np.ndarray:
+        """The next `kind` row of every generator, a view of its block."""
         block = self._blocks.get(kind)
         if block is None:
-            block = self._blocks[kind] = _Block(len(self._streams), tuple(size[1:]))
-        elif tuple(size[1:]) != block.row_shape:
+            block = self._blocks[kind] = _Block(len(self._streams), row_shape)
+        elif row_shape != block.row_shape:
             raise ValueError(f"{kind} draws rows of shape {block.row_shape}, "
-                             f"not {tuple(size[1:])}")
+                             f"not {row_shape}")
         if block.pos == block.buf.shape[1]:
             block.refill(self._streams, kind, self.steps)
-        pos = block.pos
-        block.pos = pos + 1
-        if self.rows is None:
-            return block.buf[:, pos].copy()
-        return block.buf[:, pos].take(self.rows, axis=0)
+        block.pos += 1
+        return block.buf[:, block.pos - 1]
+
+    def _draw(self, kind: str, size) -> np.ndarray:
+        row = self.next(kind, tuple(size[1:]))
+        return row.copy() if self.rows is None else row.take(self.rows, axis=0)
 
     def standard_normal(self, size) -> np.ndarray:
         return self._draw("standard_normal", size)
@@ -262,26 +265,92 @@ class _LaneStats:
 
 
 class _Member:
-    """One run of an engine call: the row map of `o` and its consumer `sink`.
+    """One run of an engine call: the oracle chain of `o` and its consumer `sink`.
 
-    Lane i draws from gens[rows[i]] (gens[i] when `rows` is None) through
-    the member's own `LaneStreams`. `gamma` is the T stepsizes of every
-    lane, or a (lanes, 1) array of one constant per lane. A lane failing the
-    divergence test takes its group (the lanes with its i // group) out.
+    Lane i draws from gens[rows[i]] (gens[i] when `rows` is None). `gamma`
+    is the T stepsizes of every lane, or a (lanes, 1) array of one constant
+    per lane. A lane failing the divergence test takes its group (the lanes
+    with its i // group) out.
     """
 
-    def __init__(self, o: BiasedOracle, sink, gens: list, gamma, T: int,
+    def __init__(self, o: BiasedOracle, sink, gens: list, gamma,
                  rows: Optional[np.ndarray] = None, group: int = 1):
-        # the row map itself, a frame less per step than query_batch
-        self.query, self.sink, self.group = o._query_batch, sink, group
+        self.o, self.sink, self.gens, self.group = o, sink, gens, group
         self.gamma = gamma
         self.steps = None if isinstance(gamma, np.ndarray) else iter(gamma)
-        self.gen_of, self.rng = rows, LaneStreams(gens, T, rows)
+        self.gen_of = rows
         self.lanes = self.n = len(gens) if rows is None else len(rows)
         self.live = np.arange(self.n)  # the lane of each of its rows
         self.cols = slice(None)        # a slice, not an index array, while all run
         self.sl = self.X = None        # its rows of the engine's state matrix
         self.b0 = 0                    # its slots from b0 on are not folded yet
+        self.node = None               # its chain's last stage; None once stopped
+
+
+class _Node:
+    """A stage run once per step over the rows of the members whose chains
+    share it, `members[0]`'s block to `members[-1]`'s; `src` selects them
+    from its parent's rows (from the state matrix, for a first stage).
+
+    Unless its chain runs on its own `LaneStreams`, the node is its stage's
+    `rng`: a draw of a kind gives this step's row of its pull (`now`, by the
+    key in `pulls`) for each of the node's rows, from that row's generator.
+    """
+
+    def __init__(self, fn, parent, pulls: dict, now: dict, order: int):
+        self.fn, self.parent, self.pulls, self.now = fn, parent, pulls, now
+        self.rng, self.order, self.members, self.rows = self, order, [], None
+
+    def standard_normal(self, size) -> np.ndarray:
+        return self.now[self.pulls["standard_normal"]].take(self.rows, axis=0)
+
+    def random(self, size) -> np.ndarray:
+        return self.now[self.pulls["random"]].take(self.rows, axis=0)
+
+
+def _copies(gens: list, jumps: int) -> list:
+    return [generator_at(g, g.bit_generator.state, jumps) for g in gens]
+
+
+def _share(members: list, T: int) -> tuple:
+    """(the members, ordered so that a shared stage's rows are contiguous,
+    the stage nodes, parents first, the pulls, and `now`, which gets each
+    pull's rows of a step).
+
+    Members on one generator list share their chains' stages up to the
+    first that differs (`Stage.key`). A kind's slot in a chain is the stream
+    `KindStreams` gives it: the n-th kind drawn draws from the generators
+    jumped n times. Each (generator list, kind, slot) is one pull, a
+    `LaneStreams` drawn once per step, so stages share a draw only where
+    the slot matches. A chain with a stage of unknown draws, or drawing a
+    kind twice, is one node on its own `LaneStreams`.
+    """
+    nodes, index, pulls, now = [], {}, {}, {}
+    for m in members:
+        chain, slots, m.path = m.o._query_batch, {}, []
+        kinds = [kind for s in chain for kind in s.draws or ()]
+        if None in [s.draws for s in chain] or len(set(kinds)) < len(kinds):
+            chain = [Stage(chain, m, None)]
+        for s in chain:
+            up = m.path[-1] if m.path else None
+            keys = {kind: (id(m.gens), kind, slots.setdefault(kind, len(slots)))
+                    for kind in s.draws or ()}
+            key = (up or id(m.gens), s.key)
+            if key not in index:
+                for pull in keys.values():
+                    if pull not in pulls:
+                        pulls[pull] = LaneStreams(_copies(m.gens, pull[2]), T)
+                index[key] = _Node(s.fn, up, keys, now, len(nodes))
+                if s.draws is None:
+                    index[key].rng = LaneStreams(_copies(m.gens, 0), T)
+                nodes.append(index[key])
+            m.path.append(index[key])
+    members = sorted(members, key=lambda m: [nd.order for nd in m.path])
+    for m in members:
+        m.node = m.path[-1]
+        for nd in m.path:
+            nd.members.append(m)
+    return members, nodes, pulls, now
 
 
 def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
@@ -289,10 +358,12 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
     """The one step loop: x_{t+1} = x_t - gamma * g_t on every lane, up to T steps.
 
     Each member (`_Member`) is a contiguous block of rows of one state
-    matrix, and its row map steps its block in place. `value_many`, the
+    matrix, stepped in place by its oracle chain. `value_many`, the
     divergence test, the f-value writes and the target test run once over
     all rows, so the members must share the problem, x0, T, the recorded
     slots and the target; a member's values do not depend on the others.
+    Each step draws every pull once and runs every stage node once
+    (`_share`); a member steps by its rows of its chain's last stage.
 
     The members share the (slots x lanes) buffer `F`, and `GN` for ||grad
     f||^2 when a consumer sets `grad_norms`; each consumer gets its columns
@@ -305,7 +376,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
     With `sink.target` set, an iterate whose smallest f is at most it asks
     `sink.hit(t, fx, cols)` whether to stop there. A member stops on a hit,
     when its last lane leaves, or at T: `sink.stop(lanes, X)` gets its live
-    lanes and their rows, and its draws are released.
+    lanes and their rows.
     """
     if x0 is None and p.default_x0 is None:
         raise ValueError(f"problem {p.name} has no default x0; pass one")
@@ -324,18 +395,13 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
     F = np.empty((block, lanes))
     GN = np.empty((block, lanes)) if any(m.sink.grad_norms for m in members) \
         else None
-    X = np.tile(x0, (lanes, 1))
-    lo = 0
-    for m in members:
-        c = slice(lo, lo + m.lanes)
-        m.sink.F, m.sink.GN = F[:, c], None if GN is None else GN[:, c]
-        m.sl, m.X, lo = c, X[c], lo + m.lanes
+    members, nodes, pulls, now = _share(members, T)
     dense = grid is None
     value_many, grad_many = p.value_many, p.grad_many
     f_star = p.f_star or 0.0
+    X = np.tile(x0, (lanes, 1))
     live = np.arange(lanes)  # the column of each row of X
     cols = slice(None)       # a slice, not an index array, while all run
-    members = list(members)
     # slots from a member's b0 on are not folded yet; buffer row 0 holds
     # slot `base`
     slot = base = 0
@@ -351,26 +417,44 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
         if slot > m.b0:
             fold(m)
         m.sink.stop(m.live, rows)
-        m.rng = None
+        m.node = None
 
     def shrink(ok: np.ndarray) -> list:
-        # the rows `ok` keeps, and the members that still run
-        nonlocal X, fx, live, cols
+        # the rows `ok` keeps, and the members that still run; each live
+        # stage node gets its rows and generators, and `pulls` the pulls
+        # that they read
+        nonlocal X, fx, live, cols, nodes, pulls
         X, fx, live = X[ok], fx[ok], live[ok]
         # a slice writes faster, and the live lanes often stay contiguous
         cols = slice(live[0], live[-1] + 1) \
             if len(live) and live[-1] - live[0] == len(live) - 1 else live
-        row = 0
-        left = [m for m in members if m.rng is not None]
+        left, row = [m for m in members if m.node is not None], 0
         for m in left:
             m.sl, row = slice(row, row + m.n), row + m.n
             m.X = X[m.sl]
+        for nd in nodes:
+            nd.members = [m for m in nd.members if m.node is not None]
+        nodes = [nd for nd in nodes if nd.members]
+        for nd in nodes:
+            lo, hi = nd.members[0].sl.start, nd.members[-1].sl.stop
+            up = 0 if nd.parent is None else nd.parent.lo
+            nd.src, nd.lo, nd.n = slice(lo - up, hi - up), lo, hi - lo
+            nd.rng.rows = np.concatenate([m.live if m.gen_of is None
+                                          else m.gen_of[m.live]
+                                          for m in nd.members])
+        for m in left:
+            m.src = slice(m.sl.start - m.node.lo, m.sl.stop - m.node.lo)
+        pulls = {key: pulls[key] for nd in nodes for key in nd.pulls.values()}
         return left
 
+    shape = (p.dim,)
     # a failing lane is dropped below, so its overflow or NaN arithmetic
     # needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
         fx = value_many(X)
+        members = shrink(np.ones(lanes, dtype=bool))
+        for m in members:
+            m.sink.F, m.sink.GN = F[:, m.sl], None if GN is None else GN[:, m.sl]
         for t in range(T + 1):  # one pass per iterate; the last takes no step
             if dense or t == grid[slot]:
                 F[slot - base, cols] = fx
@@ -395,9 +479,14 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
                 for m in members:
                     fold(m)
                 base = slot
+            for key, streams in pulls.items():
+                now[key] = streams.next(key[1], shape)
+            for nd in nodes:
+                nd.out = nd.fn((X if nd.parent is None else nd.parent.out)[nd.src],
+                               nd.n, nd.rng)
             for m in members:
                 m.X -= (m.gamma if m.steps is None else next(m.steps)) \
-                    * m.query(m.X, m.n, m.rng)
+                    * m.node.out[m.src]
             fx = value_many(X)
             # a lane fails once |f| > DIVERGENCE_LIMIT or ||x||^2 >
             # DIVERGENCE_LIMIT^2 (NaN fails both); one sum bounds every lane
@@ -420,9 +509,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
                 m.n = len(m.live)
                 if m.steps is None:
                     m.gamma = m.gamma[keep]
-                if m.n:
-                    m.rng.rows = m.live if m.gen_of is None else m.gen_of[m.live]
-                else:
+                if not m.n:
                     stop(m, m.X[keep])
             members = shrink(ok)
             if not members:
@@ -450,7 +537,7 @@ def _repeat(p: Problem, runs: list, T: int, seed: int,
         keep = len(gens) * n_rec <= KEEP_TRACES_LIMIT if keep_traces is None \
             else keep_traces
         members.append(_Member(o, _LaneStats(grid, T, len(gens), p.dim, keep),
-                               gens, sched.steps(T), T))
+                               gens, sched.steps(T)))
     _run_lanes(p, T, x0, members)
     return [_aggregate(p, o, sched, T, seed, grid, m.sink)
             for (o, sched, _), m in zip(runs, members)]
@@ -504,12 +591,11 @@ def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     """Run x_{t+1} = x_t - gamma_t * g_t for T steps from x0: the one-lane engine.
 
     Bit-deterministic given (problem, oracle, schedule, T, seed, x0); `rng`
-    defaults to `stream(seed)`. Draws are read ahead in blocks
-    (`LaneStreams`), so a passed `rng` is advanced in whole blocks, past the
-    draws the run used; a second draw kind draws from a jumped copy of it,
-    which does not advance it. A non-finite or overflowing iterate stops the
-    run early with a partial trace; a run whose gap only ever increases is
-    also flagged as diverged.
+    defaults to `stream(seed)`. The run draws from copies of `rng` at its
+    state (a second draw kind from a jumped copy), so a passed `rng` is not
+    advanced. A non-finite or overflowing iterate stops the run early with a
+    partial trace; a run whose gap only ever increases is also flagged as
+    diverged.
     """
     rng = stream(seed) if rng is None else rng
     return _repeat(p, [(o, sched, [rng])], T, seed, x0,
@@ -541,8 +627,9 @@ def sgd_run_repeated_many(p: Problem, runs: list, T: int, reps: int, seed: int,
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return _repeat(p, [(o, sched, [stream(seed, rep) for rep in range(reps)])
-                       for o, sched in runs], T, seed, x0, keep_traces)
+    gens = [stream(seed, rep) for rep in range(reps)]
+    return _repeat(p, [(o, sched, gens) for o, sched in runs], T, seed, x0,
+                   keep_traces)
 
 
 def uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> int:

@@ -13,7 +13,7 @@ oracle stream bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Hashable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,6 +44,37 @@ class OracleBounds:
 EXACT_BOUNDS = OracleBounds(0.0, 0.0, 0.0, 0.0)
 
 
+class Stage(NamedTuple):
+    """One stage of an oracle chain: `fn(G, n, rng)` maps the rows before it
+    (the query points X, for the first stage) to its own.
+
+    Stages with equal keys compute equal rows from equal rows; `draws` are
+    the draw kinds of one call in draw order, None when not known.
+    """
+
+    fn: Callable
+    key: Hashable
+    draws: Optional[tuple] = ()
+
+
+class Chain(tuple):
+    """An oracle's row map as data: its stages, applied in order.
+
+    A stage that draws gets n rows: one deterministic row before it is seen
+    n times.
+    """
+
+    def __call__(self, X: np.ndarray, n: int, rng) -> np.ndarray:
+        G = self[0].fn(X, n, rng)
+        for s in self[1:]:
+            G = s.fn(np.broadcast_to(G, (n, G.shape[1])) if s.draws and len(G) < n
+                     else G, n, rng)
+        return G
+
+    def then(self, fn: Callable, key: Hashable, draws: Optional[tuple] = ()) -> "Chain":
+        return Chain(self + (Stage(fn, key, draws),))
+
+
 @dataclass(frozen=True)
 class BiasedOracle:
     """A stochastic gradient map with declared bound parameters.
@@ -51,11 +82,13 @@ class BiasedOracle:
     The map is one row form, `_query_batch(X, n, rng)`: X has 1 or n rows,
     every draw has n rows, and a deterministic map may return its one row,
     so a point's deterministic part (grad f(x), f(x)) is computed once for
-    any number of draws. `query_batch(X)` is the map on (X, len(X)),
-    `query(x)` on (x[None], 1) and `query_many(x, n)` on (x[None], n), always
-    n fresh rows. `__post_init__` derives `_query` and `_query_many` from the
-    row map unless they are passed explicitly, as `dataclasses.replace`
-    does. `expected_query` gives grad f(x) + b(x) in closed form if known.
+    any number of draws. It is a `Chain` of stages; any other row map passed
+    becomes a one-stage chain (drawing unknown kinds unless `deterministic`).
+    `query_batch(X)` is the map on (X, len(X)), `query(x)` on (x[None], 1)
+    and `query_many(x, n)` on (x[None], n), always n fresh rows.
+    `__post_init__` derives `_query` and `_query_many` from the row map
+    unless they are passed explicitly, as `dataclasses.replace` does.
+    `expected_query` gives grad f(x) + b(x) in closed form if known.
     """
 
     name: str
@@ -69,6 +102,9 @@ class BiasedOracle:
 
     def __post_init__(self):
         rows = self._query_batch
+        if not isinstance(rows, Chain):
+            rows = Chain((Stage(rows, rows, () if self.deterministic else None),))
+            object.__setattr__(self, "_query_batch", rows)
         if self._query is None:
             object.__setattr__(self, "_query", lambda x, rng: rows(x[None], 1, rng)[0])
         if self._query_many is None:
@@ -106,7 +142,7 @@ def exact_oracle(p: Problem) -> BiasedOracle:
     grad_many = p.grad_many
     return BiasedOracle(
         name="exact", dim=p.dim, bounds=EXACT_BOUNDS,
-        _query_batch=lambda X, n, rng: grad_many(X),
+        _query_batch=Chain((Stage(lambda X, n, rng: grad_many(X), grad_many),)),
         expected_query=p.grad, deterministic=True,
     )
 
@@ -124,13 +160,14 @@ def gaussian_noise_oracle(p: Problem, sigma_sq: float,
         inner = exact_oracle(p)
     if sigma_sq == 0.0:
         return inner
-    d, rows, b = p.dim, inner._query_batch, inner.bounds
+    d, b = p.dim, inner.bounds
     scale = np.sqrt(sigma_sq / d)
     return BiasedOracle(
         name=f"{inner.name}+noise({sigma_sq:g})", dim=p.dim,
         bounds=replace(b, sigma_sq=b.sigma_sq + sigma_sq),
-        _query_batch=lambda X, n, rng: (rows(X, n, rng)
-                                        + scale * rng.standard_normal((n, d))),
+        _query_batch=inner._query_batch.then(
+            lambda G, n, rng: G + scale * rng.standard_normal((n, d)),
+            ("noise", sigma_sq), ("standard_normal",)),
         expected_query=inner.expected_query, deterministic=False,
     )
 
@@ -144,12 +181,12 @@ def additive_bias_oracle(inner: BiasedOracle, zeta: float,
     if zeta == 0.0:
         return inner
     bias = zeta * direction
-    b, rows = inner.bounds, inner._query_batch
-    expected = inner.expected_query
+    b, expected = inner.bounds, inner.expected_query
     return BiasedOracle(
         name=f"{inner.name}+bias({zeta:g})", dim=inner.dim,
         bounds=replace(b, zeta_sq=b.zeta_sq + zeta * zeta),
-        _query_batch=lambda X, n, rng: rows(X, n, rng) + bias,
+        _query_batch=inner._query_batch.then(lambda G, n, rng: G + bias,
+                                             ("bias", bias.tobytes())),
         expected_query=(lambda x: expected(x) + bias) if expected else None,
         deterministic=inner.deterministic,
     )

@@ -74,6 +74,7 @@ def quadratic_problem(A: np.ndarray, name: str = "quadratic",
         raise ValueError("A must be a 2-D matrix with rows >= columns")
     dim = A.shape[1]
     H = A.T @ A
+    AT = np.ascontiguousarray(A.T)  # a C-ordered factor multiplies faster
     if eigvals is None:
         eigvals = np.linalg.eigvalsh(H)
     eigvals = np.sort(np.asarray(eigvals, dtype=float))
@@ -88,7 +89,7 @@ def quadratic_problem(A: np.ndarray, name: str = "quadratic",
         return H @ x
 
     def value_many(X: np.ndarray) -> np.ndarray:
-        R = X @ A.T if X.shape[0] != 1 else _gemm_row(X, A.T)
+        R = X @ AT if X.shape[0] != 1 else _gemm_row(X, AT)
         return 0.5 * np.einsum("ij,ij->i", R, R)
 
     def grad_many(X: np.ndarray) -> np.ndarray:

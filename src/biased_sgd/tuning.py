@@ -254,7 +254,7 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
     rec_t = history_grid(max_T)
     races = [_Race(p, grid, reps, target_eps, max_T, rec_t, keep_history)
              for _ in oracles]
-    _run_lanes(p, max_T, x0, [
-        _Member(o, race, [stream(seed, r) for r in range(reps)], gamma, max_T,
-                rows, group=reps) for o, race in zip(oracles, races)])
+    gens = [stream(seed, r) for r in range(reps)]
+    _run_lanes(p, max_T, x0, [_Member(o, race, gens, gamma, rows, group=reps)
+                              for o, race in zip(oracles, races)])
     return [race.out for race in races]

@@ -82,6 +82,23 @@ def test_config_defaults_and_fingerprint():
      "got 'nan'"),
     ("[sweep]\nnoise_sigma_sq = 0.0, nan\n",
      "line 2: field 'noise_sigma_sq' expects finite float, got 'nan'"),
+    # a sweep axis value gets the checks of the field it sets, in its cell
+    ("[sweep]\nnoise_sigma_sq = 0.0, -1.0\n",
+     "sweep axis noise_sigma_sq = -1.0: oracle.noise_sigma_sq must be nonnegative"),
+    ("[oracle]\nkind = gaussian_smoothing\n[sweep]\ntau = 0.1, 0.0\n",
+     "sweep axis tau = 0.0: gaussian_smoothing oracle needs tau > 0"),
+    ("[oracle]\nkind = inexact\n[sweep]\ndelta = 0.1, -0.5\n",
+     "sweep axis delta = -0.5: inexact oracle needs delta >= 0"),
+    ("[oracle]\ncompressor = scale\ndelta = 0.5\n[sweep]\ndelta = 0.5, 1.5\n",
+     "sweep axis delta = 1.5: scale compressor needs delta in (0, 1]"),
+    ("[sweep]\nstepsize = 0.1, -0.1\n",
+     "sweep axis stepsize = -0.1: run.stepsize must be positive"),
+    ("[sweep]\ncompressor = none, top_k\nk = 1, 11\n",
+     "sweep axis k = 11, compressor = top_k: oracle.k must lie in [1, 10]"),
+    # a repeated axis value would write one cell directory twice
+    ("[sweep]\nk = 1, 1\n", "line 2: sweep axis 'k' repeats the value 1"),
+    ("[run]\nT = 5\n[sweep]\nnoise_sigma_sq = 1.0, 0.5, 1.0\n",
+     "line 4: sweep axis 'noise_sigma_sq' repeats the value 1.0"),
 ])
 def test_parse_errors_carry_diagnostics(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -229,10 +246,10 @@ def test_sweep_failed_cell_recorded_not_fatal(tmp_path, monkeypatch):
     cfg = figures.preset("fig1").with_overrides(T=100, reps=2)
     real = experiments._build_run
 
-    def flaky(sub_cfg):
+    def flaky(sub_cfg, p):
         if sub_cfg.oracle.bias_zeta == 0.1 and sub_cfg.oracle.noise_sigma_sq == 0.0:
             raise RuntimeError("synthetic cell failure")
-        return real(sub_cfg)
+        return real(sub_cfg, p)
 
     monkeypatch.setattr(experiments, "_build_run", flaky)
     res = experiments.sweep_experiment(cfg, out_dir=str(tmp_path))
@@ -565,7 +582,17 @@ noise_sigma_sq = 0.0, 1.0
     assert (out / "race.svg").read_text().count("(g=") == 4
 
 
-def test_tune_failed_cells_same_under_workers(tmp_path, capsys):
+def test_tune_failed_cells_same_under_workers(tmp_path, capsys, monkeypatch):
+    # a valid config has no cell that fails to build, so the tau = 0.2 cell
+    # fails by a patch, which the pool's forked processes keep
+    real = experiments.build_oracle
+
+    def build(cfg, p, *args, **kwargs):
+        if cfg.oracle.tau == 0.2:
+            raise ValueError("tau must be positive")
+        return real(cfg, p, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_oracle", build)
     cfg_path = tmp_path / "tau.cfg"
     cfg_path.write_text("""
 [problem]
@@ -574,7 +601,7 @@ dim = 5
 [oracle]
 kind = gaussian_smoothing
 [sweep]
-tau = 0.1, 0.0
+tau = 0.1, 0.2
 """ + TUNE_POLICY)
     outs = {}
     for workers in (1, 2):
@@ -585,12 +612,12 @@ tau = 0.1, 0.0
                          for name in ("tune.csv", "tune_summary.txt", "race.svg")}
     assert outs[1] == outs[2]
     summary = outs[1]["tune_summary.txt"].decode()
-    assert "cell=tau=0.0 status=failed error=tau must be positive\n" in summary
+    assert "cell=tau=0.2 status=failed error=tau must be positive\n" in summary
     assert "cell=tau=0.1 best_gamma=" in summary
     rows = outs[1]["tune.csv"].decode().splitlines()[1:]
     assert len(rows) == 3 and all(r.startswith("tau=0.1,") for r in rows)
     assert outs[1]["race.svg"].decode().count("(g=") == 1
-    assert "cell tau=0.0: FAILED (tau must be positive)" in capsys.readouterr().out
+    assert "cell tau=0.2: FAILED (tau must be positive)" in capsys.readouterr().out
 
 
 def test_verify_accepts_figure(tmp_path, capsys):

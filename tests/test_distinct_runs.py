@@ -10,7 +10,7 @@ from biased_sgd import (StepSchedule, additive_bias_oracle, cli,
                         gaussian_noise_oracle, make_nesterov_worst,
                         rand_k_compressor, rand_k_unbiased_compressor,
                         sgd_run_repeated, top_k_compressor, uniform_direction)
-from biased_sgd.config import parse_config
+from biased_sgd.config import ConfigError, parse_config
 
 BASE = """
 [problem]
@@ -48,9 +48,10 @@ grid = 0.0625, 0.125, 0.25
 
 # theory_pl: the k = d top_k cell has the uncompressed oracle's bounds, so it
 # shares the run of none at k = 1 and k = d; top_k at k = 1 runs alone; the
-# scale cells fail (delta = 0)
+# two scale cells are two runs (`_failing_scale` makes them fail)
 MIXED = BASE.replace("stepsize = 0.01", "stepsize_policy = theory_pl\n"
-                     "policy_eps = 0.01") + """
+                     "policy_eps = 0.01").replace(
+                         "noise_sigma_sq = 1.0", "noise_sigma_sq = 1.0\ndelta = 0.5") + """
 [sweep]
 k = 1, 10
 compressor = none, top_k, scale
@@ -207,8 +208,22 @@ def test_fig6_grid_tunes_each_distinct_chain_once(tmp_path, monkeypatch, capsys)
         assert len(same) == 1
 
 
+def _failing_scale(monkeypatch):
+    """build_oracle raising for the scale compressor. A valid config has no
+    cell that fails to build; the pool's forked processes keep the patch."""
+    real = experiments.build_oracle
+
+    def build(cfg, p, *args, **kwargs):
+        if cfg.oracle.compressor == "scale":
+            raise ValueError("synthetic scale failure")
+        return real(cfg, p, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_oracle", build)
+
+
 def test_outputs_match_across_workers_with_shared_failed_and_unshared_cells(
-        tmp_path):
+        tmp_path, monkeypatch):
+    _failing_scale(monkeypatch)
     cfg = parse_config(MIXED + TUNE)
     # 4 distinct runs, 2 of them failing: one batch, two of 2, four of 1
     sweeps = [experiments.sweep_experiment(cfg, str(tmp_path / f"s{w}"), workers=w)
@@ -246,28 +261,25 @@ def test_outputs_match_across_workers_with_shared_failed_and_unshared_cells(
     assert summary.count("status=failed") == 2
 
 
-def test_full_k_plus_one_cell_fails_alone(tmp_path):
-    # k = d + 1 is no identity: its cells fail, the others at the same
-    # noise level (and their run) are untouched
-    cfg = parse_config(_with_oracle("k = 11\n") + """
+def test_full_k_plus_one_cell_is_a_config_error(tmp_path):
+    # k = d + 1 is no identity: a cell that compresses with it is a config
+    # error, as `[oracle] compressor = top_k` with k = 11 is; without a
+    # compressor, k is ignored
+    text = _with_oracle("k = 11\n") + """
 [sweep]
 noise_sigma_sq = 0.0, 1.0
 compressor = none, top_k, rand_k
-""")
-    res = experiments.sweep_experiment(cfg, str(tmp_path / "s"))
-    assert res.distinct_runs == 6
-    errors = {rec["label"]: rec.get("error") for rec in res.cells}
-    for sigma in ("0.0", "1.0"):
-        assert errors[f"noise_sigma_sq={sigma}_compressor=none"] is None
-        for comp in ("top_k", "rand_k"):
-            assert errors[f"noise_sigma_sq={sigma}_compressor={comp}"] == \
-                "k must lie in [1, 10], got 11"
-    direct = experiments.run_experiment(
-        parse_config(BASE.replace("noise_sigma_sq = 1.0", "noise_sigma_sq = 0.0")),
-        out_dir=str(tmp_path / "d"))
-    assert direct.summary["diverged"] == "false"
-    assert (tmp_path / "s/cells/noise_sigma_sq=0.0_compressor=none/trace.csv"
-            ).read_bytes() == (tmp_path / "d/trace.csv").read_bytes()
+"""
+    with pytest.raises(ConfigError, match=r"sweep axis compressor = top_k: "
+                       r"oracle.k must lie in \[1, 10\]"):
+        parse_config(text)
+    path = tmp_path / "k11.cfg"
+    path.write_text(text)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+    assert not (tmp_path / "s").exists()
+    res = experiments.sweep_experiment(
+        parse_config(text.replace("none, top_k, rand_k", "none")), str(tmp_path / "n"))
+    assert [rec.get("error") for rec in res.cells] == [None, None]
 
 
 def test_a_cell_build_failure_stays_in_its_cell(tmp_path, monkeypatch):
