@@ -151,6 +151,17 @@ def _parse_scalar(raw: str, line_no: int, key: str, want: type):
                           f"got {raw!r}") from None
 
 
+def _parse_list(val: str, line_no: int, key: str, want: type, name: str) -> list:
+    """The comma-separated values of `val`, which the list `name` may not repeat."""
+    vals = [_parse_scalar(v.strip(), line_no, key, want) for v in val.split(",")
+            if v.strip()]
+    repeated = [v for i, v in enumerate(vals) if v in vals[:i]]
+    if repeated:
+        raise ConfigError(f"line {line_no}: {name} repeats the value "
+                          f"{_fmt_value(repeated[0])}")
+    return vals
+
+
 # the value type of each annotation a spec field may have; any other
 # annotation fails here, at import, instead of parsing as some other type
 _ANNOTATION_TYPES = {"int": int, "float": float, "str": str, "tuple": tuple}
@@ -208,14 +219,10 @@ def parse_config(text: str) -> ExperimentConfig:
             if key not in SWEEP_KEYS:
                 raise ConfigError(f"line {line_no}: unknown sweep axis {key!r} "
                                   f"(allowed: {', '.join(SWEEP_KEYS)})")
-            vals = [_parse_scalar(v.strip(), line_no, key, _SWEEP_TYPES[key])
-                    for v in val.split(",") if v.strip()]
+            vals = _parse_list(val, line_no, key, _SWEEP_TYPES[key],
+                               f"sweep axis {key!r}")
             if not vals:
                 raise ConfigError(f"line {line_no}: sweep axis {key!r} is empty")
-            repeated = [v for i, v in enumerate(vals) if v in vals[:i]]
-            if repeated:
-                raise ConfigError(f"line {line_no}: sweep axis {key!r} repeats "
-                                  f"the value {_fmt_value(repeated[0])}")
             data["sweep"][key] = vals
             continue
         want = _FIELD_TYPES.get((section, key))
@@ -223,8 +230,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: unknown field {key!r} in [{section}]")
         if want is tuple:  # tune.grid: stepsizes, or auto for the default grid
             data[section][key] = () if val == "auto" else tuple(
-                _parse_scalar(v.strip(), line_no, key, float)
-                for v in val.split(",") if v.strip())
+                _parse_list(val, line_no, key, float, f"{section}.{key}"))
             continue
         data[section][key] = _parse_scalar(val, line_no, key, want)
 

@@ -508,6 +508,8 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: str,
     _write_text(out_dir, "tune_summary.txt", "\n".join(lines) + "\n")
     if panels:
         _write_text(out_dir, "race.svg", panel_grid(list(panels.items())))
+    elif os.path.exists(race := os.path.join(out_dir, "race.svg")):
+        os.remove(race)  # no cell has a race curve; an earlier run's would mislead
     return CellsOutput(cells=records, out_dir=out_dir, distinct_runs=runs)
 
 

@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._rng import KindStreams, generator_at, stream
-from .oracles import BiasedOracle, Stage
+from ._rng import generator_at, stream
+from .oracles import BiasedOracle
 from .problems import Problem
 
 # beyond this many iterations traces are thinned to logarithmic checkpoints
@@ -31,10 +31,10 @@ _HALF_LIMIT_SQ = _LIMIT_SQ / 2
 # repeated runs keep every trace up to this many recorded values per array;
 # beyond it, and in a batch of runs (`sgd_run_repeated_many` without
 # traces), the aggregate is streamed through blocks of _STREAM_BLOCK values
-# (2 MB per array)
+# (2 MB per channel)
 KEEP_TRACES_LIMIT = 5_000_000
 _STREAM_BLOCK = 250_000
-# `LaneStreams` reads each draw kind ahead in blocks of this many floats
+# `_Pull` reads a draw kind ahead in blocks of this many floats
 # over all its generators (64 KiB), or one row per generator when wider
 _BLOCK_FLOATS = 8_192
 
@@ -144,70 +144,40 @@ class RepeatedRuns:
         return float(np.mean(self.mean_f_gap[n - k:]))
 
 
-class LaneStreams:
-    """The `rng` of a lane-batched row map: row i is drawn from gens[rows[i]].
+class _Pull:
+    """One draw kind's read-ahead over copies of `gens` jumped `jumps` times
+    (the kind's slot): each `next(row_shape)` gives every generator's next
+    row of that kind as `now`, a view of its block; the rows keep one shape.
 
-    Each call of `standard_normal(size)` or `random(size)` takes the next
-    row of that kind from every generator, and rows that share a generator
-    get that same row, so a generator's draws do not depend on how many
-    rows share it. `rows=None` gives row i its own generator gens[i]; a loop
-    whose lanes drop out reassigns `rows` and keeps the adapter. Each draw
-    kind has its own stream per generator (`KindStreams`), read ahead in
-    blocks: one call per generator fills the next B rows, one row per step,
-    with B sized to _BLOCK_FLOATS over all generators and to the `steps`
-    left, so a generator is advanced in whole blocks. One (B, d) draw gives
-    the values of B draws of d, so B changes no value.
+    One call per generator fills the next B rows, one row per step, with B
+    sized to _BLOCK_FLOATS over all generators and to the `steps` left, so a
+    generator is advanced in whole blocks. One (B, d) draw gives the values
+    of B draws of d, so B changes no value.
     """
 
-    def __init__(self, gens: list, steps: int,
-                 rows: Optional[np.ndarray] = None):
-        self.rows, self.steps = rows, steps
-        self._streams = [KindStreams(g) for g in gens]
-        self._blocks: dict = {}  # kind -> _Block
+    def __init__(self, gens: list, kind: str, steps: int, jumps: int = 0):
+        self.gens = [generator_at(g, g.bit_generator.state, jumps) for g in gens]
+        self.kind, self.steps, self.row_shape = kind, steps, None
+        self.buf = np.empty((len(gens), 0))
+        self.pos = 0  # the block's next row
 
-    def next(self, kind: str, row_shape: tuple) -> np.ndarray:
-        """The next `kind` row of every generator, a view of its block."""
-        block = self._blocks.get(kind)
-        if block is None:
-            block = self._blocks[kind] = _Block(len(self._streams), row_shape)
-        elif row_shape != block.row_shape:
-            raise ValueError(f"{kind} draws rows of shape {block.row_shape}, "
+    def next(self, row_shape: tuple) -> np.ndarray:
+        if self.row_shape is None:
+            self.row_shape = row_shape
+        elif row_shape != self.row_shape:
+            raise ValueError(f"{self.kind} draws rows of shape {self.row_shape}, "
                              f"not {row_shape}")
-        if block.pos == block.buf.shape[1]:
-            block.refill(self._streams, kind, self.steps)
-        block.pos += 1
-        return block.buf[:, block.pos - 1]
-
-    def _draw(self, kind: str, size) -> np.ndarray:
-        row = self.next(kind, tuple(size[1:]))
-        return row.copy() if self.rows is None else row.take(self.rows, axis=0)
-
-    def standard_normal(self, size) -> np.ndarray:
-        return self._draw("standard_normal", size)
-
-    def random(self, size) -> np.ndarray:
-        return self._draw("random", size)
-
-
-class _Block:
-    """One draw kind's read-ahead: buf[j, pos] is generator j's next row."""
-
-    __slots__ = ("row_shape", "buf", "pos", "drawn")
-
-    def __init__(self, n_gens: int, row_shape: tuple):
-        self.row_shape = row_shape
-        self.buf = np.empty((n_gens, 0, *row_shape))
-        self.pos = self.drawn = 0  # next row; rows drawn per generator
-
-    def refill(self, streams: list, kind: str, steps: int) -> None:
-        n_gens = len(self.buf)
-        width = n_gens * int(np.prod(self.row_shape, dtype=np.int64))
-        rows = max(1, min(steps - self.drawn, _BLOCK_FLOATS // max(1, width)))
-        if rows != self.buf.shape[1]:
-            self.buf = np.empty((n_gens, rows, *self.row_shape))
-        for gen_streams, out in zip(streams, self.buf):
-            getattr(gen_streams.stream(kind), kind)(out=out)
-        self.pos, self.drawn = 0, self.drawn + rows
+        if self.pos == self.buf.shape[1]:
+            width = len(self.gens) * int(np.prod(row_shape, dtype=np.int64))
+            rows = max(1, min(self.steps, _BLOCK_FLOATS // max(1, width)))
+            if rows != self.buf.shape[1]:
+                self.buf = np.empty((len(self.gens), rows, *row_shape))
+            for g, out in zip(self.gens, self.buf):
+                getattr(g, self.kind)(out=out)
+            self.pos, self.steps = 0, self.steps - rows
+        self.pos += 1
+        self.now = self.buf[:, self.pos - 1]
+        return self.now
 
 
 class _LaneStats:
@@ -233,17 +203,18 @@ class _LaneStats:
         self.rising = np.ones(lanes, dtype=bool)  # no decrease of the gap so far
         self.first = self.last = None
 
-    def fold(self, b0: int, F: np.ndarray, GN: np.ndarray, cols) -> None:
-        """Fold slots b0 .. b0+len(F)-1; lane i records length[i] slots in all."""
+    def fold(self, b0: int, B: np.ndarray, cols) -> None:
+        """Fold B's slots, b0 on, of both channels (B[0] the f gaps, B[1]
+        ||grad f||^2); lane i records length[i] slots in all."""
+        F = B[0]
         for lane, n in enumerate(np.clip(self.length - b0, 0, len(F))):
             s = slice(b0, b0 + n)
             c = self.count[s]
             c += 1
-            for row, vals in enumerate((F[:n, lane], GN[:n, lane])):
-                mean = self.mean[row, s]
-                delta = vals - mean
-                mean += delta / c
-                self.m2[row, s] += delta * (vals - mean)
+            vals, mean = B[:, :n, lane], self.mean[:, s]
+            delta = vals - mean
+            mean += delta / c
+            self.m2[:, s] += delta * (vals - mean)
         # columns of lanes that stopped early hold junk past their length;
         # only completed lanes read `rising`
         if self.first is None:
@@ -278,8 +249,8 @@ class _Member:
         self.o, self.sink, self.gens, self.group = o, sink, gens, group
         self.gamma = gamma
         self.steps = None if isinstance(gamma, np.ndarray) else iter(gamma)
-        self.gen_of = rows
-        self.lanes = self.n = len(gens) if rows is None else len(rows)
+        self.gen_of = np.arange(len(gens)) if rows is None else rows
+        self.n = len(self.gen_of)
         self.live = np.arange(self.n)  # the lane of each of its rows
         self.cols = slice(None)        # a slice, not an index array, while all run
         self.sl = self.X = None        # its rows of the engine's state matrix
@@ -292,57 +263,64 @@ class _Node:
     share it, `members[0]`'s block to `members[-1]`'s; `src` selects them
     from its parent's rows (from the state matrix, for a first stage).
 
-    Unless its chain runs on its own `LaneStreams`, the node is its stage's
-    `rng`: a draw of a kind gives this step's row of its pull (`now`, by the
-    key in `pulls`) for each of the node's rows, from that row's generator.
+    The node is its stage's `rng`: a draw of a kind takes, for each of its
+    rows, that row's generator's row of `pulls[kind]`, the `now` the step
+    loop set. The node of a chain of unknown draws (`own`: its generators
+    and steps) makes a pull on its first draw of a kind, the n-th kind
+    jumped n times, and advances it on each draw.
     """
 
-    def __init__(self, fn, parent, pulls: dict, now: dict, order: int):
-        self.fn, self.parent, self.pulls, self.now = fn, parent, pulls, now
-        self.rng, self.order, self.members, self.rows = self, order, [], None
+    def __init__(self, fn, parent, pulls: dict, order: int, own=None):
+        self.fn, self.parent, self.pulls, self.own = fn, parent, pulls, own
+        self.order, self.members, self.rows = order, [], None
+
+    def _draw(self, kind: str, size) -> np.ndarray:
+        pull = self.pulls.get(kind)
+        if self.own is not None:
+            if pull is None:
+                pull = self.pulls[kind] = _Pull(self.own[0], kind, self.own[1],
+                                                len(self.pulls))
+            pull.next(tuple(size[1:]))
+        return pull.now.take(self.rows, axis=0)
 
     def standard_normal(self, size) -> np.ndarray:
-        return self.now[self.pulls["standard_normal"]].take(self.rows, axis=0)
+        return self._draw("standard_normal", size)
 
     def random(self, size) -> np.ndarray:
-        return self.now[self.pulls["random"]].take(self.rows, axis=0)
-
-
-def _copies(gens: list, jumps: int) -> list:
-    return [generator_at(g, g.bit_generator.state, jumps) for g in gens]
+        return self._draw("random", size)
 
 
 def _share(members: list, T: int) -> tuple:
     """(the members, ordered so that a shared stage's rows are contiguous,
-    the stage nodes, parents first, the pulls, and `now`, which gets each
-    pull's rows of a step).
+    and the stage nodes, parents first).
 
     Members on one generator list share their chains' stages up to the
     first that differs (`Stage.key`). A kind's slot in a chain is the stream
     `KindStreams` gives it: the n-th kind drawn draws from the generators
-    jumped n times. Each (generator list, kind, slot) is one pull, a
-    `LaneStreams` drawn once per step, so stages share a draw only where
-    the slot matches. A chain with a stage of unknown draws, or drawing a
-    kind twice, is one node on its own `LaneStreams`.
+    jumped n times. Each (generator list, kind, slot) is one `_Pull`, drawn
+    once per step, so stages share a draw only where the slot matches. A
+    chain with a stage of unknown draws, or drawing a kind twice, is one
+    node on its own pulls.
     """
-    nodes, index, pulls, now = [], {}, {}, {}
+    nodes, index, pulls = [], {}, {}
     for m in members:
         chain, slots, m.path = m.o._query_batch, {}, []
         kinds = [kind for s in chain for kind in s.draws or ()]
         if None in [s.draws for s in chain] or len(set(kinds)) < len(kinds):
-            chain = [Stage(chain, m, None)]
+            m.path.append(_Node(chain, None, {}, len(nodes), own=(m.gens, T)))
+            nodes.append(m.path[-1])
+            continue
         for s in chain:
             up = m.path[-1] if m.path else None
             keys = {kind: (id(m.gens), kind, slots.setdefault(kind, len(slots)))
-                    for kind in s.draws or ()}
+                    for kind in s.draws}
             key = (up or id(m.gens), s.key)
             if key not in index:
                 for pull in keys.values():
                     if pull not in pulls:
-                        pulls[pull] = LaneStreams(_copies(m.gens, pull[2]), T)
-                index[key] = _Node(s.fn, up, keys, now, len(nodes))
-                if s.draws is None:
-                    index[key].rng = LaneStreams(_copies(m.gens, 0), T)
+                        pulls[pull] = _Pull(m.gens, pull[1], T, pull[2])
+                index[key] = _Node(s.fn, up, {kind: pulls[pull] for kind, pull
+                                              in keys.items()}, len(nodes))
                 nodes.append(index[key])
             m.path.append(index[key])
     members = sorted(members, key=lambda m: [nd.order for nd in m.path])
@@ -350,7 +328,7 @@ def _share(members: list, T: int) -> tuple:
         m.node = m.path[-1]
         for nd in m.path:
             nd.members.append(m)
-    return members, nodes, pulls, now
+    return members, nodes
 
 
 def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
@@ -362,16 +340,17 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
     divergence test, the f-value writes and the target test run once over
     all rows, so the members must share the problem, x0, T, the recorded
     slots and the target; a member's values do not depend on the others.
-    Each step draws every pull once and runs every stage node once
+    Each step draws every shared pull once and runs every stage node once
     (`_share`); a member steps by its rows of its chain's last stage.
 
-    The members share the (slots x lanes) buffer `F`, and `GN` for ||grad
-    f||^2 when a consumer sets `grad_norms`; each consumer gets its columns
-    as its `F` and `GN`. The buffers hold `sink.floats` floats (the least of
-    the members'), or every slot when one is None; slot j is iteration
-    `sink.grid[j]` (j when `grid` is None). `sink.fold(b0, F, GN, cols)` gets
-    the slots from b0 on, less f*, when the buffer is full, before lanes
-    drop and when the member stops; `cols` selects its live lanes' columns.
+    The members share the (channels x slots x lanes) record block `B`:
+    channel 0 holds f, and channel 1 ||grad f||^2 when a consumer sets
+    `grad_norms`; each consumer gets its columns as its `B`. A channel holds
+    `sink.floats` floats (the least of the members'), or every slot when one
+    is None; slot j is iteration `sink.grid[j]` (j when `grid` is None).
+    `sink.fold(b0, B, cols)` gets the slots from b0 on, f less f*, when the
+    block is full, before lanes drop and when the member stops; `cols`
+    selects its live lanes' columns.
     `sink.drop(t, slot, lanes, X, fx)` gets the lanes leaving at iterate t.
     With `sink.target` set, an iterate whose smallest f is at most it asks
     `sink.hit(t, fx, cols)` whether to stop there. A member stops on a hit,
@@ -386,43 +365,42 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
     if not members:
         return
 
-    lanes = sum(m.lanes for m in members)
+    lanes = sum(m.n for m in members)
     grid, target = members[0].sink.grid, members[0].sink.target
     n_slots = T + 1 if grid is None else len(grid)
     floats = [m.sink.floats for m in members]
     block = n_slots if None in floats \
         else max(1, min(n_slots, min(floats) // lanes))
-    F = np.empty((block, lanes))
-    GN = np.empty((block, lanes)) if any(m.sink.grad_norms for m in members) \
-        else None
-    members, nodes, pulls, now = _share(members, T)
+    grad_norms = any(m.sink.grad_norms for m in members)
+    B = np.empty((1 + grad_norms, block, lanes))
+    members, nodes = _share(members, T)
+    pulls = []  # the shared pulls of the live nodes
     dense = grid is None
     value_many, grad_many = p.value_many, p.grad_many
     f_star = p.f_star or 0.0
     X = np.tile(x0, (lanes, 1))
     live = np.arange(lanes)  # the column of each row of X
     cols = slice(None)       # a slice, not an index array, while all run
-    # slots from a member's b0 on are not folded yet; buffer row 0 holds
+    # slots from a member's b0 on are not folded yet; block row 0 holds
     # slot `base`
     slot = base = 0
 
     def fold(m: _Member) -> None:
-        r = slice(m.b0 - base, slot - base)
-        Fm = m.sink.F[r]
-        Fm -= f_star
-        m.sink.fold(m.b0, Fm, None if GN is None else m.sink.GN[r], m.cols)
-        m.b0 = slot
+        if slot > m.b0:
+            Bm = m.sink.B[:, m.b0 - base:slot - base]
+            Bm[0] -= f_star
+            m.sink.fold(m.b0, Bm, m.cols)
+            m.b0 = slot
 
     def stop(m: _Member, rows: np.ndarray) -> None:
-        if slot > m.b0:
-            fold(m)
+        fold(m)
         m.sink.stop(m.live, rows)
         m.node = None
 
     def shrink(ok: np.ndarray) -> list:
         # the rows `ok` keeps, and the members that still run; each live
-        # stage node gets its rows and generators, and `pulls` the pulls
-        # that they read
+        # stage node gets its rows and generators, and `pulls` the shared
+        # pulls that they read
         nonlocal X, fx, live, cols, nodes, pulls
         X, fx, live = X[ok], fx[ok], live[ok]
         # a slice writes faster, and the live lanes often stay contiguous
@@ -439,12 +417,11 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
             lo, hi = nd.members[0].sl.start, nd.members[-1].sl.stop
             up = 0 if nd.parent is None else nd.parent.lo
             nd.src, nd.lo, nd.n = slice(lo - up, hi - up), lo, hi - lo
-            nd.rng.rows = np.concatenate([m.live if m.gen_of is None
-                                          else m.gen_of[m.live]
-                                          for m in nd.members])
+            nd.rows = np.concatenate([m.gen_of[m.live] for m in nd.members])
         for m in left:
             m.src = slice(m.sl.start - m.node.lo, m.sl.stop - m.node.lo)
-        pulls = {key: pulls[key] for nd in nodes for key in nd.pulls.values()}
+        pulls = list(dict.fromkeys(pull for nd in nodes if nd.own is None
+                                   for pull in nd.pulls.values()))
         return left
 
     shape = (p.dim,)
@@ -454,13 +431,13 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
         fx = value_many(X)
         members = shrink(np.ones(lanes, dtype=bool))
         for m in members:
-            m.sink.F, m.sink.GN = F[:, m.sl], None if GN is None else GN[:, m.sl]
+            m.sink.B = B[:, :, m.sl]
         for t in range(T + 1):  # one pass per iterate; the last takes no step
             if dense or t == grid[slot]:
-                F[slot - base, cols] = fx
-                if GN is not None:
+                B[0, slot - base, cols] = fx
+                if grad_norms:
                     G = grad_many(X)
-                    GN[slot - base, cols] = np.vecdot(G, G)
+                    B[1, slot - base, cols] = np.vecdot(G, G)
                 slot += 1
             # the target test comes first, so that an iterate T at the
             # target is a hit
@@ -479,11 +456,11 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
                 for m in members:
                     fold(m)
                 base = slot
-            for key, streams in pulls.items():
-                now[key] = streams.next(key[1], shape)
+            for pull in pulls:
+                pull.next(shape)
             for nd in nodes:
                 nd.out = nd.fn((X if nd.parent is None else nd.parent.out)[nd.src],
-                               nd.n, nd.rng)
+                               nd.n, nd)
             for m in members:
                 m.X -= (m.gamma if m.steps is None else next(m.steps)) \
                     * m.node.out[m.src]
@@ -501,8 +478,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
                     continue
                 keep = np.repeat(keep.reshape(-1, m.group).all(axis=1), m.group)
                 ok[m.sl] = keep
-                if slot > m.b0:
-                    fold(m)
+                fold(m)
                 bad = ~keep
                 m.sink.drop(t + 1, slot, m.live[bad], m.X[bad], fx[m.sl][bad])
                 m.live = m.cols = m.live[keep]
@@ -567,8 +543,8 @@ def _aggregate(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
         if keep_traces:
             n = stats.length[lane]
             traces.append(RunTrace(
-                t=grid[:n], f_gap=stats.F[:n, lane].copy(),
-                grad_norm_sq=stats.GN[:n, lane].copy(), stepsizes=stepsizes[:n],
+                t=grid[:n], f_gap=stats.B[0, :n, lane].copy(),
+                grad_norm_sq=stats.B[1, :n, lane].copy(), stepsizes=stepsizes[:n],
                 final_x=stats.final_x[lane], status="completed" if reason is None
                 else "diverged", reason=reason, fingerprint=dict(fingerprint)))
 

@@ -246,8 +246,9 @@ def gaussian_smoothing_oracle(p: Problem, tau: float) -> BiasedOracle:
 
     return BiasedOracle(
         name=f"gaussian_smoothing(tau={tau:g})", dim=p.dim,
-        bounds=gs_bounds(p.dim, p.smoothness_L, tau), _query_batch=rows,
-        expected_query=None, deterministic=False,
+        bounds=gs_bounds(p.dim, p.smoothness_L, tau),
+        _query_batch=Chain((Stage(rows, ("gaussian_smoothing", p.value_many, tau),
+                                  ("standard_normal",)),)),
     )
 
 
@@ -312,5 +313,7 @@ def synthetic_tight_oracle(p: Problem, m: float, zeta_sq: float,
     return BiasedOracle(
         name=f"synthetic_tight(m={m:g},zeta_sq={zeta_sq:g},M={M:g},sigma_sq={sigma_sq:g})",
         dim=d, bounds=OracleBounds(m=m, zeta_sq=zeta_sq, M=M, sigma_sq=sigma_sq),
-        _query_batch=rows, expected_query=_at_point(mean_rows), deterministic=False,
+        _query_batch=Chain((Stage(rows, ("synthetic_tight", p.grad_many, m, zeta_sq,
+                                         M, sigma_sq), ("standard_normal",)),)),
+        expected_query=_at_point(mean_rows), deterministic=False,
     )

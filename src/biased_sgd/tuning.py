@@ -166,8 +166,8 @@ class _Race:
     def _means(self, F: np.ndarray) -> np.ndarray:
         return F.reshape(len(F), -1, self.reps).sum(axis=2) * (1.0 / self.reps)
 
-    def fold(self, b0: int, F: np.ndarray, GN, cols) -> None:
-        g = self._groups(cols)
+    def fold(self, b0: int, B: np.ndarray, cols) -> None:
+        F, g = B[0], self._groups(cols)
         # C-ordered, so that each rep sum adds contiguous values as `hit` does
         means = self._means(np.ascontiguousarray(F[:, cols]))
         self.best_gap[g] = np.minimum(self.best_gap[g], means.min(axis=0))

@@ -99,6 +99,8 @@ def test_config_defaults_and_fingerprint():
     ("[sweep]\nk = 1, 1\n", "line 2: sweep axis 'k' repeats the value 1"),
     ("[run]\nT = 5\n[sweep]\nnoise_sigma_sq = 1.0, 0.5, 1.0\n",
      "line 4: sweep axis 'noise_sigma_sq' repeats the value 1.0"),
+    # a repeated grid stepsize would step the same lanes twice
+    ("[tune]\ngrid = 0.1, 0.1, 0.2\n", "line 2: tune.grid repeats the value 0.1"),
 ])
 def test_parse_errors_carry_diagnostics(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -294,6 +296,25 @@ grid = auto
         assert np.isfinite(rec["result"].best_gap)
     summary = (tmp_path / "hard/tune_summary.txt").read_text()
     assert "did-not-reach" in summary
+
+
+def test_a_tune_rerun_leaves_no_stale_race_figure(tmp_path):
+    text = MINI + """
+[tune]
+target_eps = 0.01
+max_T = 200
+reps = 2
+grid = 0.0625, 0.125
+"""
+    experiments.tune_experiment(parse_config(text), out_dir=str(tmp_path))
+    assert (tmp_path / "race.svg").exists()
+    # every stepsize diverges: no cell has a race curve
+    res = experiments.tune_experiment(
+        parse_config(text.replace("0.0625, 0.125", "5.0, 10.0")),
+        out_dir=str(tmp_path))
+    assert all(e.diverged for e in res.cells[0]["result"].entries)
+    assert "best_gamma=did-not-reach" in (tmp_path / "tune_summary.txt").read_text()
+    assert not (tmp_path / "race.svg").exists()
 
 
 def test_huber_config_reports_divergence(tmp_path):

@@ -392,3 +392,53 @@ def test_parts_take_every_nth_run_and_outputs_keep_task_order(monkeypatch):
     assert experiments._map(fn, list(range(7)), 3) == [10 * t for t in range(7)]
     assert parts == [[0, 3, 6], [1, 4], [2, 5]]
     assert _RecordingPool.sizes == [3]
+
+
+class _ShuffledPool(_RecordingPool):
+    """A `_RecordingPool` that runs its parts in an order drawn from `order`
+    and returns their outs in part order, as the process pool does."""
+
+    order = None  # a numpy Generator
+
+    def map(self, fn, parts):
+        parts = list(parts)
+        outs = [None] * len(parts)
+        for i in self.order.permutation(len(parts)):
+            outs[i] = fn(parts[i])
+        return outs
+
+
+# 12 distinct runs whose chains share the gradient, the noise draws and (per
+# noise level) the noise stage, while the bias and compressor stages differ
+MAP_MIX = BASE + """
+[sweep]
+compressor = none, top_k, rand_k
+noise_sigma_sq = 1.0, 100.0
+bias_zeta = 0.0, 0.1
+panel_by = noise_sigma_sq
+series_by = compressor
+"""
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file()}
+
+
+def test_random_part_counts_give_the_serial_outputs(tmp_path, monkeypatch):
+    # `_map`'s round-robin split and reassembly, in-process: any part count,
+    # the parts run in any order, gives the workers=1 files byte for byte
+    rng = np.random.default_rng(14)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ShuffledPool)
+    monkeypatch.setattr(_ShuffledPool, "order", rng)
+    cfg = parse_config(MAP_MIX + TUNE)
+    for command in (experiments.sweep_experiment, experiments.tune_experiment):
+        serial = tmp_path / command.__name__ / "w1"
+        assert command(cfg, str(serial), workers=1).distinct_runs == 12
+        want = _files(serial)
+        for workers in rng.integers(2, 15, size=4):  # beyond 12: one run each
+            monkeypatch.setattr(_RecordingPool, "sizes", [])
+            out = tmp_path / command.__name__ / f"w{workers}"
+            command(cfg, str(out), workers=int(workers))
+            assert _RecordingPool.sizes == [min(int(workers), 12)]
+            assert _files(out) == want, (command.__name__, workers)

@@ -285,19 +285,29 @@ def test_repeated_lanes_match_single_runs(name):
 _ROW_MAP = np.array([0, 1, 2, 0, 1, 2, 1])  # rows 0, 3 share generator 0
 
 
-def _draw_steps(streams, kind, steps, d, rows=len(_ROW_MAP)):
+def _own_node(gens, steps, rows=_ROW_MAP):
+    """The `rng` of a chain of unknown draws: row i draws from gens[rows[i]],
+    each kind from a pull the node makes on its first draw of it."""
+    node = optimizer._Node(None, None, {}, 0, own=(gens, steps))
+    node.rows = rows
+    return node
+
+
+def _draw_steps(rng, kind, steps, d, rows=len(_ROW_MAP)):
     """(steps, rows, d): one `kind` draw of every row per step."""
-    return np.stack([getattr(streams, kind)((rows, d)) for _ in range(steps)])
+    return np.stack([getattr(rng, kind)((rows, d)) for _ in range(steps)])
 
 
 def test_lane_streams_rows_sharing_a_generator_get_the_same_values():
-    streams = optimizer.LaneStreams([stream(5, r) for r in range(3)], 50, _ROW_MAP)
+    node = _own_node([stream(5, r) for r in range(3)], 50)
     for kind in ("standard_normal", "random"):
-        Z = _draw_steps(streams, kind, 50, 4)
+        Z = _draw_steps(node, kind, 50, 4)
         for r in range(3):
             rows = Z[:, _ROW_MAP == r]
             assert np.array_equal(rows, np.repeat(rows[:, :1], len(rows[0]), axis=1))
         assert not np.array_equal(Z[:, 0], Z[:, 1])
+    with pytest.raises(ValueError, match="random draws rows of shape"):
+        node.random((len(_ROW_MAP), 5))
 
 
 @pytest.mark.parametrize("kind", ["standard_normal", "random"])
@@ -308,28 +318,27 @@ def test_lane_streams_one_kind_equals_per_step_draws(kind):
     d = 4
     block = optimizer._BLOCK_FLOATS // (3 * d)
     steps = 2 * block + 37
-    streams = optimizer.LaneStreams([stream(5, r) for r in range(3)], 10**6,
-                                    _ROW_MAP)
-    Z = _draw_steps(streams, kind, steps, d)
-    assert streams._blocks[kind].buf.shape == (3, block, d)
+    node = _own_node([stream(5, r) for r in range(3)], 10**6)
+    Z = _draw_steps(node, kind, steps, d)
+    assert node.pulls[kind].buf.shape == (3, block, d)
     for r in range(3):
         ref = stream(5, r)
         expected = np.stack([getattr(ref, kind)(d) for _ in range(steps)])
         for row in np.flatnonzero(_ROW_MAP == r):
             assert np.array_equal(Z[:, row], expected)
-    own = optimizer.LaneStreams([stream(5, r) for r in range(3)], steps)
-    # rows=None: row i draws from generator i
-    assert np.array_equal(_draw_steps(own, kind, steps, d, rows=3), Z[:, :3])
+    # a shared pull, drawn once per step: row i of `now` is generator i's
+    pull = optimizer._Pull([stream(5, r) for r in range(3)], kind, steps)
+    assert np.array_equal(np.stack([pull.next((d,)).copy() for _ in range(steps)]),
+                          Z[:, :3])
 
 
 def test_lane_streams_second_kind_draws_from_the_jumped_stream():
     d, steps = 3, 40
-    gens = [stream(6, r) for r in range(3)]
-    streams = optimizer.LaneStreams(gens, steps, _ROW_MAP)
+    node = _own_node([stream(6, r) for r in range(3)], steps)
     Z, U = [], []
     for _ in range(steps):  # a two-kind row map: normals, then uniforms
-        Z.append(streams.standard_normal((len(_ROW_MAP), d)))
-        U.append(streams.random((len(_ROW_MAP), d)))
+        Z.append(node.standard_normal((len(_ROW_MAP), d)))
+        U.append(node.random((len(_ROW_MAP), d)))
     Z, U = np.stack(Z), np.stack(U)
     for r in range(3):
         base = stream(6, r)
@@ -345,19 +354,19 @@ def test_lane_streams_buffers_stay_within_the_byte_budget():
     budget = optimizer._BLOCK_FLOATS * 8
     assert budget == 64 * 1024
     for d, n_gens in ((10, 20), (10, 3), (5_000, 20)):
-        streams = optimizer.LaneStreams([stream(7, r) for r in range(n_gens)],
-                                        10**6)
+        node = _own_node([stream(7, r) for r in range(n_gens)], 10**6,
+                         rows=np.arange(n_gens))
         for _ in range(3):
-            streams.standard_normal((n_gens, d))
-            streams.random((n_gens, d))
-        for buf in (block.buf for block in streams._blocks.values()):
+            node.standard_normal((n_gens, d))
+            node.random((n_gens, d))
+        for buf in (pull.buf for pull in node.pulls.values()):
             # one block per generator, of at least one row
             assert all(b.nbytes <= budget for b in buf)
             assert buf.nbytes <= max(budget, n_gens * d * 8)
     # a short run reads no further ahead than its steps
-    short = optimizer.LaneStreams([stream(7, 0)], 5)
-    short.random((1, 10))
-    assert short._blocks["random"].buf.shape == (1, 5, 10)
+    short = optimizer._Pull([stream(7, 0)], "random", 5)
+    short.next((10,))
+    assert short.buf.shape == (1, 5, 10)
 
 
 def _blow_up_oracle(p, rate):
