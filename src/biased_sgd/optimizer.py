@@ -12,9 +12,8 @@ whose oracle chains run each stage they share once per step.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,38 +40,21 @@ _BLOCK_FLOATS = 8_192
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Constant stepsize or an explicit per-iteration sequence."""
+    """The constant stepsize gamma of every step of a run.
 
-    kind: str  # constant | sequence
-    values: tuple
+    The paper's guarantees hold for a constant gamma <= 1/((M+1)L), in the
+    smooth and the PL regime alike; gamma must be positive and finite.
+    """
+
+    gamma: float
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"stepsize must be positive and finite, got {self.gamma}")
 
     @staticmethod
     def constant(gamma: float) -> "StepSchedule":
-        if gamma <= 0:
-            raise ValueError("stepsize must be positive")
-        return StepSchedule(kind="constant", values=(float(gamma),))
-
-    @staticmethod
-    def sequence(gammas: Sequence[float]) -> "StepSchedule":
-        gammas = tuple(float(g) for g in gammas)
-        if not gammas or any(g <= 0 for g in gammas):
-            raise ValueError("all stepsizes must be positive")
-        return StepSchedule(kind="sequence", values=gammas)
-
-    def steps(self, T: int):
-        """The stepsizes gamma_0 .. gamma_{T-1}."""
-        if self.kind == "constant":
-            return itertools.repeat(self.values[0], T)
-        return self.values[:T]
-
-    def check_length(self, T: int) -> None:
-        if self.kind == "sequence" and len(self.values) < T:
-            raise ValueError(f"schedule provides {len(self.values)} stepsizes, run needs {T}")
-
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant({self.values[0]:g})"
-        return f"sequence(len={len(self.values)})"
+        return StepSchedule(float(gamma))
 
 
 def _record_grid(T: int) -> np.ndarray:
@@ -89,18 +71,17 @@ class RunTrace:
     """Per-iteration record of one SGD run.
 
     `t` holds the recorded iteration indices (0 .. T for desk-scale runs);
-    `f_gap` is f(x_t) - f*, `grad_norm_sq` is ||grad f(x_t)||^2. A diverged
-    run carries the partial trace up to its last finite iterate.
+    `f_gap` is f(x_t) - f*, `grad_norm_sq` is ||grad f(x_t)||^2, `final_x`
+    the last iterate. A diverged run carries the partial trace up to its
+    last finite iterate.
     """
 
     t: np.ndarray
     f_gap: np.ndarray
     grad_norm_sq: np.ndarray
-    stepsizes: np.ndarray
     final_x: np.ndarray
     status: str  # completed | diverged
     reason: Optional[str]  # non-finite | overflow | monotone-increase
-    fingerprint: dict = field(default_factory=dict)
 
     @property
     def diverged(self) -> bool:
@@ -150,31 +131,29 @@ class _Pull:
     row of that kind as `now`, a view of its block; the rows keep one shape.
 
     One call per generator fills the next B rows, one row per step, with B
-    sized to _BLOCK_FLOATS over all generators and to the `steps` left, so a
+    sized to _BLOCK_FLOATS over all generators (one row when wider), so a
     generator is advanced in whole blocks. One (B, d) draw gives the values
     of B draws of d, so B changes no value.
     """
 
-    def __init__(self, gens: list, kind: str, steps: int, jumps: int = 0):
+    def __init__(self, gens: list, kind: str, jumps: int = 0):
         self.gens = [generator_at(g, g.bit_generator.state, jumps) for g in gens]
-        self.kind, self.steps, self.row_shape = kind, steps, None
-        self.buf = np.empty((len(gens), 0))
-        self.pos = 0  # the block's next row
+        self.kind, self.row_shape = kind, None
 
     def next(self, row_shape: tuple) -> np.ndarray:
         if self.row_shape is None:
             self.row_shape = row_shape
+            width = len(self.gens) * int(np.prod(row_shape, dtype=np.int64))
+            rows = max(1, _BLOCK_FLOATS // max(1, width))
+            self.buf = np.empty((len(self.gens), rows, *row_shape))
+            self.pos = rows  # the block's next row
         elif row_shape != self.row_shape:
             raise ValueError(f"{self.kind} draws rows of shape {self.row_shape}, "
                              f"not {row_shape}")
         if self.pos == self.buf.shape[1]:
-            width = len(self.gens) * int(np.prod(row_shape, dtype=np.int64))
-            rows = max(1, min(self.steps, _BLOCK_FLOATS // max(1, width)))
-            if rows != self.buf.shape[1]:
-                self.buf = np.empty((len(self.gens), rows, *row_shape))
             for g, out in zip(self.gens, self.buf):
                 getattr(g, self.kind)(out=out)
-            self.pos, self.steps = 0, self.steps - rows
+            self.pos = 0
         self.pos += 1
         self.now = self.buf[:, self.pos - 1]
         return self.now
@@ -238,17 +217,15 @@ class _LaneStats:
 class _Member:
     """One run of an engine call: the oracle chain of `o` and its consumer `sink`.
 
-    Lane i draws from gens[rows[i]] (gens[i] when `rows` is None). `gamma`
-    is the T stepsizes of every lane, or a (lanes, 1) array of one constant
-    per lane. A lane failing the divergence test takes its group (the lanes
-    with its i // group) out.
+    Lane i draws from gens[rows[i]] (gens[i] when `rows` is None) and steps
+    by gamma[i], `gamma` a (lanes, 1) column. A lane failing the divergence
+    test takes its group (the lanes with its i // group) out.
     """
 
-    def __init__(self, o: BiasedOracle, sink, gens: list, gamma,
+    def __init__(self, o: BiasedOracle, sink, gens: list, gamma: np.ndarray,
                  rows: Optional[np.ndarray] = None, group: int = 1):
-        self.o, self.sink, self.gens, self.group = o, sink, gens, group
-        self.gamma = gamma
-        self.steps = None if isinstance(gamma, np.ndarray) else iter(gamma)
+        self.o, self.sink, self.gens, self.gamma = o, sink, gens, gamma
+        self.group = group
         self.gen_of = np.arange(len(gens)) if rows is None else rows
         self.n = len(self.gen_of)
         self.live = np.arange(self.n)  # the lane of each of its rows
@@ -265,9 +242,9 @@ class _Node:
 
     The node is its stage's `rng`: a draw of a kind takes, for each of its
     rows, that row's generator's row of `pulls[kind]`, the `now` the step
-    loop set. The node of a chain of unknown draws (`own`: its generators
-    and steps) makes a pull on its first draw of a kind, the n-th kind
-    jumped n times, and advances it on each draw.
+    loop set. The node of a chain of unknown draws (`own`: its generators)
+    makes a pull on its first draw of a kind, the n-th kind jumped n times,
+    and advances it on each draw.
     """
 
     def __init__(self, fn, parent, pulls: dict, order: int, own=None):
@@ -278,8 +255,7 @@ class _Node:
         pull = self.pulls.get(kind)
         if self.own is not None:
             if pull is None:
-                pull = self.pulls[kind] = _Pull(self.own[0], kind, self.own[1],
-                                                len(self.pulls))
+                pull = self.pulls[kind] = _Pull(self.own, kind, len(self.pulls))
             pull.next(tuple(size[1:]))
         return pull.now.take(self.rows, axis=0)
 
@@ -290,7 +266,7 @@ class _Node:
         return self._draw("random", size)
 
 
-def _share(members: list, T: int) -> tuple:
+def _share(members: list) -> tuple:
     """(the members, ordered so that a shared stage's rows are contiguous,
     and the stage nodes, parents first).
 
@@ -307,7 +283,7 @@ def _share(members: list, T: int) -> tuple:
         chain, slots, m.path = m.o._query_batch, {}, []
         kinds = [kind for s in chain for kind in s.draws or ()]
         if None in [s.draws for s in chain] or len(set(kinds)) < len(kinds):
-            m.path.append(_Node(chain, None, {}, len(nodes), own=(m.gens, T)))
+            m.path.append(_Node(chain, None, {}, len(nodes), own=m.gens))
             nodes.append(m.path[-1])
             continue
         for s in chain:
@@ -318,7 +294,7 @@ def _share(members: list, T: int) -> tuple:
             if key not in index:
                 for pull in keys.values():
                     if pull not in pulls:
-                        pulls[pull] = _Pull(m.gens, pull[1], T, pull[2])
+                        pulls[pull] = _Pull(m.gens, pull[1], pull[2])
                 index[key] = _Node(s.fn, up, {kind: pulls[pull] for kind, pull
                                               in keys.items()}, len(nodes))
                 nodes.append(index[key])
@@ -373,7 +349,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
         else max(1, min(n_slots, min(floats) // lanes))
     grad_norms = any(m.sink.grad_norms for m in members)
     B = np.empty((1 + grad_norms, block, lanes))
-    members, nodes = _share(members, T)
+    members, nodes = _share(members)
     pulls = []  # the shared pulls of the live nodes
     dense = grid is None
     value_many, grad_many = p.value_many, p.grad_many
@@ -462,8 +438,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
                 nd.out = nd.fn((X if nd.parent is None else nd.parent.out)[nd.src],
                                nd.n, nd)
             for m in members:
-                m.X -= (m.gamma if m.steps is None else next(m.steps)) \
-                    * m.node.out[m.src]
+                m.X -= m.gamma * m.node.out[m.src]
             fx = value_many(X)
             # a lane fails once |f| > DIVERGENCE_LIMIT or ||x||^2 >
             # DIVERGENCE_LIMIT^2 (NaN fails both); one sum bounds every lane
@@ -483,8 +458,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
                 m.sink.drop(t + 1, slot, m.live[bad], m.X[bad], fx[m.sl][bad])
                 m.live = m.cols = m.live[keep]
                 m.n = len(m.live)
-                if m.steps is None:
-                    m.gamma = m.gamma[keep]
+                m.gamma = m.gamma[keep]
                 if not m.n:
                     stop(m, m.X[keep])
             members = shrink(ok)
@@ -494,11 +468,11 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
             stop(m, m.X)
 
 
-def _repeat(p: Problem, runs: list, T: int, seed: int,
-            x0: Optional[np.ndarray], keep_traces: Optional[bool]) -> list:
+def _repeat(p: Problem, runs: list, T: int, x0: Optional[np.ndarray],
+            keep_traces: Optional[bool]) -> list:
     """Per (oracle, schedule, generators) in `runs`, one lane per generator
-    taking T steps of the schedule, the runs stepped as the members of one
-    engine run.
+    taking T steps of the schedule's stepsize, the runs stepped as the
+    members of one engine run.
 
     A diverging lane leaves with a partial trace; a completed lane whose gap
     only ever increased is flagged `monotone-increase`.
@@ -509,29 +483,18 @@ def _repeat(p: Problem, runs: list, T: int, seed: int,
     n_rec = len(grid)
     members = []
     for o, sched, gens in runs:
-        sched.check_length(T)
         keep = len(gens) * n_rec <= KEEP_TRACES_LIMIT if keep_traces is None \
             else keep_traces
         members.append(_Member(o, _LaneStats(grid, T, len(gens), p.dim, keep),
-                               gens, sched.steps(T)))
+                               gens, np.full((len(gens), 1), sched.gamma)))
     _run_lanes(p, T, x0, members)
-    return [_aggregate(p, o, sched, T, seed, grid, m.sink)
-            for (o, sched, _), m in zip(runs, members)]
+    return [_aggregate(T, grid, m.sink) for m in members]
 
 
-def _aggregate(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
-               seed: int, grid: np.ndarray, stats: _LaneStats) -> RepeatedRuns:
-    lanes, n_rec = len(stats.length), len(grid)
+def _aggregate(T: int, grid: np.ndarray, stats: _LaneStats) -> RepeatedRuns:
+    lanes = len(stats.length)
     with np.errstate(invalid="ignore"):
         rising = stats.rising & (stats.last > stats.first)
-
-    stepsizes = np.full(n_rec, np.nan)
-    stepsizes[:-1] = sched.values[0] if sched.kind == "constant" \
-        else np.asarray(sched.values)[grid[:-1]]
-    fingerprint = {
-        "problem": p.name, "oracle": o.name, "bounds": o.bounds.as_dict(),
-        "schedule": sched.describe(), "T": T, "seed": int(seed),
-    }
     keep_traces = stats.floats is None
     diverged, traces = [], [] if keep_traces else None
     for lane in range(lanes):
@@ -544,9 +507,9 @@ def _aggregate(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
             n = stats.length[lane]
             traces.append(RunTrace(
                 t=grid[:n], f_gap=stats.B[0, :n, lane].copy(),
-                grad_norm_sq=stats.B[1, :n, lane].copy(), stepsizes=stepsizes[:n],
+                grad_norm_sq=stats.B[1, :n, lane].copy(),
                 final_x=stats.final_x[lane], status="completed" if reason is None
-                else "diverged", reason=reason, fingerprint=dict(fingerprint)))
+                else "diverged", reason=reason))
 
     count = stats.count
     keep = count > 0
@@ -564,7 +527,7 @@ def _aggregate(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
 def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
             seed: int, x0: Optional[np.ndarray] = None,
             rng: Optional[np.random.Generator] = None) -> RunTrace:
-    """Run x_{t+1} = x_t - gamma_t * g_t for T steps from x0: the one-lane engine.
+    """Run x_{t+1} = x_t - gamma * g_t for T steps from x0: the one-lane engine.
 
     Bit-deterministic given (problem, oracle, schedule, T, seed, x0); `rng`
     defaults to `stream(seed)`. The run draws from copies of `rng` at its
@@ -574,8 +537,7 @@ def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     diverged.
     """
     rng = stream(seed) if rng is None else rng
-    return _repeat(p, [(o, sched, [rng])], T, seed, x0,
-                   keep_traces=True)[0].traces[0]
+    return _repeat(p, [(o, sched, [rng])], T, x0, keep_traces=True)[0].traces[0]
 
 
 def sgd_run_repeated(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
@@ -604,8 +566,7 @@ def sgd_run_repeated_many(p: Problem, runs: list, T: int, reps: int, seed: int,
     if reps < 1:
         raise ValueError("reps must be >= 1")
     gens = [stream(seed, rep) for rep in range(reps)]
-    return _repeat(p, [(o, sched, gens) for o, sched in runs], T, seed, x0,
-                   keep_traces)
+    return _repeat(p, [(o, sched, gens) for o, sched in runs], T, x0, keep_traces)
 
 
 def uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> int:

@@ -36,10 +36,6 @@ class OracleBounds:
             if getattr(self, label) < 0.0:
                 raise ValueError(f"{label} must be nonnegative")
 
-    def as_dict(self) -> dict:
-        return {"m": self.m, "zeta_sq": self.zeta_sq, "M": self.M,
-                "sigma_sq": self.sigma_sq}
-
 
 EXACT_BOUNDS = OracleBounds(0.0, 0.0, 0.0, 0.0)
 
@@ -60,15 +56,16 @@ class Stage(NamedTuple):
 class Chain(tuple):
     """An oracle's row map as data: its stages, applied in order.
 
-    A stage that draws gets n rows: one deterministic row before it is seen
-    n times.
+    A stage that draws, or whose draws are not known, gets n rows: one
+    deterministic row before it is seen n times.
     """
 
     def __call__(self, X: np.ndarray, n: int, rng) -> np.ndarray:
         G = self[0].fn(X, n, rng)
         for s in self[1:]:
-            G = s.fn(np.broadcast_to(G, (n, G.shape[1])) if s.draws and len(G) < n
-                     else G, n, rng)
+            if s.draws != () and len(G) < n:
+                G = np.broadcast_to(G, (n, G.shape[1]))
+            G = s.fn(G, n, rng)
         return G
 
     def then(self, fn: Callable, key: Hashable, draws: Optional[tuple] = ()) -> "Chain":

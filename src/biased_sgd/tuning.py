@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import stream
-from .optimizer import _Member, _run_lanes
+from .optimizer import StepSchedule, _Member, _run_lanes
 from .oracles import BiasedOracle
 from .problems import Problem
 
@@ -236,15 +236,13 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
     the search stops. A censored search keeps min(max_T, RACE_HORIZON) + 1
     history rows of 8 bytes per stepsize until the last search stops.
     """
-    if target_eps <= 0:
-        raise ValueError("target_eps must be positive")
+    if not 0 < target_eps < np.inf:
+        raise ValueError(f"target_eps must be positive and finite, got {target_eps}")
     if grid is None:
         grid = default_gamma_grid(p.smoothness_L)
-    grid = [float(g) for g in grid]
+    grid = [StepSchedule.constant(g).gamma for g in grid]
     if not grid:
         raise ValueError("stepsize grid is empty")
-    if any(g <= 0 for g in grid):
-        raise ValueError("stepsizes must be positive")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if max_T < 1:

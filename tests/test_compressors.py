@@ -10,7 +10,7 @@ from biased_sgd import (UnsupportedCompositionError, additive_bias_oracle,
                         scale_compressor, synthetic_tight_oracle,
                         tightness_oracle, top_k, top_k_compressor,
                         uniform_direction)
-from biased_sgd.compressors import Compressor, is_identity
+from biased_sgd.compressors import Compressor, _rand_k_rows, is_identity
 from biased_sgd.estimators import verify_declared
 from biased_sgd._rng import stream
 
@@ -243,6 +243,25 @@ def test_identity_compressors_keep_the_inner_bounds(inner_name):
     for c in (top_k_compressor(d - 1, d), rand_k_compressor(d - 1, d),
               rand_k_unbiased_compressor(d - 1, d), scale_compressor(0.99, d)):
         assert not is_identity(c.kind, d, c.k, c.delta)
+
+
+def test_custom_random_compressor_matches_its_built_in_twin():
+    # a custom random compressor draws kinds the chain does not know, so the
+    # exact gradient row before it is seen n times, as before the built-in
+    # rand-k: both give the same rows and the same estimated bounds
+    d = 10
+    p = make_nesterov_worst(d)
+    custom = Compressor(name="custom_rand_1", kind="custom", dim=d,
+                        apply_rows=lambda G, rng: _rand_k_rows(G, 1, rng),
+                        deterministic=False)
+    twins = [compressed_oracle(c, exact_oracle(p), p, bounds_mode="estimated",
+                               estimate_seed=5)
+             for c in (custom, rand_k_compressor(1, d))]
+    x = stream(2).standard_normal(d)
+    rows = [o.query_many(x, 5, stream(3)) for o in twins]
+    assert rows[0].tobytes() == rows[1].tobytes()
+    assert len({r.tobytes() for r in rows[0]}) > 1
+    assert twins[0].bounds == twins[1].bounds
 
 
 def test_unsupported_composition_errors():

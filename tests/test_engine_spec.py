@@ -6,9 +6,9 @@ draws from `KindStreams(stream(seed, r))` through the oracle's one-row
 repeated runs' traces and aggregates, and the stepsize search's entries and
 history, are then built from these lane traces with the engine's documented
 rules. Seeded random cases mix the members of one engine run (oracle chains
-that share stages and chains that do not), stepsizes that diverge at once,
-mid-run or never, sequence schedules and patched block constants. A
-failure names its case seed.
+that share stages and chains that do not), constant stepsizes that diverge
+at once, mid-run or never, and patched block constants. A failure names its
+case seed.
 """
 
 import dataclasses
@@ -31,7 +31,7 @@ CASES = 64
 
 # --- the reference --------------------------------------------------------
 
-def _lane(p, o, gammas, T, x0, gen):
+def _lane(p, o, gamma, T, x0, gen):
     """One lane: (f gaps, ||grad f||^2, final x, reason, iteration).
 
     The trace holds iterates 0 .. T, or 0 .. t - 1 when iterate t is the first
@@ -48,7 +48,7 @@ def _lane(p, o, gammas, T, x0, gen):
         gns.append(np.vecdot(g, g)[0])
         if t == T:
             return np.array(gaps), np.array(gns), x, None, T
-        x = x - gammas[t] * o._query_batch(x[None], 1, rng)[0]
+        x = x - gamma * o._query_batch(x[None], 1, rng)[0]
         f = p.value_many(x[None])[0]
         if not (abs(f) <= LIMIT and np.vecdot(x, x) <= LIMIT * LIMIT):
             finite = np.isfinite(f) and np.isfinite(x).all()
@@ -73,16 +73,14 @@ def _welford(columns, n_rec):
 
 def _reference_runs(p, o, sched, T, reps, seed, x0):
     """What `sgd_run_repeated` gives: per-rep traces and their aggregate."""
-    gammas = list(sched.steps(T))
-    lanes = [_lane(p, o, gammas, T, x0, stream(seed, r)) for r in range(reps)]
-    stepsizes = np.append(np.asarray(gammas, dtype=float), np.nan)
+    lanes = [_lane(p, o, sched.gamma, T, x0, stream(seed, r)) for r in range(reps)]
     traces, diverged = [], []
     for r, (gaps, gns, x, reason, it) in enumerate(lanes):
         if reason is None and (np.diff(gaps) >= 0).all() and gaps[-1] > gaps[0]:
             reason = "monotone-increase"
         if reason is not None:
             diverged.append(optimizer.Divergence(r, reason, it))
-        traces.append((len(gaps), gaps, gns, stepsizes[:len(gaps)], x, reason))
+        traces.append((len(gaps), gaps, gns, x, reason))
     n_rec = T + 1
     mean_f, se_f, count = _welford([lane[0] for lane in lanes], n_rec)
     mean_g, se_g, _ = _welford([lane[1] for lane in lanes], n_rec)
@@ -104,7 +102,7 @@ def _reference_search(p, o, target_eps, grid, reps, max_T, seed, x0):
     """
     means, ends = [], []
     for g in grid:
-        lanes = [_lane(p, o, [g] * max_T, max_T, x0, stream(seed, r))
+        lanes = [_lane(p, o, g, max_T, x0, stream(seed, r))
                  for r in range(reps)]
         end = min(len(lane[0]) for lane in lanes)  # iterates 0 .. end - 1 live
         gaps = np.stack([lane[0][:end] for lane in lanes], axis=1)
@@ -215,30 +213,24 @@ def test_repeated_runs_match_the_reference(seed, monkeypatch):
     runs = []
     for o in oracles:
         kind = ["never", "never", "mid", "once"][int(rng.integers(4))]
-        if kind == "never" and rng.random() < 0.4:
-            sched = StepSchedule.sequence(
-                [_stepsize(p, rng, "never") for _ in range(T)])
-        else:
-            sched = StepSchedule.constant(_stepsize(p, rng, kind))
-        runs.append((o, sched))
+        runs.append((o, StepSchedule.constant(_stepsize(p, rng, kind))))
     keep = bool(rng.random() < 0.5)
     _patch_blocks(rng, monkeypatch, reps * len(runs))
     got = sgd_run_repeated_many(p, runs, T, reps, seed + 1000, x0=x0,
                                 keep_traces=keep)
     start = p.default_x0 if x0 is None else x0
     for name, (o, sched), res in zip(names, runs, got):
-        where = f"case seed {seed}, member {name} ({sched.describe()})"
+        where = f"case seed {seed}, member {name} (gamma {sched.gamma:g})"
         agg, diverged, traces = _reference_runs(p, o, sched, T, reps,
                                                 seed + 1000, start)
         for field, want in agg.items():
             assert getattr(res, field).tobytes() == want.tobytes(), (where, field)
         assert res.diverged_reps == diverged, where
         assert (res.traces is not None) == keep, where
-        for tr, (n, gaps, gns, steps, x, reason) in zip(res.traces or [], traces):
+        for tr, (n, gaps, gns, x, reason) in zip(res.traces or [], traces):
             assert tr.t.tobytes() == np.arange(n).tobytes(), where
             assert tr.f_gap.tobytes() == gaps.tobytes(), where
             assert tr.grad_norm_sq.tobytes() == gns.tobytes(), where
-            assert tr.stepsizes.tobytes() == steps.tobytes(), where
             assert tr.final_x.tobytes() == x.tobytes(), where
             assert tr.reason == reason, where
 
