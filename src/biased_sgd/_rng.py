@@ -40,37 +40,34 @@ def generator_at(gen: np.random.Generator, state: dict,
     return np.random.Generator(bit_gen.jumped(jumps) if jumps else bit_gen)
 
 
-class KindStreams:
-    """The draws of one generator, each draw kind on its own stream.
+class DrawStreams:
+    """The draws of one generator, each draw of a call on its own stream.
 
     Row maps draw only through `standard_normal(size)` and `random(size)`.
-    The first kind drawn keeps the generator's own stream; the n-th kind
-    after it draws from `Generator(bit_generator.jumped(n))` of the
-    generator's state before that first draw, a counter range 2^128 draws
-    away (Salmon et al., SC'11, "Parallel random numbers: as easy as 1, 2,
-    3"). So a one-kind row map draws exactly what the generator would give
-    it, and the draws of one kind do not depend on how the other kind's are
-    split into calls.
+    After `call()` starts a call (one query), its n-th draw, whatever its
+    kind, comes from the generator's state at construction jumped n times, a
+    counter range 2^128 draws per jump (Salmon et al., SC'11, "Parallel
+    random numbers: as easy as 1, 2, 3"), and goes on where the earlier
+    calls' n-th draws of that kind stopped: one copy per (kind, slot), so
+    `gen` is not advanced. A one-draw row map draws what the generator would
+    give it, and no draw depends on how the calls split the samples.
     """
 
     def __init__(self, gen: np.random.Generator):
-        self.gen = gen
-        self._kinds: dict = {}  # method name -> the generator it draws from
-        self._origin: dict = {}  # the generator's state before the first draw
+        self.gen, self.origin, self.gens, self.n = gen, gen.bit_generator.state, {}, 0
 
-    def stream(self, kind: str) -> np.random.Generator:
-        g = self._kinds.get(kind)
-        if g is None:
-            if not self._kinds:
-                self._origin = self.gen.bit_generator.state
-                g = self.gen
-            else:
-                g = generator_at(self.gen, self._origin, len(self._kinds))
-            self._kinds[kind] = g
-        return g
+    def call(self) -> "DrawStreams":
+        self.n = 0
+        return self
+
+    def _next(self, kind: str):
+        key, self.n = (kind, self.n), self.n + 1
+        if key not in self.gens:
+            self.gens[key] = generator_at(self.gen, self.origin, key[1])
+        return getattr(self.gens[key], kind)
 
     def standard_normal(self, size) -> np.ndarray:
-        return self.stream("standard_normal").standard_normal(size)
+        return self._next("standard_normal")(size)
 
     def random(self, size) -> np.ndarray:
-        return self.stream("random").random(size)
+        return self._next("random")(size)

@@ -214,14 +214,11 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
             raise UnsupportedCompositionError(
                 f"no derived bounds for compressor kind {c.kind!r}")
 
-    # rand-k draws its keys; a custom random map draws what it draws
-    draws = () if c.deterministic or identity else \
-        ("random",) if c.kind in ("rand_k", "rand_k_unbiased") else None
     oracle = BiasedOracle(
         name=f"{c.name}({inner.name})", dim=d,
         bounds=OracleBounds(),  # placeholder, replaced below
         _query_batch=inner._query_batch.then(
-            lambda G, n, rng: c.apply_rows(G, rng), c, draws),
+            lambda G, n, rng: c.apply_rows(G, rng), c),
         expected_query=expected,
         deterministic=inner.deterministic and (c.deterministic or identity),
     )

@@ -14,16 +14,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import KindStreams, stream
+from ._rng import DrawStreams, stream
 from .oracles import BiasedOracle, OracleBounds
 from .problems import Problem
 
 SLACK = 5.0  # standard errors
-# rows per sampling chunk, whose moments are summed at once; a chunk wider
-# than _QUERY_FLOATS floats (80 KiB) is drawn by several queries into one
-# buffer reused by every chunk and point, so that the queries' temporaries
-# stay under glibc's 128 KiB mmap threshold and come from its free lists
-# instead of being mapped and faulted in again on every chunk
+# rows per sampling chunk, whose moments are summed at once; a chunk is
+# drawn by queries of at most _QUERY_FLOATS floats (80 KiB) into one buffer
+# reused by every chunk and point, so that the queries' temporaries stay
+# under glibc's 128 KiB mmap threshold and come from its free lists instead
+# of being mapped and faulted in again on every chunk
 _CHUNK = 2_048
 _QUERY_FLOATS = 10_240
 
@@ -63,7 +63,7 @@ def probe_points(p: Problem, n_points: int, seed: int) -> list:
 
 
 def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
-             rng: KindStreams, buf: np.ndarray) -> PointStats:
+             rng: DrawStreams, buf: np.ndarray) -> PointStats:
     d = o.dim
     x = np.asarray(x, dtype=float)
     grad = p.grad(x)
@@ -81,12 +81,9 @@ def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
     ref = None  # the first sample: the moments are summed about it
     while done < n_samples:
         take = min(_CHUNK, n_samples - done)
-        if take <= step:
-            G = o.query_many(x, take, rng)
-        else:  # each kind's draws do not depend on how they split into queries
-            G = buf[:take]
-            for lo in range(0, take, step):
-                G[lo:lo + step] = o.query_many(x, min(step, take - lo), rng)
+        G = buf[:take]  # no draw depends on how the samples split into queries
+        for lo in range(0, take, step):
+            G[lo:lo + step] = o.query_many(x, min(step, take - lo), rng.call())
         ref = G[0].copy() if ref is None else ref
         G -= ref
         sq = np.einsum("ij,ij->i", G, G)
@@ -143,8 +140,8 @@ def _collect_points(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
                     min_samples: int = 2) -> list:
     """`_collect` at every point, point i drawing from stream (seed, tag, i).
 
-    Each draw kind has its own stream (`KindStreams`), so the samples do not
-    depend on how they are split into chunks.
+    Each draw of a query has its own stream (`DrawStreams`), so the samples
+    do not depend on how they are split into chunks.
 
     A stochastic oracle needs at least 2 samples per point (the covariance
     divides by n - 1); a deterministic one is always sampled twice.
@@ -153,7 +150,7 @@ def _collect_points(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
         raise ValueError(f"samples must be >= {min_samples} for stochastic "
                          f"oracles, got {samples}")
     buf = np.empty((_CHUNK, o.dim))
-    return [_collect(o, p, x, samples, KindStreams(stream(seed, tag, i)), buf)
+    return [_collect(o, p, x, samples, DrawStreams(stream(seed, tag, i)), buf)
             for i, x in enumerate(points)]
 
 

@@ -2,12 +2,13 @@
 
 Repetitions run as the rows ("lanes") of one state matrix, stepped together
 through the row forms of the oracle and the problem. Each lane draws only
-from its own Philox stream (one per draw kind, read ahead in blocks), so its
-trace does not depend on the lanes that run beside it; `sgd_run` is the
-one-lane case. `_run_lanes` is the one step loop: the repeated runs here and
-the stepsize search in `tuning` are its consumers, and several runs on one
-problem step together as its members, contiguous row blocks of one matrix,
-whose oracle chains run each stage they share once per step.
+from its own Philox stream, the n-th draw of a step from its copy jumped n
+times (`_rng.DrawStreams`), read ahead in blocks, so its trace does not
+depend on the lanes that run beside it; `sgd_run` is the one-lane case.
+`_run_lanes` is the one step loop: the repeated runs here and the stepsize
+search in `tuning` are its consumers, and several runs on one problem step
+together as its members, contiguous row blocks of one matrix, whose oracle
+chains run each stage they share once per step.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ class RepeatedRuns:
 
 class _Pull:
     """One draw kind's read-ahead over copies of `gens` jumped `jumps` times
-    (the kind's slot): each `next(row_shape)` gives every generator's next
+    (the draw's slot): each `next(row_shape)` gives every generator's next
     row of that kind as `now`, a view of its block; the rows keep one shape.
+    `t` is the step a node last advanced it at.
 
     One call per generator fills the next B rows, one row per step, with B
     sized to _BLOCK_FLOATS over all generators (one row when wider), so a
@@ -138,7 +140,7 @@ class _Pull:
 
     def __init__(self, gens: list, kind: str, jumps: int = 0):
         self.gens = [generator_at(g, g.bit_generator.state, jumps) for g in gens]
-        self.kind, self.row_shape = kind, None
+        self.kind, self.row_shape, self.t = kind, None, None
 
     def next(self, row_shape: tuple) -> np.ndarray:
         if self.row_shape is None:
@@ -240,22 +242,25 @@ class _Node:
     share it, `members[0]`'s block to `members[-1]`'s; `src` selects them
     from its parent's rows (from the state matrix, for a first stage).
 
-    The node is its stage's `rng`: a draw of a kind takes, for each of its
-    rows, that row's generator's row of `pulls[kind]`, the `now` the step
-    loop set. The node of a chain of unknown draws (`own`: its generators)
-    makes a pull on its first draw of a kind, the n-th kind jumped n times,
-    and advances it on each draw.
+    The node is its stage's `rng`. Its draws in step `t` take the slots from
+    `slot` on, its parent's slot after the parent ran (0 for a first stage):
+    a draw of a kind takes, for each of its rows, that row's generator's row
+    of the `_Pull` in `pulls` for (kind, slot), made on the first draw of it
+    (over `gens`, jumped `slot` times) and advanced by the first node to
+    draw it in a step.
     """
 
-    def __init__(self, fn, parent, pulls: dict, order: int, own=None):
-        self.fn, self.parent, self.pulls, self.own = fn, parent, pulls, own
+    def __init__(self, fn, parent, gens: list, pulls: dict, order: int):
+        self.fn, self.parent, self.gens, self.pulls = fn, parent, gens, pulls
         self.order, self.members, self.rows = order, [], None
 
     def _draw(self, kind: str, size) -> np.ndarray:
-        pull = self.pulls.get(kind)
-        if self.own is not None:
-            if pull is None:
-                pull = self.pulls[kind] = _Pull(self.own, kind, len(self.pulls))
+        key, self.slot = (kind, self.slot), self.slot + 1
+        pull = self.pulls.get(key)
+        if pull is None:
+            pull = self.pulls[key] = _Pull(self.gens, kind, key[1])
+        if pull.t != self.t:
+            pull.t = self.t
             pull.next(tuple(size[1:]))
         return pull.now.take(self.rows, axis=0)
 
@@ -271,32 +276,18 @@ def _share(members: list) -> tuple:
     and the stage nodes, parents first).
 
     Members on one generator list share their chains' stages up to the
-    first that differs (`Stage.key`). A kind's slot in a chain is the stream
-    `KindStreams` gives it: the n-th kind drawn draws from the generators
-    jumped n times. Each (generator list, kind, slot) is one `_Pull`, drawn
-    once per step, so stages share a draw only where the slot matches. A
-    chain with a stage of unknown draws, or drawing a kind twice, is one
-    node on its own pulls.
+    first that differs (`Stage.key`), and one dict of pulls, so stages
+    share a draw wherever the (kind, slot) matches.
     """
     nodes, index, pulls = [], {}, {}
     for m in members:
-        chain, slots, m.path = m.o._query_batch, {}, []
-        kinds = [kind for s in chain for kind in s.draws or ()]
-        if None in [s.draws for s in chain] or len(set(kinds)) < len(kinds):
-            m.path.append(_Node(chain, None, {}, len(nodes), own=m.gens))
-            nodes.append(m.path[-1])
-            continue
-        for s in chain:
+        m.path = []
+        for s in m.o._query_batch:
             up = m.path[-1] if m.path else None
-            keys = {kind: (id(m.gens), kind, slots.setdefault(kind, len(slots)))
-                    for kind in s.draws}
             key = (up or id(m.gens), s.key)
             if key not in index:
-                for pull in keys.values():
-                    if pull not in pulls:
-                        pulls[pull] = _Pull(m.gens, pull[1], pull[2])
-                index[key] = _Node(s.fn, up, {kind: pulls[pull] for kind, pull
-                                              in keys.items()}, len(nodes))
+                index[key] = _Node(s.fn, up, m.gens,
+                                   pulls.setdefault(id(m.gens), {}), len(nodes))
                 nodes.append(index[key])
             m.path.append(index[key])
     members = sorted(members, key=lambda m: [nd.order for nd in m.path])
@@ -316,8 +307,9 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
     divergence test, the f-value writes and the target test run once over
     all rows, so the members must share the problem, x0, T, the recorded
     slots and the target; a member's values do not depend on the others.
-    Each step draws every shared pull once and runs every stage node once
-    (`_share`); a member steps by its rows of its chain's last stage.
+    Each step runs every stage node once (`_share`), each drawing a pull
+    that several nodes read once; a member steps by its rows of its chain's
+    last stage.
 
     The members share the (channels x slots x lanes) record block `B`:
     channel 0 holds f, and channel 1 ||grad f||^2 when a consumer sets
@@ -350,7 +342,6 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
     grad_norms = any(m.sink.grad_norms for m in members)
     B = np.empty((1 + grad_norms, block, lanes))
     members, nodes = _share(members)
-    pulls = []  # the shared pulls of the live nodes
     dense = grid is None
     value_many, grad_many = p.value_many, p.grad_many
     f_star = p.f_star or 0.0
@@ -375,9 +366,8 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
 
     def shrink(ok: np.ndarray) -> list:
         # the rows `ok` keeps, and the members that still run; each live
-        # stage node gets its rows and generators, and `pulls` the shared
-        # pulls that they read
-        nonlocal X, fx, live, cols, nodes, pulls
+        # stage node gets its rows and their generators
+        nonlocal X, fx, live, cols, nodes
         X, fx, live = X[ok], fx[ok], live[ok]
         # a slice writes faster, and the live lanes often stay contiguous
         cols = slice(live[0], live[-1] + 1) \
@@ -396,11 +386,8 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
             nd.rows = np.concatenate([m.gen_of[m.live] for m in nd.members])
         for m in left:
             m.src = slice(m.sl.start - m.node.lo, m.sl.stop - m.node.lo)
-        pulls = list(dict.fromkeys(pull for nd in nodes if nd.own is None
-                                   for pull in nd.pulls.values()))
         return left
 
-    shape = (p.dim,)
     # a failing lane is dropped below, so its overflow or NaN arithmetic
     # needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -432,11 +419,10 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
                 for m in members:
                     fold(m)
                 base = slot
-            for pull in pulls:
-                pull.next(shape)
             for nd in nodes:
-                nd.out = nd.fn((X if nd.parent is None else nd.parent.out)[nd.src],
-                               nd.n, nd)
+                up = nd.parent
+                nd.t, nd.slot = t, 0 if up is None else up.slot
+                nd.out = nd.fn((X if up is None else up.out)[nd.src], nd.n, nd)
             for m in members:
                 m.X -= m.gamma * m.node.out[m.src]
             fx = value_many(X)
@@ -531,10 +517,10 @@ def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
 
     Bit-deterministic given (problem, oracle, schedule, T, seed, x0); `rng`
     defaults to `stream(seed)`. The run draws from copies of `rng` at its
-    state (a second draw kind from a jumped copy), so a passed `rng` is not
-    advanced. A non-finite or overflowing iterate stops the run early with a
-    partial trace; a run whose gap only ever increases is also flagged as
-    diverged.
+    state (a step's n-th draw from a copy jumped n times), so a passed `rng`
+    is not advanced. A non-finite or overflowing iterate stops the run early
+    with a partial trace; a run whose gap only ever increases is also
+    flagged as diverged.
     """
     rng = stream(seed) if rng is None else rng
     return _repeat(p, [(o, sched, [rng])], T, x0, keep_traces=True)[0].traces[0]

@@ -6,8 +6,10 @@ Each oracle carries the bound parameters (m, zeta^2) on its bias and
     ||b(x)||^2        <= m * ||grad f(x)||^2 + zeta^2,        0 <= m < 1
     E ||n(x, xi)||^2  <= M * ||grad f(x) + b(x)||^2 + sigma^2
 
-Queries take an explicit numpy Generator; a fixed draw order makes every
-oracle stream bit-reproducible.
+Queries take an explicit numpy Generator, or anything with its
+`standard_normal(size)` and `random(size)`: the engine and the estimators
+give a call's n-th draw its own stream (`_rng.DrawStreams`). A fixed draw
+order makes every oracle stream bit-reproducible.
 """
 
 from __future__ import annotations
@@ -44,32 +46,32 @@ class Stage(NamedTuple):
     """One stage of an oracle chain: `fn(G, n, rng)` maps the rows before it
     (the query points X, for the first stage) to its own.
 
-    Stages with equal keys compute equal rows from equal rows; `draws` are
-    the draw kinds of one call in draw order, None when not known.
+    Stages with equal keys compute equal rows from equal rows. A stage draws
+    the same kinds in the same order on every call, so the n-th draw of a
+    call is always one kind: the engine gives it its own stream.
     """
 
     fn: Callable
     key: Hashable
-    draws: Optional[tuple] = ()
 
 
 class Chain(tuple):
     """An oracle's row map as data: its stages, applied in order.
 
-    A stage that draws, or whose draws are not known, gets n rows: one
-    deterministic row before it is seen n times.
+    A stage after the first gets n rows: one deterministic row before it is
+    seen n times.
     """
 
     def __call__(self, X: np.ndarray, n: int, rng) -> np.ndarray:
         G = self[0].fn(X, n, rng)
         for s in self[1:]:
-            if s.draws != () and len(G) < n:
+            if len(G) < n:
                 G = np.broadcast_to(G, (n, G.shape[1]))
             G = s.fn(G, n, rng)
         return G
 
-    def then(self, fn: Callable, key: Hashable, draws: Optional[tuple] = ()) -> "Chain":
-        return Chain(self + (Stage(fn, key, draws),))
+    def then(self, fn: Callable, key: Hashable) -> "Chain":
+        return Chain(self + (Stage(fn, key),))
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,8 @@ class BiasedOracle:
     every draw has n rows, and a deterministic map may return its one row,
     so a point's deterministic part (grad f(x), f(x)) is computed once for
     any number of draws. It is a `Chain` of stages; any other row map passed
-    becomes a one-stage chain (drawing unknown kinds unless `deterministic`).
+    becomes a one-stage chain keyed by itself. The engine learns the map's
+    draws as it makes them: they follow the `Stage` contract.
     `query_batch(X)` is the map on (X, len(X)), `query(x)` on (x[None], 1)
     and `query_many(x, n)` on (x[None], n), always n fresh rows.
     `__post_init__` derives `_query` and `_query_many` from the row map
@@ -100,7 +103,7 @@ class BiasedOracle:
     def __post_init__(self):
         rows = self._query_batch
         if not isinstance(rows, Chain):
-            rows = Chain((Stage(rows, rows, () if self.deterministic else None),))
+            rows = Chain((Stage(rows, rows),))
             object.__setattr__(self, "_query_batch", rows)
         if self._query is None:
             object.__setattr__(self, "_query", lambda x, rng: rows(x[None], 1, rng)[0])
@@ -164,7 +167,7 @@ def gaussian_noise_oracle(p: Problem, sigma_sq: float,
         bounds=replace(b, sigma_sq=b.sigma_sq + sigma_sq),
         _query_batch=inner._query_batch.then(
             lambda G, n, rng: G + scale * rng.standard_normal((n, d)),
-            ("noise", sigma_sq), ("standard_normal",)),
+            ("noise", sigma_sq)),
         expected_query=inner.expected_query, deterministic=False,
     )
 
@@ -244,8 +247,7 @@ def gaussian_smoothing_oracle(p: Problem, tau: float) -> BiasedOracle:
     return BiasedOracle(
         name=f"gaussian_smoothing(tau={tau:g})", dim=p.dim,
         bounds=gs_bounds(p.dim, p.smoothness_L, tau),
-        _query_batch=Chain((Stage(rows, ("gaussian_smoothing", p.value_many, tau),
-                                  ("standard_normal",)),)),
+        _query_batch=Chain((Stage(rows, ("gaussian_smoothing", p.value_many, tau)),)),
     )
 
 
@@ -311,6 +313,6 @@ def synthetic_tight_oracle(p: Problem, m: float, zeta_sq: float,
         name=f"synthetic_tight(m={m:g},zeta_sq={zeta_sq:g},M={M:g},sigma_sq={sigma_sq:g})",
         dim=d, bounds=OracleBounds(m=m, zeta_sq=zeta_sq, M=M, sigma_sq=sigma_sq),
         _query_batch=Chain((Stage(rows, ("synthetic_tight", p.grad_many, m, zeta_sq,
-                                         M, sigma_sq), ("standard_normal",)),)),
+                                         M, sigma_sq)),)),
         expected_query=_at_point(mean_rows), deterministic=False,
     )

@@ -14,7 +14,7 @@ from biased_sgd import (StepSchedule, additive_bias_oracle, compressed_oracle,
                         gaussian_noise_oracle, gaussian_smoothing_oracle,
                         huber_shifted_oracle, make_nesterov_worst, pl_envelope,
                         pl_iterations, pl_stepsize_proof, psi_bound,
-                        rand_k_compressor, sgd_run, sgd_run_repeated,
+                        rand_k_compressor, sgd_run, sgd_run_repeated_many,
                         smooth_iterations, smooth_stepsize_proof, stepsize_cap,
                         tightness_oracle, top_k, top_k_compressor,
                         tune_stepsize_many, uniform_direction)
@@ -64,14 +64,22 @@ def test_criterion_1_descent_lemma():
             assert mean <= rhs + 5 * se, (i, mean, rhs, se)
 
 
-def _tail_stats(p, oracle, gamma, T, reps, seed):
-    agg = sgd_run_repeated(p, oracle, StepSchedule.constant(gamma), T,
-                           reps=reps, seed=seed)
-    n = len(agg.t)
-    k = max(1, int(np.ceil(0.1 * n)))
-    tails = np.array([float(np.mean(tr.f_gap[n - k:])) for tr in agg.traces])
-    return float(tails.mean()), float(tails.std(ddof=1) / np.sqrt(len(tails))) \
-        if reps > 1 else 0.0
+def _tails(tr):
+    """Mean f gap over the last tenth of a trace's recorded iterations."""
+    n = len(tr.t)
+    return float(np.mean(tr.f_gap[n - max(1, int(np.ceil(0.1 * n))):]))
+
+
+def _tail_stats(p, runs, T, reps, seed):
+    """Per (oracle, gamma) in `runs`, the mean tail over the reps and its SE
+    (0 for one rep), the runs stepped together in one engine run."""
+    out = []
+    for agg in sgd_run_repeated_many(
+            p, [(o, StepSchedule.constant(g)) for o, g in runs], T, reps, seed):
+        tails = np.array([_tails(tr) for tr in agg.traces])
+        out.append((float(tails.mean()),
+                    float(tails.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0))
+    return out
 
 
 def test_criterion_2_error_floor_reproduction():
@@ -83,19 +91,18 @@ def test_criterion_2_error_floor_reproduction():
         # deterministic dynamics, run to the stationary point (T covers the
         # slower gamma = 0.005 transient)
         o_bias = additive_bias_oracle(exact_oracle(p), 0.1, uniform_direction(10))
-        tails_a = []
-        for gamma in (0.01, 0.005):
-            tail, _ = _tail_stats(p, o_bias, gamma, 30_000, 1, SEED)
+        gammas_a = (0.01, 0.005)
+        tails_a = [tail for tail, _ in _tail_stats(
+            p, [(o_bias, g) for g in gammas_a], 30_000, 1, SEED)]
+        for gamma, tail in zip(gammas_a, tails_a):
             assert tail > 0
             assert tail <= error_floor(gamma, L, mu, o_bias.bounds)
-            tails_a.append(tail)
         assert abs(tails_a[0] - tails_a[1]) <= 0.01 * tails_a[0]
         # (b) pure noise: floor scales linearly with the stepsize (factor 1.5)
         o_noise = gaussian_noise_oracle(p, 1.0)
         gammas = (0.02, 0.01, 0.005)
-        tails_b = {}
-        for gamma in gammas:
-            tails_b[gamma], _ = _tail_stats(p, o_noise, gamma, T, 20, SEED + 1)
+        tails_b = {g: tail for g, (tail, _) in zip(gammas, _tail_stats(
+            p, [(o_noise, g) for g in gammas], T, 20, SEED + 1))}
         for g1 in gammas:
             for g2 in gammas:
                 if g1 <= g2:
@@ -107,17 +114,12 @@ def test_criterion_2_error_floor_reproduction():
         # the bias effect instead of seed-to-seed spread.
         o_both = additive_bias_oracle(gaussian_noise_oracle(p, 1.0), 0.001,
                                       uniform_direction(10))
-        diffs = []
-        for rep in range(20):
-            tr_b = sgd_run(p, o_noise, StepSchedule.constant(0.01), T,
-                           seed=SEED + 2, rng=stream(SEED + 2, rep))
-            tr_c = sgd_run(p, o_both, StepSchedule.constant(0.01), T,
-                           seed=SEED + 2, rng=stream(SEED + 2, rep))
-            n = len(tr_b.t)
-            k = max(1, int(np.ceil(0.1 * n)))
-            diffs.append(float(np.mean(tr_c.f_gap[n - k:])
-                               - np.mean(tr_b.f_gap[n - k:])))
-        diffs = np.array(diffs)
+        # rep r of each run is `sgd_run(..., rng=stream(SEED + 2, r))`
+        s = StepSchedule.constant(0.01)
+        runs_b, runs_c = sgd_run_repeated_many(
+            p, [(o_noise, s), (o_both, s)], T, 20, SEED + 2, keep_traces=True)
+        diffs = np.array([_tails(tr_c) - _tails(tr_b)
+                          for tr_b, tr_c in zip(runs_b.traces, runs_c.traces)])
         se = float(diffs.std(ddof=1) / np.sqrt(len(diffs)))
         assert abs(float(diffs.mean())) <= 2 * se, (diffs.mean(), se)
 
@@ -253,10 +255,10 @@ def test_criterion_8_theory_consistency():
 def test_criterion_9_zeroth_order_floor_scaling():
     with _Clock(120, "criterion 9 (zeroth-order floor scaling in tau)"):
         p = make_nesterov_worst(10)
-        tails = {}
-        for tau in (0.1, 0.01):
-            o = gaussian_smoothing_oracle(p, tau)
-            tails[tau], _ = _tail_stats(p, o, 0.01, 10_000, 20, SEED + 9)
+        taus = (0.1, 0.01)
+        tails = {tau: tail for tau, (tail, _) in zip(taus, _tail_stats(
+            p, [(gaussian_smoothing_oracle(p, tau), 0.01) for tau in taus],
+            10_000, 20, SEED + 9))}
         ratio = tails[0.1] / tails[0.01]
         assert 50.0 <= ratio <= 200.0, ratio
         print(f"      floor ratio tau=0.1 / tau=0.01 = {ratio:.1f}")

@@ -246,9 +246,9 @@ def test_identity_compressors_keep_the_inner_bounds(inner_name):
 
 
 def test_custom_random_compressor_matches_its_built_in_twin():
-    # a custom random compressor draws kinds the chain does not know, so the
-    # exact gradient row before it is seen n times, as before the built-in
-    # rand-k: both give the same rows and the same estimated bounds
+    # a stage after the first sees the one exact gradient row before it n
+    # times, so a custom random compressor draws as the built-in rand-k
+    # does: both give the same rows and the same estimated bounds
     d = 10
     p = make_nesterov_worst(d)
     custom = Compressor(name="custom_rand_1", kind="custom", dim=d,

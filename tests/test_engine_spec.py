@@ -1,14 +1,15 @@
 """An executable spec of the SGD engine: a naive reference, checked byte for byte.
 
 The reference steps one lane at a time, one step at a time: lane (rep r)
-draws from `KindStreams(stream(seed, r))` through the oracle's one-row
-`_query_batch`, and its f value comes from `value_many` on that row. The
-repeated runs' traces and aggregates, and the stepsize search's entries and
-history, are then built from these lane traces with the engine's documented
-rules. Seeded random cases mix the members of one engine run (oracle chains
-that share stages and chains that do not), constant stepsizes that diverge
-at once, mid-run or never, and patched block constants. A failure names its
-case seed.
+draws from `DrawStreams(stream(seed, r))` through the oracle's one-row
+`_query_batch`, one call per step, and its f value comes from `value_many`
+on that row. The repeated runs' traces and aggregates, and the stepsize
+search's entries and history, are then built from these lane traces with
+the engine's documented rules. Seeded random cases mix the members of one
+engine run (oracle chains that share stages and chains that do not, and
+chains drawing one kind twice), constant stepsizes that diverge at once,
+mid-run or never, and patched block constants. A failure names its case
+seed.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from biased_sgd import (StepSchedule, additive_bias_oracle, compressed_oracle,
                         rand_k_unbiased_compressor, scale_compressor,
                         sgd_run_repeated_many, top_k_compressor,
                         tune_stepsize_many, tuning, uniform_direction)
-from biased_sgd._rng import KindStreams, stream
+from biased_sgd._rng import DrawStreams, stream
 
 LIMIT = optimizer.DIVERGENCE_LIMIT
 CASES = 64
@@ -38,7 +39,7 @@ def _lane(p, o, gamma, T, x0, gen):
     to fail the divergence test (|f| or ||x||^2 over the limit, or not
     finite); then `reason` is "overflow" or "non-finite" and `iteration` t.
     """
-    rng = KindStreams(gen)
+    rng = DrawStreams(gen)
     x = np.array(x0, dtype=float)
     f = p.value_many(x[None])[0]
     gaps, gns = [], []
@@ -48,7 +49,7 @@ def _lane(p, o, gamma, T, x0, gen):
         gns.append(np.vecdot(g, g)[0])
         if t == T:
             return np.array(gaps), np.array(gns), x, None, T
-        x = x - gamma * o._query_batch(x[None], 1, rng)[0]
+        x = x - gamma * o._query_batch(x[None], 1, rng.call())[0]
         f = p.value_many(x[None])[0]
         if not (abs(f) <= LIMIT and np.vecdot(x, x) <= LIMIT * LIMIT):
             finite = np.isfinite(f) and np.isfinite(x).all()
@@ -148,6 +149,9 @@ def _oracles(p, rng):
     def comp(c, inner):
         return compressed_oracle(c, inner, p, bounds_mode="query_only")
 
+    def smoothing_noise():  # normals twice per call, in two stages
+        return gaussian_noise_oracle(p, sig, inner=gaussian_smoothing_oracle(p, 0.1))
+
     return {
         "exact": lambda: exact_oracle(p),
         "noise": lambda: noise(),
@@ -166,16 +170,21 @@ def _oracles(p, rng):
         "wrapped_rand_k": lambda: _wrapped(comp(rand_k_compressor(k, d), noise())),
         "wrapped_exact": lambda: _wrapped(exact_oracle(p)),
         "smoothing": lambda: gaussian_smoothing_oracle(p, 0.1),
+        "smoothing_noise": smoothing_noise,
+        "wrapped_smoothing_noise": lambda: _wrapped(smoothing_noise()),
     }
 
 
-# members every few cases must mix: the kind slots disagree between rand_k
-# over exact (random first) and rand_k over noise (normals first)
+# members every few cases must mix: the draw slots disagree between rand_k
+# over exact (random first) and rand_k over noise (normals first), and a
+# chain drawing normals twice shares its first slot with the others' normals
 _MIXES = [
     ["rand_k_exact", "rand_k_noise", "noise", "rand_k_noise_other"],
     ["noise", "top_k_noise", "rand_k_noise", "exact", "top_k_exact"],
     ["inexact_noise", "noise", "wrapped_rand_k", "rand_k_noise"],
     ["unbiased_noise", "rand_k_exact", "smoothing", "bias_over_noise"],
+    ["smoothing_noise", "smoothing", "noise", "wrapped_smoothing_noise",
+     "rand_k_noise"],
 ]
 
 

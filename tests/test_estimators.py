@@ -12,7 +12,7 @@ from biased_sgd import (BiasedOracle, OracleBounds, additive_bias_oracle,
                         verify_declared)
 from biased_sgd import estimators
 from biased_sgd.estimators import fit_envelope
-from biased_sgd._rng import stream
+from biased_sgd._rng import DrawStreams, stream
 
 
 def test_probe_points_span_orders_of_magnitude():
@@ -192,8 +192,8 @@ def test_sample_floor_enforced():
                                 gaussian_noise_oracle(p, 1.0), p),
 ], ids=["exact", "noise", "gaussian_smoothing", "rand_k", "rand_k_noise"])
 def test_collect_independent_of_chunk_size(build, monkeypatch):
-    # each draw kind has its own stream, so the samples do not depend on
-    # how they are split into chunks, even where a call draws two kinds
+    # each draw of a query has its own stream, so the samples do not depend
+    # on how they are split into chunks, even where a query draws twice
     p = make_nesterov_worst(10)
     o = build(p)
     pts = probe_points(p, 3, seed=14)
@@ -209,6 +209,19 @@ def test_collect_independent_of_chunk_size(build, monkeypatch):
                                                       rel=1e-12, abs=0.0)
         assert b.noise_se == pytest.approx(a.noise_se, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(b.bias, a.bias, rtol=1e-12)
+
+
+def test_split_queries_draw_the_rows_of_one_query():
+    # a query's n-th draw goes on where the earlier queries' n-th draws
+    # stopped, so a chain drawing normals in two stages gives the same rows
+    # however its samples split into queries
+    p = make_nesterov_worst(10)
+    o = gaussian_noise_oracle(p, 1.0, inner=gaussian_smoothing_oracle(p, 0.1))
+    x = probe_points(p, 1, seed=15)[0]
+    whole = o.query_many(x, 12, DrawStreams(stream(15)).call())
+    rng = DrawStreams(stream(15))
+    parts = [o.query_many(x, n, rng.call()) for n in (5, 1, 6)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 def test_noise_se_does_not_cancel_far_from_the_optimum(monkeypatch):

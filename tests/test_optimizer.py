@@ -265,16 +265,22 @@ _ROW_MAP = np.array([0, 1, 2, 0, 1, 2, 1])  # rows 0, 3 share generator 0
 
 
 def _own_node(gens, rows=_ROW_MAP):
-    """The `rng` of a chain of unknown draws: row i draws from gens[rows[i]],
-    each kind from a pull the node makes on its first draw of it."""
-    node = optimizer._Node(None, None, {}, 0, own=gens)
-    node.rows = rows
+    """A lone stage node as an `rng`: row i draws from gens[rows[i]], each
+    (kind, slot) from a pull the node makes on its first draw of it."""
+    node = optimizer._Node(None, None, gens, {}, 0)
+    node.rows, node.t = rows, -1
     return node
 
 
-def _draw_steps(rng, kind, steps, d, rows=len(_ROW_MAP)):
+def _step(node):
+    """`node` at its next step, its first draw at slot 0."""
+    node.t, node.slot = node.t + 1, 0
+    return node
+
+
+def _draw_steps(node, kind, steps, d, rows=len(_ROW_MAP)):
     """(steps, rows, d): one `kind` draw of every row per step."""
-    return np.stack([getattr(rng, kind)((rows, d)) for _ in range(steps)])
+    return np.stack([getattr(_step(node), kind)((rows, d)) for _ in range(steps)])
 
 
 def test_lane_streams_rows_sharing_a_generator_get_the_same_values():
@@ -286,12 +292,12 @@ def test_lane_streams_rows_sharing_a_generator_get_the_same_values():
             assert np.array_equal(rows, np.repeat(rows[:, :1], len(rows[0]), axis=1))
         assert not np.array_equal(Z[:, 0], Z[:, 1])
     with pytest.raises(ValueError, match="random draws rows of shape"):
-        node.random((len(_ROW_MAP), 5))
+        _step(node).random((len(_ROW_MAP), 5))
 
 
 @pytest.mark.parametrize("kind", ["standard_normal", "random"])
 def test_lane_streams_one_kind_equals_per_step_draws(kind):
-    # the first kind keeps each generator's own stream, read in blocks: over
+    # the first draw keeps each generator's own stream, read in blocks: over
     # two full blocks and a partial one, every row is what one draw of d per
     # step from a fresh generator gives
     d = 4
@@ -299,7 +305,7 @@ def test_lane_streams_one_kind_equals_per_step_draws(kind):
     steps = 2 * block + 37
     node = _own_node([stream(5, r) for r in range(3)])
     Z = _draw_steps(node, kind, steps, d)
-    assert node.pulls[kind].buf.shape == (3, block, d)
+    assert node.pulls[kind, 0].buf.shape == (3, block, d)
     for r in range(3):
         ref = stream(5, r)
         expected = np.stack([getattr(ref, kind)(d) for _ in range(steps)])
@@ -311,19 +317,27 @@ def test_lane_streams_one_kind_equals_per_step_draws(kind):
                           Z[:, :3])
 
 
-def test_lane_streams_second_kind_draws_from_the_jumped_stream():
-    d, steps = 3, 40
+@pytest.mark.parametrize("second", ["random", "standard_normal"])
+def test_lane_streams_second_draw_reads_the_jumped_stream_in_blocks(second):
+    # a step's second draw, whatever its kind (Gaussian smoothing under
+    # noise draws normals twice), reads the generator jumped once, in whole
+    # blocks: every row is that stream drawn one d at a time
+    d = 4
+    block = optimizer._BLOCK_FLOATS // (3 * d)
+    steps = block + 37  # past a refill of the block
     node = _own_node([stream(6, r) for r in range(3)])
     Z, U = [], []
-    for _ in range(steps):  # a two-kind row map: normals, then uniforms
-        Z.append(node.standard_normal((len(_ROW_MAP), d)))
-        U.append(node.random((len(_ROW_MAP), d)))
+    for _ in range(steps):
+        Z.append(_step(node).standard_normal((len(_ROW_MAP), d)))
+        U.append(getattr(node, second)((len(_ROW_MAP), d)))
+    assert {k: pull.buf.shape for k, pull in node.pulls.items()} == {
+        ("standard_normal", 0): (3, block, d), (second, 1): (3, block, d)}
     Z, U = np.stack(Z), np.stack(U)
     for r in range(3):
         base = stream(6, r)
         jumped = np.random.Generator(stream(6, r).bit_generator.jumped())
         z = np.stack([base.standard_normal(d) for _ in range(steps)])
-        u = np.stack([jumped.random(d) for _ in range(steps)])
+        u = np.stack([getattr(jumped, second)(d) for _ in range(steps)])
         for row in np.flatnonzero(_ROW_MAP == r):
             assert np.array_equal(Z[:, row], z)
             assert np.array_equal(U[:, row], u)
@@ -336,34 +350,12 @@ def test_lane_streams_buffers_stay_within_the_byte_budget():
         node = _own_node([stream(7, r) for r in range(n_gens)],
                          rows=np.arange(n_gens))
         for _ in range(3):
-            node.standard_normal((n_gens, d))
+            _step(node).standard_normal((n_gens, d))
             node.random((n_gens, d))
         for buf in (pull.buf for pull in node.pulls.values()):
             # one block per generator, of at least one row
             assert all(b.nbytes <= budget for b in buf)
             assert buf.nbytes <= max(budget, n_gens * d * 8)
-
-
-def test_own_pull_drawing_a_kind_twice_per_step_keeps_full_blocks():
-    # Gaussian smoothing under noise draws normals twice per step: its pull
-    # reads whole blocks however many rows a step takes, and every row is the
-    # generator's own stream, drawn one d at a time
-    d = 4
-    block = optimizer._BLOCK_FLOATS // (3 * d)
-    steps = block + 37  # 2 * steps draws: past two refills of the block
-    node = _own_node([stream(8, r) for r in range(3)])
-    Z, shapes = [], set()
-    for _ in range(steps):
-        for _ in range(2):
-            Z.append(node.standard_normal((len(_ROW_MAP), d)))
-            shapes.add(node.pulls["standard_normal"].buf.shape)
-    assert shapes == {(3, block, d)}
-    Z = np.stack(Z)
-    for r in range(3):
-        ref = stream(8, r)
-        expected = np.stack([ref.standard_normal(d) for _ in range(2 * steps)])
-        for row in np.flatnonzero(_ROW_MAP == r):
-            assert np.array_equal(Z[:, row], expected)
 
 
 def _blow_up_oracle(p, rate):
