@@ -214,13 +214,19 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
             raise UnsupportedCompositionError(
                 f"no derived bounds for compressor kind {c.kind!r}")
 
+    random = not (c.deterministic or identity)
+
+    def rows(G, n, rng):  # one row before a random map stands for n
+        if random and len(G) < n:
+            G = np.broadcast_to(G, (n, d))
+        return c.apply_rows(G, rng)
+
     oracle = BiasedOracle(
         name=f"{c.name}({inner.name})", dim=d,
         bounds=OracleBounds(),  # placeholder, replaced below
-        _query_batch=inner._query_batch.then(
-            lambda G, n, rng: c.apply_rows(G, rng), c),
+        _query_batch=inner._query_batch.then(rows, c),
         expected_query=expected,
-        deterministic=inner.deterministic and (c.deterministic or identity),
+        deterministic=inner.deterministic and not random,
     )
     if bounds_mode == "derived":
         return oracle.with_bounds(bounds)

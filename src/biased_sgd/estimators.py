@@ -19,11 +19,11 @@ from .oracles import BiasedOracle, OracleBounds
 from .problems import Problem
 
 SLACK = 5.0  # standard errors
-# rows per sampling chunk, whose moments are summed at once; a chunk is
-# drawn by queries of at most _QUERY_FLOATS floats (80 KiB) into one buffer
-# reused by every chunk and point, so that the queries' temporaries stay
-# under glibc's 128 KiB mmap threshold and come from its free lists instead
-# of being mapped and faulted in again on every chunk
+# rows per sampling chunk, whose moments are summed at once; a chunk wider
+# than _QUERY_FLOATS floats (80 KiB) is drawn by several queries into one
+# buffer reused by every chunk and point, so that the queries' temporaries
+# stay under glibc's 128 KiB mmap threshold and come from its free lists
+# instead of being mapped and faulted in again on every chunk
 _CHUNK = 2_048
 _QUERY_FLOATS = 10_240
 
@@ -81,9 +81,12 @@ def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
     ref = None  # the first sample: the moments are summed about it
     while done < n_samples:
         take = min(_CHUNK, n_samples - done)
-        G = buf[:take]  # no draw depends on how the samples split into queries
-        for lo in range(0, take, step):
-            G[lo:lo + step] = o.query_many(x, min(step, take - lo), rng.call())
+        if take <= step:
+            G = o.query_many(x, take, rng.call())
+        else:  # no draw depends on how the samples split into queries
+            G = buf[:take]
+            for lo in range(0, take, step):
+                G[lo:lo + step] = o.query_many(x, min(step, take - lo), rng.call())
         ref = G[0].copy() if ref is None else ref
         G -= ref
         sq = np.einsum("ij,ij->i", G, G)

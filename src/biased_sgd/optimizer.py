@@ -127,10 +127,10 @@ class RepeatedRuns:
 
 
 class _Pull:
-    """One draw kind's read-ahead over copies of `gens` jumped `jumps` times
-    (the draw's slot): each `next(row_shape)` gives every generator's next
-    row of that kind as `now`, a view of its block; the rows keep one shape.
-    `t` is the step a node last advanced it at.
+    """One draw's read-ahead over copies of `gens` jumped `jumps` times (the
+    draw's slot): each `next()` gives every generator's next row of `kind`,
+    of shape `row_shape`, as `now`, a view of its block. `t` is the step a
+    node last advanced it at.
 
     One call per generator fills the next B rows, one row per step, with B
     sized to _BLOCK_FLOATS over all generators (one row when wider), so a
@@ -138,20 +138,15 @@ class _Pull:
     of B draws of d, so B changes no value.
     """
 
-    def __init__(self, gens: list, kind: str, jumps: int = 0):
+    def __init__(self, gens: list, kind: str, jumps: int, row_shape: tuple):
         self.gens = [generator_at(g, g.bit_generator.state, jumps) for g in gens]
-        self.kind, self.row_shape, self.t = kind, None, None
+        self.kind, self.t = kind, None
+        width = len(gens) * int(np.prod(row_shape, dtype=np.int64))
+        rows = max(1, _BLOCK_FLOATS // max(1, width))
+        self.buf = np.empty((len(gens), rows, *row_shape))
+        self.pos = rows  # the block's next row
 
-    def next(self, row_shape: tuple) -> np.ndarray:
-        if self.row_shape is None:
-            self.row_shape = row_shape
-            width = len(self.gens) * int(np.prod(row_shape, dtype=np.int64))
-            rows = max(1, _BLOCK_FLOATS // max(1, width))
-            self.buf = np.empty((len(self.gens), rows, *row_shape))
-            self.pos = rows  # the block's next row
-        elif row_shape != self.row_shape:
-            raise ValueError(f"{self.kind} draws rows of shape {self.row_shape}, "
-                             f"not {row_shape}")
+    def next(self) -> np.ndarray:
         if self.pos == self.buf.shape[1]:
             for g, out in zip(self.gens, self.buf):
                 getattr(g, self.kind)(out=out)
@@ -244,10 +239,10 @@ class _Node:
 
     The node is its stage's `rng`. Its draws in step `t` take the slots from
     `slot` on, its parent's slot after the parent ran (0 for a first stage):
-    a draw of a kind takes, for each of its rows, that row's generator's row
-    of the `_Pull` in `pulls` for (kind, slot), made on the first draw of it
-    (over `gens`, jumped `slot` times) and advanced by the first node to
-    draw it in a step.
+    a draw takes, for each of its rows, that row's generator's row of the
+    `_Pull` in `pulls` for (kind, slot, row shape), made on the first draw
+    of it (over `gens`, jumped `slot` times) and advanced by the first node
+    to draw it in a step; a draw that step 0 did not make raises (`Stage`).
     """
 
     def __init__(self, fn, parent, gens: list, pulls: dict, order: int):
@@ -255,13 +250,15 @@ class _Node:
         self.order, self.members, self.rows = order, [], None
 
     def _draw(self, kind: str, size) -> np.ndarray:
-        key, self.slot = (kind, self.slot), self.slot + 1
+        key, self.slot = (kind, self.slot, tuple(size[1:])), self.slot + 1
         pull = self.pulls.get(key)
         if pull is None:
-            pull = self.pulls[key] = _Pull(self.gens, kind, key[1])
+            if self.t:
+                raise ValueError(f"{kind} draws rows of shape {key[2]}, unlike step 0")
+            pull = self.pulls[key] = _Pull(self.gens, *key)
         if pull.t != self.t:
             pull.t = self.t
-            pull.next(tuple(size[1:]))
+            pull.next()
         return pull.now.take(self.rows, axis=0)
 
     def standard_normal(self, size) -> np.ndarray:
@@ -277,7 +274,7 @@ def _share(members: list) -> tuple:
 
     Members on one generator list share their chains' stages up to the
     first that differs (`Stage.key`), and one dict of pulls, so stages
-    share a draw wherever the (kind, slot) matches.
+    share a draw wherever the (kind, slot, row shape) matches.
     """
     nodes, index, pulls = [], {}, {}
     for m in members:

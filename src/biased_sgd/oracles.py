@@ -6,10 +6,9 @@ Each oracle carries the bound parameters (m, zeta^2) on its bias and
     ||b(x)||^2        <= m * ||grad f(x)||^2 + zeta^2,        0 <= m < 1
     E ||n(x, xi)||^2  <= M * ||grad f(x) + b(x)||^2 + sigma^2
 
-Queries take an explicit numpy Generator, or anything with its
-`standard_normal(size)` and `random(size)`: the engine and the estimators
-give a call's n-th draw its own stream (`_rng.DrawStreams`). A fixed draw
-order makes every oracle stream bit-reproducible.
+Queries take a numpy Generator, or a draw source with its `standard_normal`
+and `random` that gives a call's n-th draw its own stream (`_rng.DrawStreams`,
+the engine's stage nodes); a fixed draw order makes every stream reproducible.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ class Stage(NamedTuple):
     (the query points X, for the first stage) to its own.
 
     Stages with equal keys compute equal rows from equal rows. A stage draws
-    the same kinds in the same order on every call, so the n-th draw of a
-    call is always one kind: the engine gives it its own stream.
+    the same kinds, of one row shape each, in the same order on every call:
+    the engine gives a call's n-th draw its own stream.
     """
 
     fn: Callable
@@ -58,15 +57,12 @@ class Stage(NamedTuple):
 class Chain(tuple):
     """An oracle's row map as data: its stages, applied in order.
 
-    A stage after the first gets n rows: one deterministic row before it is
-    seen n times.
+    A stage after the first may get one deterministic row that stands for
+    n (`BiasedOracle`); a stage that draws per row broadcasts it.
     """
 
-    def __call__(self, X: np.ndarray, n: int, rng) -> np.ndarray:
-        G = self[0].fn(X, n, rng)
-        for s in self[1:]:
-            if len(G) < n:
-                G = np.broadcast_to(G, (n, G.shape[1]))
+    def __call__(self, G: np.ndarray, n: int, rng) -> np.ndarray:
+        for s in self:  # G is first the query points X
             G = s.fn(G, n, rng)
         return G
 
@@ -82,8 +78,7 @@ class BiasedOracle:
     every draw has n rows, and a deterministic map may return its one row,
     so a point's deterministic part (grad f(x), f(x)) is computed once for
     any number of draws. It is a `Chain` of stages; any other row map passed
-    becomes a one-stage chain keyed by itself. The engine learns the map's
-    draws as it makes them: they follow the `Stage` contract.
+    becomes a one-stage chain keyed by itself, under the `Stage` contract.
     `query_batch(X)` is the map on (X, len(X)), `query(x)` on (x[None], 1)
     and `query_many(x, n)` on (x[None], n), always n fresh rows.
     `__post_init__` derives `_query` and `_query_many` from the row map

@@ -6,10 +6,10 @@ draws from `DrawStreams(stream(seed, r))` through the oracle's one-row
 on that row. The repeated runs' traces and aggregates, and the stepsize
 search's entries and history, are then built from these lane traces with
 the engine's documented rules. Seeded random cases mix the members of one
-engine run (oracle chains that share stages and chains that do not, and
-chains drawing one kind twice), constant stepsizes that diverge at once,
-mid-run or never, and patched block constants. A failure names its case
-seed.
+engine run (oracle chains that share stages and chains that do not,
+chains drawing one kind twice, and chains drawing rows of other shapes in
+one slot), constant stepsizes that diverge at once, mid-run or never, and
+patched block constants. A failure names its case seed.
 """
 
 import dataclasses
@@ -17,7 +17,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from biased_sgd import (StepSchedule, additive_bias_oracle, compressed_oracle,
+from biased_sgd import (BiasedOracle, OracleBounds, StepSchedule,
+                        additive_bias_oracle, compressed_oracle,
                         exact_oracle, gaussian_noise_oracle,
                         gaussian_smoothing_oracle, inexact_oracle,
                         make_nesterov_worst, optimizer, rand_k_compressor,
@@ -152,6 +153,12 @@ def _oracles(p, rng):
     def smoothing_noise():  # normals twice per call, in two stages
         return gaussian_noise_oracle(p, sig, inner=gaussian_smoothing_oracle(p, 0.1))
 
+    def column_noise():  # one normal per row, added to every coordinate
+        return BiasedOracle(
+            name="column_noise", dim=d, bounds=OracleBounds(),
+            _query_batch=lambda X, n, rng: p.grad_many(X)
+            + 0.5 * rng.standard_normal((n, 1)))
+
     return {
         "exact": lambda: exact_oracle(p),
         "noise": lambda: noise(),
@@ -172,12 +179,15 @@ def _oracles(p, rng):
         "smoothing": lambda: gaussian_smoothing_oracle(p, 0.1),
         "smoothing_noise": smoothing_noise,
         "wrapped_smoothing_noise": lambda: _wrapped(smoothing_noise()),
+        "column_noise": column_noise,
     }
 
 
-# members every few cases must mix: the draw slots disagree between rand_k
-# over exact (random first) and rand_k over noise (normals first), and a
-# chain drawing normals twice shares its first slot with the others' normals
+# members every few cases must mix (an odd number of mixes, so that the even
+# seeds that take one reach them all): the draw slots disagree between rand_k
+# over exact (random first) and rand_k over noise (normals first), a chain
+# drawing normals twice shares its first slot with the others' normals, and
+# a chain drawing one normal per row shares its slot with (n, d) normals
 _MIXES = [
     ["rand_k_exact", "rand_k_noise", "noise", "rand_k_noise_other"],
     ["noise", "top_k_noise", "rand_k_noise", "exact", "top_k_exact"],
@@ -185,6 +195,8 @@ _MIXES = [
     ["unbiased_noise", "rand_k_exact", "smoothing", "bias_over_noise"],
     ["smoothing_noise", "smoothing", "noise", "wrapped_smoothing_noise",
      "rand_k_noise"],
+    ["column_noise", "noise", "rand_k_noise"],
+    ["noise", "column_noise", "smoothing_noise"],
 ]
 
 

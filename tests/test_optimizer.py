@@ -266,7 +266,8 @@ _ROW_MAP = np.array([0, 1, 2, 0, 1, 2, 1])  # rows 0, 3 share generator 0
 
 def _own_node(gens, rows=_ROW_MAP):
     """A lone stage node as an `rng`: row i draws from gens[rows[i]], each
-    (kind, slot) from a pull the node makes on its first draw of it."""
+    (kind, slot, row shape) from a pull the node makes on its first draw of
+    it."""
     node = optimizer._Node(None, None, gens, {}, 0)
     node.rows, node.t = rows, -1
     return node
@@ -284,8 +285,8 @@ def _draw_steps(node, kind, steps, d, rows=len(_ROW_MAP)):
 
 
 def test_lane_streams_rows_sharing_a_generator_get_the_same_values():
-    node = _own_node([stream(5, r) for r in range(3)])
     for kind in ("standard_normal", "random"):
+        node = _own_node([stream(5, r) for r in range(3)])
         Z = _draw_steps(node, kind, 50, 4)
         for r in range(3):
             rows = Z[:, _ROW_MAP == r]
@@ -305,15 +306,15 @@ def test_lane_streams_one_kind_equals_per_step_draws(kind):
     steps = 2 * block + 37
     node = _own_node([stream(5, r) for r in range(3)])
     Z = _draw_steps(node, kind, steps, d)
-    assert node.pulls[kind, 0].buf.shape == (3, block, d)
+    assert node.pulls[kind, 0, (d,)].buf.shape == (3, block, d)
     for r in range(3):
         ref = stream(5, r)
         expected = np.stack([getattr(ref, kind)(d) for _ in range(steps)])
         for row in np.flatnonzero(_ROW_MAP == r):
             assert np.array_equal(Z[:, row], expected)
     # a shared pull, drawn once per step: row i of `now` is generator i's
-    pull = optimizer._Pull([stream(5, r) for r in range(3)], kind)
-    assert np.array_equal(np.stack([pull.next((d,)).copy() for _ in range(steps)]),
+    pull = optimizer._Pull([stream(5, r) for r in range(3)], kind, 0, (d,))
+    assert np.array_equal(np.stack([pull.next().copy() for _ in range(steps)]),
                           Z[:, :3])
 
 
@@ -331,7 +332,7 @@ def test_lane_streams_second_draw_reads_the_jumped_stream_in_blocks(second):
         Z.append(_step(node).standard_normal((len(_ROW_MAP), d)))
         U.append(getattr(node, second)((len(_ROW_MAP), d)))
     assert {k: pull.buf.shape for k, pull in node.pulls.items()} == {
-        ("standard_normal", 0): (3, block, d), (second, 1): (3, block, d)}
+        ("standard_normal", 0, (d,)): (3, block, d), (second, 1, (d,)): (3, block, d)}
     Z, U = np.stack(Z), np.stack(U)
     for r in range(3):
         base = stream(6, r)

@@ -1,13 +1,20 @@
 """Check that the CLI's outputs are those of another git revision.
 
-    python tools/parity.py REV [--full]
+    python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
 fixed list of `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's output tree and
 printed output, with the output path masked. Prints one `same` or
 `differs: <first file>` line per command and exits 1 if any command differs.
-`--full` adds `tune --figure fig6`, about 80 s per tree on one core.
+
+`tune --figure fig6` is left out (about 80 s per tree on one core); to check
+it, extract REV's `src/` the same way and compare by hand:
+
+    mkdir rev && git archive REV src | tar -x -C rev
+    PYTHONPATH=rev/src python -m biased_sgd.cli tune --figure fig6 --out a
+    PYTHONPATH=src python -m biased_sgd.cli tune --figure fig6 --out b
+    diff -r a b
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ tau = 0.1, 0.01
 }
 
 
-def commands(full: bool) -> list:
+def commands() -> list:
     """(label, CLI arguments) per command; `{cfg}` is the config directory."""
     cmds = [(f"sweep {fig} --workers {w}",
              ["sweep", "--figure", fig, "--workers", str(w)])
@@ -87,8 +94,6 @@ def commands(full: bool) -> list:
     cmds += [("verify --samples 20000", ["verify", "--samples", "20000"]),
              ("verify --samples 20000 --seed 1",
               ["verify", "--samples", "20000", "--seed", "1"])]
-    if full:
-        cmds.append(("tune fig6", ["tune", "--figure", "fig6"]))
     return cmds
 
 
@@ -113,7 +118,6 @@ def _run(src: Path, args: list, out: Path) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="the git revision to compare against")
-    ap.add_argument("--full", action="store_true", help="add `tune --figure fig6`")
     args = ap.parse_args(argv)
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
                          capture_output=True, check=True).stdout
@@ -126,7 +130,7 @@ def main(argv=None) -> int:
         cfg.mkdir()
         for name, text in CONFIGS.items():
             (cfg / f"{name}.cfg").write_text(text)
-        for i, (label, cli_args) in enumerate(commands(args.full)):
+        for i, (label, cli_args) in enumerate(commands()):
             cli_args = [a.replace("{cfg}", str(cfg)) for a in cli_args]
             a = _run(tmp / "rev" / "src", cli_args, tmp / "a" / str(i))
             b = _run(ROOT / "src", cli_args, tmp / "b" / str(i))
