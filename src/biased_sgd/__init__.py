@@ -6,7 +6,7 @@ from .compressors import (Compressor, UnsupportedCompositionError,
                           scale_compressor, top_k, top_k_compressor)
 from .estimators import (BoundEstimate, estimate_bias, estimate_noise,
                          fit_bounds, fit_oracle_bounds, probe_points,
-                         verify_declared)
+                         verify_declared, verify_declared_many)
 from .oracles import (BiasedOracle, OracleBounds, additive_bias_oracle,
                       exact_oracle, gaussian_noise_oracle,
                       gaussian_smoothing_oracle, gs_bounds, huber_shifted_oracle,

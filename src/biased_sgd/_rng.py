@@ -43,31 +43,48 @@ def generator_at(gen: np.random.Generator, state: dict,
 class DrawStreams:
     """The draws of one generator, each draw of a call on its own stream.
 
-    Row maps draw only through `standard_normal(size)` and `random(size)`.
-    After `call()` starts a call (one query), its n-th draw, whatever its
-    kind, comes from the generator's state at construction jumped n times, a
-    counter range 2^128 draws per jump (Salmon et al., SC'11, "Parallel
-    random numbers: as easy as 1, 2, 3"), and goes on where the earlier
-    calls' n-th draws of that kind stopped: one copy per (kind, slot), so
-    `gen` is not advanced. A one-draw row map draws what the generator would
-    give it, and no draw depends on how the calls split the samples.
+    Row maps draw only through `standard_normal(size)` and `random(size)`,
+    n rows of one row shape `size[1:]`. After `call()` starts a call (one
+    query), its n-th draw comes from the generator's state at construction
+    jumped n times, a counter range 2^128 draws per jump (Salmon et al.,
+    SC'11, "Parallel random numbers: as easy as 1, 2, 3"), and goes on where
+    the earlier calls' n-th draws of that kind and row shape stopped: one
+    copy per (kind, slot, row shape), as the engine keys its pulls, so `gen`
+    is not advanced. A one-draw row map draws what the generator would give
+    it, and no draw depends on how the calls split the samples.
+
+    `replay()` starts the call again for another row map of the same rows:
+    a draw the call has made is handed back, not made again, so row maps
+    that make one draw each get it once. Draws are read-only.
     """
 
     def __init__(self, gen: np.random.Generator):
-        self.gen, self.origin, self.gens, self.n = gen, gen.bit_generator.state, {}, 0
+        self.gen, self.origin, self.gens = gen, gen.bit_generator.state, {}
+        self.call()
 
     def call(self) -> "DrawStreams":
+        self.n, self.made = 0, {}
+        return self
+
+    def replay(self) -> "DrawStreams":
         self.n = 0
         return self
 
-    def _next(self, kind: str):
-        key, self.n = (kind, self.n), self.n + 1
-        if key not in self.gens:
-            self.gens[key] = generator_at(self.gen, self.origin, key[1])
-        return getattr(self.gens[key], kind)
+    def _draw(self, kind: str, size) -> np.ndarray:
+        key, self.n = (kind, self.n, tuple(size[1:])), self.n + 1
+        out = self.made.get(key)
+        if out is None:
+            if key not in self.gens:
+                self.gens[key] = generator_at(self.gen, self.origin, key[1])
+            out = self.made[key] = getattr(self.gens[key], kind)(size)
+            out.flags.writeable = False
+        elif out.shape != tuple(size):
+            raise ValueError(f"{kind} draws {out.shape[0]} and {size[0]} rows "
+                             "in one call")
+        return out
 
     def standard_normal(self, size) -> np.ndarray:
-        return self._next("standard_normal")(size)
+        return self._draw("standard_normal", size)
 
     def random(self, size) -> np.ndarray:
-        return self._next("random")(size)
+        return self._draw("random", size)

@@ -20,10 +20,11 @@ from .problems import Problem
 
 SLACK = 5.0  # standard errors
 # rows per sampling chunk, whose moments are summed at once; a chunk wider
-# than _QUERY_FLOATS floats (80 KiB) is drawn by several queries into one
-# buffer reused by every chunk and point, so that the queries' temporaries
-# stay under glibc's 128 KiB mmap threshold and come from its free lists
-# instead of being mapped and faulted in again on every chunk
+# than _QUERY_FLOATS floats (80 KiB) is drawn by several queries, so that
+# the queries' temporaries stay under glibc's 128 KiB mmap threshold and
+# come from its free lists instead of being mapped and faulted in again on
+# every chunk; each oracle's queries fill its own buffer, reused by every
+# chunk and point
 _CHUNK = 2_048
 _QUERY_FLOATS = 10_240
 
@@ -62,99 +63,127 @@ def probe_points(p: Problem, n_points: int, seed: int) -> list:
     return points
 
 
-def _collect(o: BiasedOracle, p: Problem, x: np.ndarray, samples: int,
-             rng: DrawStreams, buf: np.ndarray) -> PointStats:
-    d = o.dim
-    x = np.asarray(x, dtype=float)
-    grad = p.grad(x)
-    gns = float(grad @ grad)
-    n_samples = 2 if o.deterministic else int(samples)
+class _Moments:
+    """One oracle's samples at a point, as moment sums about its first sample
+    (so that the sums do not cancel where the mean is large against the
+    noise), added chunk by chunk."""
 
-    s1 = np.zeros(d)
-    s2 = 0.0
-    s4 = 0.0
-    s3 = np.zeros(d)
-    s5 = np.zeros((d, d))
-    done = 0
-    ones = np.ones(_CHUNK)
-    step = max(1, _QUERY_FLOATS // d)
-    ref = None  # the first sample: the moments are summed about it
-    while done < n_samples:
-        take = min(_CHUNK, n_samples - done)
-        if take <= step:
-            G = o.query_many(x, take, rng.call())
-        else:  # no draw depends on how the samples split into queries
-            G = buf[:take]
-            for lo in range(0, take, step):
-                G[lo:lo + step] = o.query_many(x, min(step, take - lo), rng.call())
-        ref = G[0].copy() if ref is None else ref
-        G -= ref
+    def __init__(self, d: int):
+        self.ref = None
+        self.s1, self.s3, self.s5 = np.zeros(d), np.zeros(d), np.zeros((d, d))
+        self.s2 = self.s4 = 0.0
+
+    def add(self, G: np.ndarray, ones: np.ndarray) -> None:
+        self.ref = G[0].copy() if self.ref is None else self.ref
+        G -= self.ref
         sq = np.einsum("ij,ij->i", G, G)
         # column sums as BLAS products: several times faster than axis-0 sums
-        w = ones[:take]
-        s1 += w @ G
-        s2 += float(w @ sq)
-        s4 += float(sq @ sq)
-        s3 += sq @ G
-        s5 += G.T @ G
+        w = ones[:len(G)]
+        self.s1 += w @ G
+        self.s2 += float(w @ sq)
+        self.s4 += float(sq @ sq)
+        self.s3 += sq @ G
+        self.s5 += G.T @ G
+
+    def stats(self, o: BiasedOracle, x: np.ndarray, grad: np.ndarray,
+              n_samples: int) -> PointStats:
+        n = float(n_samples)
+        mean_c = self.s1 / n  # mean - ref
+        mean = self.ref + mean_c
+        cov = (self.s5 - n * np.outer(mean_c, mean_c)) / (n - 1.0)
+        tr_cov = float(np.trace(cov))
+
+        if o.expected_query is not None:
+            bias = o.expected_query(x) - grad
+            bias_norm_sq = float(bias @ bias)
+            bias_se = 0.0
+            mean_norm_sq = float((grad + bias) @ (grad + bias))
+        else:
+            bias = mean - grad
+            # ||mean||^2 overestimates by tr(Cov(mean)) = tr(cov)/n at finite n
+            bias_norm_sq = max(0.0, float(bias @ bias) - tr_cov / n)
+            bias_se = float(np.sqrt(max(0.0,
+                4.0 * float(bias @ cov @ bias) / n
+                + 2.0 * float(np.trace(cov @ cov)) / (n * n))))
+            mean_norm_sq = max(0.0, float(mean @ mean) - tr_cov / n)
+
+        noise_var = max(0.0, tr_cov)
+        # spread of the per-sample squared deviations, from the moments about ref
+        mns = float(mean_c @ mean_c)
+        e_q2 = (self.s4 / n
+                - 4.0 * float((self.s3 / n) @ mean_c)
+                + 4.0 * float(mean_c @ (self.s5 / n) @ mean_c)
+                + 2.0 * mns * (self.s2 / n)
+                - 4.0 * mns * mns
+                + mns * mns)
+        e_q = self.s2 / n - mns
+        var_q = max(0.0, e_q2 - e_q * e_q)
+        noise_se = float(np.sqrt(var_q / n))
+
+        return PointStats(x=x, grad_norm_sq=float(grad @ grad),
+                          samples=n_samples, bias=bias,
+                          bias_norm_sq=bias_norm_sq, bias_se=bias_se,
+                          noise_var=noise_var, noise_se=noise_se,
+                          mean_norm_sq=mean_norm_sq,
+                          exact_bias=o.expected_query is not None)
+
+
+def _collect(oracles: list, x: np.ndarray, grad: np.ndarray, n_samples: int,
+             rng: DrawStreams, bufs: list) -> list:
+    """Each oracle's PointStats at x from n_samples samples, the oracles
+    sampled in lockstep: each query of a chunk asks every oracle in turn for
+    the same rows, through `rng.replay()`, so a draw that several of them
+    make is made once, and each oracle's queries fill its buffer in `bufs`.
+    """
+    sums = [_Moments(len(x)) for _ in oracles]
+    ones = np.ones(_CHUNK)
+    step = max(1, _QUERY_FLOATS // len(x))
+    done = 0
+    while done < n_samples:
+        take = min(_CHUNK, n_samples - done)
+        for lo in range(0, take, step):  # no draw depends on the split
+            rows = min(step, take - lo)
+            rng.call()
+            for o, buf in zip(oracles, bufs):
+                buf[lo:lo + rows] = o.query_many(x, rows, rng.replay())
+        for m, buf in zip(sums, bufs):
+            m.add(buf[:take], ones)
         done += take
-    n = float(n_samples)
-    mean_c = s1 / n  # mean - ref
-    mean = ref + mean_c
-    cov = (s5 - n * np.outer(mean_c, mean_c)) / (n - 1.0)
-    tr_cov = float(np.trace(cov))
-
-    if o.expected_query is not None:
-        bias = o.expected_query(x) - grad
-        bias_norm_sq = float(bias @ bias)
-        bias_se = 0.0
-        mean_norm_sq = float((grad + bias) @ (grad + bias))
-    else:
-        bias = mean - grad
-        # ||mean||^2 overestimates by tr(Cov(mean)) = tr(cov)/n at finite n
-        bias_norm_sq = max(0.0, float(bias @ bias) - tr_cov / n)
-        bias_se = float(np.sqrt(max(0.0,
-            4.0 * float(bias @ cov @ bias) / n
-            + 2.0 * float(np.trace(cov @ cov)) / (n * n))))
-        mean_norm_sq = max(0.0, float(mean @ mean) - tr_cov / n)
-
-    noise_var = max(0.0, tr_cov)
-    # spread of the per-sample squared deviations, from the moments about ref
-    mns = float(mean_c @ mean_c)
-    e_q2 = (s4 / n
-            - 4.0 * float((s3 / n) @ mean_c)
-            + 4.0 * float(mean_c @ (s5 / n) @ mean_c)
-            + 2.0 * mns * (s2 / n)
-            - 4.0 * mns * mns
-            + mns * mns)
-    e_q = s2 / n - mns
-    var_q = max(0.0, e_q2 - e_q * e_q)
-    noise_se = float(np.sqrt(var_q / n))
-
-    return PointStats(x=x, grad_norm_sq=gns, samples=n_samples, bias=bias,
-                      bias_norm_sq=bias_norm_sq, bias_se=bias_se,
-                      noise_var=noise_var, noise_se=noise_se,
-                      mean_norm_sq=mean_norm_sq,
-                      exact_bias=o.expected_query is not None)
+    return [m.stats(o, x, grad, n_samples) for o, m in zip(oracles, sums)]
 
 
-def _collect_points(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
-                    samples: int, seed: int, tag: int,
-                    min_samples: int = 2) -> list:
-    """`_collect` at every point, point i drawing from stream (seed, tag, i).
+def _collect_points(oracles: Sequence[BiasedOracle], p: Problem,
+                    points: Sequence[np.ndarray], samples: int, seed: int,
+                    tag: int, min_samples: int = 2) -> list:
+    """Per oracle, its `_collect` stats at every point, point i drawing from
+    stream (seed, tag, i).
 
     Each draw of a query has its own stream (`DrawStreams`), so the samples
-    do not depend on how they are split into chunks.
+    do not depend on how they are split into chunks, nor on which other
+    oracles are sampled beside them: the oracles that take as many samples
+    are sampled in lockstep, from one `DrawStreams` per point. grad f is
+    computed once per point.
 
     A stochastic oracle needs at least 2 samples per point (the covariance
     divides by n - 1); a deterministic one is always sampled twice.
     """
-    if samples < min_samples and not o.deterministic:
+    if samples < min_samples and not all(o.deterministic for o in oracles):
         raise ValueError(f"samples must be >= {min_samples} for stochastic "
                          f"oracles, got {samples}")
-    buf = np.empty((_CHUNK, o.dim))
-    return [_collect(o, p, x, samples, DrawStreams(stream(seed, tag, i)), buf)
-            for i, x in enumerate(points)]
+    lots = {}  # sample count -> the oracles sampled in lockstep
+    for j, o in enumerate(oracles):
+        lots.setdefault(2 if o.deterministic else int(samples), []).append(j)
+    bufs = [np.empty((_CHUNK, p.dim)) for _ in range(max(map(len, lots.values())))]
+    stats = [[] for _ in oracles]
+    for i, x in enumerate(points):
+        x = np.asarray(x, dtype=float)
+        grad = p.grad(x)
+        for n, lot in lots.items():
+            rng = DrawStreams(stream(seed, tag, i))
+            for j, s in zip(lot, _collect([oracles[j] for j in lot], x, grad,
+                                          n, rng, bufs)):
+                stats[j].append(s)
+    return stats
 
 
 def estimate_bias(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
@@ -163,13 +192,15 @@ def estimate_bias(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
 
     Exact (zero SE) when the oracle exposes its mean in closed form.
     """
-    return _collect_points(o, p, points, samples, seed, 0xB1, min_samples=1000)
+    return _collect_points([o], p, points, samples, seed, 0xB1,
+                           min_samples=1000)[0]
 
 
 def estimate_noise(o: BiasedOracle, p: Problem, points: Sequence[np.ndarray],
                    samples: int = 100_000, seed: int = 0) -> list:
     """Per-point noise variances around the query mean, with standard errors."""
-    return _collect_points(o, p, points, samples, seed, 0xA3, min_samples=1000)
+    return _collect_points([o], p, points, samples, seed, 0xA3,
+                           min_samples=1000)[0]
 
 
 @dataclass
@@ -253,8 +284,8 @@ def fit_bounds(stats: Sequence[PointStats]) -> BoundEstimate:
 def fit_oracle_bounds(o: BiasedOracle, p: Problem, n_points: int = 10,
                       samples: int = 4000, seed: int = 0) -> BoundEstimate:
     """Probe, sample, and fit in one call (used for estimated composed bounds)."""
-    return fit_bounds(_collect_points(o, p, probe_points(p, n_points, seed),
-                                      samples, seed, 0xE5))
+    return fit_bounds(_collect_points([o], p, probe_points(p, n_points, seed),
+                                      samples, seed, 0xE5)[0])
 
 
 @dataclass
@@ -292,9 +323,23 @@ def verify_declared(o: BiasedOracle, p: Problem, n_points: int = 20,
     Violations are data, not errors: the report carries the worst margin per
     assumption along with a full envelope fit for the table output.
     """
+    return verify_declared_many([o], p, n_points, samples, seed)[0]
+
+
+def verify_declared_many(oracles: Sequence[BiasedOracle], p: Problem,
+                         n_points: int = 20, samples: int = 100_000,
+                         seed: int = 0) -> list:
+    """`verify_declared` of each oracle on p, one report each, the oracles
+    sampled in lockstep (`_collect_points`): each report is the one
+    `verify_declared` gives alone, and a draw the oracles share is made once.
+    """
+    per_oracle = _collect_points(oracles, p, probe_points(p, n_points, seed),
+                                 samples, seed, 0xC7)
+    return [_verdict(o, stats) for o, stats in zip(oracles, per_oracle)]
+
+
+def _verdict(o: BiasedOracle, stats: list) -> VerdictReport:
     b = o.bounds
-    stats = _collect_points(o, p, probe_points(p, n_points, seed),
-                            samples, seed, 0xC7)
 
     def check(name, values, ses, rhs):
         excess = np.array([v - r - SLACK * s for v, s, r in zip(values, ses, rhs)])

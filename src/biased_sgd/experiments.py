@@ -110,12 +110,10 @@ def _resolved_stepsize(cfg: ExperimentConfig, p: Problem,
 
 
 def write_trace_csv(path: str, agg: RepeatedRuns) -> None:
-    lines = [CSV_HEADER]
-    for i in range(len(agg.t)):
-        lines.append(f"{int(agg.t[i])},{float(agg.mean_f_gap[i])!r},"
-                     f"{float(agg.se_f_gap[i])!r},"
-                     f"{float(agg.mean_grad_norm_sq[i])!r},"
-                     f"{float(agg.se_grad_norm_sq[i])!r}")
+    cols = (agg.t.astype(np.int64), agg.mean_f_gap, agg.se_f_gap,
+            agg.mean_grad_norm_sq, agg.se_grad_norm_sq)
+    lines = [CSV_HEADER] + [f"{t},{a!r},{b!r},{c!r},{d!r}"
+                            for t, a, b, c, d in zip(*(c.tolist() for c in cols))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -529,14 +527,17 @@ TABLE1_SPECS = (
 
 def table1_oracles() -> list:
     """(row name, problem, oracle) for every implemented special-case row, on
-    the default quadratic unless the row names its dimension."""
-    rows = []
+    the default quadratic unless the row names its dimension; rows on one
+    problem config share one problem, as a sweep part's oracles do."""
+    rows, problems = [], {}
     for spec in TABLE1_SPECS:
         name, overrides = spec[0], dict(spec[1])
         cfg = ExperimentConfig().with_overrides(**overrides)
         if len(spec) > 2:
             cfg = replace(cfg, problem=replace(cfg.problem, dim=spec[2]))
-        p = build_problem(cfg)
+        if cfg.problem not in problems:
+            problems[cfg.problem] = build_problem(cfg)
+        p = problems[cfg.problem]
         o, _ = build_oracle(cfg, p)
         rows.append((name, p, o))
     return rows
@@ -545,7 +546,8 @@ def table1_oracles() -> list:
 def verify_experiment(cfg: Optional[ExperimentConfig], out_dir: Optional[str],
                       samples: int = 100_000, n_points: int = 20,
                       seed: int = 0) -> tuple[list, str]:
-    """verify_declared for the configured oracle, or all special-case rows.
+    """verify_declared for the configured oracle, or all special-case rows,
+    the rows on one problem sampled in lockstep (`verify_declared_many`).
 
     Returns (reports, table): the (row name, report) pairs and the markdown
     table mirroring the declared vs fitted parameters, which is also written
@@ -559,11 +561,13 @@ def verify_experiment(cfg: Optional[ExperimentConfig], out_dir: Optional[str],
     else:
         rows = table1_oracles()
 
-    reports = []
-    for name, p, o in rows:
-        rep = estimators.verify_declared(o, p, n_points=n_points,
-                                         samples=samples, seed=seed)
-        reports.append((name, rep))
+    reports = [None] * len(rows)
+    for p in {id(p): p for _, p, _ in rows}.values():
+        lot = [i for i, row in enumerate(rows) if row[1] is p]
+        for i, rep in zip(lot, estimators.verify_declared_many(
+                [rows[i][2] for i in lot], p, n_points=n_points,
+                samples=samples, seed=seed)):
+            reports[i] = (rows[i][0], rep)
 
     lines = ["| oracle | m | zeta^2 | M | sigma^2 | m_hat | zeta^2_hat | M_hat "
              "| sigma^2_hat | bias | noise |",

@@ -47,7 +47,9 @@ class Stage(NamedTuple):
 
     Stages with equal keys compute equal rows from equal rows. A stage draws
     the same kinds, of one row shape each, in the same order on every call:
-    the engine gives a call's n-th draw its own stream.
+    the engine gives a call's n-th draw its own stream. A stage does not
+    write into its draws: the estimators hand one read-only draw to every
+    oracle that makes it.
     """
 
     fn: Callable
@@ -103,9 +105,11 @@ class BiasedOracle:
         if self._query is None:
             object.__setattr__(self, "_query", lambda x, rng: rows(x[None], 1, rng)[0])
         if self._query_many is None:
-            def many(x, n, rng):  # n writable rows: _collect subtracts in place
+            def many(x, n, rng):  # n fresh, writable rows
                 G = rows(x[None], n, rng)
-                return G if len(G) == n else np.repeat(G, n, axis=0)
+                if len(G) < n:
+                    return np.repeat(G, n, axis=0)
+                return G if G.flags.writeable else G.copy()  # a draw itself
             object.__setattr__(self, "_query_many", many)
 
     def query(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,8 @@ from biased_sgd import (BiasedOracle, OracleBounds, additive_bias_oracle,
                         gaussian_smoothing_oracle, make_nesterov_worst,
                         probe_points, rand_k_compressor, synthetic_tight_oracle,
                         tightness_oracle, top_k_compressor, uniform_direction,
-                        verify_declared)
-from biased_sgd import estimators
+                        verify_declared, verify_declared_many)
+from biased_sgd import estimators, experiments
 from biased_sgd.estimators import fit_envelope
 from biased_sgd._rng import DrawStreams, stream
 
@@ -199,7 +200,7 @@ def test_collect_independent_of_chunk_size(build, monkeypatch):
     pts = probe_points(p, 3, seed=14)
 
     def stats():
-        return estimators._collect_points(o, p, pts, 5000, seed=14, tag=0x14)
+        return estimators._collect_points([o], p, pts, 5000, seed=14, tag=0x14)[0]
 
     default = stats()
     monkeypatch.setattr(estimators, "_CHUNK", 7)
@@ -235,6 +236,115 @@ def test_noise_se_does_not_cancel_far_from_the_optimum(monkeypatch):
     ses = []
     for chunk in (7, 13, 100, 999, 2_048, 4_096, 20_000):
         monkeypatch.setattr(estimators, "_CHUNK", chunk)
-        (s,) = estimators._collect_points(o, p, [x], 5000, seed=14, tag=0x14)
+        ((s,),) = estimators._collect_points([o], p, [x], 5000, seed=14, tag=0x14)
         ses.append(s.noise_se)
     assert max(ses) - min(ses) <= 1e-12 * min(ses)
+
+
+def _same_stats(a, b):
+    for f in dataclasses.fields(estimators.PointStats):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert va.tobytes() == vb.tobytes(), f.name
+        else:
+            assert va == vb, f.name
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_grouped_table1_equals_each_row_alone(seed):
+    # the rows on one problem are sampled in lockstep and share their draws;
+    # each report is still the one verify_declared gives the row alone
+    rows = experiments.table1_oracles()
+    assert len({id(p) for _, p, _ in rows}) == 3  # d = 10, 2 and 5
+    reports, _ = experiments.verify_experiment(None, None, samples=3000,
+                                               n_points=6, seed=seed)
+    for (name, p, o), (got_name, got) in zip(rows, reports):
+        alone = verify_declared(o, p, n_points=6, samples=3000, seed=seed)
+        assert got_name == name and got.oracle == alone.oracle
+        assert len(got.stats) == len(alone.stats) == 6
+        for a, b in zip(got.stats, alone.stats):
+            _same_stats(a, b)
+        for field in ("declared", "bias", "noise"):
+            assert getattr(got, field) == getattr(alone, field), (name, field)
+        assert got.fitted.bias_fit == alone.fitted.bias_fit
+        assert got.fitted.noise_fit == alone.fitted.noise_fit
+
+
+def _custom(p, rows, name="custom"):
+    return BiasedOracle(name=name, dim=p.dim, bounds=OracleBounds(),
+                        _query_batch=rows)
+
+
+@pytest.mark.parametrize("pair", ["column_beside_noise", "draw_beside_noise"])
+def test_lockstep_oracles_equal_their_standalone_stats(pair):
+    # a (n, 1) draw takes its own stream beside the noise's (n, d) one in the
+    # same slot; a row map that returns its draw unchanged gets the draw the
+    # noise stage adds, read-only, and neither writes it
+    p = make_nesterov_worst(10)
+    if pair == "column_beside_noise":
+        first = _custom(p, lambda X, n, rng:
+                        p.grad_many(X) + rng.standard_normal((n, 1)))
+    else:
+        first = _custom(p, lambda X, n, rng: rng.standard_normal((n, p.dim)))
+    oracles = [first, gaussian_noise_oracle(p, 1.0)]
+    pts = probe_points(p, 3, seed=16)
+    # 5000 samples of d = 10: chunks of two 1,024-row queries, then a short one
+    together = estimators._collect_points(oracles, p, pts, 5000, seed=16, tag=0x16)
+    for o, stats in zip(oracles, together):
+        (alone,) = estimators._collect_points([o], p, pts, 5000, seed=16, tag=0x16)
+        for a, b in zip(stats, alone):
+            _same_stats(a, b)
+
+
+def test_shared_draws_are_never_written():
+    p = make_nesterov_worst(10)
+    seen = []
+
+    def recording(X, n, rng):
+        U = rng.standard_normal((n, p.dim))
+        seen.append(U)
+        return p.grad_many(X) + U
+
+    oracles = [_custom(p, recording, "recording"),
+               _custom(p, lambda X, n, rng: rng.standard_normal((n, p.dim))),
+               gaussian_noise_oracle(p, 1.0)]
+    x = probe_points(p, 1, seed=17)[0]
+    estimators._collect_points(oracles, p, [x], 5000, seed=17, tag=0x17)
+    assert not any(U.flags.writeable for U in seen)
+    # after every oracle has used them, the draws are still the generator's
+    fresh = stream(17, 0x17, 0).standard_normal((5000, p.dim))
+    assert np.concatenate(seen).tobytes() == fresh.tobytes()
+
+    def writing(X, n, rng):
+        U = rng.standard_normal((n, p.dim))
+        U *= 2.0
+        return U
+
+    with pytest.raises(ValueError, match="read-only"):
+        estimators._collect_points([_custom(p, writing)], p, [x], 10,
+                                   seed=17, tag=0x17)
+
+    # a draw of other than n rows cannot stand in for another oracle's draw
+    one_row = _custom(p, lambda X, n, rng: X + rng.standard_normal((1, p.dim)))
+    with pytest.raises(ValueError, match="rows in one call"):
+        estimators._collect_points([gaussian_noise_oracle(p, 1.0), one_row],
+                                   p, [x], 10, seed=17, tag=0x17)
+
+
+def test_grouped_verify_refuses_fewer_than_two_samples_before_drawing():
+    p = make_nesterov_worst(4)
+    calls = []
+
+    def rows(X, n, rng):
+        calls.append(n)
+        return p.grad_many(X) + rng.standard_normal((n, p.dim))
+
+    group = [exact_oracle(p), _custom(p, rows), gaussian_noise_oracle(p, 1.0)]
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            verify_declared_many(group, p, n_points=5, samples=samples)
+    assert calls == []
+    # deterministic oracles alone are sampled twice whatever is asked
+    reps = verify_declared_many([exact_oracle(p), exact_oracle(p)], p,
+                                n_points=5, samples=0)
+    assert all(r.ok and r.stats[0].samples == 2 for r in reps)

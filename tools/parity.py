@@ -59,7 +59,8 @@ CONFIGS = {
     # and compressor stages differ
     "tune_mixed": _TUNE.format(noise="1.0, 100.0", bias="bias_zeta = 0.0, 0.1\n",
                                max_T=2000),
-    # Gaussian smoothing under noise: normals drawn in two stages
+    # Gaussian smoothing under noise: normals drawn in two stages (and, for
+    # verify, one oracle on its own)
     "gs_noise": """\
 [oracle]
 kind = gaussian_smoothing
@@ -93,7 +94,9 @@ def commands() -> list:
              for w in (1, 2)]
     cmds += [("verify --samples 20000", ["verify", "--samples", "20000"]),
              ("verify --samples 20000 --seed 1",
-              ["verify", "--samples", "20000", "--seed", "1"])]
+              ["verify", "--samples", "20000", "--seed", "1"]),
+             ("verify gs_noise --samples 20000",
+              ["verify", "--config", "{cfg}/gs_noise.cfg", "--samples", "20000"])]
     return cmds
 
 
