@@ -51,7 +51,9 @@ class DrawStreams:
     the earlier calls' n-th draws of that kind and row shape stopped: one
     copy per (kind, slot, row shape), as the engine keys its pulls, so `gen`
     is not advanced. A one-draw row map draws what the generator would give
-    it, and no draw depends on how the calls split the samples.
+    it, and no draw depends on how the calls split the samples. A later
+    call's draw that the first call to draw did not make raises, as the
+    engine's does after step 0: a fresh copy would hand out numbers again.
 
     `replay()` starts the call again for another row map of the same rows:
     a draw the call has made is handed back, not made again, so row maps
@@ -63,7 +65,7 @@ class DrawStreams:
         self.call()
 
     def call(self) -> "DrawStreams":
-        self.n, self.made = 0, {}
+        self.n, self.made, self.fixed = 0, {}, bool(self.gens)
         return self
 
     def replay(self) -> "DrawStreams":
@@ -75,6 +77,9 @@ class DrawStreams:
         out = self.made.get(key)
         if out is None:
             if key not in self.gens:
+                if self.fixed:
+                    raise ValueError(f"{kind} draw {key[1]} of row shape "
+                                     f"{key[2]}, unlike the first call")
                 self.gens[key] = generator_at(self.gen, self.origin, key[1])
             out = self.made[key] = getattr(self.gens[key], kind)(size)
             out.flags.writeable = False

@@ -17,7 +17,7 @@ from .compressors import (Compressor, UnsupportedCompositionError,
                           rand_k_unbiased_compressor, scale_compressor,
                           top_k_compressor)
 from .config import (ConfigError, ExperimentConfig, OracleSpec, RunSpec,
-                     SweepSpec, TuneSpec, parse_config, problem_dim)
+                     SweepSpec, TuneSpec, _fmt_value, parse_config, problem_dim)
 from .oracles import (BiasedOracle, additive_bias_oracle, exact_oracle,
                       gaussian_noise_oracle, gaussian_smoothing_oracle,
                       huber_shifted_oracle, inexact_oracle, tightness_oracle,
@@ -197,13 +197,9 @@ def expand_cells(cfg: ExperimentConfig) -> list:
     cells = []
     for combo in itertools.product(*values):
         overrides = dict(zip(keys, combo))
-        label = "_".join(f"{k}={_label_value(v)}" for k, v in overrides.items())
+        label = "_".join(f"{k}={_fmt_value(v)}" for k, v in overrides.items())
         cells.append((label, overrides))
     return cells
-
-
-def _label_value(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _cell_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
@@ -398,7 +394,7 @@ def _placement(cfg: ExperimentConfig, label: str, overrides: dict) -> tuple:
     s = cfg.sweep or SweepSpec()
 
     def axis(key: str) -> str:
-        return f"{key}={_label_value(overrides[key])}"
+        return f"{key}={_fmt_value(overrides[key])}"
 
     series = s.series_by.strip()
     title = ", ".join(map(axis, s.panel_keys)) or "sweep"

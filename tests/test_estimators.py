@@ -331,6 +331,32 @@ def test_shared_draws_are_never_written():
                                    p, [x], 10, seed=17, tag=0x17)
 
 
+def test_a_draw_the_first_call_did_not_make_raises():
+    # a fresh copy of the stream would hand out the first call's numbers again
+    rng = DrawStreams(stream(18))
+    first = rng.call().standard_normal((2, 4))
+    rng.call().standard_normal((2, 4))
+    with pytest.raises(ValueError, match="unlike the first call"):
+        rng.call().standard_normal((2, 1))
+    # the check counts from the first call that drew, not from the calls
+    # that construction and each chunk start before any draw
+    rng = DrawStreams(stream(18)).call().call()
+    assert rng.standard_normal((2, 4)).tobytes() == first.tobytes()
+
+    p = make_nesterov_worst(10)
+    queries = []
+
+    def late_column(X, n, rng):
+        queries.append(n)
+        G = p.grad_many(X) + rng.standard_normal((n, p.dim))
+        return G + rng.standard_normal((n, 1)) if len(queries) > 1 else G
+
+    x = probe_points(p, 1, seed=18)[0]
+    with pytest.raises(ValueError, match="unlike the first call"):
+        estimators._collect_points([_custom(p, late_column)], p, [x], 5000,
+                                   seed=18, tag=0x18)
+
+
 def test_grouped_verify_refuses_fewer_than_two_samples_before_drawing():
     p = make_nesterov_worst(4)
     calls = []

@@ -1,0 +1,71 @@
+"""tools/parity.py's comparisons, with the CLI runs stubbed: no CLI process
+starts."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
+_spec = importlib.util.spec_from_file_location("parity", _PATH)
+parity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(parity)
+
+
+def _stub(split_by_workers: bool):
+    """A `_run` that writes one file, whose bytes depend on the `--workers`
+    value when `split_by_workers`, and prints both its paths."""
+    def run(src, args, out):
+        out.mkdir(parents=True)
+        workers = args[args.index("--workers") + 1] if "--workers" in args else "1"
+        text = f"parts {workers}" if split_by_workers else "one result"
+        (out / "result.txt").write_text(text)
+        printed = f"{src}/biased_sgd/experiments.py:1: RuntimeWarning\nwrote {out}\n"
+        return 0, printed.encode()
+    return run
+
+
+@pytest.mark.parametrize("split_by_workers", [False, True])
+def test_each_command_is_compared_with_rev_and_its_workers_1_twin(
+        monkeypatch, tmp_path, capsys, split_by_workers):
+    monkeypatch.setattr(parity, "_run", _stub(split_by_workers))
+    rev_src = tmp_path / "rev" / "src"
+    code = parity.compare(rev_src, tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(parity.commands()) == 23
+    for (label, args), line in zip(parity.commands(), lines):
+        # both trees print their own src and out paths, masked to one text
+        assert line.startswith(f"{label}: same")
+        assert line.endswith(" s here]")
+        assert "failed" not in line
+        twin = "--workers" in args and args[args.index("--workers") + 1] != "1"
+        if not twin:
+            assert "as --workers 1" not in line
+        elif split_by_workers:
+            assert "; as --workers 1: differs: result.txt  [" in line
+        else:
+            assert "; as --workers 1: same  [" in line
+    assert code == (1 if split_by_workers else 0)
+
+
+def test_a_command_that_fails_on_both_trees_fails_the_check(
+        monkeypatch, tmp_path, capsys):
+    # the same error on both trees is no difference, but still a failure
+    monkeypatch.setattr(parity, "_run", lambda src, args, out: (2, b"error: x"))
+    code = parity.compare(tmp_path / "rev" / "src", tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 23
+    assert all("same" in line and "; failed: exit code 2  [" in line
+               for line in lines)
+    assert code == 1
+
+
+def test_a_command_without_its_workers_1_twin_is_reported(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(parity, "_run", _stub(False))
+    monkeypatch.setattr(parity, "commands", lambda: [
+        ("sweep fig1 --workers 2", ["sweep", "--figure", "fig1", "--workers", "2"])])
+    code = parity.compare(tmp_path / "rev" / "src", tmp_path)
+    line, = capsys.readouterr().out.splitlines()
+    assert "; as --workers 1: differs: no --workers 1 twin before it  [" in line
+    assert code == 1

@@ -1,12 +1,19 @@
-"""Check that the CLI's outputs are those of another git revision.
+"""Check that the CLI's outputs are those of another git revision, and that
+they do not depend on `--workers`.
 
     python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
 fixed list of `biased-sgd` commands on that tree and on this checkout's
-`src/` (BLAS threads set to 1), and compares each command's output tree and
-printed output, with the output path masked. Prints one `same` or
-`differs: <first file>` line per command and exits 1 if any command differs.
+`src/` (BLAS threads set to 1), and compares each command's exit code,
+printed output and output files, with the output path and each tree's `src`
+path masked. In the checkout, a command run under `--workers n` is compared
+the same way with its `--workers 1` twin. Prints one line per command: the
+result against REV (`same` or `differs: <first file>`), the result against
+the twin where it has one, `failed` if the command exits non-zero in the
+checkout, and the wall time on each tree; exits 1 if any command fails or
+any comparison differs. With REV = HEAD on a clean checkout, every command is
+rerun on the same code.
 
 `tune --figure fig6` is left out (about 80 s per tree on one core); to check
 it, extract REV's `src/` the same way and compare by hand:
@@ -26,6 +33,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,7 +85,9 @@ tau = 0.1, 0.01
 
 
 def commands() -> list:
-    """(label, CLI arguments) per command; `{cfg}` is the config directory."""
+    """(label, CLI arguments) per command; `{cfg}` is the config directory.
+    Each `--workers 1` command comes before its `--workers n` twins, which
+    `compare` checks against it."""
     cmds = [(f"sweep {fig} --workers {w}",
              ["sweep", "--figure", fig, "--workers", str(w)])
             for fig in ("fig1", "fig2", "fig3", "fig5", "fig6") for w in (1, 2)]
@@ -95,27 +105,81 @@ def commands() -> list:
     cmds += [("verify --samples 20000", ["verify", "--samples", "20000"]),
              ("verify --samples 20000 --seed 1",
               ["verify", "--samples", "20000", "--seed", "1"]),
+             ("verify fig1 --samples 20000",
+              ["verify", "--figure", "fig1", "--samples", "20000"]),
              ("verify gs_noise --samples 20000",
               ["verify", "--config", "{cfg}/gs_noise.cfg", "--samples", "20000"])]
     return cmds
 
 
-def _run(src: Path, args: list, out: Path) -> dict:
-    """Run the CLI of the package under `src`; {relative path: bytes}, with
-    the exit code and printed output as two more entries, `out` masked."""
+def _run(src: Path, args: list, out: Path) -> tuple:
+    """Run the CLI of the package under `src`, writing to `out`; (exit code,
+    printed output)."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from biased_sgd.cli import main; sys.exit(main(sys.argv[1:]))",
          *args, "--out", str(out)], env=env, capture_output=True)
-    mask = str(out).encode()
-    got = {"exit code": str(proc.returncode).encode(),
-           "printed output": (proc.stdout + proc.stderr).replace(mask, b"<out>")}
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def _outputs(src: Path, args: list, out: Path) -> tuple:
+    """({relative path: bytes} of the files `_run` writes, with the exit code
+    and printed output as two more entries, `out` and `src` masked; the wall
+    seconds of the run)."""
+    start = time.perf_counter()
+    code, printed = _run(src, args, out)
+    wall = time.perf_counter() - start
+
+    def mask(data: bytes) -> bytes:
+        return (data.replace(str(out).encode(), b"<out>")
+                .replace(str(src).encode(), b"<src>"))
+
+    got = {"exit code": str(code).encode(), "printed output": mask(printed)}
     for f in sorted(out.rglob("*")) if out.exists() else ():
         if f.is_file():
-            got[str(f.relative_to(out))] = f.read_bytes().replace(mask, b"<out>")
-    return got
+            got[str(f.relative_to(out))] = mask(f.read_bytes())
+    return got, wall
+
+
+def _verdict(a: dict, b: dict) -> str:
+    first = next((k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)),
+                 None)
+    return "same" if first is None else f"differs: {first}"
+
+
+def compare(rev_src: Path, tmp: Path) -> int:
+    """Run every command on the package under `rev_src` and on this
+    checkout's, in directories under `tmp`; print one line per command and
+    return 1 if any command exits non-zero in the checkout, or any output
+    differs from REV's or from its `--workers 1` twin's, else 0."""
+    cfg = tmp / "cfg"
+    cfg.mkdir()
+    for name, text in CONFIGS.items():
+        (cfg / f"{name}.cfg").write_text(text)
+    twins, differs = {}, 0
+    for i, (label, cli_args) in enumerate(commands()):
+        cli_args = [a.replace("{cfg}", str(cfg)) for a in cli_args]
+        a, wall_a = _outputs(rev_src, cli_args, tmp / "a" / str(i))
+        b, wall_b = _outputs(ROOT / "src", cli_args, tmp / "b" / str(i))
+        verdicts = [_verdict(a, b)]
+        if "--workers" in cli_args:
+            w = cli_args.index("--workers")
+            twin = tuple(cli_args[:w] + cli_args[w + 2:])
+            if cli_args[w + 1] == "1":
+                twins[twin] = b
+            elif twin in twins:
+                verdicts.append(_verdict(twins[twin], b))
+            else:
+                verdicts.append("differs: no --workers 1 twin before it")
+        failed = b["exit code"] != b"0"
+        differs += failed or any(v != "same" for v in verdicts)
+        print(f"{label}: {verdicts[0]}"
+              + "".join(f"; as --workers 1: {v}" for v in verdicts[1:])
+              + (f"; failed: exit code {b['exit code'].decode()}" if failed else "")
+              + f"  [{wall_a:.1f} s at REV, {wall_b:.1f} s here]", flush=True)
+    return 1 if differs else 0
 
 
 def main(argv=None) -> int:
@@ -124,25 +188,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
                          capture_output=True, check=True).stdout
-    differs = 0
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
         with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
             tf.extractall(tmp / "rev", filter="data")
-        cfg = tmp / "cfg"
-        cfg.mkdir()
-        for name, text in CONFIGS.items():
-            (cfg / f"{name}.cfg").write_text(text)
-        for i, (label, cli_args) in enumerate(commands()):
-            cli_args = [a.replace("{cfg}", str(cfg)) for a in cli_args]
-            a = _run(tmp / "rev" / "src", cli_args, tmp / "a" / str(i))
-            b = _run(ROOT / "src", cli_args, tmp / "b" / str(i))
-            first = next((k for k in sorted(a.keys() | b.keys())
-                          if a.get(k) != b.get(k)), None)
-            differs += first is not None
-            print(f"{label}: " + ("same" if first is None else f"differs: {first}"),
-                  flush=True)
-    return 1 if differs else 0
+        return compare(tmp / "rev" / "src", tmp)
 
 
 if __name__ == "__main__":
