@@ -20,7 +20,9 @@ stepsize is recorded as the search goes, which is the curve
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import tempfile
+from contextlib import ExitStack
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,7 +43,8 @@ class TuneEntry:
     censored_at: Optional[int]  # search stopped here before this gamma reached
 
 
-# the search folds its f values in blocks of this many floats (128 KiB)
+# the search folds its f values, and reads its history back, in blocks of
+# this many floats (128 KiB)
 _FOLD_FLOATS = 16_384
 # a step is tested for a hit when its smallest f is within this relative
 # margin of target_eps + f*, which covers the rounding of the rep means
@@ -98,12 +101,13 @@ class TuneResult:
             return (0, b.iterations)
         return (1, self.best_gap)
 
-    def race_curve(self) -> Optional[tuple]:
-        """(entry, t, rep-mean gap) of the stepsize the race figure plots.
+    def _race_rows(self) -> Optional[tuple]:
+        """(entry, its column, rows) of the stepsize the race figure plots.
 
         The winner over 0 .. its iterations-to-target; without one, the
         non-diverged stepsize with the lowest gap over 0 .. min(max_T,
-        RACE_HORIZON). None when every stepsize diverged.
+        RACE_HORIZON). None when every stepsize diverged. Reads `history_t`
+        only, so that a search reads back just these rows of its history.
         """
         best = self.best
         if best is None:
@@ -113,9 +117,16 @@ class TuneResult:
             best = min(viable, key=lambda e: e.best_gap)
         n = np.searchsorted(self.history_t, best.iterations if best.reached
                             else RACE_HORIZON, side="right")
-        # copies, so that the curve does not keep the whole history alive
-        return best, self.history_t[:n].copy(), \
-            self.history[:n, self.entries.index(best)].copy()
+        return best, self.entries.index(best), n
+
+    def race_curve(self) -> Optional[tuple]:
+        """(entry, t, rep-mean gap) of the stepsize the race figure plots
+        (`_race_rows`), or None."""
+        race = self._race_rows()
+        if race is None:
+            return None
+        best, j, n = race
+        return best, self.history_t[:n], self.history[:n, j]
 
 
 def default_gamma_grid(L: float) -> list:
@@ -133,15 +144,19 @@ class _Race:
     are folded into the groups' means (the reps' gaps summed, times 1/reps,
     as in `hit`), best gaps and history rows. The engine asks `hit` only at
     an iterate whose smallest f is within a rounding margin of target_eps +
-    f*, as every iterate with a mean at the target is. When the search
-    stops, `out` is its (result, race curve), and the history is released
-    unless `keep_history`.
+    f*, as every iterate with a mean at the target is.
+
+    The history rows go to `file`, an unnamed temporary file, as they are
+    folded, so the search holds none of them in memory. When the search
+    stops, `out` is its (result, race curve): `stop` reads back the whole
+    history with `keep_history`, else only the race curve's column, and
+    closes the file, which removes it.
     """
 
     grid, grad_norms = None, False
 
     def __init__(self, p: Problem, gammas: list, reps: int, target_eps: float,
-                 max_T: int, rec_t: np.ndarray, keep_history: bool):
+                 max_T: int, rec_t: np.ndarray, keep_history: bool, file):
         n_g = len(gammas)
         self.floats = _FOLD_FLOATS
         self.f_star = p.f_star or 0.0
@@ -154,9 +169,7 @@ class _Race:
         self.best_gap = np.full(n_g, np.inf)
         self.stop_t = None  # the iterate at which a mean reached the target
         self.rec_t = rec_t  # history_grid(max_T), shared by the searches
-        # a spare row for a stop between recorded iterations; rows are
-        # written as the search goes, so an early stop touches few of them
-        self.hist = np.empty((len(rec_t) + 1, n_g))
+        self.file = file
         self.rows = 0  # history rows written
         self.out = None
 
@@ -175,9 +188,24 @@ class _Race:
         t = self.rec_t[r0:r0 + np.searchsorted(self.rec_t[r0:], b0 + len(F))]
         if self.stop_t is not None and (not len(t) or t[-1] != self.stop_t):
             t = np.append(t, self.stop_t)  # the last block ends at the stop
-        self.rows = r1 = r0 + len(t)
-        self.hist[r0:r1] = np.nan
-        self.hist[r0:r1, g] = means[t - b0]
+        self.rows += len(t)
+        rows = np.full((len(t), len(self.gammas)), np.nan)
+        rows[:, g] = means[t - b0]
+        self.file.write(rows)
+
+    def _read(self, n: int, col: Optional[int] = None) -> np.ndarray:
+        """The first n history rows (their column `col` when given), read
+        back in blocks of at most `floats` floats."""
+        n_g = len(self.gammas)
+        out = np.empty((n, n_g) if col is None else n)
+        block = np.empty((max(1, self.floats // n_g), n_g))
+        self.file.seek(0)
+        for r in range(0, n, len(block)):
+            rows = block[:n - r]
+            if self.file.readinto(rows) < rows.nbytes:
+                raise EOFError("the search's history file ended early")
+            out[r:r + len(rows)] = rows if col is None else rows[:, col]
+        return out
 
     def drop(self, t: int, slot: int, lanes: np.ndarray, X, fx) -> None:
         self.diverged[self._groups(lanes)] = True
@@ -201,11 +229,17 @@ class _Race:
         if self.stop_t is not None:  # its last row is the stop
             hist_t[-1] = self.stop_t
         res = TuneResult(target_eps=self.eps, max_T=self.max_T, entries=entries,
-                         history_t=hist_t, history=self.hist[:self.rows])
-        curve = res.race_curve()
-        if not self.keep_history:
-            res = replace(res, history_t=None, history=None)
-        self.out, self.hist = (res, curve), None
+                         history_t=hist_t)
+        with self.file:
+            if self.keep_history:
+                res.history = self._read(self.rows)
+                curve = res.race_curve()
+            else:
+                race = res._race_rows()
+                curve = None if race is None else \
+                    (race[0], hist_t[:race[2]], self._read(race[2], race[1]))
+                res.history_t = None
+        self.out = res, curve
 
 
 def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
@@ -232,9 +266,11 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
     Each search is a member of the engine's loop (its own row block and
     streams) and stops on its own hit, so its result is byte-identical to
     its own `tune_stepsize`. Returns per oracle (result, race curve); without
-    `keep_history` the result has no history, which is released as soon as
-    the search stops. A censored search keeps min(max_T, RACE_HORIZON) + 1
-    history rows of 8 bytes per stepsize until the last search stops.
+    `keep_history` the result has no history. Each search writes its history
+    rows to an unnamed temporary file (in tempfile's default directory) and
+    reads back only what it returns, so in memory it holds its record block
+    and per-stepsize best gaps, not rows that grow with max_T. Every file is
+    closed, and so removed, when its search stops or the run fails.
     """
     if not 0 < target_eps < np.inf:
         raise ValueError(f"target_eps must be positive and finite, got {target_eps}")
@@ -250,9 +286,11 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
     gamma = np.repeat(np.asarray(grid), reps)[:, None]
     rows = np.tile(np.arange(reps), len(grid))
     rec_t = history_grid(max_T)
-    races = [_Race(p, grid, reps, target_eps, max_T, rec_t, keep_history)
-             for _ in oracles]
     gens = [stream(seed, r) for r in range(reps)]
-    _run_lanes(p, max_T, x0, [_Member(o, race, gens, gamma, rows, group=reps)
-                              for o, race in zip(oracles, races)])
+    with ExitStack() as files:
+        races = [_Race(p, grid, reps, target_eps, max_T, rec_t, keep_history,
+                       files.enter_context(tempfile.TemporaryFile()))
+                 for _ in oracles]
+        _run_lanes(p, max_T, x0, [_Member(o, race, gens, gamma, rows, group=reps)
+                                  for o, race in zip(oracles, races)])
     return [race.out for race in races]

@@ -11,6 +11,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from biased_sgd import (BiasedOracle, OracleBounds, StepSchedule, exact_oracle,
@@ -119,14 +120,66 @@ def test_batched_searches_are_the_searches_alone(reps, grid, monkeypatch):
             assert curve[2].tobytes() == ref_curve[2].tobytes()
 
 
-def test_without_history_a_search_keeps_its_race_curve():
+# searches on make_nesterov_worst(6): (oracles, target_eps, grid, reps, max_T,
+# seed, race horizon or None)
+RACES = {
+    "reached": lambda p: ([exact_oracle(p)], 1e-3, [0.02, 0.2], 2, 300, 1, None),
+    # censored at max_T, past the race horizon: log-spaced rows
+    "censored": lambda p: ([gaussian_noise_oracle(p, 1.0)], 1e-9, [0.02, 0.05],
+                           2, 5000, 1, 40),
+    # a hit between the recorded iterations past the race horizon
+    "stop_between_rows": lambda p: ([gaussian_noise_oracle(p, 0.01)], 0.1,
+                                    [0.01, 0.005], 2, 10**7, 2, 50),
+    "one_diverged": lambda p: ([gaussian_noise_oracle(p, 1.0)], 1e-3,
+                               [0.02, 0.2, 1.0], 2, 300, 5, None),
+    "all_diverged": lambda p: ([_blow_up_oracle(p, 0.05)], 1e-3, [0.2, 1.0], 3,
+                               300, 5, None),
+    "several": lambda p: ([exact_oracle(p), gaussian_noise_oracle(p, 1.0),
+                           _blow_up_oracle(p, 0.01), _blow_up_oracle(p, 0.05)],
+                          1e-3, [0.02, 0.2, 1.0], 3, 300, 5, None),
+}
+
+
+@pytest.mark.parametrize("case", list(RACES))
+def test_without_history_a_search_keeps_its_race_curve(case, monkeypatch):
+    # a search writes its history to a file; without `keep_history` it reads
+    # back only its race curve's column, which must be the curve of the
+    # whole history read back
     p = make_nesterov_worst(6)
-    args = (p, [exact_oracle(p)], 1e-3, [0.02, 0.2], 2, 300, 1)
-    (kept, curve), = tune_stepsize_many(*args)
-    (res, bare_curve), = tune_stepsize_many(*args, keep_history=False)
-    assert res.history is None and res.history_t is None
-    assert res.entries == kept.entries
-    assert bare_curve[2].tobytes() == curve[2].tobytes()
+    oracles, target, grid, reps, max_T, seed, horizon = RACES[case](p)
+    if horizon is not None:
+        monkeypatch.setattr(tuning, "RACE_HORIZON", horizon)
+    if case == "several":
+        # fold blocks of 7 slots, so that the searches stop inside a block,
+        # and read-back blocks of 84 rows, several per history
+        monkeypatch.setattr(tuning, "_FOLD_FLOATS", 7 * reps * len(grid) * len(oracles))
+    args = (p, oracles, target, grid, reps, max_T, seed)
+    kept = tune_stepsize_many(*args)
+    bare = tune_stepsize_many(*args, keep_history=False)
+    full = [res for res, _ in kept]
+    stops = [res.history_t[-1] for res in full]
+    if case == "reached":
+        assert full[0].best is not None
+    if case == "censored":
+        assert full[0].best is None and stops == [5000]
+        assert len(full[0].history_t) < 5001 and len(kept[0][1][1]) == 41
+    if case == "stop_between_rows":
+        assert stops[0] > 50 and stops[0] not in tuning.history_grid(max_T)
+    if case == "one_diverged":
+        assert np.isnan(full[0].history[-1, 2]) and not np.isnan(full[0].history).all()
+    if case == "all_diverged":
+        assert kept[0][1] is None
+    if case == "several":
+        assert len(set(stops)) == len(oracles)
+    for (ref, _), (res, curve) in zip(kept, bare):
+        assert res.history is None and res.history_t is None
+        assert res.entries == ref.entries
+        ref_curve = ref.race_curve()
+        assert (curve is None) == (ref_curve is None)
+        if curve is not None:
+            assert curve[0] == ref_curve[0]
+            assert curve[1].tobytes() == ref_curve[1].tobytes()
+            assert curve[2].tobytes() == ref_curve[2].tobytes()
 
 
 def test_an_empty_batch_returns_no_results():

@@ -1,3 +1,10 @@
+import gc
+import sys
+import tempfile
+import tracemalloc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +12,7 @@ from biased_sgd import (BiasedOracle, OracleBounds, StepSchedule,
                         compressed_oracle, exact_oracle, gaussian_noise_oracle,
                         gaussian_smoothing_oracle, make_nesterov_worst,
                         rand_k_compressor, sgd_run, sgd_run_repeated,
-                        top_k_compressor, tune_stepsize)
+                        top_k_compressor, tune_stepsize, tune_stepsize_many)
 from biased_sgd import tuning
 
 
@@ -204,3 +211,69 @@ def test_the_search_stops_at_the_first_iterate_at_the_target(max_T):
     assert res.best.gamma == grid[int(np.argmin(first))]
     assert [e.censored_at for e in res.entries] == [78, 78, None]
 
+
+def _history_files(monkeypatch) -> list:
+    """Weak references to the temporary files that searches open from now on."""
+    files, make = [], tempfile.TemporaryFile
+
+    def temporary_file():
+        f = make()
+        files.append(weakref.ref(f))
+        return f
+    monkeypatch.setattr(tuning.tempfile, "TemporaryFile", temporary_file)
+    return files
+
+
+def _assert_closed(files: list, monkeypatch) -> None:
+    """Each file is closed, or was collected without warning that it was
+    not: with warnings as errors, an unclosed file's collection would
+    report a ResourceWarning to `sys.unraisablehook`."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gc.collect()
+    assert not unraisable
+    assert all(f() is None or f().closed for f in files)
+
+
+def test_a_search_without_history_holds_none_of_it_in_memory(monkeypatch):
+    # a censored search over 161 stepsizes to max_T = 5,000: its dense
+    # history is 6.4 MB, of which it reads back one column
+    p = make_nesterov_worst(6)
+    o = gaussian_noise_oracle(p, 1.0)
+    grid, max_T = list(np.linspace(0.001, 0.1, 161)), 5000
+    dense = (max_T + 1) * len(grid) * 8
+    tune_stepsize_many(p, [o], 1e-9, grid, 1, 10, 1, keep_history=False)  # warm-up
+    files = _history_files(monkeypatch)
+    tracemalloc.start()
+    try:
+        (res, curve), = tune_stepsize_many(p, [o], 1e-9, grid, 1, max_T, 1,
+                                           keep_history=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.best is None and not any(e.diverged for e in res.entries)
+    assert len(curve[2]) == max_T + 1
+    assert peak < dense / 4, peak
+    assert len(files) == 1
+    _assert_closed(files, monkeypatch)
+
+
+def test_a_failing_search_closes_its_history_files(monkeypatch):
+    p = make_nesterov_worst(6)
+    calls = []
+
+    def rows(X, n, rng):
+        calls.append(n)
+        if len(calls) == 100:
+            raise RuntimeError("row map failed")
+        return p.grad_many(X)
+    failing = BiasedOracle(name="failing", dim=p.dim, bounds=OracleBounds(),
+                           _query_batch=rows)
+    files = _history_files(monkeypatch)
+    with pytest.raises(RuntimeError, match="row map failed"):
+        tune_stepsize_many(p, [exact_oracle(p), failing], 1e-9, [0.01, 0.02], 2,
+                           500, 1, keep_history=False)
+    assert len(files) == 2
+    _assert_closed(files, monkeypatch)

@@ -4,7 +4,7 @@ they do not depend on `--workers`.
     python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
-fixed list of `biased-sgd` commands on that tree and on this checkout's
+fixed list of 24 `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's exit code,
 printed output and output files, with the output path and each tree's `src`
 path masked. In the checkout, a command run under `--workers n` is compared
@@ -15,8 +15,11 @@ checkout, and the wall time on each tree; exits 1 if any command fails or
 any comparison differs. With REV = HEAD on a clean checkout, every command is
 rerun on the same code.
 
-`tune --figure fig6` is left out (about 80 s per tree on one core); to check
-it, extract REV's `src/` the same way and compare by hand:
+One command, `tune tune_long`, runs a search that stays above its target
+past the race horizon (210,000 steps, one stepsize and one rep), so its race
+curve is read back from 200,001 history rows. `tune --figure fig6` is left
+out (about 70 s per tree on one core); to check it, extract REV's `src/` the
+same way and compare by hand:
 
     mkdir rev && git archive REV src | tar -x -C rev
     PYTHONPATH=rev/src python -m biased_sgd.cli tune --figure fig6 --out a
@@ -67,6 +70,23 @@ CONFIGS = {
     # and compressor stages differ
     "tune_mixed": _TUNE.format(noise="1.0, 100.0", bias="bias_zeta = 0.0, 0.1\n",
                                max_T=2000),
+    # one search censored past the race horizon: log-spaced history rows
+    # after the dense ones, and a race curve read back from the first 200,001
+    "tune_long": """\
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = exact
+noise_sigma_sq = 100.0
+
+[tune]
+target_eps = 0.0005
+max_T = 210000
+reps = 1
+grid = 0.01
+""",
     # Gaussian smoothing under noise: normals drawn in two stages (and, for
     # verify, one oracle on its own)
     "gs_noise": """\
@@ -99,6 +119,7 @@ def commands() -> list:
     cmds += [(f"tune tune_mixed --workers {w}",
               ["tune", "--config", "{cfg}/tune_mixed.cfg", "--workers", str(w)])
              for w in (1, 3)]
+    cmds += [("tune tune_long", ["tune", "--config", "{cfg}/tune_long.cfg"])]
     cmds += [(f"sweep gs_noise --workers {w}",
               ["sweep", "--config", "{cfg}/gs_noise.cfg", "--workers", str(w)])
              for w in (1, 2)]
