@@ -305,17 +305,22 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if key and key not in axes:
                 raise ConfigError(f"sweep.{name} names {key!r}, which is not a "
                                   f"sweep axis (axes: {', '.join(axes) or 'none'})")
-        # each axis value alone, then each cell: the config it runs must pass
+        # a failing cell names its first value that fails alone, else itself
         base = replace(cfg, sweep=None, tune=None)
-        cells = [[(key, v)] for key, vals in cfg.sweep.axes for v in vals]
-        cells += [list(zip(axes, combo)) for combo in
-                  itertools.product(*[vals for _, vals in cfg.sweep.axes])]
-        for cell in cells:
+
+        def error(cell: list) -> Optional[ConfigError]:
             try:
                 validate_config(base.with_overrides(**dict(cell)))
             except ConfigError as exc:
+                return exc
+            return None
+
+        for combo in itertools.product(*[vals for _, vals in cfg.sweep.axes]):
+            cell = list(zip(axes, combo))
+            if error(cell):
+                cell = next(([one] for one in cell if error([one])), cell)
                 where = ", ".join(f"{k} = {_fmt_value(v)}" for k, v in cell)
-                raise ConfigError(f"sweep axis {where}: {exc}") from None
+                raise ConfigError(f"sweep axis {where}: {error(cell)}") from None
     if cfg.tune is not None:
         if cfg.tune.target_eps <= 0:
             raise ConfigError("tune.target_eps must be positive")

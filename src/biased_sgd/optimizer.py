@@ -160,7 +160,8 @@ class _LaneStats:
     """The repeated runs' consumer: per-slot mean and SE over the lanes (Welford,
     lane by lane in lane order, as if adding the traces one after another),
     each lane's divergence and monotone-gap test, and with `keep_traces` the
-    traces themselves: then its buffers hold every slot.
+    traces themselves: then its buffers hold every slot. `stop` leaves the
+    `RepeatedRuns` in `out`.
     """
 
     target, grad_norms = None, True
@@ -168,6 +169,7 @@ class _LaneStats:
     def __init__(self, grid: np.ndarray, T: int, lanes: int, dim: int,
                  keep_traces: bool):
         n_rec = len(grid)
+        self.rec_t, self.T = grid, T
         self.grid = None if n_rec == T + 1 else grid  # None: every iterate
         self.floats = None if keep_traces else _STREAM_BLOCK
         self.length = np.full(lanes, n_rec)  # slots each lane records
@@ -209,22 +211,40 @@ class _LaneStats:
 
     def stop(self, lanes: np.ndarray, X: np.ndarray) -> None:
         self.final_x[lanes] = X
+        with np.errstate(invalid="ignore"):
+            rising = self.rising & (self.last > self.first)
+        diverged, traces = [], [] if self.floats is None else None
+        for lane, n in enumerate(self.length):
+            reason, iteration = self.stopped.get(lane, (None, self.T))
+            if reason is None and rising[lane]:
+                reason = "monotone-increase"
+            if reason is not None:
+                diverged.append(Divergence(lane, reason, iteration))
+            if traces is not None:
+                traces.append(RunTrace(
+                    t=self.rec_t[:n], f_gap=self.B[0, :n, lane].copy(),
+                    grad_norm_sq=self.B[1, :n, lane].copy(),
+                    final_x=self.final_x[lane], status="completed" if reason is None
+                    else "diverged", reason=reason))
+        count = self.count
+        keep = count > 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            se = np.where(count > 1, np.sqrt(self.m2 / np.maximum(count - 1, 1)
+                                             / np.maximum(count, 1)), 0.0)
+        self.out = RepeatedRuns(
+            t=self.rec_t[keep],
+            mean_f_gap=self.mean[0, keep], se_f_gap=se[0, keep],
+            mean_grad_norm_sq=self.mean[1, keep], se_grad_norm_sq=se[1, keep],
+            count=count[keep], reps=len(self.length), diverged_reps=diverged,
+            traces=traces)
 
 
 class _Member:
-    """One run of an engine call: the oracle chain of `o` and its consumer `sink`.
+    """One run of an engine call: the oracle chain of `o`, its consumer
+    `sink`, and its stepsize column `gamma` (lanes, 1)."""
 
-    Lane i draws from gens[rows[i]] (gens[i] when `rows` is None) and steps
-    by gamma[i], `gamma` a (lanes, 1) column. A lane failing the divergence
-    test takes its group (the lanes with its i // group) out.
-    """
-
-    def __init__(self, o: BiasedOracle, sink, gens: list, gamma: np.ndarray,
-                 rows: Optional[np.ndarray] = None, group: int = 1):
-        self.o, self.sink, self.gens, self.gamma = o, sink, gens, gamma
-        self.group = group
-        self.gen_of = np.arange(len(gens)) if rows is None else rows
-        self.n = len(self.gen_of)
+    def __init__(self, o: BiasedOracle, sink, gamma: np.ndarray):
+        self.o, self.sink, self.gamma, self.n = o, sink, gamma, len(gamma)
         self.live = np.arange(self.n)  # the lane of each of its rows
         self.cols = slice(None)        # a slice, not an index array, while all run
         self.sl = self.X = None        # its rows of the engine's state matrix
@@ -268,25 +288,23 @@ class _Node:
         return self._draw("random", size)
 
 
-def _share(members: list) -> tuple:
+def _share(members: list, gens: list) -> tuple:
     """(the members, ordered so that a shared stage's rows are contiguous,
     and the stage nodes, parents first).
 
-    Members on one generator list share their chains' stages up to the
-    first that differs (`Stage.key`), and one dict of pulls, so stages
-    share a draw wherever the (kind, slot, row shape) matches.
+    Members share their chains' stages up to the first that differs
+    (`Stage.key`), and the nodes share one dict of pulls over `gens`, so
+    stages share a draw wherever the (kind, slot, row shape) matches.
     """
     nodes, index, pulls = [], {}, {}
     for m in members:
         m.path = []
         for s in m.o._query_batch:
             up = m.path[-1] if m.path else None
-            key = (up or id(m.gens), s.key)
-            if key not in index:
-                index[key] = _Node(s.fn, up, m.gens,
-                                   pulls.setdefault(id(m.gens), {}), len(nodes))
-                nodes.append(index[key])
-            m.path.append(index[key])
+            if (up, s.key) not in index:
+                index[up, s.key] = _Node(s.fn, up, gens, pulls, len(nodes))
+                nodes.append(index[up, s.key])
+            m.path.append(index[up, s.key])
     members = sorted(members, key=lambda m: [nd.order for nd in m.path])
     for m in members:
         m.node = m.path[-1]
@@ -295,50 +313,55 @@ def _share(members: list) -> tuple:
     return members, nodes
 
 
-def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
-               members: list) -> None:
-    """The one step loop: x_{t+1} = x_t - gamma * g_t on every lane, up to T steps.
+def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
+               runs: list, rows: Optional[np.ndarray] = None,
+               group: int = 1) -> list:
+    """The one step loop: x_{t+1} = x_t - gamma * g_t on every lane, up to T
+    steps; returns each run's `sink.out`, in run order.
 
-    Each member (`_Member`) is a contiguous block of rows of one state
-    matrix, stepped in place by its oracle chain. `value_many`, the
-    divergence test, the f-value writes and the target test run once over
-    all rows, so the members must share the problem, x0, T, the recorded
-    slots and the target; a member's values do not depend on the others.
-    Each step runs every stage node once (`_share`), each drawing a pull
-    that several nodes read once; a member steps by its rows of its chain's
-    last stage.
+    Each (oracle, sink, gamma) in `runs` is a member (`_Member`): a
+    contiguous block of rows of one state matrix, stepped in place by its
+    oracle chain. An engine run has one generator list, lane map and group
+    size: lane i of every member draws from gens[rows[i]] (gens[i] when
+    `rows` is None), and a lane failing the divergence test takes its group
+    (the lanes with its i // group) out. `value_many`, the divergence test,
+    the f-value writes and the target test run once over all rows, and the
+    sinks are of one kind, so the first sink's `grid`, `target`, `floats`
+    and `grad_norms` hold for all. Each step runs every stage node once
+    (`_share`), each drawing a pull that several nodes read once; a member
+    steps by its rows of its chain's last stage, and its values do not
+    depend on the others.
 
     The members share the (channels x slots x lanes) record block `B`:
-    channel 0 holds f, and channel 1 ||grad f||^2 when a consumer sets
-    `grad_norms`; each consumer gets its columns as its `B`. A channel holds
-    `sink.floats` floats (the least of the members'), or every slot when one
-    is None; slot j is iteration `sink.grid[j]` (j when `grid` is None).
+    channel 0 holds f, and channel 1 ||grad f||^2 with `grad_norms`; each
+    sink gets its columns as its `B`. A channel holds `floats` floats, or
+    every slot when None; slot j is iteration `grid[j]` (j when None).
     `sink.fold(b0, B, cols)` gets the slots from b0 on, f less f*, when the
     block is full, before lanes drop and when the member stops; `cols`
     selects its live lanes' columns.
     `sink.drop(t, slot, lanes, X, fx)` gets the lanes leaving at iterate t.
-    With `sink.target` set, an iterate whose smallest f is at most it asks
+    With `target` set, an iterate whose smallest f is at most it asks
     `sink.hit(t, fx, cols)` whether to stop there. A member stops on a hit,
     when its last lane leaves, or at T: `sink.stop(lanes, X)` gets its live
-    lanes and their rows.
+    lanes and their rows, and leaves the run's result in `sink.out`.
     """
     if x0 is None and p.default_x0 is None:
         raise ValueError(f"problem {p.name} has no default x0; pass one")
     x0 = np.array(p.default_x0 if x0 is None else x0, dtype=float)
     if x0.shape != (p.dim,):
         raise ValueError(f"x0 must have shape ({p.dim},)")
-    if not members:
-        return
-
+    if not runs:
+        return []
+    rows = np.arange(len(gens)) if rows is None else rows
+    first = runs[0][1]  # one sink kind: its record policy holds for all
+    grid, target, floats, grad_norms = \
+        first.grid, first.target, first.floats, first.grad_norms
+    members = [_Member(o, sink, gamma) for o, sink, gamma in runs]
     lanes = sum(m.n for m in members)
-    grid, target = members[0].sink.grid, members[0].sink.target
     n_slots = T + 1 if grid is None else len(grid)
-    floats = [m.sink.floats for m in members]
-    block = n_slots if None in floats \
-        else max(1, min(n_slots, min(floats) // lanes))
-    grad_norms = any(m.sink.grad_norms for m in members)
+    block = n_slots if floats is None else max(1, min(n_slots, floats // lanes))
     B = np.empty((1 + grad_norms, block, lanes))
-    members, nodes = _share(members)
+    members, nodes = _share(members, gens)
     dense = grid is None
     value_many, grad_many = p.value_many, p.grad_many
     f_star = p.f_star or 0.0
@@ -356,9 +379,9 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
             m.sink.fold(m.b0, Bm, m.cols)
             m.b0 = slot
 
-    def stop(m: _Member, rows: np.ndarray) -> None:
+    def stop(m: _Member, Xm: np.ndarray) -> None:
         fold(m)
-        m.sink.stop(m.live, rows)
+        m.sink.stop(m.live, Xm)
         m.node = None
 
     def shrink(ok: np.ndarray) -> list:
@@ -380,7 +403,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
             lo, hi = nd.members[0].sl.start, nd.members[-1].sl.stop
             up = 0 if nd.parent is None else nd.parent.lo
             nd.src, nd.lo, nd.n = slice(lo - up, hi - up), lo, hi - lo
-            nd.rows = np.concatenate([m.gen_of[m.live] for m in nd.members])
+            nd.rows = np.concatenate([rows[m.live] for m in nd.members])
         for m in left:
             m.src = slice(m.sl.start - m.node.lo, m.sl.stop - m.node.lo)
         return left
@@ -434,7 +457,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
                 keep = ok[m.sl]
                 if keep.all():
                     continue
-                keep = np.repeat(keep.reshape(-1, m.group).all(axis=1), m.group)
+                keep = np.repeat(keep.reshape(-1, group).all(axis=1), group)
                 ok[m.sl] = keep
                 fold(m)
                 bad = ~keep
@@ -449,62 +472,30 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray],
                 break
         for m in members:
             stop(m, m.X)
+    return [sink.out for _, sink, _ in runs]
 
 
-def _repeat(p: Problem, runs: list, T: int, x0: Optional[np.ndarray],
-            keep_traces: Optional[bool]) -> list:
-    """Per (oracle, schedule, generators) in `runs`, one lane per generator
-    taking T steps of the schedule's stepsize, the runs stepped as the
-    members of one engine run.
-
-    A diverging lane leaves with a partial trace; a completed lane whose gap
-    only ever increased is flagged `monotone-increase`.
-    """
+def _repeat(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
+            runs: list, keep_traces: Optional[bool]) -> list:
+    """Per (oracle, schedule) in `runs`, one lane per generator in `gens`
+    taking T steps of its stepsize, in one engine run. A diverging lane
+    leaves with a partial trace; a completed lane whose gap only ever
+    increased is flagged `monotone-increase`."""
     if T < 1:
         raise ValueError("T must be >= 1")
     grid = _record_grid(T)
-    n_rec = len(grid)
-    members = []
-    for o, sched, gens in runs:
-        keep = len(gens) * n_rec <= KEEP_TRACES_LIMIT if keep_traces is None \
-            else keep_traces
-        members.append(_Member(o, _LaneStats(grid, T, len(gens), p.dim, keep),
-                               gens, np.full((len(gens), 1), sched.gamma)))
-    _run_lanes(p, T, x0, members)
-    return [_aggregate(T, grid, m.sink) for m in members]
+    if keep_traces is None:
+        keep_traces = len(gens) * len(grid) <= KEEP_TRACES_LIMIT
+    return _run_lanes(p, T, x0, gens, [
+        (o, _LaneStats(grid, T, len(gens), p.dim, keep_traces),
+         np.full((len(gens), 1), sched.gamma)) for o, sched in runs])
 
 
-def _aggregate(T: int, grid: np.ndarray, stats: _LaneStats) -> RepeatedRuns:
-    lanes = len(stats.length)
-    with np.errstate(invalid="ignore"):
-        rising = stats.rising & (stats.last > stats.first)
-    keep_traces = stats.floats is None
-    diverged, traces = [], [] if keep_traces else None
-    for lane in range(lanes):
-        reason, iteration = stats.stopped.get(lane, (None, T))
-        if reason is None and rising[lane]:
-            reason = "monotone-increase"
-        if reason is not None:
-            diverged.append(Divergence(lane, reason, iteration))
-        if keep_traces:
-            n = stats.length[lane]
-            traces.append(RunTrace(
-                t=grid[:n], f_gap=stats.B[0, :n, lane].copy(),
-                grad_norm_sq=stats.B[1, :n, lane].copy(),
-                final_x=stats.final_x[lane], status="completed" if reason is None
-                else "diverged", reason=reason))
-
-    count = stats.count
-    keep = count > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        se = np.where(count > 1, np.sqrt(stats.m2 / np.maximum(count - 1, 1)
-                                         / np.maximum(count, 1)), 0.0)
-    return RepeatedRuns(
-        t=grid[keep],
-        mean_f_gap=stats.mean[0, keep], se_f_gap=se[0, keep],
-        mean_grad_norm_sq=stats.mean[1, keep], se_grad_norm_sq=se[1, keep],
-        count=count[keep], reps=lanes, diverged_reps=diverged, traces=traces,
-    )
+def rep_streams(seed: int, reps: int) -> list:
+    """Rep r's generator `stream(seed, r)`, for r < reps."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    return [stream(seed, rep) for rep in range(reps)]
 
 
 def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
@@ -520,7 +511,7 @@ def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     flagged as diverged.
     """
     rng = stream(seed) if rng is None else rng
-    return _repeat(p, [(o, sched, [rng])], T, x0, keep_traces=True)[0].traces[0]
+    return _repeat(p, T, x0, [rng], [(o, sched)], keep_traces=True)[0].traces[0]
 
 
 def sgd_run_repeated(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
@@ -543,13 +534,11 @@ def sgd_run_repeated_many(p: Problem, runs: list, T: int, reps: int, seed: int,
                           keep_traces: Optional[bool] = None) -> list:
     """`sgd_run_repeated` of each (oracle, schedule) in `runs`, in one engine run.
 
-    Each run is a member of the engine's loop (its own row block, streams and
-    schedule), so its result is byte-identical to its own `sgd_run_repeated`.
+    Each run is a member of the engine's loop (its own row block and
+    schedule, on the rep streams), so its result is byte-identical to its own
+    `sgd_run_repeated`.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    gens = [stream(seed, rep) for rep in range(reps)]
-    return _repeat(p, [(o, sched, gens) for o, sched in runs], T, x0, keep_traces)
+    return _repeat(p, T, x0, rep_streams(seed, reps), runs, keep_traces)
 
 
 def uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> int:

@@ -10,7 +10,7 @@ smaller and satisfies the same guarantee up to a 3/2 factor on the bias floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .oracles import OracleBounds, gs_bounds
 
@@ -42,13 +42,8 @@ def smooth_stepsize(eps: float, L: float, bounds: OracleBounds) -> float:
 
 
 def smooth_stepsize_proof(eps: float, L: float, bounds: OracleBounds) -> float:
-    """Proof variant: gamma = min{ 1/((M+1)L), eps(1-m) / (2 L sigma^2) }."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    cap = stepsize_cap(L, bounds)
-    if bounds.sigma_sq == 0.0:
-        return cap
-    return min(cap, eps * (1.0 - bounds.m) / (2.0 * L * bounds.sigma_sq))
+    """Proof variant: min{ 1/((M+1)L), eps(1-m) / (2 L sigma^2) }."""
+    return smooth_stepsize(eps, L, replace(bounds, zeta_sq=0.0))
 
 
 def smooth_iterations(eps: float, L: float, F0: float,
@@ -83,15 +78,8 @@ def pl_stepsize(eps: float, L: float, mu: float, bounds: OracleBounds) -> float:
 
 def pl_stepsize_proof(eps: float, L: float, mu: float,
                       bounds: OracleBounds) -> float:
-    """Proof variant: gamma = min{ 1/((M+1)L), eps mu (1-m) / (L sigma^2) }."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    cap = stepsize_cap(L, bounds)
-    if bounds.sigma_sq == 0.0:
-        return cap
-    return min(cap, eps * mu * (1.0 - bounds.m) / (L * bounds.sigma_sq))
+    """Proof variant: min{ 1/((M+1)L), eps mu (1-m) / (L sigma^2) }."""
+    return pl_stepsize(eps, L, mu, replace(bounds, zeta_sq=0.0))
 
 
 def pl_iterations(eps: float, L: float, mu: float, F0: float,

@@ -27,8 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import stream
-from .optimizer import StepSchedule, _Member, _run_lanes
+from .optimizer import StepSchedule, _run_lanes, rep_streams
 from .oracles import BiasedOracle
 from .problems import Problem
 
@@ -171,7 +170,6 @@ class _Race:
         self.rec_t = rec_t  # history_grid(max_T), shared by the searches
         self.file = file
         self.rows = 0  # history rows written
-        self.out = None
 
     def _groups(self, cols):
         return cols if isinstance(cols, slice) else cols[::self.reps] // self.reps
@@ -263,8 +261,8 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
                        keep_history: bool = True) -> list:
     """`tune_stepsize` of each oracle, the searches stepped in one engine run.
 
-    Each search is a member of the engine's loop (its own row block and
-    streams) and stops on its own hit, so its result is byte-identical to
+    Each search is a member of the engine's loop (its own row block, on the
+    rep streams) and stops on its own hit, so its result is byte-identical to
     its own `tune_stepsize`. Returns per oracle (result, race curve); without
     `keep_history` the result has no history. Each search writes its history
     rows to an unnamed temporary file (in tempfile's default directory) and
@@ -279,18 +277,13 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
     grid = [StepSchedule.constant(g).gamma for g in grid]
     if not grid:
         raise ValueError("stepsize grid is empty")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    gens = rep_streams(seed, reps)
     if max_T < 1:
         raise ValueError("max_T must be >= 1")
     gamma = np.repeat(np.asarray(grid), reps)[:, None]
-    rows = np.tile(np.arange(reps), len(grid))
     rec_t = history_grid(max_T)
-    gens = [stream(seed, r) for r in range(reps)]
     with ExitStack() as files:
-        races = [_Race(p, grid, reps, target_eps, max_T, rec_t, keep_history,
-                       files.enter_context(tempfile.TemporaryFile()))
-                 for _ in oracles]
-        _run_lanes(p, max_T, x0, [_Member(o, race, gens, gamma, rows, group=reps)
-                                  for o, race in zip(oracles, races)])
-    return [race.out for race in races]
+        return _run_lanes(p, max_T, x0, gens, [
+            (o, _Race(p, grid, reps, target_eps, max_T, rec_t, keep_history,
+                      files.enter_context(tempfile.TemporaryFile())), gamma)
+            for o in oracles], np.tile(np.arange(reps), len(grid)), reps)

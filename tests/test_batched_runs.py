@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from biased_sgd import (BiasedOracle, OracleBounds, StepSchedule, exact_oracle,
-                        experiments, gaussian_noise_oracle, make_nesterov_worst,
-                        optimizer, sgd_run_repeated, sgd_run_repeated_many,
-                        tune_stepsize, tune_stepsize_many, tuning)
+                        experiments, figures, gaussian_noise_oracle,
+                        make_nesterov_worst, optimizer, sgd_run_repeated,
+                        sgd_run_repeated_many, tune_stepsize,
+                        tune_stepsize_many, tuning)
 from biased_sgd.config import parse_config
 
 BASE = """
@@ -306,6 +307,28 @@ compressor = none, top_k, rand_k
         experiments.tune_experiment(cfg, str(tmp_path / "t"))
     assert runs == [3] and searches == [3]
 
+
+
+def test_fig6_runs_share_their_stages_and_draws(monkeypatch):
+    # fig6's nine k = 1 runs in one engine run build 9 stage nodes: one
+    # gradient stage, a noise stage per sigma^2 > 0 and a compressor stage
+    # per chain; and 3 pulls: the noise normals (slot 0) and rand-k's
+    # uniforms over the exact gradient (slot 0) and over noise (slot 1).
+    # A lost share only slows runs, so no byte-compared output shows it.
+    made = {optimizer._Node: 0, optimizer._Pull: 0}
+    for cls in made:
+        def counted(self, *args, _cls=cls, _init=cls.__init__):
+            made[_cls] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    cfg = figures.preset("fig6")
+    p = experiments.build_problem(cfg)
+    runs = [(experiments.build_oracle(
+                cfg.with_overrides(compressor=c, noise_sigma_sq=s, k=1), p,
+                estimate_missing_bounds=False)[0], StepSchedule(0.01))
+            for c in ("none", "top_k", "rand_k") for s in (0.0, 1.0, 100.0)]
+    sgd_run_repeated_many(p, runs, 5, 2, seed=3)
+    assert made == {optimizer._Node: 9, optimizer._Pull: 3}
 
 def test_every_name_the_benchmark_tracer_wraps_exists():
     # perfbench/tracer.py wraps these by name, so a name the batched calls

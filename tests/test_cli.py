@@ -108,6 +108,20 @@ def test_parse_errors_carry_diagnostics(text, fragment):
     assert fragment in str(err.value)
 
 
+
+def test_a_sweep_whose_every_cell_is_valid_runs(tmp_path):
+    # compressor = scale fails alone (the base delta is 0), but the one cell
+    # the sweep runs sets delta = 0.5 beside it
+    text = "[run]\nT = 20\nreps = 2\n[sweep]\ncompressor = scale\ndelta = 0.5\n"
+    cfg = parse_config(text)
+    assert cfg.sweep.axes == (("delta", (0.5,)), ("compressor", ("scale",)))
+    path = tmp_path / "scale.cfg"
+    path.write_text(text)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    cell = tmp_path / "s" / "cells" / "delta=0.5_compressor=scale"
+    assert "oracle = scale(delta=0.5)(exact)" in (cell / "summary.txt").read_text()
+    assert (cell / "trace.csv").read_text().count("\n") == 22
+
 def test_a_section_header_may_repeat():
     cfg = parse_config("[run]\nT = 10\n[problem]\ndim = 5\n[run]\nreps = 2\n")
     assert (cfg.run.T, cfg.run.reps, cfg.problem.dim) == (10, 2, 5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,31 @@ def test_proof_pair_consistency_pl():
         assert pl_envelope(T, gamma_h, F0, L, mu, b) <= \
             relaxed + 1e-12 * max(1.0, relaxed)
 
+
+
+@pytest.mark.parametrize("regime", ["smooth", "pl"])
+@pytest.mark.parametrize("seed", [24, 25])
+def test_proof_stepsize_is_the_headline_one_at_zero_zeta(regime, seed):
+    # the proof stepsize is the headline formula without its zeta^2 term,
+    # bit for bit, eps = 0 and sigma^2 = 0 included
+    rng = stream(seed)
+    for _ in range(2000):
+        b = _random_bounds(rng)
+        L = float(rng.uniform(0.5, 5.0))
+        mu = float(rng.uniform(0.01, min(0.5, L)))
+        eps = float(rng.uniform(1e-6, 1.0)) * (rng.random() < 0.9)
+        cap = 1.0 / ((b.M + 1.0) * L)
+        if regime == "smooth":
+            got = smooth_stepsize_proof(eps, L, b)
+            headline = smooth_stepsize(eps, L, dataclasses.replace(b, zeta_sq=0.0))
+            formula = eps * (1.0 - b.m) / (2.0 * L * b.sigma_sq) if b.sigma_sq \
+                else math.inf
+        else:
+            got = pl_stepsize_proof(eps, L, mu, b)
+            headline = pl_stepsize(eps, L, mu, dataclasses.replace(b, zeta_sq=0.0))
+            formula = eps * mu * (1.0 - b.m) / (L * b.sigma_sq) if b.sigma_sq \
+                else math.inf
+        assert got == headline == min(cap, formula)
 
 def test_textbook_recovery_no_stray_constants():
     L, mu, F0, eps = 2.0, 0.25, 1.5, 1e-3

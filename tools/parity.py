@@ -4,7 +4,7 @@ they do not depend on `--workers`.
     python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
-fixed list of 24 `biased-sgd` commands on that tree and on this checkout's
+fixed list of 27 `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's exit code,
 printed output and output files, with the output path and each tree's `src`
 path masked. In the checkout, a command run under `--workers n` is compared
@@ -101,6 +101,22 @@ reps = 10
 [sweep]
 tau = 0.1, 0.01
 """,
+    # a run at `theory.pl_stepsize`, so that a change to the theory's
+    # stepsizes shows in the printed and written numbers
+    "theory_pl": """\
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = exact
+noise_sigma_sq = 1.0
+
+[run]
+T = 2000
+reps = 5
+stepsize_policy = theory_pl
+""",
 }
 
 
@@ -112,7 +128,8 @@ def commands() -> list:
              ["sweep", "--figure", fig, "--workers", str(w)])
             for fig in ("fig1", "fig2", "fig3", "fig5", "fig6") for w in (1, 2)]
     cmds += [("run fig1", ["run", "--figure", "fig1"]),
-             ("run fig1 --seed 1", ["run", "--figure", "fig1", "--seed", "1"])]
+             ("run fig1 --seed 1", ["run", "--figure", "fig1", "--seed", "1"]),
+             ("run theory_pl", ["run", "--config", "{cfg}/theory_pl.cfg"])]
     cmds += [(f"tune tune_k1 --workers {w}",
               ["tune", "--config", "{cfg}/tune_k1.cfg", "--workers", str(w)])
              for w in (1, 2, 4)]
@@ -130,6 +147,7 @@ def commands() -> list:
               ["verify", "--figure", "fig1", "--samples", "20000"]),
              ("verify gs_noise --samples 20000",
               ["verify", "--config", "{cfg}/gs_noise.cfg", "--samples", "20000"])]
+    cmds += [(f"budget {fig}", ["budget", "--figure", fig]) for fig in ("fig2", "fig3")]
     return cmds
 
 
