@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .oracles import BiasedOracle, OracleBounds
-from .problems import Problem
+from .problems import Problem, _derive
 
 
 class UnsupportedCompositionError(ValueError):
@@ -97,8 +97,8 @@ class Compressor:
     contraction factor delta in (0, 1].
 
     `apply_rows(G, rng)` is the map; `apply(g, rng)` is that map on a batch
-    of one, derived in `__post_init__` unless passed explicitly (as
-    `dataclasses.replace` does). `delta` promises
+    of one, derived in `__post_init__` unless passed in
+    (`problems._derive`). `delta` promises
     E||C(g) - g||^2 <= (1 - delta) * ||g||^2 for all g; it is None for
     operators (like the unbiased rand-k) that do not contract.
     """
@@ -114,8 +114,7 @@ class Compressor:
 
     def __post_init__(self):
         rows = self.apply_rows
-        if self.apply is None:
-            object.__setattr__(self, "apply", lambda g, rng: rows(_row(g), rng)[0])
+        _derive(self, "apply", lambda g, rng: rows(_row(g), rng)[0])
 
 
 def top_k_compressor(k: int, dim: int) -> Compressor:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
@@ -276,14 +275,11 @@ def _run_cells(cfg: ExperimentConfig, cells: list, part, workers: int,
 
 def _batched(build, run, tasks: list) -> list:
     """Per task (member, result), or the error message of its failure:
-    build(task) gives its member, and run(members) one result per member,
-    all members in one call.
+    build(task) gives its member, and run(members) one result (or the
+    exception of a failed run) per member, all members in one call.
 
-    A task whose build raises stays out of the call. If the call raises,
-    each member runs alone, so that a failing run gets its own message and
-    the others their results; a RuntimeWarning says so, as a fault of the
-    batched path would otherwise only show as a slower run. Failures are
-    caught here, so serial and pooled runs record them alike.
+    A task whose build raises stays out of the call. Failures are caught
+    here and in the engine, so serial and pooled runs record them alike.
     """
     built = []
     for task in tasks:
@@ -292,22 +288,11 @@ def _batched(build, run, tasks: list) -> list:
         except Exception as exc:  # noqa: BLE001 - cell failures are data, not fatal
             built.append(str(exc))
     members = [m for m in built if not isinstance(m, str)]
-    try:
-        results = run(members) if members else []
-    except Exception as exc:  # noqa: BLE001 - rerun alone below, each failure its own
-        warnings.warn(f"a batch of {len(members)} runs failed ({exc}); "
-                      "rerunning each alone", RuntimeWarning, stacklevel=2)
-        results = []
-        for m in members:
-            try:
-                results += run([m])
-            except Exception as exc:  # noqa: BLE001
-                results.append(str(exc))
-    results = iter(results)
+    results = iter(run(members) if members else [])
     for i, m in enumerate(built):
         if not isinstance(m, str):
             res = next(results)
-            built[i] = res if isinstance(res, str) else (m, res)
+            built[i] = str(res) if isinstance(res, Exception) else (m, res)
     return built
 
 

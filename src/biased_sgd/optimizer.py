@@ -343,7 +343,9 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
     With `target` set, an iterate whose smallest f is at most it asks
     `sink.hit(t, fx, cols)` whether to stop there. A member stops on a hit,
     when its last lane leaves, or at T: `sink.stop(lanes, X)` gets its live
-    lanes and their rows, and leaves the run's result in `sink.out`.
+    lanes and their rows, and leaves the run's result in `sink.out`. A stage
+    that raises ends the members under it, with its exception as their
+    `sink.out`, while the others step on; a raise elsewhere propagates.
     """
     if x0 is None and p.default_x0 is None:
         raise ValueError(f"problem {p.name} has no default x0; pass one")
@@ -439,10 +441,24 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
                 for m in members:
                     fold(m)
                 base = slot
+            failed = False
             for nd in nodes:
+                if nd.members[0].node is None:  # under a failed stage
+                    continue
                 up = nd.parent
                 nd.t, nd.slot = t, 0 if up is None else up.slot
-                nd.out = nd.fn((X if up is None else up.out)[nd.src], nd.n, nd)
+                try:
+                    nd.out = nd.fn((X if up is None else up.out)[nd.src], nd.n, nd)
+                except Exception as exc:  # noqa: BLE001 - its members fail alone
+                    for m in nd.members:
+                        m.sink.out, m.node, failed = exc, None, True
+            if failed:
+                # each live member keeps its offset in its last stage's rows,
+                # since the members that end there come first in them
+                members = shrink(np.repeat([m.node is not None for m in members],
+                                           [m.n for m in members]))
+                if not members:
+                    break
             for m in members:
                 m.X -= m.gamma * m.node.out[m.src]
             fx = value_many(X)
@@ -491,6 +507,13 @@ def _repeat(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
          np.full((len(gens), 1), sched.gamma)) for o, sched in runs])
 
 
+def _raised(out):
+    """`out`, unless it is the exception of a failed run: then raise it."""
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def rep_streams(seed: int, reps: int) -> list:
     """Rep r's generator `stream(seed, r)`, for r < reps."""
     if reps < 1:
@@ -511,7 +534,8 @@ def sgd_run(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     flagged as diverged.
     """
     rng = stream(seed) if rng is None else rng
-    return _repeat(p, T, x0, [rng], [(o, sched)], keep_traces=True)[0].traces[0]
+    run = _repeat(p, T, x0, [rng], [(o, sched)], keep_traces=True)[0]
+    return _raised(run).traces[0]
 
 
 def sgd_run_repeated(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
@@ -525,8 +549,8 @@ def sgd_run_repeated(p: Problem, o: BiasedOracle, sched: StepSchedule, T: int,
     beyond KEEP_TRACES_LIMIT recorded values the traces are not kept and the
     aggregate is streamed in blocks, so memory stays bounded.
     """
-    return sgd_run_repeated_many(p, [(o, sched)], T, reps, seed, x0,
-                                 keep_traces)[0]
+    return _raised(sgd_run_repeated_many(p, [(o, sched)], T, reps, seed, x0,
+                                         keep_traces)[0])
 
 
 def sgd_run_repeated_many(p: Problem, runs: list, T: int, reps: int, seed: int,
@@ -536,7 +560,8 @@ def sgd_run_repeated_many(p: Problem, runs: list, T: int, reps: int, seed: int,
 
     Each run is a member of the engine's loop (its own row block and
     schedule, on the rep streams), so its result is byte-identical to its own
-    `sgd_run_repeated`.
+    `sgd_run_repeated`, or the exception its oracle raised, which stops
+    that run alone.
     """
     return _repeat(p, T, x0, rep_streams(seed, reps), runs, keep_traces)
 

@@ -18,7 +18,7 @@ from typing import Callable, Hashable, NamedTuple, Optional
 
 import numpy as np
 
-from .problems import Problem, make_huber_problem
+from .problems import Problem, _derive, make_huber_problem
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ class BiasedOracle:
     `query_batch(X)` is the map on (X, len(X)), `query(x)` on (x[None], 1)
     and `query_many(x, n)` on (x[None], n), always n fresh rows.
     `__post_init__` derives `_query` and `_query_many` from the row map
-    unless they are passed explicitly, as `dataclasses.replace` does.
+    unless they are passed in (`problems._derive`), so a copy with another
+    row map queries that map in all three forms.
     `expected_query` gives grad f(x) + b(x) in closed form if known.
     """
 
@@ -102,15 +103,14 @@ class BiasedOracle:
         if not isinstance(rows, Chain):
             rows = Chain((Stage(rows, rows),))
             object.__setattr__(self, "_query_batch", rows)
-        if self._query is None:
-            object.__setattr__(self, "_query", lambda x, rng: rows(x[None], 1, rng)[0])
-        if self._query_many is None:
-            def many(x, n, rng):  # n fresh, writable rows
-                G = rows(x[None], n, rng)
-                if len(G) < n:
-                    return np.repeat(G, n, axis=0)
-                return G if G.flags.writeable else G.copy()  # a draw itself
-            object.__setattr__(self, "_query_many", many)
+        _derive(self, "_query", lambda x, rng: rows(x[None], 1, rng)[0])
+
+        def many(x, n, rng):  # n fresh, writable rows
+            G = rows(x[None], n, rng)
+            if len(G) < n:
+                return np.repeat(G, n, axis=0)
+            return G if G.flags.writeable else G.copy()  # a draw itself
+        _derive(self, "_query_many", many)
 
     def query(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self._query(x, rng)

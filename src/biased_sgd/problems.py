@@ -8,6 +8,17 @@ from typing import Callable, Optional
 import numpy as np
 
 
+def _derive(obj, name: str, fn: Callable) -> None:
+    """Set the field `name` of the frozen dataclass `obj` to `fn`, marked
+    as derived, unless the field holds a function passed in. A derived
+    function, as `dataclasses.replace` copies it, is made again from the
+    fields of the copy."""
+    given = getattr(obj, name)
+    if given is None or getattr(given, "derived", False):
+        fn.derived = True
+        object.__setattr__(obj, name, fn)
+
+
 @dataclass(frozen=True)
 class Problem:
     """A differentiable objective with exact gradient and known constants.
@@ -16,8 +27,8 @@ class Problem:
     `finite_diff_check`); `smoothness_L` is a valid Lipschitz constant of the
     gradient; `pl_mu`, `f_star`, `x_star` are set when known. `value_many`
     and `grad_many` evaluate the rows of an (n, dim) matrix; when a caller
-    leaves them out they are filled in from `value`/`grad`, so every problem
-    has both.
+    leaves them out they are derived from `value`/`grad` (`_derive`), so
+    every problem has both.
     """
 
     name: str
@@ -34,12 +45,10 @@ class Problem:
 
     def __post_init__(self):
         value, grad, dim = self.value, self.grad, self.dim
-        if self.value_many is None:
-            object.__setattr__(self, "value_many", lambda X: np.array(
-                [value(x) for x in X], dtype=float))
-        if self.grad_many is None:
-            object.__setattr__(self, "grad_many", lambda X: np.array(
-                [grad(x) for x in X], dtype=float).reshape(len(X), dim))
+        _derive(self, "value_many", lambda X: np.array(
+            [value(x) for x in X], dtype=float))
+        _derive(self, "grad_many", lambda X: np.array(
+            [grad(x) for x in X], dtype=float).reshape(len(X), dim))
 
     def gap(self, x: np.ndarray) -> float:
         """f(x) - f*, falling back to f(x) when the optimum is unknown."""

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .optimizer import StepSchedule, _run_lanes, rep_streams
+from .optimizer import StepSchedule, _raised, _run_lanes, rep_streams
 from .oracles import BiasedOracle
 from .problems import Problem
 
@@ -250,8 +250,8 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
     target within max_T, every entry reports its best achieved gap instead.
     The search is a one-oracle `tune_stepsize_many`.
     """
-    return tune_stepsize_many(p, [o], target_eps, grid, reps, max_T, seed,
-                              x0)[0][0]
+    return _raised(tune_stepsize_many(p, [o], target_eps, grid, reps, max_T,
+                                      seed, x0)[0])[0]
 
 
 def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
@@ -263,12 +263,12 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
 
     Each search is a member of the engine's loop (its own row block, on the
     rep streams) and stops on its own hit, so its result is byte-identical to
-    its own `tune_stepsize`. Returns per oracle (result, race curve); without
+    its own `tune_stepsize`. Returns per oracle (result, race curve), or the
+    exception its oracle raised, which stops that search alone; without
     `keep_history` the result has no history. Each search writes its history
-    rows to an unnamed temporary file (in tempfile's default directory) and
-    reads back only what it returns, so in memory it holds its record block
-    and per-stepsize best gaps, not rows that grow with max_T. Every file is
-    closed, and so removed, when its search stops or the run fails.
+    rows to an unnamed temporary file and reads back only what it returns,
+    so in memory it holds its record block and per-stepsize best gaps, not
+    rows that grow with max_T; every file is closed, so removed, at the end.
     """
     if not 0 < target_eps < np.inf:
         raise ValueError(f"target_eps must be positive and finite, got {target_eps}")

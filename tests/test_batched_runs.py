@@ -8,7 +8,6 @@ live lane.
 
 import dataclasses
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,12 +250,12 @@ compressor = none, top_k, rand_k
     clean_sweep = experiments.sweep_experiment(cfg, str(tmp_path / "clean"))
     clean_tune = experiments.tune_experiment(cfg, str(tmp_path / "clean_t"))
     _failing_top_k(monkeypatch)
-    # the failed batch is reported, then each member reruns alone
-    with pytest.warns(RuntimeWarning, match="a batch of 3 runs failed "
-                      r"\(synthetic row map failure\); rerunning each alone"):
-        sweep = experiments.sweep_experiment(cfg, str(tmp_path / "s"))
-    with pytest.warns(RuntimeWarning, match="rerunning each alone"):
-        tune = experiments.tune_experiment(cfg, str(tmp_path / "t"))
+    runs = _batch_sizes(monkeypatch, "sgd_run_repeated_many")
+    searches = _batch_sizes(monkeypatch, "tune_stepsize_many")
+    sweep = experiments.sweep_experiment(cfg, str(tmp_path / "s"))
+    tune = experiments.tune_experiment(cfg, str(tmp_path / "t"))
+    # the raising member stops alone inside the one engine run of its part
+    assert runs == [3] and searches == [3]
     # k = d top_k runs as `none`, so only the k = 1 top_k run steps the
     # raising row map
     for out, clean in ((sweep, clean_sweep), (tune, clean_tune)):
@@ -278,6 +277,36 @@ compressor = none, top_k, rand_k
                     .splitlines() if not r.startswith("k=1_compressor=top_k,")]
 
 
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file()}
+
+
+def test_a_raising_row_map_gives_the_same_files_under_two_workers(
+        tmp_path, monkeypatch):
+    # 6 distinct runs, 2 of them the raising top_k at k = 1: each of the
+    # two parts has one beside two clean runs; the pool's forked processes
+    # keep the patch
+    cfg = parse_config(BASE + """
+[sweep]
+k = 1, 10
+compressor = none, top_k, rand_k
+noise_sigma_sq = 1.0, 100.0
+""" + TUNE)
+    _failing_top_k(monkeypatch)
+    for command in (experiments.sweep_experiment, experiments.tune_experiment):
+        outs = [command(cfg, str(tmp_path / f"{command.__name__}{w}"), workers=w)
+                for w in (1, 2)]
+        assert [out.distinct_runs for out in outs] == [6, 6]
+        assert [rec["label"] for rec in outs[0].cells if "error" in rec] == \
+            ["noise_sigma_sq=1.0_k=1_compressor=top_k",
+             "noise_sigma_sq=100.0_k=1_compressor=top_k"]
+        serial, pooled = (_files(tmp_path / f"{command.__name__}{w}")
+                          for w in (1, 2))
+        assert pooled == serial
+    assert len(serial) == 3  # tune.csv, tune_summary.txt, race.svg
+
+
 def _batch_sizes(monkeypatch, name):
     """The member count of each call of the batched engine call `name`."""
     calls = []
@@ -292,8 +321,7 @@ def _batch_sizes(monkeypatch, name):
 
 
 def test_a_clean_sweep_or_tune_steps_each_part_in_one_batch(tmp_path, monkeypatch):
-    # a batch that raised would rerun its members alone, with the same
-    # outputs; one call per part shows that no batch fell back
+    # one engine call per part: the distinct runs of a part are its members
     cfg = parse_config(BASE + """
 [sweep]
 k = 1, 10
@@ -301,10 +329,8 @@ compressor = none, top_k, rand_k
 """ + TUNE)  # 6 cells, 3 distinct runs
     runs = _batch_sizes(monkeypatch, "sgd_run_repeated_many")
     searches = _batch_sizes(monkeypatch, "tune_stepsize_many")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        experiments.sweep_experiment(cfg, str(tmp_path / "s"))
-        experiments.tune_experiment(cfg, str(tmp_path / "t"))
+    experiments.sweep_experiment(cfg, str(tmp_path / "s"))
+    experiments.tune_experiment(cfg, str(tmp_path / "t"))
     assert runs == [3] and searches == [3]
 
 

@@ -1,6 +1,7 @@
 """Sweep and tune cells that ask for the same run share one engine result."""
 
 import concurrent.futures
+import dataclasses
 
 import numpy as np
 import pytest
@@ -307,21 +308,25 @@ compressor = none, top_k, rand_k
 
 
 def test_a_failed_shared_run_fails_its_whole_group(tmp_path, monkeypatch):
-    real = experiments.sgd_run_repeated_many
+    # rand_k at k = 10 = d runs as `none`, so its cell shares the failing run
+    real = experiments.build_oracle
 
-    def flaky(p, runs, *args, **kwargs):
-        if any("rand_k" not in o.name for o, _ in runs):
-            raise RuntimeError("synthetic engine failure")
-        return real(p, runs, *args, **kwargs)
+    def raising(X, n, rng):
+        raise RuntimeError("synthetic engine failure")
 
-    monkeypatch.setattr(experiments, "sgd_run_repeated_many", flaky)
+    def flaky(cfg, p, *args, **kwargs):
+        o, source = real(cfg, p, *args, **kwargs)
+        if cfg.oracle.compressor == "none":
+            o = dataclasses.replace(o, _query_batch=raising)
+        return o, source
+
+    monkeypatch.setattr(experiments, "build_oracle", flaky)
     cfg = parse_config(BASE + """
 [sweep]
 k = 1, 10
 compressor = none, rand_k
 """)
-    with pytest.warns(RuntimeWarning, match="rerunning each alone"):
-        res = experiments.sweep_experiment(cfg, str(tmp_path))
+    res = experiments.sweep_experiment(cfg, str(tmp_path))
     errors = {rec["label"]: rec.get("error") for rec in res.cells}
     assert errors == {"k=1_compressor=none": "synthetic engine failure",
                       "k=1_compressor=rand_k": None,

@@ -9,7 +9,10 @@ the engine's documented rules. Seeded random cases mix the members of one
 engine run (oracle chains that share stages and chains that do not,
 chains drawing one kind twice, and chains drawing rows of other shapes in
 one slot), constant stepsizes that diverge at once, mid-run or never, and
-patched block constants. A failure names its case seed.
+patched block constants. Every case also has two members whose chains
+raise at seeded steps, in a stage of their own or in one they share: such
+a member's result is the exception, if it still steps then, and every
+other member's is as if it ran alone. A failure names its case seed.
 """
 
 import dataclasses
@@ -94,7 +97,8 @@ def _reference_runs(p, o, sched, T, reps, seed, x0):
 
 
 def _reference_search(p, o, target_eps, grid, reps, max_T, seed, x0):
-    """What `tune_stepsize` gives: (entries, history_t, history).
+    """What `tune_stepsize` gives: (entries, history_t, history), and the
+    number of steps it takes.
 
     A stepsize's lanes leave together at the first iterate any of them
     fails; its mean at t is the sum of its reps' gaps times 1/reps. The
@@ -115,6 +119,7 @@ def _reference_search(p, o, target_eps, grid, reps, max_T, seed, x0):
                 None)
     end = stop if stop is not None else max_T  # the last iterate searched
     last = min(end, max(ends) - 1)  # the last iterate a stepsize is live at
+    steps = min(end, max(ends))  # the search steps at t < steps
     entries = []
     for g, m, e in zip(grid, means, ends):
         reached = stop is not None and stop < e and m[stop] <= target_eps
@@ -127,7 +132,7 @@ def _reference_search(p, o, target_eps, grid, reps, max_T, seed, x0):
     hist = np.full((last + 1, len(grid)), np.nan)
     for j, (m, e) in enumerate(zip(means, ends)):
         hist[:min(e, last + 1), j] = m[:last + 1]
-    return entries, np.arange(last + 1), hist
+    return entries, np.arange(last + 1), hist, steps
 
 
 # --- the random cases -----------------------------------------------------
@@ -200,6 +205,50 @@ _MIXES = [
 ]
 
 
+class _Raise:
+    """An identity stage that raises `exc` in its call at + 1: in step `at`
+    of an engine run, as a stage node runs once per step."""
+
+    def __init__(self, name, at):
+        self.at, self.calls = at, 0
+        self.exc = RuntimeError(f"{name} raised at step {at}")
+
+    def __call__(self, G, n, rng):
+        self.calls += 1
+        if self.calls > self.at:
+            raise self.exc
+        return G
+
+
+def _with_raising(p, seed, horizon, names, oracles):
+    """(names, oracles, reference oracles, raising stages of each) for the
+    case's members and two more: `raise_shared` raises in a stage after the
+    exact gradient, which it shares with `raise_own`, and `raise_own` also
+    in a stage of its own after that one. Each raises at a step drawn from
+    [0, horizon) by a generator of its own, so the case's draws stay as
+    they are; the reference of each is its chain without these stages."""
+    rng = np.random.default_rng((seed, 1))
+    shared = _Raise("shared stage", int(rng.integers(horizon)))
+    own = _Raise("own stage", int(rng.integers(horizon)))
+    noisy = gaussian_noise_oracle(p, [1.0, 100.0][int(rng.integers(2))])
+    exact = exact_oracle(p)
+    head = exact._query_batch.then(shared, "raise_shared")
+    return (names + ["raise_shared", "raise_own"],
+            oracles + [dataclasses.replace(
+                noisy, _query_batch=head.then(*noisy._query_batch[-1])),
+                dataclasses.replace(exact, _query_batch=head.then(own, "raise_own"))],
+            oracles + [noisy, exact],
+            [[]] * len(oracles) + [[shared], [shared, own]])
+
+
+def _failure(raises, steps):
+    """The exception a member raises before it has taken `steps` steps
+    alone, or None: the earliest step's, the first stage's on a tie."""
+    first = min(((r.at, i) for i, r in enumerate(raises) if r.at < steps),
+                default=None)
+    return None if first is None else raises[first[1]].exc
+
+
 def _stepsize(p, rng, kind):
     L = p.smoothness_L
     if kind == "never":
@@ -231,6 +280,7 @@ def _patch_blocks(rng, monkeypatch, lanes):
 def test_repeated_runs_match_the_reference(seed, monkeypatch):
     rng, p, names, oracles, x0 = _case(seed)
     T, reps = int(rng.integers(3, 60)), int(rng.integers(1, 5))
+    names, oracles, twins, raises = _with_raising(p, seed, T, names, oracles)
     runs = []
     for o in oracles:
         kind = ["never", "never", "mid", "once"][int(rng.integers(4))]
@@ -240,10 +290,16 @@ def test_repeated_runs_match_the_reference(seed, monkeypatch):
     got = sgd_run_repeated_many(p, runs, T, reps, seed + 1000, x0=x0,
                                 keep_traces=keep)
     start = p.default_x0 if x0 is None else x0
-    for name, (o, sched), res in zip(names, runs, got):
+    for name, twin, rs, (_, sched), res in zip(names, twins, raises, runs, got):
         where = f"case seed {seed}, member {name} (gamma {sched.gamma:g})"
-        agg, diverged, traces = _reference_runs(p, o, sched, T, reps,
+        agg, diverged, traces = _reference_runs(p, twin, sched, T, reps,
                                                 seed + 1000, start)
+        # a lane steps at t < T, or up to its first bad iterate
+        exc = _failure(rs, max(n if reason in ("overflow", "non-finite") else T
+                               for n, *_, reason in traces))
+        if exc is not None:
+            assert res is exc, where
+            continue
         for field, want in agg.items():
             assert getattr(res, field).tobytes() == want.tobytes(), (where, field)
         assert res.diverged_reps == diverged, where
@@ -269,13 +325,20 @@ def test_searches_match_the_reference(seed, monkeypatch):
             p, oracles[0], target, grid, reps, max_T, seed + 2000, start)[0]
             if e.reached]
         max_T = hits[0] if hits and hits[0] > 0 else max_T
+    names, oracles, twins, raises = _with_raising(p, seed, max_T, names,
+                                                  oracles)
     _patch_blocks(rng, monkeypatch, reps * len(grid) * len(oracles))
     got = tune_stepsize_many(p, oracles, target, grid, reps, max_T, seed + 2000,
                              x0=x0)
-    for name, o, (res, _) in zip(names, oracles, got):
+    for name, twin, rs, out in zip(names, twins, raises, got):
         where = f"case seed {seed}, member {name}"
-        entries, hist_t, hist = _reference_search(p, o, target, grid, reps,
-                                                  max_T, seed + 2000, start)
+        entries, hist_t, hist, steps = _reference_search(
+            p, twin, target, grid, reps, max_T, seed + 2000, start)
+        exc = _failure(rs, steps)
+        if exc is not None:
+            assert out is exc, where
+            continue
+        res = out[0]
         assert res.entries == entries, where
         assert res.history_t.tobytes() == hist_t.tobytes(), where
         assert res.history.tobytes() == hist.tobytes(), where

@@ -337,3 +337,32 @@ def test_point_query_does_its_deterministic_part_once(kind, expected):
     G = o.query_many(p.default_x0, _CHUNK, stream(32))
     assert G.shape == (_CHUNK, 10)
     assert rows == expected
+
+
+def test_a_copy_with_a_new_row_form_derives_its_other_forms_from_it():
+    """`dataclasses.replace` copies the forms `__post_init__` derived with
+    the rest; the copy derives them again from its own row form, and keeps
+    a form passed in."""
+    p = make_nesterov_worst(10)
+    x, rng = 1.5 * p.default_x0, stream(33)
+    o = replace(exact_oracle(p),
+                _query_batch=lambda X, n, rng: 2.0 * p.grad_many(X))
+    twice = 2.0 * p.grad_many(x[None])
+    assert o.query_batch(x[None], rng).tobytes() == twice.tobytes()
+    assert o.query(x, rng).tobytes() == twice[0].tobytes()
+    assert o.query_many(x, 3, rng).tobytes() == np.tile(twice, (3, 1)).tobytes()
+    own = lambda x, rng: np.zeros(10)  # noqa: E731
+    assert replace(o, _query=own)._query is own
+
+    c = replace(top_k_compressor(1, 10), apply_rows=lambda G, rng: -G)
+    assert c.apply(x, rng).tobytes() == (-x).tobytes()
+    assert replace(c, apply=own).apply is own
+
+    q = Problem(name="sq", dim=3, value=lambda x: float(x @ x),
+                grad=lambda x: 2.0 * x, smoothness_L=2.0)
+    q = replace(q, value=lambda x: float(x @ x) + 1.0, grad=lambda x: 3.0 * x)
+    X = np.arange(6.0).reshape(2, 3)
+    assert q.value_many(X).tolist() == [6.0, 51.0]
+    assert q.grad_many(X).tobytes() == (3.0 * X).tobytes()
+    many = lambda X: np.zeros(len(X))  # noqa: E731
+    assert replace(q, value_many=many).value_many is many

@@ -32,7 +32,7 @@ def test_each_command_is_compared_with_rev_and_its_workers_1_twin(
     rev_src = tmp_path / "rev" / "src"
     code = parity.compare(rev_src, tmp_path)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(parity.commands()) == 27
+    assert len(lines) == len(parity.commands()) == 28
     for (label, args), line in zip(parity.commands(), lines):
         # both trees print their own src and out paths, masked to one text
         assert line.startswith(f"{label}: same")
@@ -54,7 +54,7 @@ def test_a_command_that_fails_on_both_trees_fails_the_check(
     monkeypatch.setattr(parity, "_run", lambda src, args, out: (2, b"error: x"))
     code = parity.compare(tmp_path / "rev" / "src", tmp_path)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 27
+    assert len(lines) == 28
     assert all("same" in line and "; failed: exit code 2  [" in line
                for line in lines)
     assert code == 1

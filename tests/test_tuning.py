@@ -272,8 +272,16 @@ def test_a_failing_search_closes_its_history_files(monkeypatch):
     failing = BiasedOracle(name="failing", dim=p.dim, bounds=OracleBounds(),
                            _query_batch=rows)
     files = _history_files(monkeypatch)
-    with pytest.raises(RuntimeError, match="row map failed"):
-        tune_stepsize_many(p, [exact_oracle(p), failing], 1e-9, [0.01, 0.02], 2,
-                           500, 1, keep_history=False)
+    (res, curve), err = tune_stepsize_many(
+        p, [exact_oracle(p), failing], 1e-9, [0.01, 0.02], 2, 500, 1,
+        keep_history=False)
+    assert isinstance(err, RuntimeError) and str(err) == "row map failed"
     assert len(files) == 2
     _assert_closed(files, monkeypatch)
+    # the exact search stepped on as if alone
+    alone = tune_stepsize(p, exact_oracle(p), 1e-9, [0.01, 0.02], 2, 500, 1)
+    assert res.entries == alone.entries
+    want = alone.race_curve()
+    assert curve[0] == want[0]
+    assert curve[1].tobytes() == want[1].tobytes()
+    assert curve[2].tobytes() == want[2].tobytes()

@@ -4,7 +4,7 @@ they do not depend on `--workers`.
     python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
-fixed list of 27 `biased-sgd` commands on that tree and on this checkout's
+fixed list of 28 `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's exit code,
 printed output and output files, with the output path and each tree's `src`
 path masked. In the checkout, a command run under `--workers n` is compared
@@ -117,6 +117,18 @@ T = 2000
 reps = 5
 stepsize_policy = theory_pl
 """,
+    # sigma^2 > 0 and zeta^2 > 0, for `budget`: the proof stepsizes' noise
+    # term shows, where the presets (sigma^2 = 0) print only the cap
+    "noisy_bias": """\
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = exact
+noise_sigma_sq = 1.0
+bias_zeta = 0.1
+""",
 }
 
 
@@ -148,6 +160,7 @@ def commands() -> list:
              ("verify gs_noise --samples 20000",
               ["verify", "--config", "{cfg}/gs_noise.cfg", "--samples", "20000"])]
     cmds += [(f"budget {fig}", ["budget", "--figure", fig]) for fig in ("fig2", "fig3")]
+    cmds += [("budget noisy_bias", ["budget", "--config", "{cfg}/noisy_bias.cfg"])]
     return cmds
 
 
