@@ -450,6 +450,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
                 try:
                     nd.out = nd.fn((X if up is None else up.out)[nd.src], nd.n, nd)
                 except Exception as exc:  # noqa: BLE001 - its members fail alone
+                    exc = exc.with_traceback(None)  # which would keep this frame
                     for m in nd.members:
                         m.sink.out, m.node, failed = exc, None, True
             if failed:

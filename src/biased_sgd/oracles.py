@@ -18,7 +18,7 @@ from typing import Callable, Hashable, NamedTuple, Optional
 
 import numpy as np
 
-from .problems import Problem, _derive, make_huber_problem
+from .problems import Problem, _at_point, _derive, make_huber_problem
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,6 @@ class BiasedOracle:
 
 def _sq_rows(G: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", G, G)
-
-
-def _at_point(rows: Callable[[np.ndarray], np.ndarray]):
-    """The single-point form x -> rows(x[None])[0] of a deterministic row map."""
-    return lambda x: rows(np.asarray(x, dtype=float)[None])[0]
 
 
 def exact_oracle(p: Problem) -> BiasedOracle:

@@ -19,36 +19,40 @@ def _derive(obj, name: str, fn: Callable) -> None:
         object.__setattr__(obj, name, fn)
 
 
+def _at_point(rows: Callable[[np.ndarray], np.ndarray]):
+    """The single-point form x -> rows(x[None])[0] of a deterministic row map."""
+    return lambda x: rows(np.asarray(x, dtype=float)[None])[0]
+
+
 @dataclass(frozen=True)
 class Problem:
     """A differentiable objective with exact gradient and known constants.
 
-    `value` and `grad` must agree under central finite differences (see
-    `finite_diff_check`); `smoothness_L` is a valid Lipschitz constant of the
-    gradient; `pl_mu`, `f_star`, `x_star` are set when known. `value_many`
-    and `grad_many` evaluate the rows of an (n, dim) matrix; when a caller
-    leaves them out they are derived from `value`/`grad` (`_derive`), so
-    every problem has both.
+    The objective is its row forms: `value_many` and `grad_many` evaluate
+    the rows of an (n, dim) matrix. `value(x)` and `grad(x)` are their
+    one-row case, derived unless passed in (`_derive`); a built-in problem
+    gives a point the bits of any batch row holding it. `value` and `grad`
+    agree under central finite differences (see `finite_diff_check`);
+    `smoothness_L` is a valid Lipschitz constant of the gradient; `pl_mu`,
+    `f_star`, `x_star` are set when known.
     """
 
     name: str
     dim: int
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    value_many: Callable[[np.ndarray], np.ndarray]
+    grad_many: Callable[[np.ndarray], np.ndarray]
     smoothness_L: float
     pl_mu: Optional[float] = None
     f_star: Optional[float] = None
     x_star: Optional[np.ndarray] = None
-    value_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grad_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    value: Optional[Callable[[np.ndarray], float]] = None
+    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     default_x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        value, grad, dim = self.value, self.grad, self.dim
-        _derive(self, "value_many", lambda X: np.array(
-            [value(x) for x in X], dtype=float))
-        _derive(self, "grad_many", lambda X: np.array(
-            [grad(x) for x in X], dtype=float).reshape(len(X), dim))
+        value = _at_point(self.value_many)
+        _derive(self, "value", lambda x: float(value(x)))
+        _derive(self, "grad", _at_point(self.grad_many))
 
     def gap(self, x: np.ndarray) -> float:
         """f(x) - f*, falling back to f(x) when the optimum is unknown."""
@@ -90,13 +94,6 @@ def quadratic_problem(A: np.ndarray, name: str = "quadratic",
     L = float(eigvals[-1])
     mu = float(eigvals[0])
 
-    def value(x: np.ndarray) -> float:
-        r = A @ x
-        return 0.5 * float(r @ r)
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        return H @ x
-
     def value_many(X: np.ndarray) -> np.ndarray:
         R = X @ AT if X.shape[0] != 1 else _gemm_row(X, AT)
         return 0.5 * np.einsum("ij,ij->i", R, R)
@@ -112,8 +109,6 @@ def quadratic_problem(A: np.ndarray, name: str = "quadratic",
     return QuadraticProblem(
         name=name,
         dim=dim,
-        value=value,
-        grad=grad,
         smoothness_L=L,
         pl_mu=mu if mu > 0 else None,
         f_star=0.0,
@@ -152,14 +147,6 @@ def make_huber_problem() -> Problem:
     PL constant.
     """
 
-    def value(x: np.ndarray) -> float:
-        v = float(np.asarray(x).reshape(-1)[0])
-        return abs(v) if abs(v) > 1.0 else 0.5 * v * v + 0.5
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        v = float(np.asarray(x).reshape(-1)[0])
-        return np.array([np.sign(v) if abs(v) > 1.0 else v])
-
     def value_many(X: np.ndarray) -> np.ndarray:
         v = np.asarray(X, dtype=float).reshape(-1)
         return np.where(np.abs(v) > 1.0, np.abs(v), 0.5 * v * v + 0.5)
@@ -171,8 +158,6 @@ def make_huber_problem() -> Problem:
     return Problem(
         name="huber",
         dim=1,
-        value=value,
-        grad=grad,
         smoothness_L=1.0,
         pl_mu=None,
         f_star=0.5,
@@ -208,5 +193,6 @@ def scaled_x0(p: Problem, gap: float) -> np.ndarray:
     if gap < 0:
         raise ValueError("gap must be nonnegative")
     v = np.ones(p.dim) / np.sqrt(p.dim)
-    fv = p.value(v)
+    r = p.matrix_A @ v  # a gemv, not p.value's gemm row: x0 keeps its bits
+    fv = 0.5 * float(r @ r)
     return v * np.sqrt(gap / fv)

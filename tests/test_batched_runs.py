@@ -188,6 +188,31 @@ def test_an_empty_batch_returns_no_results():
     assert tune_stepsize_many(p, [], 1e-3, grid=[0.1], max_T=20) == []
 
 
+def test_a_returned_failure_holds_no_traceback():
+    # a traceback would keep the engine's frame, with its state matrix and
+    # record block, alive for as long as the caller holds the result
+    p = make_nesterov_worst(6)
+    calls = []
+
+    def raising(X, n, rng):
+        calls.append(n)
+        if len(calls) % 5 == 0:
+            raise RuntimeError("synthetic row map failure")
+        return p.grad_many(X)
+
+    bad = dataclasses.replace(exact_oracle(p), _query_batch=raising)
+    runs = sgd_run_repeated_many(p, [(exact_oracle(p), StepSchedule(0.1)),
+                                     (bad, StepSchedule(0.1))], 20, 2, seed=1)
+    searches = tune_stepsize_many(p, [exact_oracle(p), bad], 1e-3, grid=[0.1],
+                                  max_T=20)
+    for out in (runs, searches):
+        assert not isinstance(out[0], Exception)
+        assert isinstance(out[1], RuntimeError)
+        assert out[1].__traceback__ is None
+    with pytest.raises(RuntimeError, match="synthetic row map failure"):
+        sgd_run_repeated(p, bad, StepSchedule(0.1), 20, 2, seed=1)
+
+
 @pytest.mark.parametrize("max_T", [0, -3])
 def test_max_T_below_one_is_rejected(max_T):
     p = make_nesterov_worst(6)

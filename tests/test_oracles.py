@@ -109,10 +109,9 @@ def _linear_problem(dim, c):
     c = np.asarray(c, dtype=float)
     return Problem(
         name="linear", dim=dim,
-        value=lambda x: float(c @ x),
-        grad=lambda x: c.copy(),
-        smoothness_L=1.0,
         value_many=lambda X: X @ c,
+        grad_many=lambda X: np.tile(c, (len(X), 1)),
+        smoothness_L=1.0,
     )
 
 
@@ -358,11 +357,12 @@ def test_a_copy_with_a_new_row_form_derives_its_other_forms_from_it():
     assert c.apply(x, rng).tobytes() == (-x).tobytes()
     assert replace(c, apply=own).apply is own
 
-    q = Problem(name="sq", dim=3, value=lambda x: float(x @ x),
-                grad=lambda x: 2.0 * x, smoothness_L=2.0)
-    q = replace(q, value=lambda x: float(x @ x) + 1.0, grad=lambda x: 3.0 * x)
-    X = np.arange(6.0).reshape(2, 3)
-    assert q.value_many(X).tolist() == [6.0, 51.0]
-    assert q.grad_many(X).tobytes() == (3.0 * X).tobytes()
-    many = lambda X: np.zeros(len(X))  # noqa: E731
-    assert replace(q, value_many=many).value_many is many
+    q = Problem(name="sq", dim=3, value_many=lambda X: (X * X).sum(1),
+                grad_many=lambda X: 2.0 * X, smoothness_L=2.0)
+    q = replace(q, value_many=lambda X: (X * X).sum(1) + 1.0,
+                grad_many=lambda X: 3.0 * X)
+    y = np.arange(3.0)
+    assert q.value(y) == 6.0
+    assert q.grad(y).tobytes() == (3.0 * y).tobytes()
+    value = lambda x: 0.0  # noqa: E731
+    assert replace(q, value=value).value is value

@@ -69,3 +69,14 @@ def test_a_command_without_its_workers_1_twin_is_reported(
     line, = capsys.readouterr().out.splitlines()
     assert "; as --workers 1: differs: no --workers 1 twin before it  [" in line
     assert code == 1
+
+
+def test_the_src_line_counts_of_both_trees(tmp_path):
+    for tree, files in (("rev", {"a.py": "x\n" * 40, "pkg/b.py": "y\n" * 2}),
+                        ("here", {"a.py": "x\n" * 30, "pkg/b.py": "y\n" * 1000,
+                                  "notes.txt": "z\n" * 50})):
+        for name, text in files.items():
+            (tmp_path / tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / tree / name).write_text(text)
+    assert parity.src_delta("HEAD^", tmp_path / "rev", tmp_path / "here") == \
+        "src/: 42 lines at HEAD^, 1,030 here (+988)"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biased_sgd import (Problem, finite_diff_check, make_huber_problem,
+from biased_sgd import (finite_diff_check, make_huber_problem,
                         make_nesterov_worst, quadratic_problem, scaled_x0)
 from biased_sgd._rng import stream
 
@@ -135,21 +135,15 @@ def test_default_x0_has_unit_gap():
 
 
 def test_vectorized_paths_agree():
-    p = make_nesterov_worst(7)
+    """`value(x)` and `grad(x)` have the bits of `value_many`/`grad_many`
+    on the one row x, and of the row holding x in a 7-row batch."""
     rng = stream(13)
-    X = rng.standard_normal((40, 7))
-    vals = p.value_many(X)
-    grads = p.grad_many(X)
-    for i in range(40):
-        assert vals[i] == pytest.approx(p.value(X[i]), rel=1e-12)
-        assert np.allclose(grads[i], p.grad(X[i]), rtol=1e-12)
-
-
-def test_row_maps_filled_in_from_value_and_grad():
-    q = make_nesterov_worst(4)
-    p = Problem(name="bare", dim=4, value=q.value, grad=q.grad,
-                smoothness_L=q.smoothness_L)
-    X = stream(7).standard_normal((5, 4))
-    assert np.array_equal(p.value_many(X), [q.value(x) for x in X])
-    assert np.array_equal(p.grad_many(X), np.stack([q.grad(x) for x in X]))
-    assert p.grad_many(X[:0]).shape == (0, 4)
+    for p in (make_nesterov_worst(10), make_huber_problem()):
+        for _ in range(150):  # 1,050 points per problem
+            X = 2.0 * rng.standard_normal((7, p.dim))
+            vals, grads = p.value_many(X), p.grad_many(X)
+            for i, x in enumerate(X):
+                value = np.float64(p.value(x)).tobytes()
+                grad = p.grad(x).tobytes()
+                assert value == p.value_many(x[None])[0].tobytes() == vals[i].tobytes()
+                assert grad == p.grad_many(x[None])[0].tobytes() == grads[i].tobytes()

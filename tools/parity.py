@@ -8,11 +8,13 @@ fixed list of 28 `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's exit code,
 printed output and output files, with the output path and each tree's `src`
 path masked. In the checkout, a command run under `--workers n` is compared
-the same way with its `--workers 1` twin. Prints one line per command: the
-result against REV (`same` or `differs: <first file>`), the result against
-the twin where it has one, `failed` if the command exits non-zero in the
-checkout, and the wall time on each tree; exits 1 if any command fails or
-any comparison differs. With REV = HEAD on a clean checkout, every command is
+the same way with its `--workers 1` twin. Prints first the line count of the
+`*.py` files under each tree's `src/` and the change (`src/: 3,587 lines at
+REV, 3,566 here (-21)`), then one line per command: the result against REV
+(`same` or `differs: <first file>`), the result against the twin where it
+has one, `failed` if the command exits non-zero in the checkout, and the
+wall time on each tree; exits 1 if any command fails or any comparison
+differs. With REV = HEAD on a clean checkout, every command is
 rerun on the same code.
 
 One command, `tune tune_long`, runs a search that stays above its target
@@ -234,6 +236,14 @@ def compare(rev_src: Path, tmp: Path) -> int:
     return 1 if differs else 0
 
 
+def src_delta(rev: str, rev_src: Path, src: Path) -> str:
+    """The lines of the `*.py` files under REV's `rev_src` and under `src`
+    (as `wc -l` counts them), and the change, in one line."""
+    a, b = (sum(f.read_bytes().count(b"\n") for f in d.rglob("*.py"))
+            for d in (rev_src, src))
+    return f"src/: {a:,} lines at {rev}, {b:,} here ({b - a:+,})"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="the git revision to compare against")
@@ -244,6 +254,7 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
             tf.extractall(tmp / "rev", filter="data")
+        print(src_delta(args.rev, tmp / "rev" / "src", ROOT / "src"), flush=True)
         return compare(tmp / "rev" / "src", tmp)
 
 
