@@ -13,8 +13,7 @@ from .oracles import (BiasedOracle, OracleBounds, additive_bias_oracle,
                       inexact_oracle, synthetic_tight_oracle, tightness_oracle,
                       uniform_direction)
 from .optimizer import (Divergence, RepeatedRuns, RunTrace, StepSchedule,
-                        sgd_run, sgd_run_repeated, sgd_run_repeated_many,
-                        uniform_random_iterate)
+                        sgd_run, sgd_run_repeated, sgd_run_repeated_many)
 from .problems import (Problem, QuadraticProblem, finite_diff_check,
                        make_huber_problem, make_nesterov_worst,
                        quadratic_problem, scaled_x0)

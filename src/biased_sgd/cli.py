@@ -10,13 +10,13 @@ import argparse
 import sys
 from typing import Optional
 
-from . import experiments, figures
-from .config import ConfigError, ExperimentConfig, load_config
+from . import experiments
+from .config import FIGURE_NAMES, ConfigError, ExperimentConfig, load_config, preset
 
 
 def _resolve_config(args) -> ExperimentConfig:
     if getattr(args, "figure", None):
-        cfg = figures.preset(args.figure)
+        cfg = preset(args.figure)
     elif args.config:
         cfg = load_config(args.config)
     else:
@@ -99,7 +99,7 @@ def main(argv: Optional[list] = None) -> int:
         sp.add_argument("--seed", type=int, default=None, help="override run seed")
         sp.add_argument("--workers", type=int, default=1,
                         help="processes for sweep/tune runs (>= 1)")
-        sp.add_argument("--figure", choices=figures.FIGURE_NAMES,
+        sp.add_argument("--figure", choices=FIGURE_NAMES,
                         help="use a built-in figure preset")
 
     common(sub.add_parser("run", help="single repeated run -> trace.csv + summary"))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Optional
 
@@ -334,6 +335,17 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     return parse_config(text)
+
+
+# the figure presets are the packaged config files configs/NAME.cfg
+_PRESET_DIR = os.path.join(os.path.dirname(__file__), "configs")
+FIGURE_NAMES = tuple(sorted(name[:-len(".cfg")] for name in os.listdir(_PRESET_DIR)
+                            if name.endswith(".cfg")))
+
+
+def preset(name: str) -> ExperimentConfig:
+    """The figure preset `name`, read from its packaged config file."""
+    return load_config(os.path.join(_PRESET_DIR, f"{name}.cfg"))

@@ -58,13 +58,18 @@ class StepSchedule:
         return StepSchedule(float(gamma))
 
 
+def _thinned_grid(T: int, dense_to: int, log_from: int, n_log: int) -> np.ndarray:
+    """Iterations of 0..T to record: all when T <= dense_to, else every t <=
+    log_from, then n_log log-spaced ones from log_from to T, T included."""
+    if T <= dense_to:
+        return np.arange(T + 1)
+    tail = np.geomspace(log_from, T, n_log).astype(np.int64)
+    return np.unique(np.concatenate([np.arange(log_from + 1), tail, [T]]))
+
+
 def _record_grid(T: int) -> np.ndarray:
     """Iteration indices to record: everything, or log-thinned checkpoints."""
-    if T <= FULL_TRACE_LIMIT:
-        return np.arange(T + 1)
-    head = np.arange(1024)
-    tail = np.unique(np.geomspace(1024, T, 99_000).astype(np.int64))
-    return np.unique(np.concatenate([head, tail, [T]]))
+    return _thinned_grid(T, FULL_TRACE_LIMIT, 1024, 99_000)
 
 
 @dataclass
@@ -565,11 +570,3 @@ def sgd_run_repeated_many(p: Problem, runs: list, T: int, reps: int, seed: int,
     that run alone.
     """
     return _repeat(p, T, x0, rep_streams(seed, reps), runs, keep_traces)
-
-
-def uniform_random_iterate(trace: RunTrace, rng: np.random.Generator) -> int:
-    """Index of a uniformly random recorded iterate among t = 0 .. T-1."""
-    n = len(trace.t) - 1
-    if n < 1:
-        return 0
-    return int(rng.integers(0, n))

@@ -101,11 +101,6 @@ def quadratic_problem(A: np.ndarray, name: str = "quadratic",
     def grad_many(X: np.ndarray) -> np.ndarray:
         return X @ H if X.shape[0] != 1 else _gemm_row(X, H)  # H symmetric
 
-    # x0 scaled so the initial gap is exactly 1
-    v = np.ones(dim) / np.sqrt(dim)
-    fv = 0.5 * float((A @ v) @ (A @ v))
-    x0 = v / np.sqrt(fv)
-
     return QuadraticProblem(
         name=name,
         dim=dim,
@@ -115,7 +110,7 @@ def quadratic_problem(A: np.ndarray, name: str = "quadratic",
         x_star=np.zeros(dim),
         value_many=value_many,
         grad_many=grad_many,
-        default_x0=x0,
+        default_x0=_gap_scaled_x0(A, 1.0),
         matrix_A=A,
         hessian=H,
     )
@@ -192,7 +187,12 @@ def scaled_x0(p: Problem, gap: float) -> np.ndarray:
         raise ValueError("scaled_x0 requires a quadratic problem")
     if gap < 0:
         raise ValueError("gap must be nonnegative")
-    v = np.ones(p.dim) / np.sqrt(p.dim)
-    r = p.matrix_A @ v  # a gemv, not p.value's gemm row: x0 keeps its bits
+    return _gap_scaled_x0(p.matrix_A, gap)
+
+
+def _gap_scaled_x0(A: np.ndarray, gap: float) -> np.ndarray:
+    """The all-ones direction scaled so that 0.5*||Ax||^2 equals `gap`."""
+    v = np.ones(A.shape[1]) / np.sqrt(A.shape[1])
+    r = A @ v  # a gemv, not value_many's gemm row: x0 keeps its bits
     fv = 0.5 * float(r @ r)
     return v * np.sqrt(gap / fv)

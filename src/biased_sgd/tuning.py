@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .optimizer import StepSchedule, _raised, _run_lanes, rep_streams
+from .optimizer import (StepSchedule, _raised, _run_lanes, _thinned_grid,
+                        rep_streams)
 from .oracles import BiasedOracle
 from .problems import Problem
 
@@ -60,10 +61,7 @@ def history_grid(max_T: int) -> np.ndarray:
 
     At most RACE_HORIZON + _LOG_POINTS + 1 entries whatever max_T is.
     """
-    if max_T <= RACE_HORIZON:
-        return np.arange(max_T + 1)
-    tail = np.geomspace(RACE_HORIZON, max_T, _LOG_POINTS).astype(np.int64)
-    return np.unique(np.concatenate([np.arange(RACE_HORIZON + 1), tail, [max_T]]))
+    return _thinned_grid(max_T, RACE_HORIZON, RACE_HORIZON, _LOG_POINTS)
 
 
 @dataclass

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biased_sgd import (BiasedOracle, OracleBounds, StepSchedule, exact_oracle,
-                        experiments, figures, gaussian_noise_oracle,
+from biased_sgd import (BiasedOracle, OracleBounds, StepSchedule, config,
+                        exact_oracle, experiments, gaussian_noise_oracle,
                         make_nesterov_worst, optimizer, sgd_run_repeated,
                         sgd_run_repeated_many, tune_stepsize,
                         tune_stepsize_many, tuning)
@@ -372,7 +372,7 @@ def test_fig6_runs_share_their_stages_and_draws(monkeypatch):
             made[_cls] += 1
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counted)
-    cfg = figures.preset("fig6")
+    cfg = config.preset("fig6")
     p = experiments.build_problem(cfg)
     runs = [(experiments.build_oracle(
                 cfg.with_overrides(compressor=c, noise_sigma_sq=s, k=1), p,
@@ -384,7 +384,7 @@ def test_fig6_runs_share_their_stages_and_draws(monkeypatch):
 def test_every_name_the_benchmark_tracer_wraps_exists():
     # perfbench/tracer.py wraps these by name, so a name the batched calls
     # left unused must stay importable, or every traced run stops
-    from biased_sgd import config, estimators
+    from biased_sgd import estimators
 
     modules = {"experiments": experiments, "estimators": estimators,
                "optimizer": optimizer, "config": config}

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biased_sgd import StepSchedule, cli, config, experiments, figures, sgd_run_repeated
+from biased_sgd import StepSchedule, cli, config, experiments, sgd_run_repeated
 from biased_sgd.config import (ConfigError, ExperimentConfig, OracleSpec,
                                ProblemSpec, RunSpec, TuneSpec, parse_config,
                                serialize_config)
@@ -36,8 +36,8 @@ def test_config_round_trip_stability():
     cfg2 = parse_config(text1)
     assert cfg == cfg2
     assert serialize_config(cfg2) == text1
-    for name in figures.FIGURE_NAMES:
-        cfg = figures.preset(name)
+    for name in config.FIGURE_NAMES:
+        cfg = config.preset(name)
         assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -47,7 +47,7 @@ def test_config_defaults_and_fingerprint():
     assert cfg.oracle.compressor == "none"
     assert cfg.sweep is None and cfg.tune is None
     assert len(cfg.fingerprint()) == 16
-    assert cfg.fingerprint() != figures.preset("fig1").fingerprint()
+    assert cfg.fingerprint() != config.preset("fig1").fingerprint()
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -163,10 +163,21 @@ def test_an_unsupported_annotation_is_refused():
         config._value_type(Spec, fields(Spec)[0])
 
 
-@pytest.mark.parametrize("name", figures.FIGURE_NAMES)
+# each figure preset's config fingerprint, which every output of it carries
+PRESET_FINGERPRINTS = {"fig1": "13e598eadf3e6205", "fig2": "b2786c0257ffd64b",
+                       "fig3": "012eb320a65317d7", "fig5": "9da05e364e8f6022",
+                       "fig6": "4a3f202456a26865"}
+
+
+@pytest.mark.parametrize("name", PRESET_FINGERPRINTS)
 def test_config_files_are_the_presets_canonical_text(name):
-    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
-    assert path.read_text(encoding="utf-8") == figures.preset(name).canonical()
+    # a preset is its packaged file, kept in canonical form, and --figure
+    # offers exactly the packaged files
+    path = Path(config.__file__).parent / "configs" / f"{name}.cfg"
+    cfg = config.preset(name)
+    assert path.read_text(encoding="utf-8") == cfg.canonical()
+    assert cfg.fingerprint() == PRESET_FINGERPRINTS[name]
+    assert config.FIGURE_NAMES == tuple(PRESET_FINGERPRINTS)
 
 
 @pytest.mark.parametrize("override", [
@@ -233,7 +244,7 @@ series_by = k
 
 
 def test_sweep_byte_determinism(tmp_path):
-    cfg = figures.preset("fig1").with_overrides(T=200, reps=2)
+    cfg = config.preset("fig1").with_overrides(T=200, reps=2)
     experiments.sweep_experiment(cfg, out_dir=str(tmp_path / "s1"))
     experiments.sweep_experiment(cfg, out_dir=str(tmp_path / "s2"))
     for rel in ("figure.svg", "manifest.txt",
@@ -248,7 +259,7 @@ def test_sweep_requires_axes():
 
 
 def test_sweep_svg_series_match_cells(tmp_path):
-    cfg = figures.preset("fig1").with_overrides(T=100, reps=2)
+    cfg = config.preset("fig1").with_overrides(T=100, reps=2)
     res = experiments.sweep_experiment(cfg, out_dir=str(tmp_path))
     svg = (tmp_path / "figure.svg").read_text()
     ok_cells = [rec for rec in res.cells if "error" not in rec]
@@ -259,7 +270,7 @@ def test_sweep_svg_series_match_cells(tmp_path):
 
 
 def test_sweep_failed_cell_recorded_not_fatal(tmp_path, monkeypatch):
-    cfg = figures.preset("fig1").with_overrides(T=100, reps=2)
+    cfg = config.preset("fig1").with_overrides(T=100, reps=2)
     real = experiments._build_run
 
     def flaky(sub_cfg, p):
@@ -384,6 +395,18 @@ def test_cli_main_paths(tmp_path):
     assert cli.main(["run", "--out", str(tmp_path)]) == 1  # no config, no figure
 
 
+@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "c.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(MINI.encode() + b"\xff\n")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: cannot read config {str(path)!r}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("oracle, sweep", [
     ("compressor = scale\n", ""),
     ("", "[sweep]\ncompressor = none, scale\n"),
@@ -443,7 +466,7 @@ def test_verify_rejects_fewer_than_two_samples(tmp_path, capsys, samples):
 
 
 def test_sweep_workers_match_serial(tmp_path):
-    cfg = figures.preset("fig1").with_overrides(T=150, reps=2)
+    cfg = config.preset("fig1").with_overrides(T=150, reps=2)
     experiments.sweep_experiment(cfg, out_dir=str(tmp_path / "w1"), workers=1)
     experiments.sweep_experiment(cfg, out_dir=str(tmp_path / "w2"), workers=3)
     rel = "cells/noise_sigma_sq=1.0_bias_zeta=0.1/trace.csv"
@@ -659,7 +682,7 @@ def test_verify_accepts_figure(tmp_path, capsys):
     assert cli.main(["verify", "--figure", "fig1", "--samples", "2000",
                      "--out", str(tmp_path / "f")]) == 0
     table = (tmp_path / "f/verify.md").read_text()
-    cfg = figures.preset("fig1")
+    cfg = config.preset("fig1")
     _, direct = experiments.verify_experiment(cfg, out_dir=None, samples=2000)
     assert table == direct
     assert len(table.splitlines()) == 3  # header, rule, the preset's oracle

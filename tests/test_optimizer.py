@@ -11,9 +11,8 @@ from biased_sgd import (BiasedOracle, Divergence, OracleBounds, StepSchedule,
                         huber_shifted_oracle, make_nesterov_worst, pl_envelope,
                         rand_k_compressor, sgd_run, sgd_run_repeated,
                         stepsize_cap, synthetic_tight_oracle, tightness_oracle,
-                        top_k_compressor, uniform_direction,
-                        uniform_random_iterate)
-from biased_sgd import optimizer
+                        top_k_compressor, uniform_direction)
+from biased_sgd import optimizer, tuning
 from biased_sgd._rng import stream
 
 
@@ -169,21 +168,6 @@ def test_schedule_validation():
     p = make_nesterov_worst(4)
     with pytest.raises(ValueError):
         sgd_run(p, exact_oracle(p), StepSchedule.constant(0.1), 0, seed=0)
-
-
-def test_uniform_random_iterate():
-    p = make_nesterov_worst(6)
-    tr1 = sgd_run(p, exact_oracle(p), StepSchedule.constant(0.05), 1, seed=0)
-    assert uniform_random_iterate(tr1, stream(12)) == 0
-    tr = sgd_run(p, exact_oracle(p), StepSchedule.constant(0.05), 10, seed=0)
-    rng = stream(13)
-    draws = np.array([uniform_random_iterate(tr, rng) for _ in range(100_000)])
-    freq = np.bincount(draws, minlength=10) / len(draws)
-    se = np.sqrt(0.1 * 0.9 / len(draws))
-    assert np.all(np.abs(freq - 0.1) < 5 * se)
-    # plug-in estimator of the averaged squared gradient norm
-    est = float(np.mean(tr.grad_norm_sq[draws]))
-    assert est == pytest.approx(float(np.mean(tr.grad_norm_sq[:-1])), rel=0.05)
 
 
 def test_completed_run_evaluates_f_once_per_step():
@@ -447,3 +431,25 @@ def test_thinned_record_grid_matches_the_dense_run(monkeypatch, keep_traces):
     for tr, full in zip(thin.traces, dense.traces):
         assert np.array_equal(tr.t, thin.t)
         assert np.array_equal(tr.f_gap, full.f_gap[tr.t])
+
+
+def test_both_thinned_grids_keep_their_iterations():
+    # the engine's record grid and the stepsize search's history grid,
+    # spelled out: dense up to a limit, then log-spaced to T, T included
+    def record(T):
+        if T <= 1_000_000:
+            return np.arange(T + 1)
+        tail = np.unique(np.geomspace(1024, T, 99_000).astype(np.int64))
+        return np.unique(np.concatenate([np.arange(1024), tail, [T]]))
+
+    def history(T):
+        if T <= 200_000:
+            return np.arange(T + 1)
+        tail = np.geomspace(200_000, T, 1_000).astype(np.int64)
+        return np.unique(np.concatenate([np.arange(200_001), tail, [T]]))
+
+    for grid, spelled, limit in ((optimizer._record_grid, record, 1_000_000),
+                                 (tuning.history_grid, history, 200_000)):
+        for T in (limit, limit + 1, 10 * limit, 10**9):
+            got, want = grid(T), spelled(T)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), T

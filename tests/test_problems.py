@@ -134,6 +134,14 @@ def test_default_x0_has_unit_gap():
         assert p.gap(scaled_x0(p, 3.5)) == pytest.approx(3.5, rel=1e-12)
 
 
+def test_default_x0_is_the_unit_gap_start_to_the_bit():
+    # one rule for both: a library run with x0=None starts where the CLI's
+    # x0_gap = 1 run does
+    for d in range(2, 60):
+        p = make_nesterov_worst(d)
+        assert p.default_x0.tobytes() == scaled_x0(p, 1.0).tobytes(), d
+
+
 def test_vectorized_paths_agree():
     """`value(x)` and `grad(x)` have the bits of `value_many`/`grad_many`
     on the one row x, and of the row holding x in a 7-row batch."""
