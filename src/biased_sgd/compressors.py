@@ -157,35 +157,32 @@ def scale_compressor(delta: float, dim: int) -> Compressor:
 
 
 def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
-                      bounds_mode: str = "derived",
-                      estimate_seed: int = 0) -> BiasedOracle:
+                      bounds_mode: str = "derived") -> BiasedOracle:
     """Compose compressor and oracle into a single biased oracle.
 
     In "derived" mode the bound parameters follow the closed-form composition
     rules, which require an unbiased inner oracle (and, for deterministic
     compressors, a noiseless one); an identity compressor (`is_identity`)
     keeps the inner oracle's bounds and mean over any inner oracle.
-    "estimated" mode fits the bounds empirically instead (and refuses if the
-    fitted bias slope reaches 1, which the bound parameterization cannot
-    represent). "query_only" attaches
-    all-zero placeholder bounds for consumers that use just the query stream.
+    "query_only" attaches all-zero placeholder bounds, for consumers that use
+    just the query stream or fit the bounds themselves
+    (`fit_oracle_bounds`, then `with_bounds`).
     """
-    if bounds_mode not in ("derived", "estimated", "query_only"):
+    if bounds_mode not in ("derived", "query_only"):
         raise ValueError(f"unknown bounds_mode {bounds_mode!r}")
     d = c.dim
     if inner.dim != d or p.dim != d:
         raise ValueError("dimension mismatch between compressor, oracle, and problem")
 
     ib = inner.bounds
-    expected = None
+    bounds, expected = OracleBounds(), None
     identity = is_identity(c.kind, d, c.k, c.delta)
     if bounds_mode == "derived" and identity:
         bounds, expected = ib, inner.expected_query
     elif bounds_mode == "derived":
         if ib.m != 0.0 or ib.zeta_sq != 0.0:
             raise UnsupportedCompositionError(
-                "derived composition needs an unbiased inner oracle "
-                "(use bounds_mode='estimated')")
+                "derived composition needs an unbiased inner oracle")
         if c.kind == "rand_k":
             ratio = d / c.k
             bounds = OracleBounds(m=1.0 - c.k / d, zeta_sq=0.0,
@@ -203,8 +200,7 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
         elif c.deterministic and c.delta is not None:
             if ib.M != 0.0 or ib.sigma_sq != 0.0:
                 raise UnsupportedCompositionError(
-                    f"no derived bounds for {c.name} over a stochastic oracle "
-                    "(use bounds_mode='estimated')")
+                    f"no derived bounds for {c.name} over a stochastic oracle")
             bounds = OracleBounds(m=1.0 - c.delta, zeta_sq=0.0)
             if inner.expected_query is not None:
                 inner_exp = inner.expected_query
@@ -220,23 +216,9 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
             G = np.broadcast_to(G, (n, d))
         return c.apply_rows(G, rng)
 
-    oracle = BiasedOracle(
-        name=f"{c.name}({inner.name})", dim=d,
-        bounds=OracleBounds(),  # placeholder, replaced below
+    return BiasedOracle(
+        name=f"{c.name}({inner.name})", dim=d, bounds=bounds,
         _query_batch=inner._query_batch.then(rows, c),
         expected_query=expected,
         deterministic=inner.deterministic and not random,
     )
-    if bounds_mode == "derived":
-        return oracle.with_bounds(bounds)
-    if bounds_mode == "query_only":
-        return oracle
-
-    from . import estimators  # local import; estimators depends on oracles
-
-    fitted = estimators.fit_oracle_bounds(oracle, p, seed=estimate_seed)
-    if not fitted.feasible:
-        raise UnsupportedCompositionError(
-            f"fitted bias slope for {oracle.name} reaches 1; the bound "
-            "parameterization requires m < 1")
-    return oracle.with_bounds(fitted.bounds)

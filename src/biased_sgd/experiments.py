@@ -55,7 +55,8 @@ def build_oracle(cfg: ExperimentConfig, p: Problem,
     """Construct the configured oracle chain: base -> +noise -> +bias -> compress.
 
     Returns (oracle, bounds_source) where bounds_source is "derived",
-    "estimated" (compressor composition fitted empirically), or "unavailable".
+    "estimated" (fitted by `estimators.fit_oracle_bounds` where the composition
+    rules stop), or "unavailable" (not fitted).
     """
     spec = cfg.oracle
     if spec.kind == "huber_shifted":
@@ -80,14 +81,18 @@ def build_oracle(cfg: ExperimentConfig, p: Problem,
     if comp is None:
         return o, "derived"
     try:
-        return compressed_oracle(comp, o, p, bounds_mode="derived"), "derived"
+        return compressed_oracle(comp, o, p), "derived"
     except UnsupportedCompositionError:
-        if not estimate_missing_bounds:
-            # query stream only (tuning); the placeholder bounds are not used
-            return compressed_oracle(comp, o, p, bounds_mode="query_only"), \
-                "unavailable"
-        return compressed_oracle(comp, o, p, bounds_mode="estimated",
-                                 estimate_seed=cfg.run.seed), "estimated"
+        o = compressed_oracle(comp, o, p, bounds_mode="query_only")
+    if not estimate_missing_bounds:
+        # query stream only (tuning); the placeholder bounds are not used
+        return o, "unavailable"
+    fit = estimators.fit_oracle_bounds(o, p, seed=cfg.run.seed)
+    if not fit.feasible:
+        raise UnsupportedCompositionError(
+            f"fitted bias slope for {o.name} reaches 1; the bound "
+            "parameterization requires m < 1")
+    return o.with_bounds(fit.bounds), "estimated"
 
 
 def _x0(cfg: ExperimentConfig, p: Problem) -> np.ndarray:
@@ -180,7 +185,7 @@ def run_experiment(cfg: ExperimentConfig,
     p = build_problem(cfg)
     o, bounds_source, sched = _build_run(cfg, p)
     agg = sgd_run_repeated(p, o, sched, cfg.run.T, cfg.run.reps, cfg.run.seed,
-                           x0=_x0(cfg, p))
+                           x0=_x0(cfg, p), keep_traces=False)
     summary = _cell_summary(cfg, p, o, bounds_source, agg)
     if out_dir is not None:
         _write_run(out_dir, cfg, agg, summary)

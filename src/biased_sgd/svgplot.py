@@ -62,8 +62,8 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
-def line_plot(series: Sequence[tuple], title: str = "") -> str:
-    """Render (label, x, y) series as an SVG string.
+def _panel(series: Sequence[tuple], title: str) -> list:
+    """The SVG elements, one a line, of a panel plotting (label, x, y) series.
 
     Values below `_FLOOR` are clamped so that exactly-converged runs stay on
     the canvas.
@@ -99,9 +99,7 @@ def line_plot(series: Sequence[tuple], title: str = "") -> str:
         frac = (math.log10(max(v, _FLOOR)) - ly_lo) / (ly_hi - ly_lo)
         return mt + (1.0 - frac) * ph
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}" viewBox="0 0 {width} {height}">',
-           f'<rect width="{width}" height="{height}" fill="white"/>',
+    out = [f'<rect width="{width}" height="{height}" fill="white"/>',
            f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
            'stroke="#333" stroke-width="1"/>']
     if title:
@@ -139,9 +137,7 @@ def line_plot(series: Sequence[tuple], title: str = "") -> str:
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 23}" y="{ly}" font-size="10" '
                    f'font-family="sans-serif">{label}</text>')
-
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return out
 
 
 def panel_grid(panels: Sequence[tuple]) -> str:
@@ -153,9 +149,8 @@ def panel_grid(panels: Sequence[tuple]) -> str:
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
            f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">']
     for i, (title, series) in enumerate(panels):
-        inner = line_plot(series, title=title)
-        body = inner.split("\n", 1)[1].rsplit("</svg>", 1)[0]
         tx, ty = (i % columns) * _WIDTH, (i // columns) * _HEIGHT
-        out.append(f'<g transform="translate({tx} {ty})">\n{body}</g>')
+        out += [f'<g transform="translate({tx} {ty})">', *_panel(series, title),
+                "</g>"]
     out.append("</svg>")
     return "\n".join(out) + "\n"

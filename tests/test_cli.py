@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biased_sgd import StepSchedule, cli, config, experiments, sgd_run_repeated
+from biased_sgd import (StepSchedule, cli, config, estimators, experiments,
+                        sgd_run_repeated)
 from biased_sgd.config import (ConfigError, ExperimentConfig, OracleSpec,
                                ProblemSpec, RunSpec, TuneSpec, parse_config,
                                serialize_config)
@@ -543,14 +544,79 @@ stepsize = 0.1
     # an overflowing stepsize: each rep is listed with its first bad iterate
     cfg = parse_config(MINI).with_overrides(stepsize=10.0, reps=2)
     out = experiments.run_experiment(cfg, out_dir=str(tmp_path / "o"))
+    assert out.agg.traces is None  # run writes no per-rep trace, so keeps none
+    p = experiments.build_problem(cfg)
+    o, _, sched = experiments._build_run(cfg, p)
+    traces = sgd_run_repeated(p, o, sched, cfg.run.T, cfg.run.reps, cfg.run.seed,
+                              x0=experiments._x0(cfg, p), keep_traces=True).traces
     # the first bad iterate is the one after the last recorded
     assert out.summary["diverged_detail"] == " ".join(
-        f"{rep}:overflow@{len(tr.t)}" for rep, tr in enumerate(out.agg.traces))
-    assert all(len(tr.t) < cfg.run.T for tr in out.agg.traces)
+        f"{rep}:overflow@{len(tr.t)}" for rep, tr in enumerate(traces))
+    assert all(len(tr.t) < cfg.run.T for tr in traces)
     assert f"diverged_detail = {out.summary['diverged_detail']}\n" in \
         (tmp_path / "o/summary.txt").read_text()
     clean = experiments.run_experiment(parse_config(MINI))
     assert clean.summary["diverged_detail"] == "-"
+
+
+ESTIMATED_SWEEP = """
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = exact
+noise_sigma_sq = 1.0
+k = 1
+
+[run]
+T = 50
+reps = 2
+stepsize = 0.01
+
+[sweep]
+compressor = none, rand_k, top_k
+"""
+
+
+def test_an_infeasible_bias_fit_fails_only_its_estimated_cell(tmp_path, capsys,
+                                                               monkeypatch):
+    # top-k over noise has no derived bounds, so its cell fits them; a fitted
+    # bias slope that reaches 1 fails that cell alone in a sweep, and `run`
+    # on the same cell exits 2 with the same message
+    real = estimators.fit_oracle_bounds
+    fitted = []
+
+    def infeasible(o, p, **kwargs):
+        fit = real(o, p, **kwargs)
+        fitted.append(o.name)
+        return replace(fit, bias_fit=replace(fit.bias_fit, slope=1.0,
+                                             feasible=False))
+
+    monkeypatch.setattr(estimators, "fit_oracle_bounds", infeasible)
+    name = "top_k(k=1)(exact+noise(1))"
+    error = (f"fitted bias slope for {name} reaches 1; the bound "
+             "parameterization requires m < 1")
+    cfg_path = tmp_path / "est.cfg"
+    cfg_path.write_text(ESTIMATED_SWEEP)
+    assert cli.main(["sweep", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "s")]) == 0
+    manifest = (tmp_path / "s/manifest.txt").read_text()
+    assert f"cell=compressor=top_k status=failed error={error}\n" in manifest
+    assert manifest.count("status=failed") == 1
+    for cell in ("none", "rand_k"):
+        assert f"cell=compressor={cell} " in manifest
+        assert (tmp_path / f"s/cells/compressor={cell}/trace.csv").exists()
+    assert not (tmp_path / "s/cells/compressor=top_k").exists()
+    capsys.readouterr()
+
+    cfg_path.write_text(ESTIMATED_SWEEP.split("[sweep]")[0].replace(
+        "k = 1", "k = 1\ncompressor = top_k"))
+    assert cli.main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert f"error: {error}\n" in capsys.readouterr().err
+    assert not (tmp_path / "r/trace.csv").exists()
+    assert fitted == [name] * 2
 
 
 TUNE_POLICY = """

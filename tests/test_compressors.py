@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from biased_sgd import (UnsupportedCompositionError, additive_bias_oracle,
-                        compressed_oracle, exact_oracle, gaussian_noise_oracle,
+from biased_sgd import (OracleBounds, UnsupportedCompositionError,
+                        additive_bias_oracle, compressed_oracle, exact_oracle,
+                        fit_oracle_bounds, gaussian_noise_oracle,
                         make_nesterov_worst, rand_k, rand_k_compressor,
                         rand_k_unbiased, rand_k_unbiased_compressor,
                         scale_compressor, synthetic_tight_oracle,
@@ -248,15 +249,15 @@ def test_identity_compressors_keep_the_inner_bounds(inner_name):
 def test_custom_random_compressor_matches_its_built_in_twin():
     # a stage after the first sees the one exact gradient row before it n
     # times, so a custom random compressor draws as the built-in rand-k
-    # does: both give the same rows and the same estimated bounds
+    # does: both give the same rows and the same fitted bounds
     d = 10
     p = make_nesterov_worst(d)
     custom = Compressor(name="custom_rand_1", kind="custom", dim=d,
                         apply_rows=lambda G, rng: _rand_k_rows(G, 1, rng),
                         deterministic=False)
-    twins = [compressed_oracle(c, exact_oracle(p), p, bounds_mode="estimated",
-                               estimate_seed=5)
+    twins = [compressed_oracle(c, exact_oracle(p), p, bounds_mode="query_only")
              for c in (custom, rand_k_compressor(1, d))]
+    twins = [o.with_bounds(fit_oracle_bounds(o, p, seed=5).bounds) for o in twins]
     x = stream(2).standard_normal(d)
     rows = [o.query_many(x, 5, stream(3)) for o in twins]
     assert rows[0].tobytes() == rows[1].tobytes()
@@ -271,10 +272,17 @@ def test_unsupported_composition_errors():
         compressed_oracle(rand_k_compressor(1, 10), biased_inner, p)
     with pytest.raises(UnsupportedCompositionError):
         compressed_oracle(top_k_compressor(1, 10), gaussian_noise_oracle(p, 1.0), p)
-    # estimated mode accepts the same pair
+    # the same pair composes with placeholder bounds, which a fit can replace
     o = compressed_oracle(top_k_compressor(1, 10), gaussian_noise_oracle(p, 1.0),
-                          p, bounds_mode="estimated", estimate_seed=3)
-    assert 0 <= o.bounds.m < 1
+                          p, bounds_mode="query_only")
+    assert o.bounds == OracleBounds()
+    fit = fit_oracle_bounds(o, p, seed=3)
+    assert fit.feasible
+    assert 0 <= o.with_bounds(fit.bounds).bounds.m < 1
+    # bounds are derived here or placeholders; fitting them is the caller's
+    with pytest.raises(ValueError, match="unknown bounds_mode 'estimated'"):
+        compressed_oracle(top_k_compressor(1, 10), exact_oracle(p), p,
+                          bounds_mode="estimated")
 
 
 @pytest.mark.parametrize("k,M_b,s_b",

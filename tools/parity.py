@@ -4,7 +4,7 @@ they do not depend on `--workers`.
     python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
-fixed list of 28 `biased-sgd` commands on that tree and on this checkout's
+fixed list of 31 `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's exit code,
 printed output and output files, with the output path and each tree's `src`
 path masked. In the checkout, a command run under `--workers n` is compared
@@ -131,6 +131,24 @@ kind = exact
 noise_sigma_sq = 1.0
 bias_zeta = 0.1
 """,
+    # top-k (k = 1) over sigma^2 = 1 noise, which no composition rule covers,
+    # so `run`, `budget` and `verify` fit its bounds, as only sweep cells do
+    # among the presets
+    "topk_noise": """\
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = exact
+noise_sigma_sq = 1.0
+compressor = top_k
+k = 1
+
+[run]
+T = 2000
+reps = 5
+""",
 }
 
 
@@ -163,6 +181,10 @@ def commands() -> list:
               ["verify", "--config", "{cfg}/gs_noise.cfg", "--samples", "20000"])]
     cmds += [(f"budget {fig}", ["budget", "--figure", fig]) for fig in ("fig2", "fig3")]
     cmds += [("budget noisy_bias", ["budget", "--config", "{cfg}/noisy_bias.cfg"])]
+    cmds += [("run topk_noise", ["run", "--config", "{cfg}/topk_noise.cfg"]),
+             ("budget topk_noise", ["budget", "--config", "{cfg}/topk_noise.cfg"]),
+             ("verify topk_noise --samples 20000",
+              ["verify", "--config", "{cfg}/topk_noise.cfg", "--samples", "20000"])]
     return cmds
 
 
