@@ -117,6 +117,8 @@ def main(argv: Optional[list] = None) -> int:
     handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "tune": _cmd_tune,
                 "verify": _cmd_verify, "budget": _cmd_budget}
     try:
+        if args.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {args.workers}")
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -40,13 +40,12 @@ def _top_k_rows(G: np.ndarray, k: int) -> np.ndarray:
     _check_k(k, d)
     if k == d:
         return G.copy()
-    # flat indices of each row's k largest magnitudes; the stable sort keeps
-    # the lower index on ties, as argmax (its first entry, on finite rows) does
-    if k == 1:
-        top = np.abs(G).argmax(axis=1)[:, None]
-    else:
-        top = np.argsort(-np.abs(G), axis=1, kind="stable")[:, :k]
-    keep = top + np.arange(0, n * d, d)[:, None]
+    # flat indices of each row's k largest magnitudes, a column per row; the
+    # stable sort keeps the lower index on ties, as argmax (its first entry,
+    # on finite rows) does
+    keep = (np.abs(G).argmax(axis=1) if k == 1
+            else np.argsort(-np.abs(G), axis=1, kind="stable")[:, :k].T)
+    keep += np.arange(0, n * d, d)  # in place: no (n, 1) broadcast at k = 1
     out = np.zeros(n * d)
     out[keep] = G.ravel()[keep]
     return out.reshape(n, d)
@@ -54,13 +53,15 @@ def _top_k_rows(G: np.ndarray, k: int) -> np.ndarray:
 
 def _rand_k_rows(G: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     # k smallest of d iid uniform keys per row = uniform k-subset per row
-    _check_k(k, G.shape[1])
-    if k == G.shape[1]:
+    n, d = G.shape
+    _check_k(k, d)
+    if k == d:
         return G.copy()
     keys = rng.random(G.shape)
-    # the row minimum is exactly partition's 0th element, without the copy
-    thresh = (keys.min(axis=1, keepdims=True) if k == 1
-              else np.partition(keys, k - 1, axis=1)[:, k - 1 : k])
+    # the row minimum, read back at its argmin (faster than min over short
+    # rows), is exactly partition's 0th element; G * mask keeps ties and -0.0
+    thresh = (keys.ravel()[keys.argmin(axis=1) + np.arange(0, n * d, d)][:, None]
+              if k == 1 else np.partition(keys, k - 1, axis=1)[:, k - 1 : k])
     return G * (keys <= thresh)
 
 

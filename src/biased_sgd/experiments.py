@@ -577,6 +577,8 @@ def verify_experiment(cfg: Optional[ExperimentConfig], out_dir: Optional[str],
 
 def budget_report(cfg: ExperimentConfig, eps: float) -> str:
     """Printed stepsize / iteration / floor predictions for both regimes."""
+    if not 0.0 < eps < np.inf:
+        raise ConfigError(f"eps must be positive and finite, got {eps}")
     p = build_problem(cfg)
     o, source = build_oracle(cfg, p)
     b = o.bounds

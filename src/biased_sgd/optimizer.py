@@ -246,10 +246,12 @@ class _LaneStats:
 
 class _Member:
     """One run of an engine call: the oracle chain of `o`, its consumer
-    `sink`, and its stepsize column `gamma` (lanes, 1)."""
+    `sink`, and its stepsize matrix `gamma`, the (lanes, 1) column passed in
+    repeated over `width` columns (numpy multiplies full shapes faster)."""
 
-    def __init__(self, o: BiasedOracle, sink, gamma: np.ndarray):
-        self.o, self.sink, self.gamma, self.n = o, sink, gamma, len(gamma)
+    def __init__(self, o: BiasedOracle, sink, gamma: np.ndarray, width: int):
+        self.o, self.sink, self.n = o, sink, len(gamma)
+        self.gamma = np.repeat(gamma, width, axis=1)
         self.live = np.arange(self.n)  # the lane of each of its rows
         self.cols = slice(None)        # a slice, not an index array, while all run
         self.sl = self.X = None        # its rows of the engine's state matrix
@@ -324,18 +326,19 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
     """The one step loop: x_{t+1} = x_t - gamma * g_t on every lane, up to T
     steps; returns each run's `sink.out`, in run order.
 
-    Each (oracle, sink, gamma) in `runs` is a member (`_Member`): a
-    contiguous block of rows of one state matrix, stepped in place by its
-    oracle chain. An engine run has one generator list, lane map and group
-    size: lane i of every member draws from gens[rows[i]] (gens[i] when
-    `rows` is None), and a lane failing the divergence test takes its group
-    (the lanes with its i // group) out. `value_many`, the divergence test,
-    the f-value writes and the target test run once over all rows, and the
-    sinks are of one kind, so the first sink's `grid`, `target`, `floats`
+    Each (oracle, sink, gamma) in `runs` is a member (`_Member`): a contiguous
+    block of rows of one state matrix, stepped in place by its oracle chain
+    times the stepsize matrix made from its (lanes, 1) column `gamma`, whose
+    rows drop with its lanes. An engine run has one generator list, lane map
+    and group size: lane i of every member draws from gens[rows[i]] (gens[i]
+    when `rows` is None), and a lane failing the divergence test takes its
+    group (the lanes with its i // group) out. `value_many`, the divergence
+    test, the f-value writes and the target test run once over all rows, and
+    the sinks are of one kind, so the first sink's `grid`, `target`, `floats`
     and `grad_norms` hold for all. Each step runs every stage node once
     (`_share`), each drawing a pull that several nodes read once; a member
-    steps by its rows of its chain's last stage, and its values do not
-    depend on the others.
+    steps by its rows of its chain's last stage, and its values do not depend
+    on the others.
 
     The members share the (channels x slots x lanes) record block `B`:
     channel 0 holds f, and channel 1 ||grad f||^2 with `grad_norms`; each
@@ -363,8 +366,9 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
     first = runs[0][1]  # one sink kind: its record policy holds for all
     grid, target, floats, grad_norms = \
         first.grid, first.target, first.floats, first.grad_norms
-    members = [_Member(o, sink, gamma) for o, sink, gamma in runs]
-    lanes = sum(m.n for m in members)
+    lanes = sum(len(gamma) for _, _, gamma in runs)
+    X = np.tile(x0, (lanes, 1))
+    members = [_Member(o, sink, gamma, X.shape[1]) for o, sink, gamma in runs]
     n_slots = T + 1 if grid is None else len(grid)
     block = n_slots if floats is None else max(1, min(n_slots, floats // lanes))
     B = np.empty((1 + grad_norms, block, lanes))
@@ -372,7 +376,6 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
     dense = grid is None
     value_many, grad_many = p.value_many, p.grad_many
     f_star = p.f_star or 0.0
-    X = np.tile(x0, (lanes, 1))
     live = np.arange(lanes)  # the column of each row of X
     cols = slice(None)       # a slice, not an index array, while all run
     # slots from a member's b0 on are not folded yet; block row 0 holds

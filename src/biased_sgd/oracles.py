@@ -156,12 +156,16 @@ def gaussian_noise_oracle(p: Problem, sigma_sq: float,
         return inner
     d, b = p.dim, inner.bounds
     scale = np.sqrt(sigma_sq / d)
+
+    def noisy(G, n, rng):  # scale * draw is a new array: the draw stays unwritten
+        U = scale * rng.standard_normal((n, d))
+        U += G
+        return U
+
     return BiasedOracle(
         name=f"{inner.name}+noise({sigma_sq:g})", dim=p.dim,
         bounds=replace(b, sigma_sq=b.sigma_sq + sigma_sq),
-        _query_batch=inner._query_batch.then(
-            lambda G, n, rng: G + scale * rng.standard_normal((n, d)),
-            ("noise", sigma_sq)),
+        _query_batch=inner._query_batch.then(noisy, ("noise", sigma_sq)),
         expected_query=inner.expected_query, deterministic=False,
     )
 

@@ -96,7 +96,9 @@ def quadratic_problem(A: np.ndarray, name: str = "quadratic",
 
     def value_many(X: np.ndarray) -> np.ndarray:
         R = X @ AT if X.shape[0] != 1 else _gemm_row(X, AT)
-        return 0.5 * np.einsum("ij,ij->i", R, R)
+        v = np.einsum("ij,ij->i", R, R)
+        v *= 0.5
+        return v
 
     def grad_many(X: np.ndarray) -> np.ndarray:
         return X @ H if X.shape[0] != 1 else _gemm_row(X, H)  # H symmetric

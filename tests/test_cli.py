@@ -457,6 +457,16 @@ def test_cli_import_leaves_out_the_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+def test_budget_eps_must_be_positive_and_finite(tmp_path, capsys, eps):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINI)
+    assert cli.main(["budget", "--config", str(cfg_path), "--eps", eps]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: eps must be positive and finite, got {float(eps)}\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "1"])
 def test_verify_rejects_fewer_than_two_samples(tmp_path, capsys, samples):
     assert cli.main(["verify", "--samples", samples,

@@ -140,6 +140,17 @@ def test_batch_rows_match_distributions():
     assert np.array_equal(out_t[0], [0.0, 0.0, 3.0, 4.0])
 
 
+class _FixedKeys:
+    """A draw source whose `random` returns the given keys."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def random(self, size):
+        assert tuple(size) == self.keys.shape
+        return self.keys.copy()
+
+
 def test_k1_paths_bit_equal_to_sort_and_partition():
     # tied magnitudes (signs, zeros, rounded normals) as well as random rows
     G = np.vstack([[[1.0, -1.0, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0],
@@ -157,6 +168,32 @@ def test_k1_paths_bit_equal_to_sort_and_partition():
     want = G * (keys <= np.partition(keys, 0, axis=1)[:, 0:1])
     assert rand_k_compressor(1, 4).apply_rows(G, rng).tobytes() == want.tobytes()
     assert rng.random() == ref_rng.random()  # same draws consumed
+
+    d = 10
+    for n in (1, 60, 1024):
+        # rounded normals tie in magnitude and round small negatives to -0.0;
+        # every third row is unrounded, and the last is signed zeros only
+        G = np.round(2 * stream(21, n).standard_normal((n, d))) / 2
+        G[1::3] = stream(22, n).standard_normal(G[1::3].shape)
+        G[-1, :5], G[-1, 5:] = -0.0, 0.0
+        zeros = np.signbit(G[G == 0])
+        assert zeros.any() and not zeros.all()
+        top = np.argsort(-np.abs(G), axis=1, kind="stable")[:, :1]
+        want = np.zeros_like(G)
+        np.put_along_axis(want, top, np.take_along_axis(G, top, axis=1), axis=1)
+        assert top_k_compressor(1, d).apply_rows(G, None).tobytes() == want.tobytes()
+
+        for first in (0, 1):  # which tie pattern row 0 takes
+            keys = stream(23, n).random((n, d))
+            ties = (np.arange(n) + first) % 4
+            for i in np.flatnonzero(ties == 0):  # two equal minima
+                keys[i, [3, 8]] = keys[i].min() / 2
+            keys[ties == 1] = keys[ties == 1, :1]  # all keys equal
+            mask = keys <= np.partition(keys, 0, axis=1)[:, 0:1]
+            kept = mask.sum(axis=1)
+            assert (kept[ties == 0] == 2).all() and (kept[ties == 1] == d).all()
+            got = rand_k_compressor(1, d).apply_rows(G, _FixedKeys(keys))
+            assert got.tobytes() == (G * mask).tobytes(), (n, first)
 
 
 def empirical_contraction(c: Compressor, rng: np.random.Generator,

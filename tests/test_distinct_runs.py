@@ -336,7 +336,7 @@ compressor = none, rand_k
         (tmp_path / "sweep_summary.txt").read_text()
 
 
-@pytest.mark.parametrize("command", ["sweep", "tune"])
+@pytest.mark.parametrize("command", ["run", "sweep", "tune", "verify", "budget"])
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_is_a_config_error(tmp_path, capsys, command, workers):
     cfg_path = tmp_path / "c.cfg"

@@ -4,7 +4,7 @@ they do not depend on `--workers`.
     python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
-fixed list of 31 `biased-sgd` commands on that tree and on this checkout's
+fixed list of 33 `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's exit code,
 printed output and output files, with the output path and each tree's `src`
 path masked. In the checkout, a command run under `--workers n` is compared
@@ -72,6 +72,30 @@ CONFIGS = {
     # and compressor stages differ
     "tune_mixed": _TUNE.format(noise="1.0, 100.0", bias="bias_zeta = 0.0, 0.1\n",
                                max_T=2000),
+    # k = 3, so the argsort and partition paths, with stepsizes that diverge
+    # mid-search (1.2 in every cell, 0.6 for top-k at sigma^2 = 1), so lanes
+    # and their stepsize rows drop while the other lanes step on
+    "k3_drops": """\
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = exact
+k = 3
+
+[sweep]
+compressor = top_k, rand_k
+noise_sigma_sq = 0.0, 1.0
+panel_by = noise_sigma_sq
+series_by = compressor
+
+[tune]
+target_eps = 0.0005
+max_T = 3000
+reps = 3
+grid = 0.05, 0.3, 0.6, 1.2
+""",
     # one search censored past the race horizon: log-spaced history rows
     # after the dense ones, and a race curve read back from the first 200,001
     "tune_long": """\
@@ -169,6 +193,9 @@ def commands() -> list:
               ["tune", "--config", "{cfg}/tune_mixed.cfg", "--workers", str(w)])
              for w in (1, 3)]
     cmds += [("tune tune_long", ["tune", "--config", "{cfg}/tune_long.cfg"])]
+    cmds += [(f"tune k3_drops --workers {w}",
+              ["tune", "--config", "{cfg}/k3_drops.cfg", "--workers", str(w)])
+             for w in (1, 2)]
     cmds += [(f"sweep gs_noise --workers {w}",
               ["sweep", "--config", "{cfg}/gs_noise.cfg", "--workers", str(w)])
              for w in (1, 2)]
