@@ -44,7 +44,7 @@ class DrawStreams:
     """The draws of one generator, each draw of a call on its own stream.
 
     Row maps draw only through `standard_normal(size)` and `random(size)`,
-    n rows of one row shape `size[1:]`. After `call()` starts a call (one
+    a row per row, of shape `size[1:]`. After `call()` starts a call (one
     query), its n-th draw comes from the generator's state at construction
     jumped n times, a counter range 2^128 draws per jump (Salmon et al.,
     SC'11, "Parallel random numbers: as easy as 1, 2, 3"), and goes on where

@@ -132,12 +132,14 @@ def _collect(oracles: list, x: np.ndarray, grad: np.ndarray, n_samples: int,
              rng: DrawStreams, bufs: list) -> list:
     """Each oracle's PointStats at x from n_samples samples, the oracles
     sampled in lockstep: each query of a chunk asks every oracle in turn for
-    the same rows, through `rng.replay()`, so a draw that several of them
-    make is made once, and each oracle's queries fill its buffer in `bufs`.
+    the map on the same copies of x, through `rng.replay()`, so a draw that
+    several of them make is made once, and each oracle's queries fill its
+    buffer in `bufs`.
     """
     sums = [_Moments(len(x)) for _ in oracles]
     ones = np.ones(_CHUNK)
     step = max(1, _QUERY_FLOATS // len(x))
+    X = np.tile(x, (min(step, _CHUNK), 1))
     done = 0
     while done < n_samples:
         take = min(_CHUNK, n_samples - done)
@@ -145,7 +147,7 @@ def _collect(oracles: list, x: np.ndarray, grad: np.ndarray, n_samples: int,
             rows = min(step, take - lo)
             rng.call()
             for o, buf in zip(oracles, bufs):
-                buf[lo:lo + rows] = o.query_many(x, rows, rng.replay())
+                buf[lo:lo + rows] = o.query_batch(X[:rows], rng.replay())
         for m, buf in zip(sums, bufs):
             m.add(buf[:take], ones)
         done += take

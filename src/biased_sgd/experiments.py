@@ -138,10 +138,12 @@ def _cell_summary(cfg: ExperimentConfig, p: Problem, o: BiasedOracle,
                   bounds_source: str, agg: RepeatedRuns) -> dict:
     gamma = _resolved_stepsize(cfg, p, o)
     b = o.bounds
-    cap = theory.stepsize_cap(p.smoothness_L, b)
-    floor = ""
-    if p.pl_mu is not None and bounds_source != "unavailable" and gamma <= cap * (1 + 1e-9):
-        floor = repr(theory.error_floor(gamma, p.smoothness_L, p.pl_mu, b))
+    floor = "-"
+    if p.pl_mu is not None and bounds_source != "unavailable":
+        try:
+            floor = repr(theory.error_floor(gamma, p.smoothness_L, p.pl_mu, b))
+        except ValueError:  # gamma above the stepsize cap: no floor is proved
+            pass
     psi = float(np.mean(agg.mean_grad_norm_sq[:-1])) \
         if len(agg.t) > 1 else float(agg.mean_grad_norm_sq[0])
     return {
@@ -157,7 +159,7 @@ def _cell_summary(cfg: ExperimentConfig, p: Problem, o: BiasedOracle,
         "final_se_f_gap": repr(float(agg.se_f_gap[-1])),
         "tail_mean_f_gap": repr(agg.tail_mean_f_gap()),
         "psi": repr(psi),
-        "predicted_floor": floor if floor else "-",
+        "predicted_floor": floor,
         "diverged": "true" if agg.any_diverged else "false",
         "diverged_reps": len(agg.diverged_reps),
         "diverged_detail": " ".join(f"{d.rep}:{d.reason}@{d.iteration}"
@@ -215,15 +217,19 @@ def _run_config(cfg: ExperimentConfig, tune: bool = False) -> ExperimentConfig:
 
     An identity compressor (`compressors.is_identity`: top_k, rand_k and
     rand_k_unbiased at k = d, scale at delta = 1) runs as `none`, whose
-    bounds it has; `k` means nothing without a compressor. `stepsize` is
-    ignored under a theory policy and `policy_eps` under `fixed`; `tune`'s
-    grid search uses neither.
+    bounds it has, and a field that only some oracles read takes its default
+    where this one does not. `stepsize` is ignored under a theory policy and
+    `policy_eps` under `fixed`; `tune`'s grid search uses neither.
     """
     o, r = cfg.oracle, cfg.run
     if is_identity(o.compressor, problem_dim(cfg.problem), o.k, o.delta):
         o = replace(o, compressor="none")
-    if o.compressor == "none":
-        o = replace(o, k=OracleSpec.k)
+    reads = {"k": o.compressor not in ("none", "scale"),
+             "tau": o.kind == "gaussian_smoothing",
+             "m": o.kind == "tightness", "zeta_sq": o.kind == "tightness",
+             "delta": o.kind == "inexact" or o.compressor == "scale"}
+    o = replace(o, **{f: getattr(OracleSpec, f) for f, read in reads.items()
+                      if not read})
     if tune or r.stepsize_policy != "fixed":
         r = replace(r, stepsize=RunSpec.stepsize)
     if tune or r.stepsize_policy == "fixed":

@@ -412,7 +412,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
         for nd in nodes:
             lo, hi = nd.members[0].sl.start, nd.members[-1].sl.stop
             up = 0 if nd.parent is None else nd.parent.lo
-            nd.src, nd.lo, nd.n = slice(lo - up, hi - up), lo, hi - lo
+            nd.src, nd.lo = slice(lo - up, hi - up), lo
             nd.rows = np.concatenate([rows[m.live] for m in nd.members])
         for m in left:
             m.src = slice(m.sl.start - m.node.lo, m.sl.stop - m.node.lo)
@@ -456,7 +456,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
                 up = nd.parent
                 nd.t, nd.slot = t, 0 if up is None else up.slot
                 try:
-                    nd.out = nd.fn((X if up is None else up.out)[nd.src], nd.n, nd)
+                    nd.out = nd.fn((X if up is None else up.out)[nd.src], nd)
                 except Exception as exc:  # noqa: BLE001 - its members fail alone
                     exc = exc.with_traceback(None)  # which would keep this frame
                     for m in nd.members:

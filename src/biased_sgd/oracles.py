@@ -42,14 +42,14 @@ EXACT_BOUNDS = OracleBounds(0.0, 0.0, 0.0, 0.0)
 
 
 class Stage(NamedTuple):
-    """One stage of an oracle chain: `fn(G, n, rng)` maps the rows before it
-    (the query points X, for the first stage) to its own.
+    """One stage of an oracle chain: `fn(G, rng)` maps the rows before it
+    (the query points X, for the first stage) to its own, one row per row.
 
     Stages with equal keys compute equal rows from equal rows. A stage draws
-    the same kinds, of one row shape each, in the same order on every call:
-    the engine gives a call's n-th draw its own stream. A stage does not
-    write into its draws: the estimators hand one read-only draw to every
-    oracle that makes it.
+    the same kinds, of len(G) rows of one row shape each, in the same order
+    on every call: the engine gives a call's n-th draw its own stream. A
+    stage does not write into its draws: the estimators hand one read-only
+    draw to every oracle that makes it.
     """
 
     fn: Callable
@@ -57,15 +57,12 @@ class Stage(NamedTuple):
 
 
 class Chain(tuple):
-    """An oracle's row map as data: its stages, applied in order.
+    """An oracle's row map as data: its stages, applied in order, each
+    mapping one row per row."""
 
-    A stage after the first may get one deterministic row that stands for
-    n (`BiasedOracle`); a stage that draws per row broadcasts it.
-    """
-
-    def __call__(self, G: np.ndarray, n: int, rng) -> np.ndarray:
+    def __call__(self, G: np.ndarray, rng) -> np.ndarray:
         for s in self:  # G is first the query points X
-            G = s.fn(G, n, rng)
+            G = s.fn(G, rng)
         return G
 
     def then(self, fn: Callable, key: Hashable) -> "Chain":
@@ -76,13 +73,11 @@ class Chain(tuple):
 class BiasedOracle:
     """A stochastic gradient map with declared bound parameters.
 
-    The map is one row form, `_query_batch(X, n, rng)`: X has 1 or n rows,
-    every draw has n rows, and a deterministic map may return its one row,
-    so a point's deterministic part (grad f(x), f(x)) is computed once for
-    any number of draws. It is a `Chain` of stages; any other row map passed
-    becomes a one-stage chain keyed by itself, under the `Stage` contract.
-    `query_batch(X)` is the map on (X, len(X)), `query(x)` on (x[None], 1)
-    and `query_many(x, n)` on (x[None], n), always n fresh rows.
+    The map is one row form, `_query_batch(X, rng)`: one row out per row of
+    X, every draw with len(X) rows. It is a `Chain` of stages; any other row
+    map passed becomes a one-stage chain keyed by itself, under the `Stage`
+    contract. `query_batch(X)` is the map on X, `query(x)` on x[None] and
+    `query_many(x, n)` on n copies of x, always n fresh rows.
     `__post_init__` derives `_query` and `_query_many` from the row map
     unless they are passed in (`problems._derive`), so a copy with another
     row map queries that map in all three forms.
@@ -92,7 +87,7 @@ class BiasedOracle:
     name: str
     dim: int
     bounds: OracleBounds
-    _query_batch: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
+    _query_batch: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     _query: Optional[Callable] = None
     _query_many: Optional[Callable] = None
     expected_query: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -103,12 +98,10 @@ class BiasedOracle:
         if not isinstance(rows, Chain):
             rows = Chain((Stage(rows, rows),))
             object.__setattr__(self, "_query_batch", rows)
-        _derive(self, "_query", lambda x, rng: rows(x[None], 1, rng)[0])
+        _derive(self, "_query", lambda x, rng: rows(x[None], rng)[0])
 
         def many(x, n, rng):  # n fresh, writable rows
-            G = rows(x[None], n, rng)
-            if len(G) < n:
-                return np.repeat(G, n, axis=0)
+            G = rows(np.tile(x, (n, 1)), rng)
             return G if G.flags.writeable else G.copy()  # a draw itself
         _derive(self, "_query_many", many)
 
@@ -120,7 +113,7 @@ class BiasedOracle:
         return self._query_many(x, n, rng)
 
     def query_batch(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self._query_batch(X, len(X), rng)
+        return self._query_batch(X, rng)
 
     def with_bounds(self, bounds: OracleBounds) -> "BiasedOracle":
         """Same query stream with different declared bounds."""
@@ -136,7 +129,7 @@ def exact_oracle(p: Problem) -> BiasedOracle:
     grad_many = p.grad_many
     return BiasedOracle(
         name="exact", dim=p.dim, bounds=EXACT_BOUNDS,
-        _query_batch=Chain((Stage(lambda X, n, rng: grad_many(X), grad_many),)),
+        _query_batch=Chain((Stage(lambda X, rng: grad_many(X), grad_many),)),
         expected_query=p.grad, deterministic=True,
     )
 
@@ -157,8 +150,8 @@ def gaussian_noise_oracle(p: Problem, sigma_sq: float,
     d, b = p.dim, inner.bounds
     scale = np.sqrt(sigma_sq / d)
 
-    def noisy(G, n, rng):  # scale * draw is a new array: the draw stays unwritten
-        U = scale * rng.standard_normal((n, d))
+    def noisy(G, rng):  # scale * draw is a new array: the draw stays unwritten
+        U = scale * rng.standard_normal(G.shape)
         U += G
         return U
 
@@ -183,7 +176,7 @@ def additive_bias_oracle(inner: BiasedOracle, zeta: float,
     return BiasedOracle(
         name=f"{inner.name}+bias({zeta:g})", dim=inner.dim,
         bounds=replace(b, zeta_sq=b.zeta_sq + zeta * zeta),
-        _query_batch=inner._query_batch.then(lambda G, n, rng: G + bias,
+        _query_batch=inner._query_batch.then(lambda G, rng: G + bias,
                                              ("bias", bias.tobytes())),
         expected_query=(lambda x: expected(x) + bias) if expected else None,
         deterministic=inner.deterministic,
@@ -215,7 +208,7 @@ def tightness_oracle(p: Problem, m: float, zeta_sq: float,
     return BiasedOracle(
         name=f"tightness(m={m:g},zeta_sq={zeta_sq:g})", dim=p.dim,
         bounds=OracleBounds(m=m, zeta_sq=zeta_sq),
-        _query_batch=lambda X, n, rng: rows(X),
+        _query_batch=lambda X, rng: rows(X),
         expected_query=_at_point(rows), deterministic=True,
     )
 
@@ -238,8 +231,8 @@ def gaussian_smoothing_oracle(p: Problem, tau: float) -> BiasedOracle:
     u is standard Gaussian (identity covariance). The declared bounds scale as
     tau^2 in both zeta^2 and sigma^2 and as d in M.
     """
-    def rows(X, n, rng):
-        U = rng.standard_normal((n, p.dim))
+    def rows(X, rng):
+        U = rng.standard_normal(X.shape)
         return ((p.value_many(X + tau * U) - p.value_many(X)) / tau)[:, None] * U
 
     return BiasedOracle(
@@ -300,10 +293,10 @@ def synthetic_tight_oracle(p: Problem, m: float, zeta_sq: float,
     mean_rows = _tight_rows(p, m, zeta_sq, np.sqrt(zeta_sq) * uniform_direction(d)) \
         if zeta_sq > 0 else p.grad_many
 
-    def rows(X, n, rng):
+    def rows(X, rng):
         mean = mean_rows(X)
         scale = np.sqrt((M * _sq_rows(mean) + sigma_sq) / d)
-        W = rng.standard_normal((n, d))
+        W = rng.standard_normal(X.shape)
         norms = np.sqrt(_sq_rows(W) / d)
         return mean + scale[:, None] * (W / norms[:, None])
 

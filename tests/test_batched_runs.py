@@ -47,9 +47,9 @@ grid = 0.0625, 0.125, 0.25
 
 def _blow_up_oracle(p, rate):
     """Noisy gradient rows, each replaced by 1e16 with probability `rate`."""
-    def rows(X, n, rng):
-        G = p.grad_many(X) + 0.1 * rng.standard_normal((n, p.dim))
-        G[rng.random((n, p.dim))[:, 0] < rate] = 1e16
+    def rows(X, rng):
+        G = p.grad_many(X) + 0.1 * rng.standard_normal(X.shape)
+        G[rng.random(X.shape)[:, 0] < rate] = 1e16
         return G
     return BiasedOracle(name=f"blow_up_{rate}", dim=p.dim, bounds=OracleBounds(),
                         _query_batch=rows)
@@ -194,8 +194,8 @@ def test_a_returned_failure_holds_no_traceback():
     p = make_nesterov_worst(6)
     calls = []
 
-    def raising(X, n, rng):
-        calls.append(n)
+    def raising(X, rng):
+        calls.append(len(X))
         if len(calls) % 5 == 0:
             raise RuntimeError("synthetic row map failure")
         return p.grad_many(X)
@@ -254,7 +254,7 @@ def _failing_top_k(monkeypatch):
     """build_oracle with a top_k row map that raises on its first step."""
     real = experiments.build_oracle
 
-    def raising(X, n, rng):
+    def raising(X, rng):
         raise RuntimeError("synthetic row map failure")
 
     def build(cfg, p, *args, **kwargs):

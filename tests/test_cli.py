@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -763,3 +764,55 @@ def test_verify_accepts_figure(tmp_path, capsys):
     assert table == direct
     assert len(table.splitlines()) == 3  # header, rule, the preset's oracle
     assert capsys.readouterr().out.startswith("| oracle |")
+
+
+WALL_CLOCK = """
+[problem]
+kind = nesterov_quadratic
+dim = 5
+
+[oracle]
+kind = exact
+noise_sigma_sq = 1.0
+k = 1
+
+[run]
+T = 50
+reps = 2
+
+[sweep]
+compressor = none, top_k
+series_by = compressor
+
+[tune]
+target_eps = 0.05
+max_T = 300
+reps = 2
+grid = 0.0625, 0.125, 0.25
+"""
+
+# the files reruns are compared by, byte for byte
+_BYTE_COMPARED = ("trace.csv", "summary.txt", "manifest.txt", "sweep_summary.txt",
+                  "tune.csv", "tune_summary.txt", "verify.md")
+
+
+def test_no_wall_clock_value_reaches_a_byte_compared_file(tmp_path, monkeypatch):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(WALL_CLOCK)
+    commands = [["run"], ["sweep"], ["tune"], ["verify", "--samples", "2000"]]
+
+    def outputs(out):
+        for args in commands:
+            assert cli.main(args + ["--config", str(path), "--workers", "1",
+                                    "--out", str(out / args[0])]) == 0
+        return {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*")
+                if f.name in _BYTE_COMPARED or f.suffix == ".svg"}
+
+    first = outputs(tmp_path / "a")
+    # the top_k cell's bounds are fitted, so the estimators run too
+    assert {"run/trace.csv", "sweep/manifest.txt", "sweep/figure.svg",
+            "tune/tune.csv", "tune/race.svg", "verify/verify.md"} <= set(first)
+    for name in ("time", "perf_counter", "monotonic", "process_time"):
+        monkeypatch.setattr(time, name,
+                            lambda real=getattr(time, name): real() + 1e9)
+    assert outputs(tmp_path / "b") == first

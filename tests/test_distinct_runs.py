@@ -49,7 +49,8 @@ grid = 0.0625, 0.125, 0.25
 
 # theory_pl: the k = d top_k cell has the uncompressed oracle's bounds, so it
 # shares the run of none at k = 1 and k = d; top_k at k = 1 runs alone; the
-# two scale cells are two runs (`_failing_scale` makes them fail)
+# two scale cells, which differ only in the k that scale does not read, share
+# one run (`_failing_scale` makes it fail)
 MIXED = BASE.replace("stepsize = 0.01", "stepsize_policy = theory_pl\n"
                      "policy_eps = 0.01").replace(
                          "noise_sigma_sq = 1.0", "noise_sigma_sq = 1.0\ndelta = 0.5") + """
@@ -145,6 +146,36 @@ def test_run_config_normalises_only_what_is_safe():
         run(True, stepsize=0.2, policy_eps=0.2)
 
 
+def test_fields_the_oracle_never_reads_do_not_split_the_run(tmp_path, capsys):
+    # the exact oracle over noise reads neither tau nor delta
+    path = tmp_path / "unread.cfg"
+    path.write_text(BASE + "\n[sweep]\ntau = 0.1, 0.01\ndelta = 0.5, 0.25\n")
+    assert cli.main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "s")]) == 0
+    assert capsys.readouterr().out.startswith("wrote 4 cells (1 distinct runs)")
+    cells = sorted((tmp_path / "s/cells").iterdir())
+    assert len(cells) == 4
+    assert len({(c / "trace.csv").read_bytes() for c in cells}) == 1
+    for c in cells:
+        fingerprint = parse_config((c / "config.cfg").read_text()).fingerprint()
+        assert f"fingerprint = {fingerprint}\n" in (c / "summary.txt").read_text()
+    assert len({(c / "summary.txt").read_bytes() for c in cells}) == 4
+
+    def run_oracle(**ov):
+        return experiments._run_config(parse_config(BASE).with_overrides(**ov)).oracle
+
+    # each field splits the runs of the oracles that read it, and only those
+    assert run_oracle(kind="gaussian_smoothing", tau=0.1) != \
+        run_oracle(kind="gaussian_smoothing", tau=0.01)
+    assert run_oracle(m=0.5, zeta_sq=0.1) == run_oracle()
+    assert run_oracle(kind="tightness", m=0.5, zeta_sq=0.1) != \
+        run_oracle(kind="tightness", m=0.25, zeta_sq=0.1)
+    for ov in ({"kind": "inexact"}, {"compressor": "scale"}):
+        assert run_oracle(delta=0.5, **ov) != run_oracle(delta=0.25, **ov)
+    assert run_oracle(compressor="scale", delta=0.5, k=1) == \
+        run_oracle(compressor="scale", delta=0.5, k=7)
+
+
 @pytest.mark.parametrize("policy", ["theory_pl", "theory_smooth"])
 def test_stepsize_under_a_theory_policy_does_not_split_the_run(tmp_path, policy):
     cfg = parse_config(BASE.replace("stepsize = 0.01", f"stepsize_policy = {policy}")
@@ -226,10 +257,11 @@ def test_outputs_match_across_workers_with_shared_failed_and_unshared_cells(
         tmp_path, monkeypatch):
     _failing_scale(monkeypatch)
     cfg = parse_config(MIXED + TUNE)
-    # 4 distinct runs, 2 of them failing: one batch, two of 2, four of 1
+    # 3 distinct runs, the one both scale cells share failing: one batch,
+    # two of 2 and 1, three of 1
     sweeps = [experiments.sweep_experiment(cfg, str(tmp_path / f"s{w}"), workers=w)
               for w in (1, 2, 4)]
-    assert [s.distinct_runs for s in sweeps] == [4, 4, 4]
+    assert [s.distinct_runs for s in sweeps] == [3, 3, 3]
     failed = [rec["label"] for rec in sweeps[0].cells if "error" in rec]
     assert failed == ["k=1_compressor=scale", "k=10_compressor=scale"]
     files = sorted(p.relative_to(tmp_path / "s1")
@@ -253,7 +285,7 @@ def test_outputs_match_across_workers_with_shared_failed_and_unshared_cells(
     tunes = [experiments.tune_experiment(cfg, str(tmp_path / f"t{w}"), workers=w)
              for w in (1, 2, 4)]
     # tune's grid does not depend on the bounds: top_k at k = d joins none
-    assert [t.distinct_runs for t in tunes] == [4, 4, 4]
+    assert [t.distinct_runs for t in tunes] == [3, 3, 3]
     for name in ("tune.csv", "tune_summary.txt", "race.svg"):
         for w in (2, 4):
             assert (tmp_path / "t1" / name).read_bytes() == \
@@ -311,7 +343,7 @@ def test_a_failed_shared_run_fails_its_whole_group(tmp_path, monkeypatch):
     # rand_k at k = 10 = d runs as `none`, so its cell shares the failing run
     real = experiments.build_oracle
 
-    def raising(X, n, rng):
+    def raising(X, rng):
         raise RuntimeError("synthetic engine failure")
 
     def flaky(cfg, p, *args, **kwargs):

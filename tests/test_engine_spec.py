@@ -53,7 +53,7 @@ def _lane(p, o, gamma, T, x0, gen):
         gns.append(np.vecdot(g, g)[0])
         if t == T:
             return np.array(gaps), np.array(gns), x, None, T
-        x = x - gamma * o._query_batch(x[None], 1, rng.call())[0]
+        x = x - gamma * o._query_batch(x[None], rng.call())[0]
         f = p.value_many(x[None])[0]
         if not (abs(f) <= LIMIT and np.vecdot(x, x) <= LIMIT * LIMIT):
             finite = np.isfinite(f) and np.isfinite(x).all()
@@ -140,7 +140,7 @@ def _reference_search(p, o, target_eps, grid, reps, max_T, seed, x0):
 def _wrapped(o):
     """`o` with its row map replaced by a wrapper of it."""
     rows = o._query_batch
-    return dataclasses.replace(o, _query_batch=lambda X, n, rng: rows(X, n, rng))
+    return dataclasses.replace(o, _query_batch=lambda X, rng: rows(X, rng))
 
 
 def _oracles(p, rng):
@@ -161,8 +161,8 @@ def _oracles(p, rng):
     def column_noise():  # one normal per row, added to every coordinate
         return BiasedOracle(
             name="column_noise", dim=d, bounds=OracleBounds(),
-            _query_batch=lambda X, n, rng: p.grad_many(X)
-            + 0.5 * rng.standard_normal((n, 1)))
+            _query_batch=lambda X, rng: p.grad_many(X)
+            + 0.5 * rng.standard_normal((len(X), 1)))
 
     return {
         "exact": lambda: exact_oracle(p),
@@ -213,7 +213,7 @@ class _Raise:
         self.at, self.calls = at, 0
         self.exc = RuntimeError(f"{name} raised at step {at}")
 
-    def __call__(self, G, n, rng):
+    def __call__(self, G, rng):
         self.calls += 1
         if self.calls > self.at:
             raise self.exc

@@ -133,14 +133,14 @@ def test_assumption4_infeasible_detection():
     p = make_nesterov_worst(10)
     u = uniform_direction(10)
 
-    def rows(X, n, rng):
+    def rows(X, rng):
         G = p.grad_many(X)
         return G + 1.2 * np.linalg.norm(G, axis=1)[:, None] * u
 
     o = BiasedOracle(name="overbiased", dim=10,
                      bounds=OracleBounds(m=0.5, zeta_sq=1.0),
                      _query_batch=rows,
-                     expected_query=lambda x: rows(x[None], 1, None)[0],
+                     expected_query=lambda x: rows(x[None], None)[0],
                      deterministic=True)
     stats = estimate_bias(o, p, probe_points(p, 10, seed=11), samples=10, seed=11)
     fit = fit_bounds(stats)
@@ -282,10 +282,10 @@ def test_lockstep_oracles_equal_their_standalone_stats(pair):
     # noise stage adds, read-only, and neither writes it
     p = make_nesterov_worst(10)
     if pair == "column_beside_noise":
-        first = _custom(p, lambda X, n, rng:
-                        p.grad_many(X) + rng.standard_normal((n, 1)))
+        first = _custom(p, lambda X, rng:
+                        p.grad_many(X) + rng.standard_normal((len(X), 1)))
     else:
-        first = _custom(p, lambda X, n, rng: rng.standard_normal((n, p.dim)))
+        first = _custom(p, lambda X, rng: rng.standard_normal(X.shape))
     oracles = [first, gaussian_noise_oracle(p, 1.0)]
     pts = probe_points(p, 3, seed=16)
     # 5000 samples of d = 10: chunks of two 1,024-row queries, then a short one
@@ -300,13 +300,13 @@ def test_shared_draws_are_never_written():
     p = make_nesterov_worst(10)
     seen = []
 
-    def recording(X, n, rng):
-        U = rng.standard_normal((n, p.dim))
+    def recording(X, rng):
+        U = rng.standard_normal(X.shape)
         seen.append(U)
         return p.grad_many(X) + U
 
     oracles = [_custom(p, recording, "recording"),
-               _custom(p, lambda X, n, rng: rng.standard_normal((n, p.dim))),
+               _custom(p, lambda X, rng: rng.standard_normal(X.shape)),
                gaussian_noise_oracle(p, 1.0)]
     x = probe_points(p, 1, seed=17)[0]
     estimators._collect_points(oracles, p, [x], 5000, seed=17, tag=0x17)
@@ -315,8 +315,8 @@ def test_shared_draws_are_never_written():
     fresh = stream(17, 0x17, 0).standard_normal((5000, p.dim))
     assert np.concatenate(seen).tobytes() == fresh.tobytes()
 
-    def writing(X, n, rng):
-        U = rng.standard_normal((n, p.dim))
+    def writing(X, rng):
+        U = rng.standard_normal(X.shape)
         U *= 2.0
         return U
 
@@ -325,7 +325,7 @@ def test_shared_draws_are_never_written():
                                    seed=17, tag=0x17)
 
     # a draw of other than n rows cannot stand in for another oracle's draw
-    one_row = _custom(p, lambda X, n, rng: X + rng.standard_normal((1, p.dim)))
+    one_row = _custom(p, lambda X, rng: X + rng.standard_normal((1, p.dim)))
     with pytest.raises(ValueError, match="rows in one call"):
         estimators._collect_points([gaussian_noise_oracle(p, 1.0), one_row],
                                    p, [x], 10, seed=17, tag=0x17)
@@ -346,10 +346,10 @@ def test_a_draw_the_first_call_did_not_make_raises():
     p = make_nesterov_worst(10)
     queries = []
 
-    def late_column(X, n, rng):
-        queries.append(n)
-        G = p.grad_many(X) + rng.standard_normal((n, p.dim))
-        return G + rng.standard_normal((n, 1)) if len(queries) > 1 else G
+    def late_column(X, rng):
+        queries.append(len(X))
+        G = p.grad_many(X) + rng.standard_normal(X.shape)
+        return G + rng.standard_normal((len(X), 1)) if len(queries) > 1 else G
 
     x = probe_points(p, 1, seed=18)[0]
     with pytest.raises(ValueError, match="unlike the first call"):
@@ -361,9 +361,9 @@ def test_grouped_verify_refuses_fewer_than_two_samples_before_drawing():
     p = make_nesterov_worst(4)
     calls = []
 
-    def rows(X, n, rng):
-        calls.append(n)
-        return p.grad_many(X) + rng.standard_normal((n, p.dim))
+    def rows(X, rng):
+        calls.append(len(X))
+        return p.grad_many(X) + rng.standard_normal(X.shape)
 
     group = [exact_oracle(p), _custom(p, rows), gaussian_noise_oracle(p, 1.0)]
     for samples in (0, 1):

@@ -202,7 +202,7 @@ def test_completed_run_evaluates_f_once_per_step():
 def test_divergence_reason_from_bad_oracle(fill, reason):
     p = make_nesterov_worst(4)
     o = BiasedOracle(name="bad", dim=4, bounds=OracleBounds(),
-                     _query_batch=lambda X, n, rng: np.full(X.shape, fill))
+                     _query_batch=lambda X, rng: np.full(X.shape, fill))
     tr = sgd_run(p, o, StepSchedule.constant(1.0), 10, seed=0)
     assert tr.diverged and tr.reason == reason
     assert len(tr.t) == 1  # only the starting point was recorded
@@ -345,9 +345,9 @@ def test_lane_streams_buffers_stay_within_the_byte_budget():
 
 def _blow_up_oracle(p, rate):
     """Noisy gradient rows, each replaced by 1e16 with probability `rate`."""
-    def rows(X, n, rng):
-        G = p.grad_many(X) + 0.1 * rng.standard_normal((n, p.dim))
-        G[rng.random((n, p.dim))[:, 0] < rate] = 1e16
+    def rows(X, rng):
+        G = p.grad_many(X) + 0.1 * rng.standard_normal(X.shape)
+        G[rng.random(X.shape)[:, 0] < rate] = 1e16
         return G
     return BiasedOracle(name="blow_up", dim=p.dim, bounds=OracleBounds(),
                         _query_batch=rows)

@@ -306,38 +306,6 @@ def test_point_query_is_the_tiled_batch(name):
         assert repr(r1.bit_generator.state) == repr(r2.bit_generator.state)
 
 
-def _row_counting(p):
-    """`p` with value_many/grad_many counting the rows they are given."""
-    rows = {"value_many": 0, "grad_many": 0}
-
-    def counted(name):
-        fn = getattr(p, name)
-
-        def many(X):
-            rows[name] += len(X)
-            return fn(X)
-        return many
-
-    return replace(p, value_many=counted("value_many"),
-                   grad_many=counted("grad_many")), rows
-
-
-@pytest.mark.parametrize("kind,expected", [
-    ("noise", {"value_many": 0, "grad_many": 1}),
-    ("rand_k_exact", {"value_many": 0, "grad_many": 1}),
-    ("gaussian_smoothing", {"value_many": 1 + _CHUNK, "grad_many": 0}),
-])
-def test_point_query_does_its_deterministic_part_once(kind, expected):
-    p, rows = _row_counting(make_nesterov_worst(10))
-    o = {"noise": lambda: gaussian_noise_oracle(p, 1.0),
-         "rand_k_exact": lambda: compressed_oracle(rand_k_compressor(2, 10),
-                                                   exact_oracle(p), p),
-         "gaussian_smoothing": lambda: gaussian_smoothing_oracle(p, 0.1)}[kind]()
-    G = o.query_many(p.default_x0, _CHUNK, stream(32))
-    assert G.shape == (_CHUNK, 10)
-    assert rows == expected
-
-
 def test_a_copy_with_a_new_row_form_derives_its_other_forms_from_it():
     """`dataclasses.replace` copies the forms `__post_init__` derived with
     the rest; the copy derives them again from its own row form, and keeps
@@ -345,7 +313,7 @@ def test_a_copy_with_a_new_row_form_derives_its_other_forms_from_it():
     p = make_nesterov_worst(10)
     x, rng = 1.5 * p.default_x0, stream(33)
     o = replace(exact_oracle(p),
-                _query_batch=lambda X, n, rng: 2.0 * p.grad_many(X))
+                _query_batch=lambda X, rng: 2.0 * p.grad_many(X))
     twice = 2.0 * p.grad_many(x[None])
     assert o.query_batch(x[None], rng).tobytes() == twice.tobytes()
     assert o.query(x, rng).tobytes() == twice[0].tobytes()

@@ -2,6 +2,7 @@
 starts."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ def test_each_command_is_compared_with_rev_and_its_workers_1_twin(
     rev_src = tmp_path / "rev" / "src"
     code = parity.compare(rev_src, tmp_path)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(parity.commands()) == 33
+    assert len(lines) == len(parity.commands())
     for (label, args), line in zip(parity.commands(), lines):
         # both trees print their own src and out paths, masked to one text
         assert line.startswith(f"{label}: same")
@@ -54,7 +55,7 @@ def test_a_command_that_fails_on_both_trees_fails_the_check(
     monkeypatch.setattr(parity, "_run", lambda src, args, out: (2, b"error: x"))
     code = parity.compare(tmp_path / "rev" / "src", tmp_path)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 33
+    assert len(lines) == len(parity.commands())
     assert all("same" in line and "; failed: exit code 2  [" in line
                for line in lines)
     assert code == 1
@@ -80,3 +81,13 @@ def test_the_src_line_counts_of_both_trees(tmp_path):
             (tmp_path / tree / name).write_text(text)
     assert parity.src_delta("HEAD^", tmp_path / "rev", tmp_path / "here") == \
         "src/: 42 lines at HEAD^, 1,030 here (+988)"
+
+
+def test_readme_and_docstring_state_the_command_count():
+    count = len(parity.commands())
+    readme = (_PATH.parent.parent / "README.md").read_text()
+    (stated,) = re.findall(r"fixed list of (\d+) CLI commands", readme)
+    assert int(stated) == count
+    (stated,) = re.findall(r"fixed list of (\d+) `biased-sgd` commands",
+                           parity.__doc__)
+    assert int(stated) == count

@@ -111,9 +111,9 @@ def test_history_length_stops_growing_beyond_the_race_horizon(monkeypatch):
 
 def _blow_up_oracle(p, rate):
     """Noisy gradient rows, each replaced by 1e16 with probability `rate`."""
-    def rows(X, n, rng):
-        G = p.grad_many(X) + 0.1 * rng.standard_normal((n, p.dim))
-        G[rng.random((n, p.dim))[:, 0] < rate] = 1e16
+    def rows(X, rng):
+        G = p.grad_many(X) + 0.1 * rng.standard_normal(X.shape)
+        G[rng.random(X.shape)[:, 0] < rate] = 1e16
         return G
     return BiasedOracle(name="blow_up", dim=p.dim, bounds=OracleBounds(),
                         _query_batch=rows)
@@ -264,8 +264,8 @@ def test_a_failing_search_closes_its_history_files(monkeypatch):
     p = make_nesterov_worst(6)
     calls = []
 
-    def rows(X, n, rng):
-        calls.append(n)
+    def rows(X, rng):
+        calls.append(len(X))
         if len(calls) == 100:
             raise RuntimeError("row map failed")
         return p.grad_many(X)

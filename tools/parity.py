@@ -4,7 +4,7 @@ they do not depend on `--workers`.
     python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
-fixed list of 33 `biased-sgd` commands on that tree and on this checkout's
+fixed list of 36 `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's exit code,
 printed output and output files, with the output path and each tree's `src`
 path masked. In the checkout, a command run under `--workers n` is compared
@@ -173,6 +173,53 @@ k = 1
 T = 2000
 reps = 5
 """,
+    # the deterministic oracle whose bias bound holds with equality
+    "tightness": """\
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = tightness
+m = 0.5
+zeta_sq = 0.01
+
+[run]
+T = 2000
+reps = 3
+""",
+    # the 1-D shifted derivative on the Huber problem: both reps walk away
+    # from the minimizer and end `monotone-increase@200`
+    "huber_shifted": """\
+[problem]
+kind = huber
+
+[oracle]
+kind = huber_shifted
+
+[run]
+T = 200
+reps = 2
+stepsize = 0.1
+""",
+    # the scaled (unbiased) rand-k over noise, k = d included
+    "unbiased": """\
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = exact
+noise_sigma_sq = 1.0
+compressor = rand_k_unbiased
+
+[run]
+T = 2000
+reps = 5
+
+[sweep]
+k = 1, 3, 10
+""",
 }
 
 
@@ -212,6 +259,9 @@ def commands() -> list:
              ("budget topk_noise", ["budget", "--config", "{cfg}/topk_noise.cfg"]),
              ("verify topk_noise --samples 20000",
               ["verify", "--config", "{cfg}/topk_noise.cfg", "--samples", "20000"])]
+    cmds += [(f"run {name}", ["run", "--config", f"{{cfg}}/{name}.cfg"])
+             for name in ("tightness", "huber_shifted")]
+    cmds += [("sweep unbiased", ["sweep", "--config", "{cfg}/unbiased.cfg"])]
     return cmds
 
 
