@@ -58,6 +58,9 @@ class DrawStreams:
     `replay()` starts the call again for another row map of the same rows:
     a draw the call has made is handed back, not made again, so row maps
     that make one draw each get it once. Draws are read-only.
+
+    `prepared(kind, size, prep)` is `prep` (`oracles.draw`) of that draw,
+    applied per call and read-only too.
     """
 
     def __init__(self, gen: np.random.Generator):
@@ -93,3 +96,8 @@ class DrawStreams:
 
     def random(self, size) -> np.ndarray:
         return self._draw("random", size)
+
+    def prepared(self, kind: str, size, prep) -> np.ndarray:
+        out = prep(self._draw(kind, size))
+        out.flags.writeable = False
+        return out

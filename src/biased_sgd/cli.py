@@ -71,6 +71,8 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 2:
+        raise ConfigError(f"samples must be >= 2, got {args.samples}")
     cfg = _resolve_config(args) if args.config or args.figure else None
     reports, table = experiments.verify_experiment(
         cfg, out_dir=args.out, samples=args.samples, seed=args.seed or 0)

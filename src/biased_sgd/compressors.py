@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .oracles import BiasedOracle, OracleBounds
+from .oracles import BiasedOracle, OracleBounds, draw
 from .problems import Problem, _derive
 
 
@@ -51,18 +52,26 @@ def _top_k_rows(G: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(n, d)
 
 
+@functools.lru_cache(maxsize=None)
+def _smallest_keys(k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The prep (`oracles.draw`) marking each row's k smallest keys."""
+    def mask(keys):
+        # the row minimum is exactly partition's 0th element
+        thresh = (keys.min(axis=1, keepdims=True) if k == 1
+                  else np.partition(keys, k - 1, axis=1)[:, k - 1 : k])
+        return keys <= thresh
+    return mask
+
+
 def _rand_k_rows(G: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     # k smallest of d iid uniform keys per row = uniform k-subset per row
-    n, d = G.shape
+    d = G.shape[1]
     _check_k(k, d)
     if k == d:
         return G.copy()
-    keys = rng.random(G.shape)
-    # the row minimum, read back at its argmin (faster than min over short
-    # rows), is exactly partition's 0th element; G * mask keeps ties and -0.0
-    thresh = (keys.ravel()[keys.argmin(axis=1) + np.arange(0, n * d, d)][:, None]
-              if k == 1 else np.partition(keys, k - 1, axis=1)[:, k - 1 : k])
-    return G * (keys <= thresh)
+    # G * mask, as a product: every key tied at the threshold keeps its
+    # entry, and a dropped entry is G * 0 (-0.0 where G < 0, NaN where NaN)
+    return G * draw(rng, "random", G.shape, _smallest_keys(k))
 
 
 def _rand_k_unbiased_rows(G: np.ndarray, k: int,

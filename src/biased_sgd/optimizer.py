@@ -141,6 +141,10 @@ class _Pull:
     sized to _BLOCK_FLOATS over all generators (one row when wider), so a
     generator is advanced in whole blocks. One (B, d) draw gives the values
     of B draws of d, so B changes no value.
+
+    `prepared(prep)` is `now` under `prep` (`oracles.draw`): a prep is
+    applied once per block, row-wise, into a block of its own made on its
+    first use and refilled in place.
     """
 
     def __init__(self, gens: list, kind: str, jumps: int, row_shape: tuple):
@@ -149,16 +153,26 @@ class _Pull:
         width = len(gens) * int(np.prod(row_shape, dtype=np.int64))
         rows = max(1, _BLOCK_FLOATS // max(1, width))
         self.buf = np.empty((len(gens), rows, *row_shape))
+        self.flat = self.buf.reshape(-1, *row_shape)  # generator-major rows
+        self.preps = {}  # prep -> its rows of `flat`
         self.pos = rows  # the block's next row
 
     def next(self) -> np.ndarray:
         if self.pos == self.buf.shape[1]:
             for g, out in zip(self.gens, self.buf):
                 getattr(g, self.kind)(out=out)
+            for prep, out in self.preps.items():
+                out[...] = prep(self.flat)
             self.pos = 0
         self.pos += 1
         self.now = self.buf[:, self.pos - 1]
         return self.now
+
+    def prepared(self, prep) -> np.ndarray:
+        out = self.preps.get(prep)
+        if out is None:
+            out = self.preps[prep] = prep(self.flat)
+        return out[self.pos - 1::self.buf.shape[1]]  # each generator's row
 
 
 class _LaneStats:
@@ -269,14 +283,16 @@ class _Node:
     a draw takes, for each of its rows, that row's generator's row of the
     `_Pull` in `pulls` for (kind, slot, row shape), made on the first draw
     of it (over `gens`, jumped `slot` times) and advanced by the first node
-    to draw it in a step; a draw that step 0 did not make raises (`Stage`).
+    to draw it in a step, or that row of the pull's `prepared(prep)` for a
+    prepared draw; a draw that step 0 did not make raises (`Stage`).
     """
 
-    def __init__(self, fn, parent, gens: list, pulls: dict, order: int):
+    def __init__(self, fn, parent, gens: list, pulls: dict, order: int,
+                 key=None):
         self.fn, self.parent, self.gens, self.pulls = fn, parent, gens, pulls
-        self.order, self.members, self.rows = order, [], None
+        self.order, self.key, self.members, self.rows = order, key, [], None
 
-    def _draw(self, kind: str, size) -> np.ndarray:
+    def _draw(self, kind: str, size, prep=None) -> np.ndarray:
         key, self.slot = (kind, self.slot, tuple(size[1:])), self.slot + 1
         pull = self.pulls.get(key)
         if pull is None:
@@ -286,13 +302,17 @@ class _Node:
         if pull.t != self.t:
             pull.t = self.t
             pull.next()
-        return pull.now.take(self.rows, axis=0)
+        now = pull.now if prep is None else pull.prepared(prep)
+        return now.take(self.rows, axis=0)
 
     def standard_normal(self, size) -> np.ndarray:
         return self._draw("standard_normal", size)
 
     def random(self, size) -> np.ndarray:
         return self._draw("random", size)
+
+    def prepared(self, kind: str, size, prep) -> np.ndarray:
+        return self._draw(kind, size, prep)
 
 
 def _share(members: list, gens: list) -> tuple:
@@ -309,7 +329,7 @@ def _share(members: list, gens: list) -> tuple:
         for s in m.o._query_batch:
             up = m.path[-1] if m.path else None
             if (up, s.key) not in index:
-                index[up, s.key] = _Node(s.fn, up, gens, pulls, len(nodes))
+                index[up, s.key] = _Node(s.fn, up, gens, pulls, len(nodes), s.key)
                 nodes.append(index[up, s.key])
             m.path.append(index[up, s.key])
     members = sorted(members, key=lambda m: [nd.order for nd in m.path])
@@ -341,7 +361,8 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
     on the others.
 
     The members share the (channels x slots x lanes) record block `B`:
-    channel 0 holds f, and channel 1 ||grad f||^2 with `grad_norms`; each
+    channel 0 holds f, and channel 1 ||grad f||^2 with `grad_norms`, whose
+    gradients a first stage keyed by `p.grad_many` takes at that step; each
     sink gets its columns as its `B`. A channel holds `floats` floats, or
     every slot when None; slot j is iteration `grid[j]` (j when None).
     `sink.fold(b0, B, cols)` gets the slots from b0 on, f less f*, when the
@@ -397,8 +418,8 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
     def shrink(ok: np.ndarray) -> list:
         # the rows `ok` keeps, and the members that still run; each live
         # stage node gets its rows and their generators
-        nonlocal X, fx, live, cols, nodes
-        X, fx, live = X[ok], fx[ok], live[ok]
+        nonlocal X, fx, live, cols, nodes, G
+        X, fx, live, G = X[ok], fx[ok], live[ok], None
         # a slice writes faster, and the live lanes often stay contiguous
         cols = slice(live[0], live[-1] + 1) \
             if len(live) and live[-1] - live[0] == len(live) - 1 else live
@@ -426,6 +447,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
         for m in members:
             m.sink.B = B[:, :, m.sl]
         for t in range(T + 1):  # one pass per iterate; the last takes no step
+            G = None  # grad_many(X) when recorded at this iterate
             if dense or t == grid[slot]:
                 B[0, slot - base, cols] = fx
                 if grad_norms:
@@ -456,7 +478,10 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
                 up = nd.parent
                 nd.t, nd.slot = t, 0 if up is None else up.slot
                 try:
-                    nd.out = nd.fn((X if up is None else up.out)[nd.src], nd)
+                    if up is None and G is not None and nd.key is grad_many:
+                        nd.out = G[nd.src]
+                    else:
+                        nd.out = nd.fn((X if up is None else up.out)[nd.src], nd)
                 except Exception as exc:  # noqa: BLE001 - its members fail alone
                     exc = exc.with_traceback(None)  # which would keep this frame
                     for m in nd.members:

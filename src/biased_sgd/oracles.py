@@ -45,15 +45,30 @@ class Stage(NamedTuple):
     """One stage of an oracle chain: `fn(G, rng)` maps the rows before it
     (the query points X, for the first stage) to its own, one row per row.
 
-    Stages with equal keys compute equal rows from equal rows. A stage draws
+    Stages with equal keys compute equal rows from equal rows, and a stage
+    keyed by a problem's `grad_many` computes its rows. A stage draws
     the same kinds, of len(G) rows of one row shape each, in the same order
     on every call: the engine gives a call's n-th draw its own stream. A
     stage does not write into its draws: the estimators hand one read-only
-    draw to every oracle that makes it.
+    draw to every oracle that makes it. A stage that needs only a function
+    of a draw asks for it through `draw` with a `prep`: pure, row-wise (row
+    i of its result from row i of the draw alone) and one object on every
+    call, applied per call or once per block of draws read ahead, and never
+    written into.
     """
 
     fn: Callable
     key: Hashable
+
+
+def draw(rng, kind: str, size, prep: Callable) -> np.ndarray:
+    """`prep` (`Stage`) of a `kind` draw of `size` from `rng`: the source's
+    `prepared(kind, size, prep)` where it has one, which may apply `prep`
+    once per block of draws read ahead, else `prep(rng.<kind>(size))`."""
+    prepared = getattr(rng, "prepared", None)
+    if prepared is None:
+        return prep(getattr(rng, kind)(size))
+    return prepared(kind, size, prep)
 
 
 class Chain(tuple):
@@ -150,10 +165,11 @@ def gaussian_noise_oracle(p: Problem, sigma_sq: float,
     d, b = p.dim, inner.bounds
     scale = np.sqrt(sigma_sq / d)
 
-    def noisy(G, rng):  # scale * draw is a new array: the draw stays unwritten
-        U = scale * rng.standard_normal(G.shape)
-        U += G
-        return U
+    def scaled(Z):
+        return scale * Z
+
+    def noisy(G, rng):
+        return G + draw(rng, "standard_normal", G.shape, scaled)
 
     return BiasedOracle(
         name=f"{inner.name}+noise({sigma_sq:g})", dim=p.dim,

@@ -471,10 +471,26 @@ def test_budget_eps_must_be_positive_and_finite(tmp_path, capsys, eps):
 @pytest.mark.parametrize("samples", ["0", "1"])
 def test_verify_rejects_fewer_than_two_samples(tmp_path, capsys, samples):
     assert cli.main(["verify", "--samples", samples,
-                     "--out", str(tmp_path / "v")]) == 2
-    err = capsys.readouterr().err
-    assert f"samples must be >= 2 for stochastic oracles, got {samples}" in err
+                     "--out", str(tmp_path / "v")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: samples must be >= 2, got {samples}\n"
     assert not (tmp_path / "v/verify.md").exists()
+
+
+def test_verify_rejects_fewer_than_two_samples_for_a_deterministic_config(
+        tmp_path, capsys, monkeypatch):
+    # the exact oracle alone is sampled twice whatever is asked, yet the
+    # value is refused as it is for any other config, before a build
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINI.replace("noise_sigma_sq = 1.0\nbias_zeta = 0.1\n", ""))
+    monkeypatch.setattr(experiments, "build_oracle", None)
+    assert cli.main(["verify", "--config", str(cfg_path), "--samples", "-5",
+                     "--out", str(tmp_path / "v")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: samples must be >= 2, got -5\n"
+    assert not (tmp_path / "v").exists()
 
 
 def test_sweep_workers_match_serial(tmp_path):

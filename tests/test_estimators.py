@@ -14,6 +14,7 @@ from biased_sgd import (BiasedOracle, OracleBounds, additive_bias_oracle,
 from biased_sgd import estimators, experiments
 from biased_sgd.estimators import fit_envelope
 from biased_sgd._rng import DrawStreams, stream
+from biased_sgd.oracles import draw
 
 
 def test_probe_points_span_orders_of_magnitude():
@@ -305,15 +306,28 @@ def test_shared_draws_are_never_written():
         seen.append(U)
         return p.grad_many(X) + U
 
+    prepared = []
+
+    def halve(Z):
+        return 0.5 * Z
+
+    def recording_prepared(X, rng):
+        S = draw(rng, "standard_normal", X.shape, halve)
+        prepared.append(S)
+        return p.grad_many(X) + S
+
     oracles = [_custom(p, recording, "recording"),
                _custom(p, lambda X, rng: rng.standard_normal(X.shape)),
-               gaussian_noise_oracle(p, 1.0)]
+               gaussian_noise_oracle(p, 1.0),
+               _custom(p, recording_prepared, "recording_prepared")]
     x = probe_points(p, 1, seed=17)[0]
     estimators._collect_points(oracles, p, [x], 5000, seed=17, tag=0x17)
-    assert not any(U.flags.writeable for U in seen)
-    # after every oracle has used them, the draws are still the generator's
+    assert not any(U.flags.writeable for U in seen + prepared)
+    # after every oracle has used them, the draws are still the generator's,
+    # and a prepared draw is its prep of them
     fresh = stream(17, 0x17, 0).standard_normal((5000, p.dim))
     assert np.concatenate(seen).tobytes() == fresh.tobytes()
+    assert np.concatenate(prepared).tobytes() == halve(fresh).tobytes()
 
     def writing(X, rng):
         U = rng.standard_normal(X.shape)
@@ -323,6 +337,21 @@ def test_shared_draws_are_never_written():
     with pytest.raises(ValueError, match="read-only"):
         estimators._collect_points([_custom(p, writing)], p, [x], 10,
                                    seed=17, tag=0x17)
+
+    def doubling(Z):  # a prep that writes into the draw it is given
+        Z *= 2.0
+        return Z
+
+    def writing_prepared(X, rng):
+        S = draw(rng, "standard_normal", X.shape, halve)
+        S += X
+        return S
+
+    for rows in (lambda X, rng: draw(rng, "standard_normal", X.shape, doubling),
+                 writing_prepared):
+        with pytest.raises(ValueError, match="read-only"):
+            estimators._collect_points([_custom(p, rows)], p, [x], 10,
+                                       seed=17, tag=0x17)
 
     # a draw of other than n rows cannot stand in for another oracle's draw
     one_row = _custom(p, lambda X, rng: X + rng.standard_normal((1, p.dim)))

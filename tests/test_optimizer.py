@@ -10,10 +10,12 @@ from biased_sgd import (BiasedOracle, Divergence, OracleBounds, StepSchedule,
                         gaussian_noise_oracle, gaussian_smoothing_oracle,
                         huber_shifted_oracle, make_nesterov_worst, pl_envelope,
                         rand_k_compressor, sgd_run, sgd_run_repeated,
-                        stepsize_cap, synthetic_tight_oracle, tightness_oracle,
+                        sgd_run_repeated_many, stepsize_cap,
+                        synthetic_tight_oracle, tightness_oracle,
                         top_k_compressor, uniform_direction)
-from biased_sgd import optimizer, tuning
-from biased_sgd._rng import stream
+from biased_sgd import compressors, optimizer, tuning
+from biased_sgd._rng import DrawStreams, stream
+from biased_sgd.oracles import Chain, Stage, draw
 
 
 def _noisy_biased(p, sigma_sq=1.0, zeta=0.1):
@@ -341,6 +343,164 @@ def test_lane_streams_buffers_stay_within_the_byte_budget():
             # one block per generator, of at least one row
             assert all(b.nbytes <= budget for b in buf)
             assert buf.nbytes <= max(budget, n_gens * d * 8)
+
+
+def test_a_prep_is_applied_once_per_block_refill():
+    # a prepared draw costs one prep call per block of draws read ahead,
+    # however many steps and nodes read it, and its rows are the prep of
+    # the raw draw's rows
+    d = 4
+    block = optimizer._BLOCK_FLOATS // (3 * d)
+    steps = 2 * block + 37  # three fills of the block
+    calls = []
+
+    def double(Z):
+        calls.append(Z.shape)
+        return 2.0 * Z
+
+    gens = [stream(9, r) for r in range(3)]
+    node, raw = _own_node(gens), _own_node(gens)
+    twin = optimizer._Node(None, None, gens, node.pulls, 1)  # node's pulls
+    twin.rows = _ROW_MAP[::-1]
+    size = (len(_ROW_MAP), d)
+    for _ in range(steps):
+        got = _step(node).prepared("standard_normal", size, double)
+        twin.t, twin.slot = node.t, 0
+        again = twin.prepared("standard_normal", size, double)
+        want = 2.0 * _step(raw).standard_normal(size)
+        assert got.tobytes() == want.tobytes()
+        assert again.tobytes() == want[::-1].tobytes()
+    assert calls == [(3 * block, d)] * 3
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_prepared_rand_k_rows_equal_the_per_call_draws(k, ties):
+    # rand-k's mask, made once per block, gives every row what a draw of its
+    # own per call gives, across refills and as rows leave mid-block; with
+    # `ties` the keys are coarsened so that a row has several smallest, and
+    # the gradients hold zeros of both signs and negative entries
+    d = 10
+    block = optimizer._BLOCK_FLOATS // (3 * d)
+    steps = 2 * block + 37
+    if ties:
+        mask = compressors._smallest_keys(k)
+
+        def coarse(keys):
+            return mask(np.floor(4.0 * keys))
+
+        def stage(G, rng):
+            return G * draw(rng, "random", G.shape, coarse)
+    else:
+        def stage(G, rng):
+            return compressors._rand_k_rows(G, k, rng)
+
+    G_all = np.round(2.0 * stream(11).standard_normal((len(_ROW_MAP), d))) / 2.0
+    node = _own_node([stream(10, r) for r in range(3)])
+    refs = [DrawStreams(stream(10, r)) for r in range(3)]
+    rows, signed_zeros, kept = _ROW_MAP, 0, []
+    for t in range(steps):
+        if t in (block // 2, block + 100):  # lanes leave mid-block
+            rows = rows[1:-1]
+            node.rows = rows
+        G = G_all[:len(rows)]
+        got = stage(G, _step(node))
+        for r, ref in enumerate(refs):
+            ref.call().random((1, d))  # every generator draws every step
+            for i in np.flatnonzero(rows == r):
+                assert got[i].tobytes() == stage(G[i:i + 1], ref.replay())[0].tobytes()
+        signed_zeros += np.count_nonzero((got == 0) & np.signbit(got) & (G != 0))
+        kept.append(np.count_nonzero(got, axis=1))
+    assert len(rows) == 3 and signed_zeros > 0
+    kept = np.concatenate(kept)
+    assert kept.max() <= k if not ties else kept.max() > k
+
+
+def test_a_recorded_iterate_computes_its_gradients_once():
+    # a first stage keyed by the problem's grad_many takes the gradients the
+    # record computed at that iterate: one grad_many row per lane and
+    # iterate, and the bits of a chain that computes its own
+    p0 = make_nesterov_worst(10)
+    rows = []
+
+    def grad_many(X):
+        rows.append(len(X))
+        return p0.grad_many(X)
+
+    p = replace(p0, grad_many=grad_many)
+    T, reps = 50, 3
+    runs = [(gaussian_noise_oracle(p, 1.0), StepSchedule.constant(0.1)),
+            (exact_oracle(p), StepSchedule.constant(0.2))]
+    shared = sgd_run_repeated_many(p, runs, T, reps, seed=1)
+    assert sum(rows) == 2 * reps * (T + 1)
+    rows.clear()
+    own = [(replace(o, _query_batch=Chain(Stage(st.fn, ("own", st.key))
+                                          for st in o._query_batch)), sched)
+           for o, sched in runs]
+    alone = sgd_run_repeated_many(p, own, T, reps, seed=1)
+    assert sum(rows) == 2 * reps * (T + 1) + 2 * reps * T
+    for a, b in zip(shared, alone):
+        for ta, tb in zip(a.traces, b.traces):
+            for field in ("f_gap", "grad_norm_sq", "final_x"):
+                assert getattr(ta, field).tobytes() == getattr(tb, field).tobytes()
+
+
+def _per_call_lane(p, o, gamma, T, gen):
+    """(f gaps, final x) of one lane stepped one `DrawStreams(gen)` call per
+    step, up to T steps or to its first iterate past the divergence limit."""
+    rng, x = DrawStreams(gen), p.default_x0.copy()
+    fs = [p.value_many(x[None])[0]]
+    for _ in range(T):
+        x = x - gamma * o._query_batch(x[None], rng.call())[0]
+        f = p.value_many(x[None])[0]
+        limit = optimizer.DIVERGENCE_LIMIT
+        if not (abs(f) <= limit and np.vecdot(x, x) <= limit * limit):
+            break
+        fs.append(f)
+    return np.array(fs) - p.f_star, x
+
+
+def test_prepared_draws_in_the_engine_equal_the_per_call_reference(monkeypatch):
+    # rand-k at k = 1, 3 and d - 1 over one noise stage, and noise of
+    # another scale, step in one engine run: the rand-k nodes read one pull
+    # of keys with three masks, the noise nodes one pull of normals with two
+    # scales. Blocks of 4 steps refill often and a spiking stage drops lanes
+    # mid-block; every lane is still its own per-call run.
+    p = make_nesterov_worst(10)
+    reps, T, gamma, seed = 4, 60, 0.05, 21
+    monkeypatch.setattr(optimizer, "_BLOCK_FLOATS", 4 * reps * p.dim)
+    pulls = []
+
+    class Recorded(optimizer._Pull):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pulls.append(self)
+
+    monkeypatch.setattr(optimizer, "_Pull", Recorded)
+
+    def spikes(G, rng):
+        return np.where(rng.random((len(G), 1)) < 0.02, 1e16, G)
+
+    noise = gaussian_noise_oracle(p, 1.0)
+    oracles = [compressed_oracle(rand_k_compressor(k, p.dim), noise, p)
+               for k in (1, 3, p.dim - 1)] + [gaussian_noise_oracle(p, 4.0)]
+    oracles = [replace(o, _query_batch=o._query_batch.then(spikes, "spikes"))
+               for o in oracles]
+    sched = StepSchedule.constant(gamma)
+    runs = sgd_run_repeated_many(p, [(o, sched) for o in oracles], T, reps,
+                                 seed, keep_traces=True)
+    # (kind, row shape, preps) per pull: the spikes draw at two slots
+    assert sorted((pl.kind, pl.buf.shape[2:], len(pl.preps)) for pl in pulls) == [
+        ("random", (1,), 0), ("random", (1,), 0), ("random", (p.dim,), 3),
+        ("standard_normal", (p.dim,), 2)]
+    lengths = []
+    for o, run in zip(oracles, runs):
+        for r, tr in enumerate(run.traces):
+            gaps, x = _per_call_lane(p, o, gamma, T, stream(seed, r))
+            assert tr.f_gap.tobytes() == gaps.tobytes()
+            assert tr.final_x.tobytes() == x.tobytes()
+            lengths.append(len(tr.t))
+    assert min(lengths) < T + 1 == max(lengths)  # some lanes leave, some finish
 
 
 def _blow_up_oracle(p, rate):
