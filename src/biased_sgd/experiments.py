@@ -60,7 +60,7 @@ def build_oracle(cfg: ExperimentConfig, p: Problem,
     """
     spec = cfg.oracle
     if spec.kind == "huber_shifted":
-        _, base = huber_shifted_oracle()
+        _, base = huber_shifted_oracle(p)
     elif spec.kind == "gaussian_smoothing":
         base = gaussian_smoothing_oracle(p, spec.tau)
     elif spec.kind == "tightness":
@@ -351,11 +351,11 @@ def _sweep_part(out_dir: str, tasks: list) -> list:
 
 def _tune_part(tune: TuneSpec, tasks: list) -> list:
     """Distinct searches stepped as one engine run: per search its cells'
-    (result, race curve), or the error message.
+    result, or the error message.
 
     The result leaves out the search history, of which the race figure needs
-    only the race curve (`TuneResult.race_curve`). The oracles are built on
-    one problem, so their chains share its gradient.
+    only the race curve (`TuneResult.race`). The oracles are built on one
+    problem, so their chains share its gradient.
     """
     cfg = tasks[0][0]  # no sweep axis changes the problem or the search
     p = build_problem(cfg)
@@ -375,9 +375,8 @@ def _tune_part(tune: TuneSpec, tasks: list) -> list:
 
 @dataclass
 class CellsOutput:
-    # dicts: label, overrides, and the cell's outputs (sweep: summary; tune:
-    # result, a TuneResult, and race, its race curve or None), or error (the
-    # message of a failed cell)
+    # dicts: label, overrides, and the cell's output (sweep: summary; tune:
+    # result, a TuneResult), or error (the message of a failed cell)
     cells: list
     out_dir: str
     distinct_runs: int  # engine runs or searches the cells shared out
@@ -476,8 +475,7 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: str,
             records[-1]["error"] = out
             lines.append(f"cell={label} status=failed error={out}")
             continue
-        res, race = out
-        records[-1].update(result=res, race=race)
+        res = records[-1]["result"] = out
         for e in res.entries:
             rows.append(f"{label},{e.gamma!r},{int(e.reached)},"
                         f"{e.iterations if e.reached else ''},{e.best_gap!r},"
@@ -490,8 +488,8 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: str,
         else:
             lines.append(f"cell={label} best_gamma=did-not-reach "
                          f"best_gap={res.best_gap!r}")
-        if race is not None:  # None: every stepsize diverged
-            entry, t, gap = race
+        if res.race is not None:  # None: every stepsize diverged
+            entry, t, gap = res.race
             title, series = _placement(cfg, label, overrides)
             panels.setdefault(title, []).append((f"{series} (g={entry.gamma:g})", t, gap))
     _write_text(out_dir, "tune.csv", "\n".join(rows) + "\n")

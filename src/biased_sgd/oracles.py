@@ -183,6 +183,9 @@ def additive_bias_oracle(inner: BiasedOracle, zeta: float,
                          direction: np.ndarray) -> BiasedOracle:
     """Adds the constant vector zeta * direction to every query."""
     direction = np.asarray(direction, dtype=float)
+    if direction.shape != (inner.dim,):
+        raise ValueError(f"direction must have shape ({inner.dim},), "
+                         f"got {direction.shape}")
     if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
     if zeta == 0.0:
@@ -284,13 +287,14 @@ def inexact_oracle(p: Problem, delta: float,
                    bounds=OracleBounds(m=0.0, zeta_sq=zeta_sq, sigma_sq=noise_sigma_sq))
 
 
-def huber_shifted_oracle() -> tuple[Problem, BiasedOracle]:
-    """The 1-D shifted-derivative oracle g(x) = h'(x) - 2 on the Huber problem.
+def huber_shifted_oracle(p: Optional[Problem] = None) -> tuple[Problem, BiasedOracle]:
+    """(p, the 1-D shifted-derivative oracle g(x) = h'(x) - 2 on the Huber
+    problem p), p a new `make_huber_problem()` when None.
 
     Constant shift of magnitude 2, so zeta^2 = 4; SGD started right of the
     kink walks away from the minimizer forever.
     """
-    p = make_huber_problem()
+    p = make_huber_problem() if p is None else p
     return p, replace(additive_bias_oracle(exact_oracle(p), 2.0, np.array([-1.0])),
                       name="huber_shifted")
 

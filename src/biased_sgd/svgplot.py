@@ -20,11 +20,15 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _thin(x: np.ndarray, y: np.ndarray) -> tuple:
-    if len(x) <= _MAX_POINTS:
-        return x, y
-    idx = np.unique(np.linspace(0, len(x) - 1, _MAX_POINTS).astype(int))
-    return x[idx], y[idx]
+def _thin(x, y) -> tuple:
+    """At most `_MAX_POINTS` evenly spaced points of a series, as floats with
+    y clamped to `_FLOOR`; the points are picked before anything is copied,
+    so a long series is never copied whole."""
+    x, y = np.asarray(x), np.asarray(y)
+    if len(x) > _MAX_POINTS:
+        idx = np.unique(np.linspace(0, len(x) - 1, _MAX_POINTS).astype(int))
+        x, y = x[idx], y[idx]
+    return np.asarray(x, dtype=float), np.maximum(np.asarray(y, dtype=float), _FLOOR)
 
 
 def _pow10_ticks(lo: float, hi: float) -> list:
@@ -72,12 +76,7 @@ def _panel(series: Sequence[tuple], title: str) -> list:
     ml, mr, mt, mb = 64, 16, 28, 44
     pw, ph = width - ml - mr, height - mt - mb
 
-    prepared = []
-    for label, x, y in series:
-        x = np.asarray(x, dtype=float)
-        y = np.maximum(np.asarray(y, dtype=float), _FLOOR)
-        x, y = _thin(x, y)
-        prepared.append((label, x, y))
+    prepared = [(label, *_thin(x, y)) for label, x, y in series]
 
     xs = np.concatenate([s[1] for s in prepared]) if prepared else np.array([0.0, 1.0])
     ys = np.concatenate([s[2] for s in prepared]) if prepared else np.array([1.0, 10.0])

@@ -15,14 +15,17 @@ sees the same draws and a stepsize's result does not depend on the rest of
 the grid; a stepsize diverges when any of its lanes fails the engine's
 divergence test (its lanes form one group). The rep-mean gap of every
 stepsize is recorded as the search goes, which is the curve
-`sgd_run_repeated` would trace at that stepsize.
+`sgd_run_repeated` would trace at that stepsize. Each result carries the
+race curve, the recorded curve of the stepsize the race figure plots
+(`TuneResult.race`); `keep_history` adds the whole record (`history_t`,
+`history`).
 """
 
 from __future__ import annotations
 
 import tempfile
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,9 +74,15 @@ class TuneResult:
     entries: list
     # rep-mean gap (column per grid stepsize, NaN once it diverged) at the
     # iterations history_t: history_grid(max_T) up to the stopping iteration,
-    # which is always the last row
+    # which is always the last row; kept only with `keep_history`
     history_t: Optional[np.ndarray] = None
     history: Optional[np.ndarray] = None
+    # (entry, t, rep-mean gap) of the stepsize the race figure plots: the
+    # winner over 0 .. its iterations-to-target; without one, the
+    # non-diverged stepsize with the lowest best gap over 0 .. min(max_T,
+    # RACE_HORIZON). None when every stepsize diverged. An array field has
+    # no `==`, so results compare without it.
+    race: Optional[tuple] = field(default=None, compare=False)
 
     @property
     def best(self) -> Optional[TuneEntry]:
@@ -85,45 +94,6 @@ class TuneResult:
     @property
     def best_gap(self) -> float:
         return min(e.best_gap for e in self.entries)
-
-    def outcome(self) -> tuple:
-        """(0, iterations) when reached, else (1, best achieved gap).
-
-        Tuples compare the way convergence speed does: reaching beats not
-        reaching, fewer iterations beat more, and among non-reaching runs a
-        lower curve beats a higher one.
-        """
-        b = self.best
-        if b is not None:
-            return (0, b.iterations)
-        return (1, self.best_gap)
-
-    def _race_rows(self) -> Optional[tuple]:
-        """(entry, its column, rows) of the stepsize the race figure plots.
-
-        The winner over 0 .. its iterations-to-target; without one, the
-        non-diverged stepsize with the lowest gap over 0 .. min(max_T,
-        RACE_HORIZON). None when every stepsize diverged. Reads `history_t`
-        only, so that a search reads back just these rows of its history.
-        """
-        best = self.best
-        if best is None:
-            viable = [e for e in self.entries if not e.diverged]
-            if not viable:
-                return None
-            best = min(viable, key=lambda e: e.best_gap)
-        n = np.searchsorted(self.history_t, best.iterations if best.reached
-                            else RACE_HORIZON, side="right")
-        return best, self.entries.index(best), n
-
-    def race_curve(self) -> Optional[tuple]:
-        """(entry, t, rep-mean gap) of the stepsize the race figure plots
-        (`_race_rows`), or None."""
-        race = self._race_rows()
-        if race is None:
-            return None
-        best, j, n = race
-        return best, self.history_t[:n], self.history[:n, j]
 
 
 def default_gamma_grid(L: float) -> list:
@@ -145,9 +115,10 @@ class _Race:
 
     The history rows go to `file`, an unnamed temporary file, as they are
     folded, so the search holds none of them in memory. When the search
-    stops, `out` is its (result, race curve): `stop` reads back the whole
-    history with `keep_history`, else only the race curve's column, and
-    closes the file, which removes it.
+    stops, `out` is its result and `stop` picks the race curve once: it
+    reads back the whole history with `keep_history` and slices the curve
+    from it, else only the curve's column, and closes the file, which
+    removes it.
     """
 
     grid, grad_norms = None, False
@@ -224,18 +195,19 @@ class _Race:
         hist_t = self.rec_t[:self.rows].copy()
         if self.stop_t is not None:  # its last row is the stop
             hist_t[-1] = self.stop_t
-        res = TuneResult(target_eps=self.eps, max_T=self.max_T, entries=entries,
-                         history_t=hist_t)
+        res = TuneResult(target_eps=self.eps, max_T=self.max_T, entries=entries)
+        best = res.best or min((e for e in entries if not e.diverged),
+                               key=lambda e: e.best_gap, default=None)
         with self.file:
             if self.keep_history:
-                res.history = self._read(self.rows)
-                curve = res.race_curve()
-            else:
-                race = res._race_rows()
-                curve = None if race is None else \
-                    (race[0], hist_t[:race[2]], self._read(race[2], race[1]))
-                res.history_t = None
-        self.out = res, curve
+                res.history_t, res.history = hist_t, self._read(self.rows)
+            if best is not None:
+                j = entries.index(best)
+                n = np.searchsorted(hist_t, best.iterations if best.reached
+                                    else RACE_HORIZON, side="right")
+                gap = res.history[:n, j] if self.keep_history else self._read(n, j)
+                res.race = best, hist_t[:n], gap
+        self.out = res
 
 
 def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
@@ -249,7 +221,7 @@ def tune_stepsize(p: Problem, o: BiasedOracle, target_eps: float,
     The search is a one-oracle `tune_stepsize_many`.
     """
     return _raised(tune_stepsize_many(p, [o], target_eps, grid, reps, max_T,
-                                      seed, x0)[0])[0]
+                                      seed, x0)[0])
 
 
 def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
@@ -261,12 +233,13 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
 
     Each search is a member of the engine's loop (its own row block, on the
     rep streams) and stops on its own hit, so its result is byte-identical to
-    its own `tune_stepsize`. Returns per oracle (result, race curve), or the
-    exception its oracle raised, which stops that search alone; without
-    `keep_history` the result has no history. Each search writes its history
-    rows to an unnamed temporary file and reads back only what it returns,
-    so in memory it holds its record block and per-stepsize best gaps, not
-    rows that grow with max_T; every file is closed, so removed, at the end.
+    its own `tune_stepsize`. Returns per oracle that result, or the exception
+    its oracle raised, which stops that search alone. Every result carries
+    its race curve (`TuneResult.race`); without `keep_history` it has no
+    `history_t` or `history`. Each search writes its history rows to an
+    unnamed temporary file and reads back only what it returns, so in memory
+    it holds its record block and per-stepsize best gaps, not rows that grow
+    with max_T; every file is closed, so removed, at the end.
     """
     if not 0 < target_eps < np.inf:
         raise ValueError(f"target_eps must be positive and finite, got {target_eps}")

@@ -217,14 +217,22 @@ def test_criterion_7_rate_slowdown_and_ordering():
         searches = tune_stepsize_many(p, [oracle(*c) for c in chains], eps,
                                       reps=3, max_T=max_T, seed=SEED,
                                       keep_history=False)
-        tuned = {c: res for c, (res, _) in zip(chains, searches)}
+        tuned = dict(zip(chains, searches))
         none0, rand0 = tuned["none", 0.0], tuned["rand_k", 0.0]
         ratio = rand0.best.iterations / none0.best.iterations
         assert 5.0 <= ratio <= 20.0, ratio
+
+        def outcome(res):
+            # compares the way convergence speed does: reaching beats not
+            # reaching, fewer iterations beat more, and among non-reaching
+            # searches a lower best gap beats a higher one
+            best = res.best
+            return (0, best.iterations) if best is not None else (1, res.best_gap)
+
         for sigma_sq in (0.0, 1.0, 100.0):
             top, rand = tuned["top_k", sigma_sq], tuned["rand_k", sigma_sq]
-            assert top.outcome() < rand.outcome(), \
-                (sigma_sq, top.outcome(), rand.outcome())
+            assert outcome(top) < outcome(rand), \
+                (sigma_sq, outcome(top), outcome(rand))
         print(f"      slowdown ratio rand-k/none = {ratio:.2f}")
 
 

@@ -55,6 +55,14 @@ def _blow_up_oracle(p, rate):
                         _query_batch=rows)
 
 
+def _same_race(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a[0] == b[0]
+        assert a[1].tobytes() == b[1].tobytes()
+        assert a[2].tobytes() == b[2].tobytes()
+
+
 def _same_runs(a, b):
     for name in ("t", "mean_f_gap", "se_f_gap", "mean_grad_norm_sq",
                  "se_grad_norm_sq", "count"):
@@ -108,16 +116,11 @@ def test_batched_searches_are_the_searches_alone(reps, grid, monkeypatch):
     assert noisy.best is None and len(noisy.history_t) == max_T + 1
     assert [e.diverged for e in noisy.entries] == [False] * (len(grid) - 1) + [True]
     assert all(e.diverged for e in lost.entries)
-    for (res, curve), ref in zip(batch, alone):
+    for res, ref in zip(batch, alone):
         assert res.entries == ref.entries
         assert res.history_t.tobytes() == ref.history_t.tobytes()
         assert res.history.tobytes() == ref.history.tobytes()
-        ref_curve = ref.race_curve()
-        assert (curve is None) == (ref_curve is None)
-        if curve is not None:
-            assert curve[0] == ref_curve[0]
-            assert curve[1].tobytes() == ref_curve[1].tobytes()
-            assert curve[2].tobytes() == ref_curve[2].tobytes()
+        _same_race(res.race, ref.race)
 
 
 # searches on make_nesterov_worst(6): (oracles, target_eps, grid, reps, max_T,
@@ -156,30 +159,24 @@ def test_without_history_a_search_keeps_its_race_curve(case, monkeypatch):
     args = (p, oracles, target, grid, reps, max_T, seed)
     kept = tune_stepsize_many(*args)
     bare = tune_stepsize_many(*args, keep_history=False)
-    full = [res for res, _ in kept]
-    stops = [res.history_t[-1] for res in full]
+    stops = [res.history_t[-1] for res in kept]
     if case == "reached":
-        assert full[0].best is not None
+        assert kept[0].best is not None
     if case == "censored":
-        assert full[0].best is None and stops == [5000]
-        assert len(full[0].history_t) < 5001 and len(kept[0][1][1]) == 41
+        assert kept[0].best is None and stops == [5000]
+        assert len(kept[0].history_t) < 5001 and len(kept[0].race[1]) == 41
     if case == "stop_between_rows":
         assert stops[0] > 50 and stops[0] not in tuning.history_grid(max_T)
     if case == "one_diverged":
-        assert np.isnan(full[0].history[-1, 2]) and not np.isnan(full[0].history).all()
+        assert np.isnan(kept[0].history[-1, 2]) and not np.isnan(kept[0].history).all()
     if case == "all_diverged":
-        assert kept[0][1] is None
+        assert kept[0].race is None
     if case == "several":
         assert len(set(stops)) == len(oracles)
-    for (ref, _), (res, curve) in zip(kept, bare):
+    for ref, res in zip(kept, bare):
         assert res.history is None and res.history_t is None
         assert res.entries == ref.entries
-        ref_curve = ref.race_curve()
-        assert (curve is None) == (ref_curve is None)
-        if curve is not None:
-            assert curve[0] == ref_curve[0]
-            assert curve[1].tobytes() == ref_curve[1].tobytes()
-            assert curve[2].tobytes() == ref_curve[2].tobytes()
+        _same_race(res.race, ref.race)
 
 
 def test_an_empty_batch_returns_no_results():

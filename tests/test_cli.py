@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from biased_sgd import (StepSchedule, cli, config, estimators, experiments,
-                        sgd_run_repeated)
+                        oracles, sgd_run_repeated)
 from biased_sgd.config import (ConfigError, ExperimentConfig, OracleSpec,
                                ProblemSpec, RunSpec, TuneSpec, parse_config,
                                serialize_config)
@@ -731,6 +731,40 @@ noise_sigma_sq = 0.0, 1.0
     assert len((out / "tune.csv").read_text().splitlines()) == 1 + 4 * 3
     assert "status=failed" not in (out / "tune_summary.txt").read_text()
     assert (out / "race.svg").read_text().count("(g=") == 4
+
+
+def test_huber_shifted_is_built_on_the_run_problem(monkeypatch):
+    # the shifted oracle's exact first stage is keyed by the run problem's
+    # grad_many, so it takes the gradients the record computed: one
+    # grad_many row per rep and iterate over every Huber problem built
+    rows = []
+    real = experiments.make_huber_problem
+
+    def counting():
+        p = real()
+        grad_many = p.grad_many
+
+        def counted(X):
+            rows.append(len(X))
+            return grad_many(X)
+        return replace(p, grad_many=counted)
+
+    monkeypatch.setattr(experiments, "make_huber_problem", counting)
+    monkeypatch.setattr(oracles, "make_huber_problem", counting)
+    T, reps = 200, 2
+    cfg = parse_config(f"""
+[problem]
+kind = huber
+[oracle]
+kind = huber_shifted
+[run]
+T = {T}
+reps = {reps}
+stepsize = 0.1
+""")
+    out = experiments.run_experiment(cfg)
+    assert [d.reason for d in out.agg.diverged_reps] == ["monotone-increase"] * reps
+    assert sum(rows) == reps * (T + 1)
 
 
 def test_tune_failed_cells_same_under_workers(tmp_path, capsys, monkeypatch):

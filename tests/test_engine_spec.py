@@ -4,14 +4,14 @@ The reference steps one lane at a time, one step at a time: lane (rep r)
 draws from `DrawStreams(stream(seed, r))` through the oracle's one-row
 `_query_batch`, one call per step, and its f value comes from `value_many`
 on that row. The repeated runs' traces and aggregates, and the stepsize
-search's entries and history, are then built from these lane traces with
-the engine's documented rules. Seeded random cases mix the members of one
-engine run (oracle chains that share stages and chains that do not,
-chains drawing one kind twice, and chains drawing rows of other shapes in
-one slot), constant stepsizes that diverge at once, mid-run or never, and
-patched block constants. Every case also has two members whose chains
-raise at seeded steps, in a stage of their own or in one they share: such
-a member's result is the exception, if it still steps then, and every
+search's entries, history and race curve, are then built from these lane
+traces with the engine's documented rules. Seeded random cases mix the
+members of one engine run (oracle chains that share stages and chains that
+do not, chains drawing one kind twice, and chains drawing rows of other
+shapes in one slot), constant stepsizes that diverge at once, mid-run or
+never, and patched block constants. Every case also has two members whose
+chains raise at seeded steps, in a stage of their own or in one they share:
+such a member's result is the exception, if it still steps then, and every
 other member's is as if it ran alone. A failure names its case seed.
 """
 
@@ -133,6 +133,22 @@ def _reference_search(p, o, target_eps, grid, reps, max_T, seed, x0):
     for j, (m, e) in enumerate(zip(means, ends)):
         hist[:min(e, last + 1), j] = m[:last + 1]
     return entries, np.arange(last + 1), hist, steps
+
+
+def _reference_race(entries, hist_t, hist):
+    """The race curve (entry, t, rep-mean gap) of a search: the winner's
+    column over 0 .. its iterations-to-target; without one, the column of
+    the non-diverged stepsize with the lowest best gap over 0 .. min(max_T,
+    RACE_HORIZON); None when every stepsize diverged."""
+    hits = [(e.iterations, j) for j, e in enumerate(entries) if e.reached]
+    viable = [(e.best_gap, j) for j, e in enumerate(entries) if not e.diverged]
+    if not hits and not viable:
+        return None
+    _, j = min(hits or viable)
+    entry = entries[j]
+    last = entry.iterations if entry.reached else tuning.RACE_HORIZON
+    keep = hist_t <= last
+    return entry, hist_t[keep], hist[keep, j]
 
 
 # --- the random cases -----------------------------------------------------
@@ -330,15 +346,20 @@ def test_searches_match_the_reference(seed, monkeypatch):
     _patch_blocks(rng, monkeypatch, reps * len(grid) * len(oracles))
     got = tune_stepsize_many(p, oracles, target, grid, reps, max_T, seed + 2000,
                              x0=x0)
-    for name, twin, rs, out in zip(names, twins, raises, got):
+    for name, twin, rs, res in zip(names, twins, raises, got):
         where = f"case seed {seed}, member {name}"
         entries, hist_t, hist, steps = _reference_search(
             p, twin, target, grid, reps, max_T, seed + 2000, start)
         exc = _failure(rs, steps)
         if exc is not None:
-            assert out is exc, where
+            assert res is exc, where
             continue
-        res = out[0]
         assert res.entries == entries, where
         assert res.history_t.tobytes() == hist_t.tobytes(), where
         assert res.history.tobytes() == hist.tobytes(), where
+        race = _reference_race(entries, hist_t, hist)
+        assert (res.race is None) == (race is None), where
+        if race is not None:
+            assert res.race[0] == race[0], where
+            assert res.race[1].tobytes() == race[1].tobytes(), where
+            assert res.race[2].tobytes() == race[2].tobytes(), where

@@ -79,6 +79,11 @@ def test_additive_bias_oracle():
     assert o.bounds.zeta_sq == pytest.approx(0.01, rel=1e-12)
     with pytest.raises(ValueError):
         additive_bias_oracle(inner, 0.1, np.ones(10))  # not unit norm
+    # a unit direction of another length would broadcast over every
+    # coordinate: a bias of ||b||^2 = 0.1 under a declared zeta^2 = 0.01
+    for bad in (np.array([1.0]), e1[None], np.eye(10)[:2] / np.sqrt(2.0)):
+        with pytest.raises(ValueError, match=r"direction must have shape \(10,\)"):
+            additive_bias_oracle(inner, 0.1, bad)
 
 
 def test_tightness_oracle_bias_exactly_tight():

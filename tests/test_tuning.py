@@ -57,7 +57,7 @@ def test_race_curve_is_the_repeated_run_at_the_tuned_stepsize(name):
     for target, max_T in ((0.05, 2000), (1e-9, 300)):  # reached, censored
         res = tune_stepsize(p, o, target, grid=grid, reps=reps, max_T=max_T,
                             seed=seed)
-        entry, t, gap = res.race_curve()
+        entry, t, gap = res.race
         T = entry.iterations if entry.reached else max_T
         assert entry.reached == (target == 0.05)
         agg = sgd_run_repeated(p, o, StepSchedule.constant(entry.gamma), T,
@@ -78,7 +78,7 @@ def test_censored_race_curve_stops_at_the_race_horizon(monkeypatch):
     o = gaussian_noise_oracle(p, 1.0)
     res = tune_stepsize(p, o, 1e-9, grid=[0.02, 0.05], reps=2, max_T=500, seed=1)
     assert res.best is None and res.history_t[-1] == 500
-    entry, t, gap = res.race_curve()
+    entry, t, gap = res.race
     assert entry.gamma == min(res.entries, key=lambda e: e.best_gap).gamma
     assert np.array_equal(t, np.arange(41))
 
@@ -135,7 +135,7 @@ def test_one_failing_lane_takes_its_stepsize_out():
     np.testing.assert_allclose(res.history[:, 0], agg.mean_f_gap[:first],
                                rtol=1e-12, atol=0)
     assert e.best_gap == np.min(res.history[:, 0])
-    assert res.race_curve() is None
+    assert res.race is None
 
 
 def _searches():
@@ -248,13 +248,13 @@ def test_a_search_without_history_holds_none_of_it_in_memory(monkeypatch):
     files = _history_files(monkeypatch)
     tracemalloc.start()
     try:
-        (res, curve), = tune_stepsize_many(p, [o], 1e-9, grid, 1, max_T, 1,
-                                           keep_history=False)
+        res, = tune_stepsize_many(p, [o], 1e-9, grid, 1, max_T, 1,
+                                  keep_history=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.best is None and not any(e.diverged for e in res.entries)
-    assert len(curve[2]) == max_T + 1
+    assert len(res.race[2]) == max_T + 1
     assert peak < dense / 4, peak
     assert len(files) == 1
     _assert_closed(files, monkeypatch)
@@ -272,7 +272,7 @@ def test_a_failing_search_closes_its_history_files(monkeypatch):
     failing = BiasedOracle(name="failing", dim=p.dim, bounds=OracleBounds(),
                            _query_batch=rows)
     files = _history_files(monkeypatch)
-    (res, curve), err = tune_stepsize_many(
+    res, err = tune_stepsize_many(
         p, [exact_oracle(p), failing], 1e-9, [0.01, 0.02], 2, 500, 1,
         keep_history=False)
     assert isinstance(err, RuntimeError) and str(err) == "row map failed"
@@ -281,7 +281,7 @@ def test_a_failing_search_closes_its_history_files(monkeypatch):
     # the exact search stepped on as if alone
     alone = tune_stepsize(p, exact_oracle(p), 1e-9, [0.01, 0.02], 2, 500, 1)
     assert res.entries == alone.entries
-    want = alone.race_curve()
-    assert curve[0] == want[0]
-    assert curve[1].tobytes() == want[1].tobytes()
-    assert curve[2].tobytes() == want[2].tobytes()
+    (entry, t, gap), want = res.race, alone.race
+    assert entry == want[0]
+    assert t.tobytes() == want[1].tobytes()
+    assert gap.tobytes() == want[2].tobytes()

@@ -4,7 +4,7 @@ they do not depend on `--workers`.
     python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
-fixed list of 36 `biased-sgd` commands on that tree and on this checkout's
+fixed list of 37 `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's exit code,
 printed output and output files, with the output path and each tree's `src`
 path masked. In the checkout, a command run under `--workers n` is compared
@@ -19,9 +19,10 @@ rerun on the same code.
 
 One command, `tune tune_long`, runs a search that stays above its target
 past the race horizon (210,000 steps, one stepsize and one rep), so its race
-curve is read back from 200,001 history rows. `tune --figure fig6` is left
-out (about 70 s per tree on one core); to check it, extract REV's `src/` the
-same way and compare by hand:
+curve is read back from 200,001 history rows; in `tune tune_diverged` every
+stepsize of one cell diverges, so that cell has no race curve. `tune --figure
+fig6` is left out (about 70 s per tree on one core); to check it, extract
+REV's `src/` the same way and compare by hand:
 
     mkdir rev && git archive REV src | tar -x -C rev
     PYTHONPATH=rev/src python -m biased_sgd.cli tune --figure fig6 --out a
@@ -112,6 +113,27 @@ target_eps = 0.0005
 max_T = 210000
 reps = 1
 grid = 0.01
+""",
+    # a cell whose every stepsize diverges (none: no race curve, so no race
+    # series) beside one that reaches (rand_k, at 0.6)
+    "tune_diverged": """\
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = exact
+k = 1
+
+[sweep]
+compressor = none, rand_k
+series_by = compressor
+
+[tune]
+target_eps = 0.0005
+max_T = 2000
+reps = 3
+grid = 0.6, 1.2
 """,
     # Gaussian smoothing under noise: normals drawn in two stages (and, for
     # verify, one oracle on its own)
@@ -239,7 +261,8 @@ def commands() -> list:
     cmds += [(f"tune tune_mixed --workers {w}",
               ["tune", "--config", "{cfg}/tune_mixed.cfg", "--workers", str(w)])
              for w in (1, 3)]
-    cmds += [("tune tune_long", ["tune", "--config", "{cfg}/tune_long.cfg"])]
+    cmds += [(f"tune {name}", ["tune", "--config", f"{{cfg}}/{name}.cfg"])
+             for name in ("tune_long", "tune_diverged")]
     cmds += [(f"tune k3_drops --workers {w}",
               ["tune", "--config", "{cfg}/k3_drops.cfg", "--workers", str(w)])
              for w in (1, 2)]
