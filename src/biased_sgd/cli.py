@@ -15,7 +15,9 @@ from .config import FIGURE_NAMES, ConfigError, ExperimentConfig, load_config, pr
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if getattr(args, "figure", None):
+    if args.figure and args.config:
+        raise ConfigError("pass --config or --figure, not both")
+    if args.figure:
         cfg = preset(args.figure)
     elif args.config:
         cfg = load_config(args.config)

@@ -311,7 +311,7 @@ class VerdictReport:
     stats: list
     bias: AssumptionVerdict
     noise: AssumptionVerdict
-    fitted: BoundEstimate
+    fitted: Optional[BoundEstimate]  # None where the points admit no fit
 
     @property
     def ok(self) -> bool:
@@ -323,7 +323,8 @@ def verify_declared(o: BiasedOracle, p: Problem, n_points: int = 20,
     """Check each per-point estimate against the declared bounds with 5-SE slack.
 
     Violations are data, not errors: the report carries the worst margin per
-    assumption along with a full envelope fit for the table output.
+    assumption along with a full envelope fit for the table output, or None
+    where the probe points do not admit one.
     """
     return verify_declared_many([o], p, n_points, samples, seed)[0]
 
@@ -357,5 +358,9 @@ def _verdict(o: BiasedOracle, stats: list) -> VerdictReport:
                    [s.bias_se for s in stats], bias_rhs)
     noise_v = check("noise", [s.noise_var for s in stats],
                     [s.noise_se for s in stats], noise_rhs)
+    try:
+        fitted = fit_bounds(stats)
+    except ValueError:  # too few points, or a predictor spanning too little
+        fitted = None
     return VerdictReport(oracle=o.name, declared=b, stats=stats,
-                         bias=bias_v, noise=noise_v, fitted=fit_bounds(stats))
+                         bias=bias_v, noise=noise_v, fitted=fitted)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -71,11 +71,10 @@ def build_oracle(cfg: ExperimentConfig, p: Problem,
     else:
         base = exact_oracle(p)
 
-    o = base
-    if spec.kind not in ("inexact",) and spec.noise_sigma_sq > 0:
-        o = gaussian_noise_oracle(p, spec.noise_sigma_sq, inner=o)
-    if spec.bias_zeta != 0.0:
-        o = additive_bias_oracle(o, spec.bias_zeta, uniform_direction(p.dim))
+    # each stage returns its inner oracle at zero; inexact draws its own noise
+    o = base if spec.kind == "inexact" else \
+        gaussian_noise_oracle(p, spec.noise_sigma_sq, inner=base)
+    o = additive_bias_oracle(o, spec.bias_zeta, uniform_direction(p.dim))
 
     comp = _build_compressor(cfg, p.dim)
     if comp is None:
@@ -135,8 +134,8 @@ class RunOutput:
 
 
 def _cell_summary(cfg: ExperimentConfig, p: Problem, o: BiasedOracle,
-                  bounds_source: str, agg: RepeatedRuns) -> dict:
-    gamma = _resolved_stepsize(cfg, p, o)
+                  bounds_source: str, gamma: float, agg: RepeatedRuns) -> dict:
+    """A cell's summary.txt; `gamma` is the stepsize its run stepped with."""
     b = o.bounds
     floor = "-"
     if p.pl_mu is not None and bounds_source != "unavailable":
@@ -188,7 +187,7 @@ def run_experiment(cfg: ExperimentConfig,
     o, bounds_source, sched = _build_run(cfg, p)
     agg = sgd_run_repeated(p, o, sched, cfg.run.T, cfg.run.reps, cfg.run.seed,
                            x0=_x0(cfg, p), keep_traces=False)
-    summary = _cell_summary(cfg, p, o, bounds_source, agg)
+    summary = _cell_summary(cfg, p, o, bounds_source, sched.gamma, agg)
     if out_dir is not None:
         _write_run(out_dir, cfg, agg, summary)
     return RunOutput(agg=agg, summary=summary)
@@ -331,7 +330,7 @@ def _sweep_part(out_dir: str, tasks: list) -> list:
         if isinstance(res, str):
             outs.append([res] * len(cells))
             continue
-        (run_o, run_source, _), agg = res
+        (run_o, run_source, sched), agg = res
         cell_outs = []
         for label, cfg in cells:
             try:
@@ -339,7 +338,7 @@ def _sweep_part(out_dir: str, tasks: list) -> list:
                     o, source = run_o, run_source
                 else:
                     o, source = build_oracle(cfg, p)
-                summary = _cell_summary(cfg, p, o, source, agg)
+                summary = _cell_summary(cfg, p, o, source, sched.gamma, agg)
                 _write_run(os.path.join(out_dir, "cells", label), cfg, agg, summary)
             except Exception as exc:  # noqa: BLE001
                 cell_outs.append(str(exc))
@@ -401,9 +400,18 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
+def _write_figure(out_dir: str, name: str, panels: dict) -> None:
+    """The figure of the cells' series, when a cell has one; else no figure,
+    and an earlier run's is removed, since it would mislead."""
+    if panels:
+        _write_text(out_dir, name, panel_grid(list(panels.items())))
+    elif os.path.exists(path := os.path.join(out_dir, name)):
+        os.remove(path)
+
+
 def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
                      workers: int = 1) -> CellsOutput:
-    """Run every sweep cell, then write per-cell CSVs, figure.svg, manifest.txt.
+    """Run every sweep cell, then write cell CSVs, manifest.txt, figure.svg.
 
     Cells that ask for the same run (`_run_config`) share one result, and
     the distinct runs are stepped as the members of one engine run (one per
@@ -437,7 +445,7 @@ def sweep_experiment(cfg: ExperimentConfig, out_dir: str,
             f"csv=cells/{label}/trace.csv fingerprint={s['fingerprint']} "
             f"floor_estimate={s['tail_mean_f_gap']} predicted_floor={s['predicted_floor']} "
             f"iterations_to_target={reach} diverged={s['diverged']}")
-    _write_text(out_dir, "figure.svg", panel_grid(list(panels.items())))
+    _write_figure(out_dir, "figure.svg", panels)
     _write_text(out_dir, "manifest.txt", "\n".join(lines) + "\n")
     write_kv(os.path.join(out_dir, "sweep_summary.txt"),
              {"fingerprint": cfg.fingerprint(), "cells": len(cells),
@@ -494,10 +502,7 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: str,
             panels.setdefault(title, []).append((f"{series} (g={entry.gamma:g})", t, gap))
     _write_text(out_dir, "tune.csv", "\n".join(rows) + "\n")
     _write_text(out_dir, "tune_summary.txt", "\n".join(lines) + "\n")
-    if panels:
-        _write_text(out_dir, "race.svg", panel_grid(list(panels.items())))
-    elif os.path.exists(race := os.path.join(out_dir, "race.svg")):
-        os.remove(race)  # no cell has a race curve; an earlier run's would mislead
+    _write_figure(out_dir, "race.svg", panels)
     return CellsOutput(cells=records, out_dir=out_dir, distinct_runs=runs)
 
 
@@ -564,14 +569,14 @@ def verify_experiment(cfg: Optional[ExperimentConfig], out_dir: Optional[str],
              "|---|---|---|---|---|---|---|---|---|---|---|"]
     for name, rep in reports:
         d, f = rep.declared, rep.fitted
-        fb = f.bounds
         def v(verdict):
             return verdict.verdict if verdict.ok else \
                 f"violated(margin={verdict.margin:.3g})"
+        # (m, zeta^2, M, sigma^2) fitted, or "-" where no fit was possible
+        fitted = ["-"] * 4 if f is None else [f"{x:.4g}" for x in astuple(f.bounds)]
         lines.append(
             f"| {name} | {d.m:g} | {d.zeta_sq:.6g} | {d.M:g} | {d.sigma_sq:.6g} "
-            f"| {fb.m:.4g} | {fb.zeta_sq:.4g} | {fb.M:.4g} | {fb.sigma_sq:.4g} "
-            f"| {v(rep.bias)} | {v(rep.noise)} |")
+            f"| {' | '.join(fitted)} | {v(rep.bias)} | {v(rep.noise)} |")
     table = "\n".join(lines) + "\n"
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

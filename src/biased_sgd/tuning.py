@@ -18,13 +18,14 @@ stepsize is recorded as the search goes, which is the curve
 `sgd_run_repeated` would trace at that stepsize. Each result carries the
 race curve, the recorded curve of the stepsize the race figure plots
 (`TuneResult.race`); `keep_history` adds the whole record (`history_t`,
-`history`).
+`history`). The searches of one engine run write their records to one
+temporary file, each in its own byte region.
 """
 
 from __future__ import annotations
 
+import os
 import tempfile
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -99,9 +100,8 @@ class TuneResult:
 def default_gamma_grid(L: float) -> list:
     """Log grid 2^-20 .. 1 clipped to the 1/L stability cap (cap included)."""
     cap = 1.0 / L
-    grid = sorted({g for g in (2.0 ** -k for k in range(20, -1, -1))
+    return sorted({g for g in (2.0 ** -k for k in range(20, -1, -1))
                    if g <= cap} | {cap})
-    return grid
 
 
 class _Race:
@@ -113,18 +113,18 @@ class _Race:
     an iterate whose smallest f is within a rounding margin of target_eps +
     f*, as every iterate with a mean at the target is.
 
-    The history rows go to `file`, an unnamed temporary file, as they are
-    folded, so the search holds none of them in memory. When the search
-    stops, `out` is its result and `stop` picks the race curve once: it
-    reads back the whole history with `keep_history` and slices the curve
-    from it, else only the curve's column, and closes the file, which
-    removes it.
+    The history rows are written, as they are folded, to the engine run's
+    temporary file (descriptor `fd`) from byte `offset` on, so the search
+    holds none of them in memory. When the search stops, `out` is its
+    result: `stop` reads back the race curve's column, and the whole history
+    with `keep_history`.
     """
 
     grid, grad_norms = None, False
 
     def __init__(self, p: Problem, gammas: list, reps: int, target_eps: float,
-                 max_T: int, rec_t: np.ndarray, keep_history: bool, file):
+                 max_T: int, rec_t: np.ndarray, keep_history: bool, fd: int,
+                 offset: int):
         n_g = len(gammas)
         self.floats = _FOLD_FLOATS
         self.f_star = p.f_star or 0.0
@@ -137,7 +137,7 @@ class _Race:
         self.best_gap = np.full(n_g, np.inf)
         self.stop_t = None  # the iterate at which a mean reached the target
         self.rec_t = rec_t  # history_grid(max_T), shared by the searches
-        self.file = file
+        self.fd, self.offset = fd, offset
         self.rows = 0  # history rows written
 
     def _groups(self, cols):
@@ -158,7 +158,8 @@ class _Race:
         self.rows += len(t)
         rows = np.full((len(t), len(self.gammas)), np.nan)
         rows[:, g] = means[t - b0]
-        self.file.write(rows)
+        if os.pwrite(self.fd, rows, self.offset + r0 * rows.strides[0]) < rows.nbytes:
+            raise OSError("a history write fell short")
 
     def _read(self, n: int, col: Optional[int] = None) -> np.ndarray:
         """The first n history rows (their column `col` when given), read
@@ -166,10 +167,9 @@ class _Race:
         n_g = len(self.gammas)
         out = np.empty((n, n_g) if col is None else n)
         block = np.empty((max(1, self.floats // n_g), n_g))
-        self.file.seek(0)
         for r in range(0, n, len(block)):
             rows = block[:n - r]
-            if self.file.readinto(rows) < rows.nbytes:
+            if os.preadv(self.fd, [rows], self.offset + r * rows.strides[0]) < rows.nbytes:
                 raise EOFError("the search's history file ended early")
             out[r:r + len(rows)] = rows if col is None else rows[:, col]
         return out
@@ -196,17 +196,14 @@ class _Race:
         if self.stop_t is not None:  # its last row is the stop
             hist_t[-1] = self.stop_t
         res = TuneResult(target_eps=self.eps, max_T=self.max_T, entries=entries)
+        if self.keep_history:
+            res.history_t, res.history = hist_t, self._read(self.rows)
         best = res.best or min((e for e in entries if not e.diverged),
                                key=lambda e: e.best_gap, default=None)
-        with self.file:
-            if self.keep_history:
-                res.history_t, res.history = hist_t, self._read(self.rows)
-            if best is not None:
-                j = entries.index(best)
-                n = np.searchsorted(hist_t, best.iterations if best.reached
-                                    else RACE_HORIZON, side="right")
-                gap = res.history[:n, j] if self.keep_history else self._read(n, j)
-                res.race = best, hist_t[:n], gap
+        if best is not None:
+            n = np.searchsorted(hist_t, best.iterations if best.reached
+                                else RACE_HORIZON, side="right")
+            res.race = best, hist_t[:n], self._read(n, entries.index(best))
         self.out = res
 
 
@@ -236,10 +233,11 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
     its own `tune_stepsize`. Returns per oracle that result, or the exception
     its oracle raised, which stops that search alone. Every result carries
     its race curve (`TuneResult.race`); without `keep_history` it has no
-    `history_t` or `history`. Each search writes its history rows to an
-    unnamed temporary file and reads back only what it returns, so in memory
-    it holds its record block and per-stepsize best gaps, not rows that grow
-    with max_T; every file is closed, so removed, at the end.
+    `history_t` or `history`. The searches write their history rows to one
+    unnamed temporary file, search i from byte i * S on, S the most a search
+    writes, and read back only what they return, so in memory each holds its
+    record block and per-stepsize best gaps, not rows that grow with max_T.
+    The file is closed, so removed, when the engine run ends.
     """
     if not 0 < target_eps < np.inf:
         raise ValueError(f"target_eps must be positive and finite, got {target_eps}")
@@ -253,8 +251,10 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
         raise ValueError("max_T must be >= 1")
     gamma = np.repeat(np.asarray(grid), reps)[:, None]
     rec_t = history_grid(max_T)
-    with ExitStack() as files:
+    size = len(rec_t) * len(grid) * 8  # S: a search writes at most len(rec_t) rows
+    with tempfile.TemporaryFile() as file:
         return _run_lanes(p, max_T, x0, gens, [
             (o, _Race(p, grid, reps, target_eps, max_T, rec_t, keep_history,
-                      files.enter_context(tempfile.TemporaryFile())), gamma)
-            for o in oracles], np.tile(np.arange(reps), len(grid)), reps)
+                      file.fileno(), i * size), gamma)
+            for i, o in enumerate(oracles)],
+            np.tile(np.arange(reps), len(grid)), reps)

@@ -344,6 +344,30 @@ grid = 0.0625, 0.125
     assert not (tmp_path / "race.svg").exists()
 
 
+def test_a_sweep_whose_every_cell_fails_writes_no_figure(tmp_path):
+    # the Huber problem has no PL constant, so no theory_pl cell can run
+    text = """
+[problem]
+kind = huber
+[oracle]
+kind = exact
+[run]
+T = 50
+reps = 1
+[sweep]
+noise_sigma_sq = 0.0, 1.0
+"""
+    experiments.sweep_experiment(parse_config(text), out_dir=str(tmp_path))
+    assert (tmp_path / "figure.svg").exists()
+    res = experiments.sweep_experiment(
+        parse_config(text.replace("reps = 1", "reps = 1\nstepsize_policy = theory_pl")),
+        out_dir=str(tmp_path))
+    assert len(res.cells) == 2 and all("error" in rec for rec in res.cells)
+    assert "status=failed" in (tmp_path / "manifest.txt").read_text()
+    # no figure, and the first run's is gone
+    assert not (tmp_path / "figure.svg").exists()
+
+
 def test_huber_config_reports_divergence(tmp_path):
     text = """
 [problem]
@@ -368,6 +392,19 @@ def test_verify_single_oracle(tmp_path):
     assert reports[0][1].ok
     assert table.startswith("| oracle |")
     assert (tmp_path / "verify.md").exists()
+
+
+def test_verify_shifted_huber_without_an_envelope_fit(tmp_path, capsys):
+    # ||grad f + b||^2 = (h'(x) - 2)^2 spans less than 2 orders of magnitude
+    # over the probe points: no envelope is fitted, and both verdicts stand
+    path = tmp_path / "huber.cfg"
+    path.write_text("[problem]\nkind = huber\n[oracle]\nkind = huber_shifted\n")
+    assert cli.main(["verify", "--config", str(path), "--samples", "2000",
+                     "--out", str(tmp_path / "v")]) == 0
+    row = capsys.readouterr().out.splitlines()[2]
+    assert row == "| huber_shifted | 0 | 4 | 0 | 0 | - | - | - | - " \
+        "| verified | verified |"
+    assert (tmp_path / "v/verify.md").read_text().splitlines()[2] == row
 
 
 def test_budget_report_exact_oracle():
@@ -395,6 +432,17 @@ def test_cli_main_paths(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path)]) == 1
     assert cli.main(["run", "--out", str(tmp_path)]) == 1  # no config, no figure
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "tune", "verify", "budget"])
+def test_config_and_figure_together_are_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "c.cfg"
+    path.write_text(MINI)
+    assert cli.main([command, "--config", str(path), "--figure", "fig1",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == \
+        "config error: pass --config or --figure, not both\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind", ["not_utf8", "directory"])

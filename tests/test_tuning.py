@@ -1,4 +1,5 @@
 import gc
+import resource
 import sys
 import tempfile
 import tracemalloc
@@ -276,7 +277,7 @@ def test_a_failing_search_closes_its_history_files(monkeypatch):
         p, [exact_oracle(p), failing], 1e-9, [0.01, 0.02], 2, 500, 1,
         keep_history=False)
     assert isinstance(err, RuntimeError) and str(err) == "row map failed"
-    assert len(files) == 2
+    assert len(files) == 1  # the engine run's one history file
     _assert_closed(files, monkeypatch)
     # the exact search stepped on as if alone
     alone = tune_stepsize(p, exact_oracle(p), 1e-9, [0.01, 0.02], 2, 500, 1)
@@ -285,3 +286,27 @@ def test_a_failing_search_closes_its_history_files(monkeypatch):
     assert entry == want[0]
     assert t.tobytes() == want[1].tobytes()
     assert gap.tobytes() == want[2].tobytes()
+
+
+def test_a_search_per_oracle_needs_no_descriptor_per_search():
+    # 200 searches in one engine run under a soft limit of 64 descriptors:
+    # they share one history file, so the run opens one, not 200
+    p = make_nesterov_worst(6)
+    oracles = [gaussian_noise_oracle(p, 0.01 * (i + 1)) for i in range(200)]
+
+    def tune():
+        return tune_stepsize_many(p, oracles, 1e-3, [0.05, 0.1], 2, 60, 1,
+                                  keep_history=False)
+    want = tune()
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+    try:
+        got = tune()
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert len(got) == len(want) == 200
+    for res, alone in zip(got, want):
+        assert res.entries == alone.entries
+        assert res.race[0] == alone.race[0]
+        assert res.race[1].tobytes() == alone.race[1].tobytes()
+        assert res.race[2].tobytes() == alone.race[2].tobytes()

@@ -4,7 +4,7 @@ they do not depend on `--workers`.
     python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
-fixed list of 37 `biased-sgd` commands on that tree and on this checkout's
+fixed list of 38 `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's exit code,
 printed output and output files, with the output path and each tree's `src`
 path masked. In the checkout, a command run under `--workers n` is compared
@@ -211,7 +211,8 @@ T = 2000
 reps = 3
 """,
     # the 1-D shifted derivative on the Huber problem: both reps walk away
-    # from the minimizer and end `monotone-increase@200`
+    # from the minimizer and end `monotone-increase@200`; for `verify`, its
+    # ||grad f + b||^2 spans too little for an envelope fit
     "huber_shifted": """\
 [problem]
 kind = huber
@@ -284,6 +285,8 @@ def commands() -> list:
               ["verify", "--config", "{cfg}/topk_noise.cfg", "--samples", "20000"])]
     cmds += [(f"run {name}", ["run", "--config", f"{{cfg}}/{name}.cfg"])
              for name in ("tightness", "huber_shifted")]
+    cmds += [("verify huber_shifted --samples 20000",
+              ["verify", "--config", "{cfg}/huber_shifted.cfg", "--samples", "20000"])]
     cmds += [("sweep unbiased", ["sweep", "--config", "{cfg}/unbiased.cfg"])]
     return cmds
 
