@@ -53,8 +53,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_tune(args) -> int:
     cfg = _resolve_config(args)
-    if cfg.tune is None:
-        raise ConfigError("tune needs a [tune] section (or use --figure fig6)")
     res = experiments.tune_experiment(cfg, out_dir=args.out, workers=args.workers)
     print(f"wrote {len(res.cells)} cells ({res.distinct_runs} distinct runs) "
           f"to {res.out_dir}")

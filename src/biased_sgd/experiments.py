@@ -67,13 +67,12 @@ def build_oracle(cfg: ExperimentConfig, p: Problem,
         b = np.sqrt(spec.zeta_sq) * uniform_direction(p.dim)
         base = tightness_oracle(p, spec.m, spec.zeta_sq, b)
     elif spec.kind == "inexact":
-        base = inexact_oracle(p, spec.delta, noise_sigma_sq=spec.noise_sigma_sq)
+        base = inexact_oracle(p, spec.delta)
     else:
         base = exact_oracle(p)
 
-    # each stage returns its inner oracle at zero; inexact draws its own noise
-    o = base if spec.kind == "inexact" else \
-        gaussian_noise_oracle(p, spec.noise_sigma_sq, inner=base)
+    # each stage returns its inner oracle at zero
+    o = gaussian_noise_oracle(p, spec.noise_sigma_sq, inner=base)
     o = additive_bias_oracle(o, spec.bias_zeta, uniform_direction(p.dim))
 
     comp = _build_compressor(cfg, p.dim)
@@ -138,7 +137,7 @@ def _cell_summary(cfg: ExperimentConfig, p: Problem, o: BiasedOracle,
     """A cell's summary.txt; `gamma` is the stepsize its run stepped with."""
     b = o.bounds
     floor = "-"
-    if p.pl_mu is not None and bounds_source != "unavailable":
+    if p.pl_mu is not None:
         try:
             floor = repr(theory.error_floor(gamma, p.smoothness_L, p.pl_mu, b))
         except ValueError:  # gamma above the stepsize cap: no floor is proved
@@ -467,7 +466,7 @@ def tune_experiment(cfg: ExperimentConfig, out_dir: str,
     failing cell is recorded in the summary and does not abort the others.
     """
     if cfg.tune is None:
-        raise ConfigError("tune requires a [tune] section")
+        raise ConfigError("tune needs a [tune] section (or use --figure fig6)")
     cells = expand_cells(cfg) if cfg.sweep is not None else [("all", {})]
     outs, runs = _run_cells(cfg, cells, partial(_tune_part, cfg.tune), workers,
                             tune=True)

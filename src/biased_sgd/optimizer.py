@@ -183,7 +183,7 @@ class _LaneStats:
     `RepeatedRuns` in `out`.
     """
 
-    target, grad_norms = None, True
+    target, grad_norms, group = None, True, 1
 
     def __init__(self, grid: np.ndarray, T: int, lanes: int, dim: int,
                  keep_traces: bool):
@@ -341,24 +341,23 @@ def _share(members: list, gens: list) -> tuple:
 
 
 def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
-               runs: list, rows: Optional[np.ndarray] = None,
-               group: int = 1) -> list:
+               runs: list) -> list:
     """The one step loop: x_{t+1} = x_t - gamma * g_t on every lane, up to T
     steps; returns each run's `sink.out`, in run order.
 
     Each (oracle, sink, gamma) in `runs` is a member (`_Member`): a contiguous
     block of rows of one state matrix, stepped in place by its oracle chain
     times the stepsize matrix made from its (lanes, 1) column `gamma`, whose
-    rows drop with its lanes. An engine run has one generator list, lane map
-    and group size: lane i of every member draws from gens[rows[i]] (gens[i]
-    when `rows` is None), and a lane failing the divergence test takes its
-    group (the lanes with its i // group) out. `value_many`, the divergence
-    test, the f-value writes and the target test run once over all rows, and
-    the sinks are of one kind, so the first sink's `grid`, `target`, `floats`
-    and `grad_norms` hold for all. Each step runs every stage node once
-    (`_share`), each drawing a pull that several nodes read once; a member
-    steps by its rows of its chain's last stage, and its values do not depend
-    on the others.
+    rows drop with its lanes. Lane i of every member draws from
+    gens[i % len(gens)], as its lanes come in blocks of one per generator
+    (the reps of a run, or of each grid stepsize). `value_many`, the
+    divergence test, the f-value writes and the target test run once over
+    all rows, and the sinks are of one kind, so the first sink's `grid`,
+    `target`, `floats`, `grad_norms` and `group` hold for all: a lane failing
+    the divergence test takes its group (the lanes with its i // group) out.
+    Each step runs every stage node once (`_share`), each drawing a pull
+    that several nodes read once; a member steps by its rows of its chain's
+    last stage, and its values do not depend on the others.
 
     The members share the (channels x slots x lanes) record block `B`:
     channel 0 holds f, and channel 1 ||grad f||^2 with `grad_norms`, whose
@@ -383,10 +382,9 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
         raise ValueError(f"x0 must have shape ({p.dim},)")
     if not runs:
         return []
-    rows = np.arange(len(gens)) if rows is None else rows
     first = runs[0][1]  # one sink kind: its record policy holds for all
-    grid, target, floats, grad_norms = \
-        first.grid, first.target, first.floats, first.grad_norms
+    grid, target, floats, grad_norms, group = \
+        first.grid, first.target, first.floats, first.grad_norms, first.group
     lanes = sum(len(gamma) for _, _, gamma in runs)
     X = np.tile(x0, (lanes, 1))
     members = [_Member(o, sink, gamma, X.shape[1]) for o, sink, gamma in runs]
@@ -434,7 +432,7 @@ def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
             lo, hi = nd.members[0].sl.start, nd.members[-1].sl.stop
             up = 0 if nd.parent is None else nd.parent.lo
             nd.src, nd.lo = slice(lo - up, hi - up), lo
-            nd.rows = np.concatenate([rows[m.live] for m in nd.members])
+            nd.rows = np.concatenate([m.live % len(gens) for m in nd.members])
         for m in left:
             m.src = slice(m.sl.start - m.node.lo, m.sl.stop - m.node.lo)
         return left

@@ -266,25 +266,20 @@ def uniform_direction(dim: int) -> np.ndarray:
     return np.ones(dim) / np.sqrt(dim)
 
 
-def inexact_oracle(p: Problem, delta: float,
-                   noise_sigma_sq: float = 0.0) -> BiasedOracle:
+def inexact_oracle(p: Problem, delta: float) -> BiasedOracle:
     """Inexact first-order oracle with accuracy delta: ||b(x)||^2 <= 2*delta*L.
 
     The bias is the constant vector of squared norm exactly 2*delta*L, which
-    makes the declared zeta^2 = 2*delta*L tight. A nonzero `noise_sigma_sq`
-    gives the stochastic variant.
+    makes the declared zeta^2 = 2*delta*L tight. `gaussian_noise_oracle`
+    over it gives the stochastic variant.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    if noise_sigma_sq < 0:
-        raise ValueError("noise_sigma_sq must be nonnegative")
     zeta_sq = 2.0 * delta * p.smoothness_L
     biased = additive_bias_oracle(exact_oracle(p), np.sqrt(zeta_sq),
                                   uniform_direction(p.dim))
-    tag = "stochastic_inexact" if noise_sigma_sq > 0 else "inexact"
-    return replace(gaussian_noise_oracle(p, noise_sigma_sq, inner=biased),
-                   name=f"{tag}(delta={delta:g})",
-                   bounds=OracleBounds(m=0.0, zeta_sq=zeta_sq, sigma_sq=noise_sigma_sq))
+    return replace(biased, name=f"inexact(delta={delta:g})",
+                   bounds=OracleBounds(m=0.0, zeta_sq=zeta_sq))
 
 
 def huber_shifted_oracle(p: Optional[Problem] = None) -> tuple[Problem, BiasedOracle]:

@@ -13,9 +13,9 @@ The lanes keep the engine's contracts: lane (stepsize, rep r) draws from
 `stream(seed, r)`, rep r's stream in `sgd_run_repeated`, so every stepsize
 sees the same draws and a stepsize's result does not depend on the rest of
 the grid; a stepsize diverges when any of its lanes fails the engine's
-divergence test (its lanes form one group). The rep-mean gap of every
-stepsize is recorded as the search goes, which is the curve
-`sgd_run_repeated` would trace at that stepsize. Each result carries the
+divergence test (its lanes form one group). The search records each
+stepsize's rep-mean gap (the reps' gaps summed, times 1/reps), which agrees
+to rounding with `sgd_run_repeated`'s Welford mean. Each result carries the
 race curve, the recorded curve of the stepsize the race figure plots
 (`TuneResult.race`); `keep_history` adds the whole record (`history_t`,
 `history`). The searches of one engine run write their records to one
@@ -107,7 +107,7 @@ def default_gamma_grid(L: float) -> list:
 class _Race:
     """The search's consumer of the engine: each stepsize's rep-mean gap.
 
-    Lanes come in groups of `reps`, one per grid stepsize. Blocks of f values
+    Lanes come in groups of `group` (reps), one per stepsize. Blocks of f values
     are folded into the groups' means (the reps' gaps summed, times 1/reps,
     as in `hit`), best gaps and history rows. The engine asks `hit` only at
     an iterate whose smallest f is within a rounding margin of target_eps +
@@ -130,7 +130,7 @@ class _Race:
         self.f_star = p.f_star or 0.0
         self.target = target_eps + self.f_star \
             + _HIT_MARGIN * (target_eps + abs(self.f_star))
-        self.eps, self.reps, self.gammas, self.max_T = target_eps, reps, gammas, max_T
+        self.eps, self.group, self.gammas, self.max_T = target_eps, reps, gammas, max_T
         self.keep_history = keep_history
         self.reached = np.zeros(n_g, dtype=bool)
         self.diverged = np.zeros(n_g, dtype=bool)
@@ -141,10 +141,10 @@ class _Race:
         self.rows = 0  # history rows written
 
     def _groups(self, cols):
-        return cols if isinstance(cols, slice) else cols[::self.reps] // self.reps
+        return cols if isinstance(cols, slice) else cols[::self.group] // self.group
 
     def _means(self, F: np.ndarray) -> np.ndarray:
-        return F.reshape(len(F), -1, self.reps).sum(axis=2) * (1.0 / self.reps)
+        return F.reshape(len(F), -1, self.group).sum(axis=2) * (1.0 / self.group)
 
     def fold(self, b0: int, B: np.ndarray, cols) -> None:
         F, g = B[0], self._groups(cols)
@@ -256,5 +256,4 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
         return _run_lanes(p, max_T, x0, gens, [
             (o, _Race(p, grid, reps, target_eps, max_T, rec_t, keep_history,
                       file.fileno(), i * size), gamma)
-            for i, o in enumerate(oracles)],
-            np.tile(np.arange(reps), len(grid)), reps)
+            for i, o in enumerate(oracles)])

@@ -516,6 +516,17 @@ def test_budget_eps_must_be_positive_and_finite(tmp_path, capsys, eps):
     assert err == f"config error: eps must be positive and finite, got {float(eps)}\n"
 
 
+def test_tune_without_a_tune_section_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINI)
+    assert cli.main(["tune", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: tune needs a [tune] section (or use --figure fig6)\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("samples", ["0", "1"])
 def test_verify_rejects_fewer_than_two_samples(tmp_path, capsys, samples):
     assert cli.main(["verify", "--samples", samples,

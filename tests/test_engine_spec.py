@@ -194,7 +194,7 @@ def _oracles(p, rng):
         "unbiased_noise": lambda: comp(rand_k_unbiased_compressor(k, d), noise()),
         "scale_exact": lambda: comp(scale_compressor(0.36, d), exact_oracle(p)),
         "inexact": lambda: inexact_oracle(p, 0.05),
-        "inexact_noise": lambda: inexact_oracle(p, 0.05, noise_sigma_sq=sig),
+        "inexact_noise": lambda: gaussian_noise_oracle(p, sig, inner=inexact_oracle(p, 0.05)),
         "wrapped_rand_k": lambda: _wrapped(comp(rand_k_compressor(k, d), noise())),
         "wrapped_exact": lambda: _wrapped(exact_oracle(p)),
         "smoothing": lambda: gaussian_smoothing_oracle(p, 0.1),

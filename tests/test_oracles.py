@@ -11,8 +11,9 @@ from biased_sgd import (OracleBounds, additive_bias_oracle, compressed_oracle,
                         rand_k_unbiased_compressor, scale_compressor,
                         synthetic_tight_oracle, tightness_oracle,
                         top_k_compressor, uniform_direction)
+from biased_sgd.config import ExperimentConfig
 from biased_sgd.estimators import _CHUNK, probe_points
-from biased_sgd.experiments import table1_oracles
+from biased_sgd.experiments import build_oracle, build_problem, table1_oracles
 from biased_sgd.problems import Problem
 from biased_sgd._rng import stream
 
@@ -165,11 +166,33 @@ def test_inexact_oracle():
     assert o.deterministic
     dev = o.query(x, rng) - p.grad(x)
     assert dev @ dev == pytest.approx(o.bounds.zeta_sq, rel=1e-12)
-    os = inexact_oracle(p, 0.1, noise_sigma_sq=1.0)
+    os = gaussian_noise_oracle(p, 1.0, inner=inexact_oracle(p, 0.1))
     assert os.bounds == OracleBounds(0.0, 2 * 0.1 * p.smoothness_L, 0.0, 1.0)
     assert not os.deterministic
     with pytest.raises(ValueError):
         inexact_oracle(p, -0.1)
+
+
+def test_a_noisy_inexact_config_is_noise_over_the_inexact_oracle():
+    """`build_oracle` adds the noise of kind = inexact as of every other
+    kind: the chain exact -> bias -> noise, with bounds (0, 2 delta L, 0,
+    sigma^2)."""
+    cfg = ExperimentConfig().with_overrides(kind="inexact", delta=0.1,
+                                            noise_sigma_sq=1.0)
+    p = build_problem(cfg)
+    o, source = build_oracle(cfg, p)
+    ref = gaussian_noise_oracle(p, 1.0, inner=inexact_oracle(p, 0.1))
+    assert source == "derived"
+    assert o.name == ref.name == "inexact(delta=0.1)+noise(1)"
+    assert [s.key for s in o._query_batch] == [s.key for s in ref._query_batch]
+    assert o.bounds == ref.bounds == \
+        OracleBounds(0.0, 2 * 0.1 * p.smoothness_L, 0.0, 1.0)
+    assert not o.deterministic
+    X = np.stack(probe_points(p, 4, seed=3) + [1.5 * p.default_x0])
+    for x in X:
+        assert o.expected_query(x).tobytes() == ref.expected_query(x).tobytes()
+    assert o.query_batch(X, stream(9)).tobytes() == \
+        ref.query_batch(X, stream(9)).tobytes()
 
 
 def test_huber_shifted_oracle():
@@ -267,7 +290,7 @@ def _contract_oracles(d=6):
                                           0.1 * uniform_direction(d))),
         "gaussian_smoothing": (p, gaussian_smoothing_oracle(p, 0.1)),
         "inexact": (p, inexact_oracle(p, 0.1)),
-        "stochastic_inexact": (p, inexact_oracle(p, 0.1, noise_sigma_sq=1.0)),
+        "stochastic_inexact": (p, gaussian_noise_oracle(p, 1.0, inner=inexact_oracle(p, 0.1))),
         "huber_shifted": (hp, huber),
         "synthetic_tight": (p, synthetic_tight_oracle(p, 0.3, 0.05, 2.0, 0.5)),
         "synthetic_tight_unbiased": (p, synthetic_tight_oracle(p, 0.0, 0.0, 1.0, 0.5)),

@@ -4,7 +4,7 @@ they do not depend on `--workers`.
     python tools/parity.py REV
 
 Extracts REV's `src/` with `git archive` into a temporary directory, runs one
-fixed list of 38 `biased-sgd` commands on that tree and on this checkout's
+fixed list of 39 `biased-sgd` commands on that tree and on this checkout's
 `src/` (BLAS threads set to 1), and compares each command's exit code,
 printed output and output files, with the output path and each tree's `src`
 path masked. In the checkout, a command run under `--workers n` is compared
@@ -225,6 +225,22 @@ T = 200
 reps = 2
 stepsize = 0.1
 """,
+    # the inexact oracle under noise: the noise stage is added over the
+    # inexact oracle's bias, as over every other base oracle
+    "inexact_noise": """\
+[problem]
+kind = nesterov_quadratic
+dim = 10
+
+[oracle]
+kind = inexact
+delta = 0.1
+noise_sigma_sq = 1.0
+
+[run]
+T = 500
+reps = 3
+""",
     # the scaled (unbiased) rand-k over noise, k = d included
     "unbiased": """\
 [problem]
@@ -284,7 +300,7 @@ def commands() -> list:
              ("verify topk_noise --samples 20000",
               ["verify", "--config", "{cfg}/topk_noise.cfg", "--samples", "20000"])]
     cmds += [(f"run {name}", ["run", "--config", f"{{cfg}}/{name}.cfg"])
-             for name in ("tightness", "huber_shifted")]
+             for name in ("tightness", "huber_shifted", "inexact_noise")]
     cmds += [("verify huber_shifted --samples 20000",
               ["verify", "--config", "{cfg}/huber_shifted.cfg", "--samples", "20000"])]
     cmds += [("sweep unbiased", ["sweep", "--config", "{cfg}/unbiased.cfg"])]
