@@ -16,21 +16,6 @@ class UnsupportedCompositionError(ValueError):
     """Raised when composed bound formulas do not cover an oracle/compressor pair."""
 
 
-# kinds that keep every coordinate at k = dim (delta = k/d = 1)
-_IDENTITY_AT_FULL_K = ("top_k", "rand_k", "rand_k_unbiased")
-
-
-def is_identity(kind: str, dim: int, k: Optional[int] = None,
-                delta: Optional[float] = None) -> bool:
-    """Whether the compressor `kind` with these parameters is the identity map.
-
-    top_k, rand_k and rand_k_unbiased are at k = dim (they draw nothing
-    then), and `scale` is at delta = 1.
-    """
-    return (kind in _IDENTITY_AT_FULL_K and k == dim) or \
-        (kind == "scale" and delta == 1.0)
-
-
 def _check_k(k: int, dim: int) -> None:
     if not 1 <= k <= dim:
         raise ValueError(f"k must lie in [1, {dim}], got {k}")
@@ -110,7 +95,10 @@ class Compressor:
     of one, derived in `__post_init__` unless passed in
     (`problems._derive`). `delta` promises
     E||C(g) - g||^2 <= (1 - delta) * ||g||^2 for all g; it is None for
-    operators (like the unbiased rand-k) that do not contract.
+    operators (like the unbiased rand-k) that do not contract. `identity`
+    marks the identity map (top-k and rand-k at k = dim, scale at delta = 1);
+    `compose(inner)` gives the map's closed-form (bounds, expected query)
+    over an unbiased inner oracle, where it has one (`compressed_oracle`).
     """
 
     name: str
@@ -121,37 +109,43 @@ class Compressor:
     delta: Optional[float] = None
     k: Optional[int] = None
     deterministic: bool = False
+    identity: bool = False
+    compose: Optional[Callable[[BiasedOracle], tuple]] = None
 
     def __post_init__(self):
         rows = self.apply_rows
         _derive(self, "apply", lambda g, rng: rows(_row(g), rng)[0])
 
 
-def top_k_compressor(k: int, dim: int) -> Compressor:
+def _keeps_k(kind: str, k: int, dim: int, rows: Callable, **fields) -> Compressor:
+    """The compressor `kind` that keeps k of the dim coordinates of a row."""
     _check_k(k, dim)
-    return Compressor(
-        name=f"top_k(k={k})", kind="top_k", dim=dim,
-        apply_rows=lambda G, rng: _top_k_rows(G, k),
-        delta=k / dim, k=k, deterministic=True,
-    )
+    return Compressor(name=f"{kind}(k={k})", kind=kind, dim=dim, apply_rows=rows,
+                      k=k, identity=k == dim, **fields)
+
+
+def top_k_compressor(k: int, dim: int) -> Compressor:
+    return _keeps_k("top_k", k, dim, lambda G, rng: _top_k_rows(G, k),
+                    delta=k / dim, deterministic=True)
 
 
 def rand_k_compressor(k: int, dim: int) -> Compressor:
-    _check_k(k, dim)
-    return Compressor(
-        name=f"rand_k(k={k})", kind="rand_k", dim=dim,
-        apply_rows=lambda G, rng: _rand_k_rows(G, k, rng),
-        delta=k / dim, k=k, deterministic=False,
-    )
+    def compose(inner):
+        b, mean = inner.bounds, inner.expected_query
+        return (OracleBounds(m=1.0 - k / dim, M=(1.0 + b.M) * (dim / k) - 1.0,
+                             sigma_sq=(k / dim) * b.sigma_sq),
+                None if mean is None else (lambda x: (k / dim) * mean(x)))
+    return _keeps_k("rand_k", k, dim, lambda G, rng: _rand_k_rows(G, k, rng),
+                    delta=k / dim, compose=compose)
 
 
 def rand_k_unbiased_compressor(k: int, dim: int) -> Compressor:
-    _check_k(k, dim)
-    return Compressor(
-        name=f"rand_k_unbiased(k={k})", kind="rand_k_unbiased", dim=dim,
-        apply_rows=lambda G, rng: _rand_k_unbiased_rows(G, k, rng),
-        delta=None, k=k, deterministic=False,
-    )
+    def compose(inner):
+        b = inner.bounds
+        return (OracleBounds(M=(1.0 + b.M) * (dim / k) - 1.0,
+                             sigma_sq=(dim / k) * b.sigma_sq), inner.expected_query)
+    return _keeps_k("rand_k_unbiased", k, dim,
+                    lambda G, rng: _rand_k_unbiased_rows(G, k, rng), compose=compose)
 
 
 def scale_compressor(delta: float, dim: int) -> Compressor:
@@ -159,11 +153,9 @@ def scale_compressor(delta: float, dim: int) -> Compressor:
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     c = 1.0 - np.sqrt(1.0 - delta)
-    return Compressor(
-        name=f"scale(delta={delta:g})", kind="scale", dim=dim,
-        apply_rows=lambda G, rng: c * np.asarray(G, dtype=float),
-        delta=delta, deterministic=True,
-    )
+    return Compressor(name=f"scale(delta={delta:g})", kind="scale", dim=dim,
+                      apply_rows=lambda G, rng: c * np.asarray(G, dtype=float),
+                      delta=delta, deterministic=True, identity=delta == 1.0)
 
 
 def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
@@ -172,7 +164,7 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
 
     In "derived" mode the bound parameters follow the closed-form composition
     rules, which require an unbiased inner oracle (and, for deterministic
-    compressors, a noiseless one); an identity compressor (`is_identity`)
+    compressors, a noiseless one); an identity compressor (`Compressor.identity`)
     keeps the inner oracle's bounds and mean over any inner oracle.
     "query_only" attaches all-zero placeholder bounds, for consumers that use
     just the query stream or fit the bounds themselves
@@ -186,27 +178,14 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
 
     ib = inner.bounds
     bounds, expected = OracleBounds(), None
-    identity = is_identity(c.kind, d, c.k, c.delta)
-    if bounds_mode == "derived" and identity:
+    if bounds_mode == "derived" and c.identity:
         bounds, expected = ib, inner.expected_query
     elif bounds_mode == "derived":
         if ib.m != 0.0 or ib.zeta_sq != 0.0:
             raise UnsupportedCompositionError(
                 "derived composition needs an unbiased inner oracle")
-        if c.kind == "rand_k":
-            ratio = d / c.k
-            bounds = OracleBounds(m=1.0 - c.k / d, zeta_sq=0.0,
-                                  M=(1.0 + ib.M) * ratio - 1.0,
-                                  sigma_sq=(c.k / d) * ib.sigma_sq)
-            if inner.expected_query is not None:
-                inner_exp = inner.expected_query
-                expected = lambda x: (c.k / d) * inner_exp(x)  # noqa: E731
-        elif c.kind == "rand_k_unbiased":
-            ratio = d / c.k
-            bounds = OracleBounds(m=0.0, zeta_sq=0.0,
-                                  M=(1.0 + ib.M) * ratio - 1.0,
-                                  sigma_sq=ratio * ib.sigma_sq)
-            expected = inner.expected_query
+        if c.compose is not None:
+            bounds, expected = c.compose(inner)
         elif c.deterministic and c.delta is not None:
             if ib.M != 0.0 or ib.sigma_sq != 0.0:
                 raise UnsupportedCompositionError(
@@ -223,5 +202,5 @@ def compressed_oracle(c: Compressor, inner: BiasedOracle, p: Problem,
         name=f"{c.name}({inner.name})", dim=d, bounds=bounds,
         _query_batch=inner._query_batch.then(c.apply_rows, c),
         expected_query=expected,
-        deterministic=inner.deterministic and (c.deterministic or identity),
+        deterministic=inner.deterministic and (c.deterministic or c.identity),
     )

@@ -14,12 +14,10 @@ import itertools
 import math
 import os
 from dataclasses import Field, dataclass, field, fields, replace
-from typing import Optional
+from typing import Callable, Optional
 
-PROBLEM_KINDS = ("nesterov_quadratic", "huber")
-ORACLE_KINDS = ("exact", "gaussian_smoothing", "tightness", "inexact",
-                "huber_shifted")
-COMPRESSOR_NAMES = ("none", "top_k", "rand_k", "rand_k_unbiased", "scale")
+from . import compressors, oracles, problems
+
 SWEEP_KEYS = ("noise_sigma_sq", "bias_zeta", "k", "tau", "delta",
               "compressor", "stepsize")
 
@@ -253,52 +251,108 @@ def _build_sweep(raw: dict) -> SweepSpec:
     return SweepSpec(axes=axes, panel_by=panel_by, series_by=series_by)
 
 
-def problem_dim(p: ProblemSpec) -> int:
-    """The dimension of the problem a spec builds (the Huber problem is 1-d)."""
-    return 1 if p.kind == "huber" else p.dim
+@dataclass(frozen=True)
+class Kind:
+    """A problem kind, oracle kind or compressor that a config can name: every
+    fact about it that validation, the builders and the run key read. A check
+    (ok, message) rejects a config where ok(dim, *values) is false, with the
+    values of the `reads` fields; its message may name {dim}."""
+
+    # builds a problem from its dimension, an oracle from the problem and the
+    # values, a compressor from the values and the dimension (None: none)
+    make: Optional[Callable]
+    reads: tuple = ()  # the OracleSpec fields it reads
+    checks: tuple = ()
+    dim: Optional[int] = None  # problems: fixed, else problem.dim
+    pl: bool = True  # problems: whether there is a PL constant
+    start: Optional[Callable] = None  # problems: (p, x0_gap) -> (x0, f(x0) - f*)
+    problem: Optional[str] = None  # oracles: the problem kind it needs
+    identity: Optional[Callable] = None  # compressors: (dim, *values) -> bool
+
+    def values(self, spec) -> list:
+        return [getattr(spec, f) for f in self.reads]
+
+    def check(self, dim: int, o: OracleSpec) -> None:
+        for ok, message in self.checks:
+            if not ok(dim, *self.values(o)):
+                raise ConfigError(message.format(dim=dim))
+
+
+PROBLEMS = {
+    "nesterov_quadratic": Kind(problems.make_nesterov_worst, checks=(
+        (lambda dim: dim >= 2, "problem.dim must be >= 2 for the quadratic"),),
+        start=lambda p, gap: (problems.scaled_x0(p, gap), gap)),
+    "huber": Kind(lambda dim: problems.make_huber_problem(), dim=1, pl=False,
+                  start=lambda p, gap: (p.default_x0, p.gap(p.default_x0))),
+}
+
+ORACLES = {
+    "exact": Kind(oracles.exact_oracle),
+    "gaussian_smoothing": Kind(oracles.gaussian_smoothing_oracle, ("tau",), (
+        (lambda dim, tau: tau > 0, "gaussian_smoothing oracle needs tau > 0"),)),
+    "tightness": Kind(
+        lambda p, m, zeta_sq: oracles.tightness_oracle(
+            p, m, zeta_sq, math.sqrt(zeta_sq) * oracles.uniform_direction(p.dim)),
+        ("m", "zeta_sq"), ((lambda dim, m, zeta_sq: 0 <= m < 1 and zeta_sq > 0,
+                            "tightness oracle needs 0 <= m < 1 and zeta_sq > 0"),)),
+    "inexact": Kind(oracles.inexact_oracle, ("delta",), (
+        (lambda dim, delta: delta >= 0, "inexact oracle needs delta >= 0"),)),
+    "huber_shifted": Kind(lambda p: oracles.huber_shifted_oracle(p)[1], problem="huber"),
+}
+
+_KEEPS_K = dict(reads=("k",), identity=lambda dim, k: k == dim, checks=(
+    (lambda dim, k: 1 <= k <= dim, "oracle.k must lie in [1, {dim}]"),))
+COMPRESSORS = {
+    "none": Kind(None, identity=lambda dim: True),
+    "top_k": Kind(compressors.top_k_compressor, **_KEEPS_K),
+    "rand_k": Kind(compressors.rand_k_compressor, **_KEEPS_K),
+    "rand_k_unbiased": Kind(compressors.rand_k_unbiased_compressor, **_KEEPS_K),
+    "scale": Kind(compressors.scale_compressor, ("delta",), (
+        (lambda dim, delta: 0 < delta <= 1, "scale compressor needs delta in (0, 1]"),),
+        identity=lambda dim, delta: delta == 1.0),
+}
+
+
+def problem_dim(spec) -> int:
+    """The dimension of the problem a `ProblemSpec` builds."""
+    return PROBLEMS[spec.kind].dim or spec.dim
+
+
+def _kind(table: dict, field: str, name: str):
+    if name not in table:
+        raise ConfigError(f"{field} must be one of {tuple(table)}, got {name!r}")
+    return table[name]
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
     p, o, r = cfg.problem, cfg.oracle, cfg.run
-    if p.kind not in PROBLEM_KINDS:
-        raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {p.kind!r}")
-    if p.kind == "nesterov_quadratic" and p.dim < 2:
-        raise ConfigError("problem.dim must be >= 2 for the quadratic")
-    if o.kind not in ORACLE_KINDS:
-        raise ConfigError(f"oracle.kind must be one of {ORACLE_KINDS}, got {o.kind!r}")
-    if o.compressor not in COMPRESSOR_NAMES:
-        raise ConfigError(f"oracle.compressor must be one of {COMPRESSOR_NAMES}, "
-                          f"got {o.compressor!r}")
-    if o.kind == "huber_shifted" and p.kind != "huber":
-        raise ConfigError("oracle.kind=huber_shifted requires problem.kind=huber")
+    problem = _kind(PROBLEMS, "problem.kind", p.kind)
+    dim = problem_dim(p)
+    problem.check(dim, o)
+    oracle = _kind(ORACLES, "oracle.kind", o.kind)
+    compressor = _kind(COMPRESSORS, "oracle.compressor", o.compressor)
+    if oracle.problem not in (None, p.kind):
+        raise ConfigError(f"oracle.kind={o.kind} requires problem.kind={oracle.problem}")
     if o.noise_sigma_sq < 0:
         raise ConfigError("oracle.noise_sigma_sq must be nonnegative")
-    if o.kind == "tightness" and not (0 <= o.m < 1 and o.zeta_sq > 0):
-        raise ConfigError("tightness oracle needs 0 <= m < 1 and zeta_sq > 0")
-    if o.kind == "gaussian_smoothing" and o.tau <= 0:
-        raise ConfigError("gaussian_smoothing oracle needs tau > 0")
-    if o.kind == "inexact" and o.delta < 0:
-        raise ConfigError("inexact oracle needs delta >= 0")
-    dim = problem_dim(p)
-    if o.compressor != "none":
-        if o.compressor == "scale":
-            if not 0 < o.delta <= 1:
-                raise ConfigError("scale compressor needs delta in (0, 1]")
-        elif not 1 <= o.k <= dim:
-            raise ConfigError(f"oracle.k must lie in [1, {dim}]")
+    oracle.check(dim, o)
+    compressor.check(dim, o)
     if r.T < 1 or r.reps < 1:
         raise ConfigError("run.T and run.reps must be >= 1")
     if r.stepsize <= 0:
         raise ConfigError("run.stepsize must be positive")
     if r.stepsize_policy not in ("fixed", "theory_pl", "theory_smooth"):
         raise ConfigError("run.stepsize_policy must be fixed, theory_pl, or theory_smooth")
+    if r.stepsize_policy == "theory_pl" and not problem.pl:
+        raise ConfigError("stepsize_policy=theory_pl needs a problem with a PL constant")
     if r.policy_eps <= 0:
         raise ConfigError("run.policy_eps must be positive")
     if r.x0_gap < 0:
         raise ConfigError("run.x0_gap must be nonnegative")
-    if o.kind == "inexact" and o.compressor == "scale":
-        raise ConfigError("oracle.kind=inexact and compressor=scale both read "
-                          "oracle.delta; they cannot be combined")
+    shared = [f for f in oracle.reads if f in compressor.reads]
+    if shared:
+        raise ConfigError(f"oracle.kind={o.kind} and compressor={o.compressor} both "
+                          f"read oracle.{shared[0]}; they cannot be combined")
     if cfg.sweep is not None:
         axes = [key for key, _ in cfg.sweep.axes]
         named = [("panel_by", key) for key in cfg.sweep.panel_keys]

@@ -11,43 +11,27 @@ from typing import Optional
 import numpy as np
 
 from . import estimators, theory
-from .compressors import (Compressor, UnsupportedCompositionError,
-                          compressed_oracle, is_identity, rand_k_compressor,
-                          rand_k_unbiased_compressor, scale_compressor,
-                          top_k_compressor)
-from .config import (ConfigError, ExperimentConfig, OracleSpec, RunSpec,
-                     SweepSpec, TuneSpec, _fmt_value, parse_config, problem_dim)
-from .oracles import (BiasedOracle, additive_bias_oracle, exact_oracle,
-                      gaussian_noise_oracle, gaussian_smoothing_oracle,
-                      huber_shifted_oracle, inexact_oracle, tightness_oracle,
+# the compressor factories (`config.COMPRESSORS` calls them) and tune_stepsize
+# have no caller here, but perfbench/tracer.py wraps them by name
+from .compressors import (UnsupportedCompositionError, compressed_oracle,  # noqa: F401
+                          rand_k_compressor, rand_k_unbiased_compressor,
+                          scale_compressor, top_k_compressor)
+from .config import (COMPRESSORS, ORACLES, PROBLEMS, ConfigError,
+                     ExperimentConfig, OracleSpec, RunSpec, SweepSpec, TuneSpec,
+                     _fmt_value, parse_config, problem_dim)
+from .oracles import (BiasedOracle, additive_bias_oracle, gaussian_noise_oracle,
                       uniform_direction)
 from .optimizer import (RepeatedRuns, StepSchedule, sgd_run_repeated,
                         sgd_run_repeated_many)
-from .problems import Problem, make_huber_problem, make_nesterov_worst, scaled_x0
+from .problems import Problem
 from .svgplot import panel_grid
-# tune_stepsize has no caller here, but perfbench/tracer.py wraps it by name
 from .tuning import tune_stepsize, tune_stepsize_many  # noqa: F401
 
 CSV_HEADER = "t,mean_f_gap,se_f_gap,mean_grad_norm_sq,se_grad_norm_sq"
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
-    if cfg.problem.kind == "huber":
-        return make_huber_problem()
-    return make_nesterov_worst(cfg.problem.dim)
-
-
-def _build_compressor(cfg: ExperimentConfig, dim: int) -> Optional[Compressor]:
-    o = cfg.oracle
-    if o.compressor == "none":
-        return None
-    if o.compressor == "top_k":
-        return top_k_compressor(o.k, dim)
-    if o.compressor == "rand_k":
-        return rand_k_compressor(o.k, dim)
-    if o.compressor == "rand_k_unbiased":
-        return rand_k_unbiased_compressor(o.k, dim)
-    return scale_compressor(o.delta, dim)
+    return PROBLEMS[cfg.problem.kind].make(problem_dim(cfg.problem))
 
 
 def build_oracle(cfg: ExperimentConfig, p: Problem,
@@ -59,25 +43,14 @@ def build_oracle(cfg: ExperimentConfig, p: Problem,
     rules stop), or "unavailable" (not fitted).
     """
     spec = cfg.oracle
-    if spec.kind == "huber_shifted":
-        _, base = huber_shifted_oracle(p)
-    elif spec.kind == "gaussian_smoothing":
-        base = gaussian_smoothing_oracle(p, spec.tau)
-    elif spec.kind == "tightness":
-        b = np.sqrt(spec.zeta_sq) * uniform_direction(p.dim)
-        base = tightness_oracle(p, spec.m, spec.zeta_sq, b)
-    elif spec.kind == "inexact":
-        base = inexact_oracle(p, spec.delta)
-    else:
-        base = exact_oracle(p)
-
+    kind, compressor = ORACLES[spec.kind], COMPRESSORS[spec.compressor]
     # each stage returns its inner oracle at zero
-    o = gaussian_noise_oracle(p, spec.noise_sigma_sq, inner=base)
+    o = gaussian_noise_oracle(p, spec.noise_sigma_sq,
+                              inner=kind.make(p, *kind.values(spec)))
     o = additive_bias_oracle(o, spec.bias_zeta, uniform_direction(p.dim))
-
-    comp = _build_compressor(cfg, p.dim)
-    if comp is None:
+    if compressor.make is None:
         return o, "derived"
+    comp = compressor.make(*compressor.values(spec), p.dim)
     try:
         return compressed_oracle(comp, o, p), "derived"
     except UnsupportedCompositionError:
@@ -94,9 +67,7 @@ def build_oracle(cfg: ExperimentConfig, p: Problem,
 
 
 def _x0(cfg: ExperimentConfig, p: Problem) -> np.ndarray:
-    if cfg.problem.kind == "huber":
-        return p.default_x0
-    return scaled_x0(p, cfg.run.x0_gap)
+    return PROBLEMS[cfg.problem.kind].start(p, cfg.run.x0_gap)[0]
 
 
 def _resolved_stepsize(cfg: ExperimentConfig, p: Problem,
@@ -106,8 +77,6 @@ def _resolved_stepsize(cfg: ExperimentConfig, p: Problem,
         return r.stepsize
     if r.stepsize_policy == "theory_smooth":
         return theory.smooth_stepsize(r.policy_eps, p.smoothness_L, o.bounds)
-    if p.pl_mu is None:
-        raise ConfigError("stepsize_policy=theory_pl needs a problem with a PL constant")
     return theory.pl_stepsize(r.policy_eps, p.smoothness_L, p.pl_mu, o.bounds)
 
 
@@ -213,21 +182,20 @@ def _cell_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
 def _run_config(cfg: ExperimentConfig, tune: bool = False) -> ExperimentConfig:
     """The run a cell asks for: its config without the fields the run ignores.
 
-    An identity compressor (`compressors.is_identity`: top_k, rand_k and
-    rand_k_unbiased at k = d, scale at delta = 1) runs as `none`, whose
-    bounds it has, and a field that only some oracles read takes its default
-    where this one does not. `stepsize` is ignored under a theory policy and
-    `policy_eps` under `fixed`; `tune`'s grid search uses neither.
+    An identity compressor (`config.COMPRESSORS`) runs as `none`, whose
+    bounds it has, and a field that only some oracle kinds and compressors
+    read takes its default where neither of the cell's reads it. `stepsize`
+    is ignored under a theory policy and `policy_eps` under `fixed`;
+    `tune`'s grid search uses neither.
     """
     o, r = cfg.oracle, cfg.run
-    if is_identity(o.compressor, problem_dim(cfg.problem), o.k, o.delta):
-        o = replace(o, compressor="none")
-    reads = {"k": o.compressor not in ("none", "scale"),
-             "tau": o.kind == "gaussian_smoothing",
-             "m": o.kind == "tightness", "zeta_sq": o.kind == "tightness",
-             "delta": o.kind == "inexact" or o.compressor == "scale"}
-    o = replace(o, **{f: getattr(OracleSpec, f) for f, read in reads.items()
-                      if not read})
+    comp = COMPRESSORS[o.compressor]
+    if comp.identity(problem_dim(cfg.problem), *comp.values(o)):
+        o = replace(o, compressor=OracleSpec.compressor)  # none
+    read = ORACLES[o.kind].reads + COMPRESSORS[o.compressor].reads
+    o = replace(o, **{f: getattr(OracleSpec, f)
+                      for kind in (*ORACLES.values(), *COMPRESSORS.values())
+                      for f in kind.reads if f not in read})
     if tune or r.stepsize_policy != "fixed":
         r = replace(r, stepsize=RunSpec.stepsize)
     if tune or r.stepsize_policy == "fixed":
@@ -524,16 +492,14 @@ def table1_oracles() -> list:
     the default quadratic unless the row names its dimension; rows on one
     problem config share one problem, as a sweep part's oracles do."""
     rows, problems = [], {}
-    for spec in TABLE1_SPECS:
-        name, overrides = spec[0], dict(spec[1])
+    for name, overrides, *dim in TABLE1_SPECS:
         cfg = ExperimentConfig().with_overrides(**overrides)
-        if len(spec) > 2:
-            cfg = replace(cfg, problem=replace(cfg.problem, dim=spec[2]))
+        if dim:
+            cfg = replace(cfg, problem=replace(cfg.problem, dim=dim[0]))
         if cfg.problem not in problems:
             problems[cfg.problem] = build_problem(cfg)
         p = problems[cfg.problem]
-        o, _ = build_oracle(cfg, p)
-        rows.append((name, p, o))
+        rows.append((name, p, build_oracle(cfg, p)[0]))
     return rows
 
 
@@ -590,7 +556,7 @@ def budget_report(cfg: ExperimentConfig, eps: float) -> str:
     p = build_problem(cfg)
     o, source = build_oracle(cfg, p)
     b = o.bounds
-    F0 = cfg.run.x0_gap if cfg.problem.kind != "huber" else p.gap(p.default_x0)
+    F0 = PROBLEMS[cfg.problem.kind].start(p, cfg.run.x0_gap)[1]
     lines = [f"problem: {p.name} (L={p.smoothness_L:.6g}"
              + (f", mu={p.pl_mu:.6g}" if p.pl_mu else "") + ")",
              f"oracle: {o.name} [{source}] bounds: m={b.m:g} zeta_sq={b.zeta_sq:.6g} "

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from biased_sgd import (StepSchedule, cli, config, estimators, experiments,
-                        oracles, sgd_run_repeated)
+                        oracles, problems, sgd_run_repeated)
 from biased_sgd.config import (ConfigError, ExperimentConfig, OracleSpec,
                                ProblemSpec, RunSpec, TuneSpec, parse_config,
                                serialize_config)
@@ -108,6 +108,47 @@ def test_parse_errors_carry_diagnostics(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[problem]\nkind = bogus\n",
+     "problem.kind must be one of ('nesterov_quadratic', 'huber'), got 'bogus'"),
+    ("[oracle]\nkind = bogus\n",
+     "oracle.kind must be one of ('exact', 'gaussian_smoothing', 'tightness', "
+     "'inexact', 'huber_shifted'), got 'bogus'"),
+    ("[oracle]\ncompressor = bogus\n",
+     "oracle.compressor must be one of ('none', 'top_k', 'rand_k', "
+     "'rand_k_unbiased', 'scale'), got 'bogus'"),
+    ("[problem]\ndim = 1\n", "problem.dim must be >= 2 for the quadratic"),
+    ("[oracle]\nkind = huber_shifted\n",
+     "oracle.kind=huber_shifted requires problem.kind=huber"),
+    ("[oracle]\nnoise_sigma_sq = -1.0\n", "oracle.noise_sigma_sq must be nonnegative"),
+    ("[oracle]\nkind = tightness\nm = 1.0\nzeta_sq = 0.1\n",
+     "tightness oracle needs 0 <= m < 1 and zeta_sq > 0"),
+    ("[oracle]\nkind = tightness\nm = 0.5\n",
+     "tightness oracle needs 0 <= m < 1 and zeta_sq > 0"),
+    ("[oracle]\nkind = gaussian_smoothing\ntau = 0.0\n",
+     "gaussian_smoothing oracle needs tau > 0"),
+    ("[oracle]\nkind = inexact\ndelta = -0.1\n", "inexact oracle needs delta >= 0"),
+    ("[oracle]\ncompressor = scale\n", "scale compressor needs delta in (0, 1]"),
+    ("[oracle]\ncompressor = scale\ndelta = 1.5\n",
+     "scale compressor needs delta in (0, 1]"),
+    ("[oracle]\ncompressor = top_k\nk = 11\n", "oracle.k must lie in [1, 10]"),
+    ("[oracle]\ncompressor = rand_k_unbiased\nk = 0\n", "oracle.k must lie in [1, 10]"),
+    ("[problem]\nkind = huber\n[oracle]\ncompressor = rand_k\nk = 2\n",
+     "oracle.k must lie in [1, 1]"),
+    ("[oracle]\nkind = inexact\ndelta = 0.5\ncompressor = scale\n",
+     "oracle.kind=inexact and compressor=scale both read oracle.delta; they "
+     "cannot be combined"),
+    ("[oracle]\nkind = inexact\ndelta = 0.5\n[sweep]\ncompressor = none, scale\n",
+     "sweep axis compressor = scale: oracle.kind=inexact and compressor=scale "
+     "both read oracle.delta; they cannot be combined"),
+])
+def test_validate_config_messages(text, message):
+    # one invalid config per check, with the full text of its message
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
 
 
 
@@ -345,7 +386,8 @@ grid = 0.0625, 0.125
 
 
 def test_a_sweep_whose_every_cell_fails_writes_no_figure(tmp_path):
-    # the Huber problem has no PL constant, so no theory_pl cell can run
+    # the scale compressor over the noisy shifted derivative has no derived
+    # bounds, and on the 1-d Huber problem none can be fitted: no cell runs
     text = """
 [problem]
 kind = huber
@@ -360,7 +402,9 @@ noise_sigma_sq = 0.0, 1.0
     experiments.sweep_experiment(parse_config(text), out_dir=str(tmp_path))
     assert (tmp_path / "figure.svg").exists()
     res = experiments.sweep_experiment(
-        parse_config(text.replace("reps = 1", "reps = 1\nstepsize_policy = theory_pl")),
+        parse_config(text.replace("kind = exact", "kind = huber_shifted\n"
+                                  "noise_sigma_sq = 1.0\ncompressor = scale\n"
+                                  "delta = 0.5")),
         out_dir=str(tmp_path))
     assert len(res.cells) == 2 and all("error" in rec for rec in res.cells)
     assert "status=failed" in (tmp_path / "manifest.txt").read_text()
@@ -569,11 +613,13 @@ kind = huber
 
 [oracle]
 kind = huber_shifted
+noise_sigma_sq = 1.0
+compressor = scale
+delta = 0.5
 
 [run]
 T = 20
 reps = 2
-stepsize_policy = theory_pl
 
 [sweep]
 stepsize = 0.1, 0.2
@@ -581,8 +627,9 @@ stepsize = 0.1, 0.2
 
 
 def test_sweep_failed_cells_same_under_workers(tmp_path):
-    # theory_pl needs a PL constant, which the Huber problem lacks: every
-    # cell fails, on the serial path and in the process pool alike
+    # no bounds can be derived or fitted for FAILING_SWEEP's oracle (see
+    # test_a_sweep_whose_every_cell_fails_writes_no_figure): every cell
+    # fails, on the serial path and in the process pool alike
     cfg_path = tmp_path / "fail.cfg"
     cfg_path.write_text(FAILING_SWEEP)
     for workers in (1, 2):
@@ -755,8 +802,9 @@ series_by = compressor
 
 
 def test_tune_theory_policy_on_huber_writes_race(tmp_path):
-    # Huber has no PL constant, so theory_pl cannot give the rerun a stepsize;
-    # the rerun uses the tuned one instead of failing
+    # the search steps at its grid stepsizes, not at the theory one, and the
+    # race figure comes from the search (theory_pl is refused on Huber,
+    # which has no PL constant: test_theory_pl_needs_a_pl_constant)
     cfg_path = tmp_path / "huber.cfg"
     cfg_path.write_text("""
 [problem]
@@ -764,7 +812,7 @@ kind = huber
 [oracle]
 kind = exact
 [run]
-stepsize_policy = theory_pl
+stepsize_policy = theory_smooth
 """ + TUNE_POLICY)
     out = tmp_path / "out"
     assert cli.main(["tune", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -797,7 +845,7 @@ def test_huber_shifted_is_built_on_the_run_problem(monkeypatch):
     # grad_many, so it takes the gradients the record computed: one
     # grad_many row per rep and iterate over every Huber problem built
     rows = []
-    real = experiments.make_huber_problem
+    real = problems.make_huber_problem
 
     def counting():
         p = real()
@@ -808,7 +856,7 @@ def test_huber_shifted_is_built_on_the_run_problem(monkeypatch):
             return grad_many(X)
         return replace(p, grad_many=counted)
 
-    monkeypatch.setattr(experiments, "make_huber_problem", counting)
+    monkeypatch.setattr(problems, "make_huber_problem", counting)
     monkeypatch.setattr(oracles, "make_huber_problem", counting)
     T, reps = 200, 2
     cfg = parse_config(f"""

@@ -11,7 +11,7 @@ from biased_sgd import (OracleBounds, UnsupportedCompositionError,
                         scale_compressor, synthetic_tight_oracle,
                         tightness_oracle, top_k, top_k_compressor,
                         uniform_direction)
-from biased_sgd.compressors import Compressor, _rand_k_rows, is_identity
+from biased_sgd.compressors import Compressor, _rand_k_rows
 from biased_sgd.estimators import verify_declared
 from biased_sgd._rng import stream
 
@@ -272,7 +272,7 @@ def test_identity_compressors_keep_the_inner_bounds(inner_name):
                   rand_k_unbiased_compressor(d, d), scale_compressor(1.0, d)]
     x = p.default_x0
     for c in identities:
-        assert is_identity(c.kind, d, c.k, c.delta)
+        assert c.identity
         o = compressed_oracle(c, inner, p)
         assert o.bounds == inner.bounds
         assert o.expected_query is inner.expected_query
@@ -280,7 +280,7 @@ def test_identity_compressors_keep_the_inner_bounds(inner_name):
         assert np.array_equal(o.query(x, stream(4)), inner.query(x, stream(4)))
     for c in (top_k_compressor(d - 1, d), rand_k_compressor(d - 1, d),
               rand_k_unbiased_compressor(d - 1, d), scale_compressor(0.99, d)):
-        assert not is_identity(c.kind, d, c.k, c.delta)
+        assert not c.identity
 
 
 def test_custom_random_compressor_matches_its_built_in_twin():

@@ -91,3 +91,22 @@ def test_readme_and_docstring_state_the_command_count():
     (stated,) = re.findall(r"fixed list of (\d+) `biased-sgd` commands",
                            parity.__doc__)
     assert int(stated) == count
+
+
+def test_every_differing_output_is_named(monkeypatch, tmp_path, capsys):
+    # the printed output sorts before the files, and must not hide them
+    def run(src, args, out):
+        out.mkdir(parents=True)
+        tree = "here" if src == parity.ROOT / "src" else "rev"
+        (out / "config.cfg").write_text("one config")
+        for name in ("summary.txt", "trace.csv"):
+            (out / name).write_text(tree)
+        return 0, f"printed on {tree}\n".encode()
+
+    monkeypatch.setattr(parity, "_run", run)
+    monkeypatch.setattr(parity, "commands", lambda: [("run fig1", ["run"])])
+    code = parity.compare(tmp_path / "rev" / "src", tmp_path)
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith(
+        "run fig1: differs: printed output, summary.txt, trace.csv  [")
+    assert code == 1

@@ -11,8 +11,9 @@ path masked. In the checkout, a command run under `--workers n` is compared
 the same way with its `--workers 1` twin. Prints first the line count of the
 `*.py` files under each tree's `src/` and the change (`src/: 3,587 lines at
 REV, 3,566 here (-21)`), then one line per command: the result against REV
-(`same` or `differs: <first file>`), the result against the twin where it
-has one, `failed` if the command exits non-zero in the checkout, and the
+(`same`, or `differs:` and every output that differs, comma-separated: the
+`exit code`, the `printed output` and each file by its relative path), the
+result against the twin where it has one, `failed` if the command exits non-zero in the checkout, and the
 wall time on each tree; exits 1 if any command fails or any comparison
 differs. With REV = HEAD on a clean checkout, every command is
 rerun on the same code.
@@ -339,9 +340,8 @@ def _outputs(src: Path, args: list, out: Path) -> tuple:
 
 
 def _verdict(a: dict, b: dict) -> str:
-    first = next((k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)),
-                 None)
-    return "same" if first is None else f"differs: {first}"
+    differ = [k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
+    return f"differs: {', '.join(differ)}" if differ else "same"
 
 
 def compare(rev_src: Path, tmp: Path) -> int:
