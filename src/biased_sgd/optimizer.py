@@ -5,7 +5,7 @@ through the row forms of the oracle and the problem. Each lane draws only
 from its own Philox stream, the n-th draw of a step from its copy jumped n
 times (`_rng.DrawStreams`), read ahead in blocks, so its trace does not
 depend on the lanes that run beside it; `sgd_run` is the one-lane case.
-`_run_lanes` is the one step loop: the repeated runs here and the stepsize
+`_Engine` is the one step loop: the repeated runs here and the stepsize
 search in `tuning` are its consumers, and several runs on one problem step
 together as its members, contiguous row blocks of one matrix, whose oracle
 chains run each stage they share once per step.
@@ -14,6 +14,7 @@ chains run each stage they share once per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -200,7 +201,7 @@ class _LaneStats:
         self.rising = np.ones(lanes, dtype=bool)  # no decrease of the gap so far
         self.first = self.last = None
 
-    def fold(self, b0: int, B: np.ndarray, cols) -> None:
+    def fold(self, b0: int, B: np.ndarray, lanes) -> None:
         """Fold B's slots, b0 on, of both channels (B[0] the f gaps, B[1]
         ||grad f||^2); lane i records length[i] slots in all."""
         F = B[0]
@@ -267,7 +268,6 @@ class _Member:
         self.o, self.sink, self.n = o, sink, len(gamma)
         self.gamma = np.repeat(gamma, width, axis=1)
         self.live = np.arange(self.n)  # the lane of each of its rows
-        self.cols = slice(None)        # a slice, not an index array, while all run
         self.sl = self.X = None        # its rows of the engine's state matrix
         self.b0 = 0                    # its slots from b0 on are not folded yet
         self.node = None               # its chain's last stage; None once stopped
@@ -315,212 +315,221 @@ class _Node:
         return self._draw(kind, size, prep)
 
 
-def _share(members: list, gens: list) -> tuple:
-    """(the members, ordered so that a shared stage's rows are contiguous,
-    and the stage nodes, parents first).
-
-    Members share their chains' stages up to the first that differs
-    (`Stage.key`), and the nodes share one dict of pulls over `gens`, so
-    stages share a draw wherever the (kind, slot, row shape) matches.
-    """
-    nodes, index, pulls = [], {}, {}
-    for m in members:
-        m.path = []
-        for s in m.o._query_batch:
-            up = m.path[-1] if m.path else None
-            if (up, s.key) not in index:
-                index[up, s.key] = _Node(s.fn, up, gens, pulls, len(nodes), s.key)
-                nodes.append(index[up, s.key])
-            m.path.append(index[up, s.key])
-    members = sorted(members, key=lambda m: [nd.order for nd in m.path])
-    for m in members:
-        m.node = m.path[-1]
-        for nd in m.path:
-            nd.members.append(m)
-    return members, nodes
+def _passes(fx: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The rows passing the divergence test: |f| <= DIVERGENCE_LIMIT and
+    ||x||^2 <= DIVERGENCE_LIMIT^2 (NaN fails both)."""
+    return (np.abs(fx) <= DIVERGENCE_LIMIT) & (np.vecdot(X, X) <= _LIMIT_SQ)
 
 
-def _run_lanes(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
-               runs: list) -> list:
+class _Engine:
     """The one step loop: x_{t+1} = x_t - gamma * g_t on every lane, up to T
-    steps; returns each run's `sink.out`, in run order.
+    steps from x0, which must pass the divergence test, by oracles of the
+    problem's dimension; `run()` returns each run's `sink.out`, in run order.
 
     Each (oracle, sink, gamma) in `runs` is a member (`_Member`): a contiguous
     block of rows of one state matrix, stepped in place by its oracle chain
     times the stepsize matrix made from its (lanes, 1) column `gamma`, whose
     rows drop with its lanes. Lane i of every member draws from
     gens[i % len(gens)], as its lanes come in blocks of one per generator
-    (the reps of a run, or of each grid stepsize). `value_many`, the
-    divergence test, the f-value writes and the target test run once over
-    all rows, and the sinks are of one kind, so the first sink's `grid`,
+    (the reps of a run, or of each grid stepsize). Members share their
+    chains' stages up to the first that differs (`Stage.key`), and the stage
+    nodes share one dict of pulls over `gens`, so stages share a draw
+    wherever the (kind, slot, row shape) matches. Each step runs every node
+    once; a member steps by its rows of its chain's last stage, and its
+    values do not depend on the others. `value_many`, the divergence test,
+    the f-value writes and the target test run once over all rows.
+
+    The sink protocol. The sinks are of one kind, so the first sink's `grid`,
     `target`, `floats`, `grad_norms` and `group` hold for all: a lane failing
     the divergence test takes its group (the lanes with its i // group) out.
-    Each step runs every stage node once (`_share`), each drawing a pull
-    that several nodes read once; a member steps by its rows of its chain's
-    last stage, and its values do not depend on the others.
-
     The members share the (channels x slots x lanes) record block `B`:
     channel 0 holds f, and channel 1 ||grad f||^2 with `grad_norms`, whose
     gradients a first stage keyed by `p.grad_many` takes at that step; each
     sink gets its columns as its `B`. A channel holds `floats` floats, or
-    every slot when None; slot j is iteration `grid[j]` (j when None).
-    `sink.fold(b0, B, cols)` gets the slots from b0 on, f less f*, when the
-    block is full, before lanes drop and when the member stops; `cols`
-    selects its live lanes' columns.
+    every slot when None; slot j is iteration `grid[j]` (j when None). A
+    sink's `lanes` are its member's live lanes, which index those columns.
+    `sink.fold(b0, B, lanes)` gets the slots from b0 on, f less f*, when the
+    block is full, before lanes drop and when the member stops.
     `sink.drop(t, slot, lanes, X, fx)` gets the lanes leaving at iterate t.
     With `target` set, an iterate whose smallest f is at most it asks
-    `sink.hit(t, fx, cols)` whether to stop there. A member stops on a hit,
+    `sink.hit(t, fx, lanes)` whether to stop there. A member stops on a hit,
     when its last lane leaves, or at T: `sink.stop(lanes, X)` gets its live
     lanes and their rows, and leaves the run's result in `sink.out`. A stage
     that raises ends the members under it, with its exception as their
     `sink.out`, while the others step on; a raise elsewhere propagates.
     """
-    if x0 is None and p.default_x0 is None:
-        raise ValueError(f"problem {p.name} has no default x0; pass one")
-    x0 = np.array(p.default_x0 if x0 is None else x0, dtype=float)
-    if x0.shape != (p.dim,):
-        raise ValueError(f"x0 must have shape ({p.dim},)")
-    if not runs:
-        return []
-    first = runs[0][1]  # one sink kind: its record policy holds for all
-    grid, target, floats, grad_norms, group = \
-        first.grid, first.target, first.floats, first.grad_norms, first.group
-    lanes = sum(len(gamma) for _, _, gamma in runs)
-    X = np.tile(x0, (lanes, 1))
-    members = [_Member(o, sink, gamma, X.shape[1]) for o, sink, gamma in runs]
-    n_slots = T + 1 if grid is None else len(grid)
-    block = n_slots if floats is None else max(1, min(n_slots, floats // lanes))
-    B = np.empty((1 + grad_norms, block, lanes))
-    members, nodes = _share(members, gens)
-    dense = grid is None
-    value_many, grad_many = p.value_many, p.grad_many
-    f_star = p.f_star or 0.0
-    live = np.arange(lanes)  # the column of each row of X
-    cols = slice(None)       # a slice, not an index array, while all run
-    # slots from a member's b0 on are not folded yet; block row 0 holds
-    # slot `base`
-    slot = base = 0
 
-    def fold(m: _Member) -> None:
-        if slot > m.b0:
-            Bm = m.sink.B[:, m.b0 - base:slot - base]
-            Bm[0] -= f_star
-            m.sink.fold(m.b0, Bm, m.cols)
-            m.b0 = slot
+    def __init__(self, p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
+                 runs: list):
+        if x0 is None and p.default_x0 is None:
+            raise ValueError(f"problem {p.name} has no default x0; pass one")
+        x0 = np.array(p.default_x0 if x0 is None else x0, dtype=float)
+        if x0.shape != (p.dim,):
+            raise ValueError(f"x0 must have shape ({p.dim},)")
+        for o, _, _ in runs:
+            if o.dim != p.dim:
+                raise ValueError(f"oracle {o.name} has dimension {o.dim}, "
+                                 f"problem {p.name} {p.dim}")
+        self.p, self.T, self.sinks = p, T, [sink for _, sink, _ in runs]
+        if not runs:
+            return
+        lanes = sum(len(gamma) for _, _, gamma in runs)
+        self.X = np.tile(x0, (lanes, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.fx = p.value_many(self.X)
+            if not _passes(self.fx, self.X).all():
+                raise ValueError("x0 fails the divergence test: it must be finite, "
+                                 f"with |f(x0)| and ||x0|| at most {DIVERGENCE_LIMIT:g}")
+        first = runs[0][1]  # one sink kind: its record policy holds for all
+        n_slots = T + 1 if first.grid is None else len(first.grid)
+        self.block = n_slots if first.floats is None \
+            else max(1, min(n_slots, first.floats // lanes))
+        self.B = np.empty((1 + first.grad_norms, self.block, lanes))
+        nodes, index, pulls = [], {}, {}  # the stage nodes, parents first
+        members = [_Member(o, sink, gamma, p.dim) for o, sink, gamma in runs]
+        for m in members:
+            m.path = []
+            for s in m.o._query_batch:
+                up = m.path[-1] if m.path else None
+                if (up, s.key) not in index:
+                    index[up, s.key] = _Node(s.fn, up, gens, pulls, len(nodes), s.key)
+                    nodes.append(index[up, s.key])
+                m.path.append(index[up, s.key])
+            m.order = [nd.order for nd in m.path]
+        # in this order a shared stage's rows are contiguous
+        self.members = sorted(members, key=attrgetter("order"))
+        for m in self.members:
+            m.node = m.path[-1]
+            for nd in m.path:
+                nd.members.append(m)
+        self.nodes, self.n_gens, self.live = nodes, len(gens), np.arange(lanes)
+        self.slot = self.base = 0  # the next slot, and the slot of block row 0
+        self._shrink(np.ones(lanes, dtype=bool))
+        for m in self.members:
+            m.sink.B = self.B[:, :, m.sl]
 
-    def stop(m: _Member, Xm: np.ndarray) -> None:
-        fold(m)
+    def _fold(self, m: _Member) -> None:
+        if self.slot > m.b0:
+            Bm = m.sink.B[:, m.b0 - self.base:self.slot - self.base]
+            Bm[0] -= self.p.f_star or 0.0
+            m.sink.fold(m.b0, Bm, m.live)
+            m.b0 = self.slot
+
+    def _stop(self, m: _Member, Xm: np.ndarray) -> None:
+        self._fold(m)
         m.sink.stop(m.live, Xm)
         m.node = None
 
-    def shrink(ok: np.ndarray) -> list:
-        # the rows `ok` keeps, and the members that still run; each live
-        # stage node gets its rows and their generators
-        nonlocal X, fx, live, cols, nodes, G
-        X, fx, live, G = X[ok], fx[ok], live[ok], None
+    def _shrink(self, ok: np.ndarray) -> tuple:
+        """Keep the rows `ok` keeps and the members that still run; each live
+        stage node gets its rows and their generators. Returns what `run` reads."""
+        self.X, self.fx, self.G = self.X[ok], self.fx[ok], None
+        live = self.live = self.live[ok]  # the column of each row of X
         # a slice writes faster, and the live lanes often stay contiguous
-        cols = slice(live[0], live[-1] + 1) \
+        self.cols = slice(live[0], live[-1] + 1) \
             if len(live) and live[-1] - live[0] == len(live) - 1 else live
-        left, row = [m for m in members if m.node is not None], 0
-        for m in left:
+        self.members, row = [m for m in self.members if m.node is not None], 0
+        for m in self.members:
             m.sl, row = slice(row, row + m.n), row + m.n
-            m.X = X[m.sl]
-        for nd in nodes:
+            m.X = self.X[m.sl]
+        for nd in self.nodes:
             nd.members = [m for m in nd.members if m.node is not None]
-        nodes = [nd for nd in nodes if nd.members]
-        for nd in nodes:
+        self.nodes = [nd for nd in self.nodes if nd.members]
+        for nd in self.nodes:
             lo, hi = nd.members[0].sl.start, nd.members[-1].sl.stop
             up = 0 if nd.parent is None else nd.parent.lo
             nd.src, nd.lo = slice(lo - up, hi - up), lo
-            nd.rows = np.concatenate([m.live % len(gens) for m in nd.members])
-        for m in left:
+            nd.rows = np.concatenate([m.live % self.n_gens for m in nd.members])
+        for m in self.members:
             m.src = slice(m.sl.start - m.node.lo, m.sl.stop - m.node.lo)
-        return left
+        return self.X, self.fx, self.cols, self.members, self.nodes
 
-    # a failing lane is dropped below, so its overflow or NaN arithmetic
-    # needs no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = value_many(X)
-        members = shrink(np.ones(lanes, dtype=bool))
-        for m in members:
-            m.sink.B = B[:, :, m.sl]
-        for t in range(T + 1):  # one pass per iterate; the last takes no step
-            G = None  # grad_many(X) when recorded at this iterate
-            if dense or t == grid[slot]:
-                B[0, slot - base, cols] = fx
-                if grad_norms:
-                    G = grad_many(X)
-                    B[1, slot - base, cols] = np.vecdot(G, G)
-                slot += 1
-            # the target test comes first, so that an iterate T at the
-            # target is a hit
-            if target is not None and fx.min() <= target:
-                ok = np.ones(len(X), dtype=bool)
+    def run(self) -> list:
+        if not self.sinks:
+            return []
+        first, T, block, B = self.sinks[0], self.T, self.block, self.B
+        grid, target, grad_norms = first.grid, first.target, first.grad_norms
+        value_many, grad_many = self.p.value_many, self.p.grad_many
+        X, fx, cols, members, nodes = self.X, self.fx, self.cols, self.members, self.nodes
+        # a failing lane is dropped below, so its overflow or NaN arithmetic
+        # needs no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(T + 1):  # one pass per iterate; the last takes no step
+                self.G = None  # grad_many(X) when recorded at this iterate
+                if grid is None or t == grid[self.slot]:
+                    B[0, self.slot - self.base, cols] = fx
+                    if grad_norms:
+                        self.G = G = grad_many(X)
+                        B[1, self.slot - self.base, cols] = np.vecdot(G, G)
+                    self.slot += 1
+                # the target test comes first, so that an iterate T at the
+                # target is a hit
+                if target is not None and fx.min() <= target:
+                    ok = np.ones(len(X), dtype=bool)
+                    for m in members:
+                        fm = fx[m.sl]
+                        if fm.min() <= target and m.sink.hit(t, fm, m.live):
+                            self._stop(m, m.X)
+                            ok[m.sl] = False
+                    if not ok.all():
+                        X, fx, cols, members, nodes = self._shrink(ok)
+                if t == T or not members:
+                    break
+                if self.slot - self.base == block:
+                    for m in members:
+                        self._fold(m)
+                    self.base = self.slot
+                failed = False
+                for nd in nodes:
+                    if nd.members[0].node is None:  # under a failed stage
+                        continue
+                    up = nd.parent
+                    nd.t, nd.slot = t, 0 if up is None else up.slot
+                    try:
+                        if up is None and self.G is not None and nd.key is grad_many:
+                            nd.out = self.G[nd.src]
+                        else:
+                            nd.out = nd.fn((X if up is None else up.out)[nd.src], nd)
+                    except Exception as exc:  # noqa: BLE001 - its members fail alone
+                        exc = exc.with_traceback(None)  # which would keep this frame
+                        for m in nd.members:
+                            m.sink.out, m.node, failed = exc, None, True
+                if failed:
+                    # each live member keeps its offset in its last stage's
+                    # rows, since the members that end there come first in them
+                    X, fx, cols, members, nodes = self._shrink(np.repeat(
+                        [m.node is not None for m in members], [m.n for m in members]))
+                    if not members:
+                        break
                 for m in members:
-                    fm = fx[m.sl]
-                    if fm.min() <= target and m.sink.hit(t, fm, m.cols):
-                        stop(m, m.X)
-                        ok[m.sl] = False
-                if not ok.all():
-                    members = shrink(ok)
-            if t == T or not members:
-                break
-            if slot - base == block:
-                for m in members:
-                    fold(m)
-                base = slot
-            failed = False
-            for nd in nodes:
-                if nd.members[0].node is None:  # under a failed stage
+                    m.X -= m.gamma * m.node.out[m.src]
+                self.fx = fx = value_many(X)
+                # one sum bounds every lane's divergence test
+                if fx @ fx + np.vdot(X, X) <= _HALF_LIMIT_SQ:
                     continue
-                up = nd.parent
-                nd.t, nd.slot = t, 0 if up is None else up.slot
-                try:
-                    if up is None and G is not None and nd.key is grad_many:
-                        nd.out = G[nd.src]
-                    else:
-                        nd.out = nd.fn((X if up is None else up.out)[nd.src], nd)
-                except Exception as exc:  # noqa: BLE001 - its members fail alone
-                    exc = exc.with_traceback(None)  # which would keep this frame
-                    for m in nd.members:
-                        m.sink.out, m.node, failed = exc, None, True
-            if failed:
-                # each live member keeps its offset in its last stage's rows,
-                # since the members that end there come first in them
-                members = shrink(np.repeat([m.node is not None for m in members],
-                                           [m.n for m in members]))
+                ok = _passes(fx, X)
+                if ok.all():
+                    continue
+                for m in members:
+                    keep = ok[m.sl]
+                    if keep.all():
+                        continue
+                    keep = np.repeat(keep.reshape(-1, first.group).all(axis=1),
+                                     first.group)
+                    ok[m.sl] = keep
+                    self._fold(m)
+                    bad = ~keep
+                    m.sink.drop(t + 1, self.slot, m.live[bad], m.X[bad], fx[m.sl][bad])
+                    m.live, m.gamma = m.live[keep], m.gamma[keep]
+                    m.n = len(m.live)
+                    if not m.n:
+                        self._stop(m, m.X[keep])
+                X, fx, cols, members, nodes = self._shrink(ok)
                 if not members:
                     break
             for m in members:
-                m.X -= m.gamma * m.node.out[m.src]
-            fx = value_many(X)
-            # a lane fails once |f| > DIVERGENCE_LIMIT or ||x||^2 >
-            # DIVERGENCE_LIMIT^2 (NaN fails both); one sum bounds every lane
-            if fx @ fx + np.vdot(X, X) <= _HALF_LIMIT_SQ:
-                continue
-            ok = (np.abs(fx) <= DIVERGENCE_LIMIT) & (np.vecdot(X, X) <= _LIMIT_SQ)
-            if ok.all():
-                continue
-            for m in members:
-                keep = ok[m.sl]
-                if keep.all():
-                    continue
-                keep = np.repeat(keep.reshape(-1, group).all(axis=1), group)
-                ok[m.sl] = keep
-                fold(m)
-                bad = ~keep
-                m.sink.drop(t + 1, slot, m.live[bad], m.X[bad], fx[m.sl][bad])
-                m.live = m.cols = m.live[keep]
-                m.n = len(m.live)
-                m.gamma = m.gamma[keep]
-                if not m.n:
-                    stop(m, m.X[keep])
-            members = shrink(ok)
-            if not members:
-                break
-        for m in members:
-            stop(m, m.X)
-    return [sink.out for _, sink, _ in runs]
+                self._stop(m, m.X)
+        return [sink.out for sink in self.sinks]
 
 
 def _repeat(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
@@ -534,9 +543,9 @@ def _repeat(p: Problem, T: int, x0: Optional[np.ndarray], gens: list,
     grid = _record_grid(T)
     if keep_traces is None:
         keep_traces = len(gens) * len(grid) <= KEEP_TRACES_LIMIT
-    return _run_lanes(p, T, x0, gens, [
+    return _Engine(p, T, x0, gens, [
         (o, _LaneStats(grid, T, len(gens), p.dim, keep_traces),
-         np.full((len(gens), 1), sched.gamma)) for o, sched in runs])
+         np.full((len(gens), 1), sched.gamma)) for o, sched in runs]).run()
 
 
 def _raised(out):

@@ -160,6 +160,9 @@ def gaussian_noise_oracle(p: Problem, sigma_sq: float,
         raise ValueError("sigma_sq must be nonnegative")
     if inner is None:
         inner = exact_oracle(p)
+    elif inner.dim != p.dim:
+        raise ValueError(f"inner oracle {inner.name} has dimension {inner.dim}, "
+                         f"problem {p.name} {p.dim}")
     if sigma_sq == 0.0:
         return inner
     d, b = p.dim, inner.bounds

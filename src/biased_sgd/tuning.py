@@ -1,7 +1,7 @@
 """Stepsize tuning: find the grid stepsize reaching a target gap fastest.
 
 All (stepsize, repetition) lanes of one configuration advance together as a
-single state matrix on the engine's step loop (`optimizer._run_lanes`), with
+single state matrix on the engine's step loop (`optimizer._Engine`), with
 `_Race` as its consumer. Because every lane group steps in lockstep, the first
 group whose repetition-mean gap touches the target is exactly the grid
 minimizer of iterations-to-target, so the search stops there; slower groups
@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .optimizer import (StepSchedule, _raised, _run_lanes, _thinned_grid,
+from .optimizer import (StepSchedule, _Engine, _raised, _thinned_grid,
                         rep_streams)
 from .oracles import BiasedOracle
 from .problems import Problem
@@ -140,16 +140,16 @@ class _Race:
         self.fd, self.offset = fd, offset
         self.rows = 0  # history rows written
 
-    def _groups(self, cols):
-        return cols if isinstance(cols, slice) else cols[::self.group] // self.group
+    def _groups(self, lanes: np.ndarray) -> np.ndarray:
+        return lanes[::self.group] // self.group
 
     def _means(self, F: np.ndarray) -> np.ndarray:
         return F.reshape(len(F), -1, self.group).sum(axis=2) * (1.0 / self.group)
 
-    def fold(self, b0: int, B: np.ndarray, cols) -> None:
-        F, g = B[0], self._groups(cols)
+    def fold(self, b0: int, B: np.ndarray, lanes: np.ndarray) -> None:
+        F, g = B[0], self._groups(lanes)
         # C-ordered, so that each rep sum adds contiguous values as `hit` does
-        means = self._means(np.ascontiguousarray(F[:, cols]))
+        means = self._means(np.ascontiguousarray(F[:, lanes]))
         self.best_gap[g] = np.minimum(self.best_gap[g], means.min(axis=0))
         r0 = self.rows
         t = self.rec_t[r0:r0 + np.searchsorted(self.rec_t[r0:], b0 + len(F))]
@@ -177,11 +177,11 @@ class _Race:
     def drop(self, t: int, slot: int, lanes: np.ndarray, X, fx) -> None:
         self.diverged[self._groups(lanes)] = True
 
-    def hit(self, t: int, fx: np.ndarray, cols) -> bool:
+    def hit(self, t: int, fx: np.ndarray, lanes: np.ndarray) -> bool:
         hits = self._means((fx - self.f_star)[None])[0] <= self.eps
         if not hits.any():
             return False
-        self.reached[self._groups(cols)] = hits
+        self.reached[self._groups(lanes)] = hits
         self.stop_t = t
         return True
 
@@ -253,7 +253,7 @@ def tune_stepsize_many(p: Problem, oracles: list, target_eps: float,
     rec_t = history_grid(max_T)
     size = len(rec_t) * len(grid) * 8  # S: a search writes at most len(rec_t) rows
     with tempfile.TemporaryFile() as file:
-        return _run_lanes(p, max_T, x0, gens, [
+        return _Engine(p, max_T, x0, gens, [
             (o, _Race(p, grid, reps, target_eps, max_T, rec_t, keep_history,
                       file.fileno(), i * size), gamma)
-            for i, o in enumerate(oracles)])
+            for i, o in enumerate(oracles)]).run()

@@ -489,6 +489,29 @@ def test_config_and_figure_together_are_a_config_error(tmp_path, capsys, command
     assert not (tmp_path / "o").exists()
 
 
+BEYOND_LIMIT = MINI + """x0_gap = 1e13
+
+[sweep]
+noise_sigma_sq = 0.0, 1.0
+
+[tune]
+target_eps = 0.001
+max_T = 20
+reps = 2
+grid = 0.01, 0.1
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "tune"])
+def test_a_start_beyond_the_divergence_limit_exits_2(tmp_path, capsys, command):
+    # f(x0) - f* = 1e13 fails the divergence test before any step; it was
+    # reported as every rep diverging at iterate 1
+    path = tmp_path / "c.cfg"
+    path.write_text(BEYOND_LIMIT)
+    assert cli.main([command, "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "error: x0 fails the divergence test" in capsys.readouterr().err
+
 @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
 def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys, kind):
     path = tmp_path / "c.cfg"

@@ -4,15 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biased_sgd import (BiasedOracle, Divergence, OracleBounds, StepSchedule,
-                        additive_bias_oracle, compressed_oracle,
+from biased_sgd import (BiasedOracle, Divergence, OracleBounds, Problem,
+                        StepSchedule, additive_bias_oracle, compressed_oracle,
                         descent_lemma_rhs, error_floor, exact_oracle,
                         gaussian_noise_oracle, gaussian_smoothing_oracle,
-                        huber_shifted_oracle, make_nesterov_worst, pl_envelope,
-                        rand_k_compressor, sgd_run, sgd_run_repeated,
+                        huber_shifted_oracle, make_huber_problem,
+                        make_nesterov_worst, pl_envelope, rand_k_compressor,
+                        scaled_x0, sgd_run, sgd_run_repeated,
                         sgd_run_repeated_many, stepsize_cap,
                         synthetic_tight_oracle, tightness_oracle,
-                        top_k_compressor, uniform_direction)
+                        top_k_compressor, tune_stepsize_many,
+                        uniform_direction)
 from biased_sgd import compressors, optimizer, tuning
 from biased_sgd._rng import DrawStreams, stream
 from biased_sgd.oracles import Chain, Stage, draw
@@ -613,3 +615,38 @@ def test_both_thinned_grids_keep_their_iterations():
         for T in (limit, limit + 1, 10 * limit, 10**9):
             got, want = grid(T), spelled(T)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), T
+
+
+def _bad_input(case):
+    """(problem, oracle, x0) of one input the engine rejects."""
+    p = make_nesterov_worst(4)
+    o, x0 = exact_oracle(p), None
+    if case == "x0 shape":
+        x0 = np.zeros(5)
+    elif case == "no default x0":
+        p = Problem("plain", 4, p.value_many, p.grad_many, p.smoothness_L)
+    elif case == "nan x0":
+        x0 = np.array([1.0, np.nan, 0.0, 0.0])
+    elif case == "x0 beyond the limit":
+        x0 = scaled_x0(p, 1e13)  # f(x0) - f* = 1e13
+    else:  # "oracle dimension": Huber's (n, 1) gradient would broadcast
+        o = exact_oracle(make_huber_problem())
+    return p, o, x0
+
+
+@pytest.mark.parametrize("case,message", [
+    ("x0 shape", r"x0 must have shape \(4,\)"),
+    ("no default x0", "problem plain has no default x0; pass one"),
+    ("nan x0", "x0 fails the divergence test"),
+    ("x0 beyond the limit", "x0 fails the divergence test"),
+    ("oracle dimension", "oracle exact has dimension 1, problem nesterov_worst_d4 4"),
+])
+def test_the_engine_rejects_a_bad_start_or_oracle(case, message):
+    # rejected before any step, by the repeated runs and the search alike; a
+    # start that fails the divergence test would otherwise be reported as
+    # diverging at iterate 1, with a trace of iterate 0 alone
+    p, o, x0 = _bad_input(case)
+    with pytest.raises(ValueError, match=message):
+        sgd_run_repeated_many(p, [(o, StepSchedule(0.1))], 5, 2, seed=1, x0=x0)
+    with pytest.raises(ValueError, match=message):
+        tune_stepsize_many(p, [o], 1e-3, grid=[0.1], reps=2, max_T=5, x0=x0)

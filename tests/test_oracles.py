@@ -87,6 +87,14 @@ def test_additive_bias_oracle():
             additive_bias_oracle(inner, 0.1, bad)
 
 
+
+def test_noise_over_an_oracle_of_another_dimension_is_rejected():
+    p = make_nesterov_worst(10)
+    inner = exact_oracle(make_nesterov_worst(4))
+    for sigma_sq in (0.0, 1.0):
+        with pytest.raises(ValueError, match="inner oracle exact has dimension 4"):
+            gaussian_noise_oracle(p, sigma_sq, inner=inner)
+
 def test_tightness_oracle_bias_exactly_tight():
     p = make_nesterov_worst(10)
     m, zeta_sq = 0.5, 0.01

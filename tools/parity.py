@@ -22,13 +22,10 @@ One command, `tune tune_long`, runs a search that stays above its target
 past the race horizon (210,000 steps, one stepsize and one rep), so its race
 curve is read back from 200,001 history rows; in `tune tune_diverged` every
 stepsize of one cell diverges, so that cell has no race curve. `tune --figure
-fig6` is left out (about 70 s per tree on one core); to check it, extract
-REV's `src/` the same way and compare by hand:
-
-    mkdir rev && git archive REV src | tar -x -C rev
-    PYTHONPATH=rev/src python -m biased_sgd.cli tune --figure fig6 --out a
-    PYTHONPATH=src python -m biased_sgd.cli tune --figure fig6 --out b
-    diff -r a b
+fig6` is left out (about 50 s per tree on one core): the CI step "tune
+--figure fig6 against the parent commit" in `.github/workflows/tests.yml`
+runs it on HEAD^'s `src/` and on the checkout's and compares the two output
+directories with `diff -r`.
 """
 
 from __future__ import annotations
